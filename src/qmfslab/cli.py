@@ -9,12 +9,13 @@ input.
 Reproducibility: trajectory i of a batch uses noise streams keyed by
 (master_seed, i, channel), so outputs are bit-identical across reruns
 and across --parallel settings; result files are keyed by seed index.
+All trajectories of a simulate run share one batched sweep, so
+--parallel is accepted for compatibility and does not change the work.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import sys
@@ -23,26 +24,39 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, circuits, conditional, fock, koopman, models, spins
-from .phase_space import is_qmfs, model_from_json, two_time_commutator
+from .phase_space import (
+    MAX_EXPM_NORM,
+    is_qmfs,
+    model_from_json,
+    two_time_commutator,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# config keys that do not change results, left out of config_hash
+_UNHASHED_KEYS = {"out", "parallel", "config"}
+
+
+def _csv_text(header, rows) -> str:
+    """Header plus one line per row; each value as repr(float(x))."""
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row.tolist()))
+              for row in np.asarray(rows, dtype=float)]
+    return "\n".join(lines) + "\n"
 
 
 def _write_csv(path: Path, header, rows):
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(_csv_text(header, rows))
 
 
 def _config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, default=str).encode()
+    """Hash of the keys that determine results: one per experiment."""
+    keys = {k: v for k, v in config.items() if k not in _UNHASHED_KEYS}
+    blob = json.dumps(keys, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -62,7 +76,6 @@ def _write_summary(out_dir: Path, config: dict, payload: dict) -> None:
 def _build_bundle(args) -> models.ModelBundle:
     if getattr(args, "model_file", None):
         model, obs = model_from_json(Path(args.model_file).read_text())
-        qmfs_sets = (obs,) if obs is not None else ()
         return models.ModelBundle(
             model=model,
             named_bases={"physical": np.eye(model.dim)},
@@ -94,18 +107,31 @@ def _observable_sets(bundle, args):
     return sets
 
 
+def _grid_horizon(model) -> float:
+    """Horizon 10/omega of the commutator grid.
+
+    omega is the largest |Im lambda(A)| (1 when A has no oscillating
+    mode); the horizon is capped so that ||A t||_2 stays within the
+    trusted expm bound.
+    """
+    omega = float(np.max(np.abs(np.linalg.eigvals(model.A).imag))) or 1.0
+    norm_A = np.linalg.norm(model.A, 2)
+    if norm_A == 0.0:
+        return 10.0 / omega
+    return min(10.0 / omega, MAX_EXPM_NORM / norm_A)
+
+
 def cmd_check(args, out_dir: Path, config: dict) -> int:
     bundle = _build_bundle(args)
     model = bundle.model
     tol = 1e-12 * args.tol_scale
     grid_tol = 1e-10 * args.tol_scale
-    omega = bundle.metadata.get("omega") or bundle.metadata.get("gamma_B0") or 1.0
+    ts = np.linspace(0.0, _grid_horizon(model), 20)
     rows = []
     ok = True
     results = []
     for obs in _observable_sets(bundle, args):
         verdict = is_qmfs(model, obs, tol=tol)
-        ts = np.linspace(0.0, 10.0 / omega, 20)
         grid_max = 0.0
         for t in ts:
             for tp in ts:
@@ -165,59 +191,59 @@ def _force_from_args(bundle, args):
     )
 
 
+def _check_simulate_args(args) -> None:
+    for flag in ("batch", "parallel", "cov_stride"):
+        value = getattr(args, flag)
+        if not isinstance(value, int) or value < 1:
+            name = flag.replace("_", "-")
+            raise ValueError(f"--{name} must be an integer >= 1, got {value!r}")
+
+
 def cmd_simulate(args, out_dir: Path, config: dict) -> int:
+    _check_simulate_args(args)
     bundle = _build_bundle(args)
     model = bundle.model
     channels = _channels_from_args(bundle, args) if args.k > 0 else ()
-    force = _force_from_args(bundle, args)
-    state0 = conditional.vacuum_state(model)
-
-    def run_one(i):
-        return i, conditional.evolve_conditional(
-            model,
-            state0,
-            channels,
-            force=force,
-            dt=args.dt,
-            T=args.T,
-            seed=(args.seed, i),
-            cov_stride=args.cov_stride,
-        )
-
-    indices = list(range(args.batch))
-    if args.parallel > 1:
-        with concurrent.futures.ThreadPoolExecutor(args.parallel) as pool:
-            trajectories = dict(pool.map(run_one, indices))
-    else:
-        trajectories = dict(map(run_one, indices))
+    batch = conditional.simulate_batch(
+        model,
+        conditional.vacuum_state(model),
+        channels,
+        _force_from_args(bundle, args),
+        dt=args.dt,
+        T=args.T,
+        master_seed=args.seed,
+        n_traj=args.batch,
+        cov_stride=args.cov_stride,
+    )
 
     d = model.dim
-    for i in indices:
-        traj = trajectories[i]
-        header = (
-            ["time"]
-            + [f"mean_{j}" for j in range(d)]
-            + [f"yrecord_{c}" for c in range(len(channels))]
+    n_ch = len(channels)
+    header = (
+        ["time"]
+        + [f"mean_{j}" for j in range(d)]
+        + [f"yrecord_{c}" for c in range(n_ch)]
+    )
+    iu = np.triu_indices(d)
+    cov_text = _csv_text(
+        ["time"] + [f"cov_{a}_{b}" for a, b in zip(*iu)],
+        np.column_stack([batch.cov_times, batch.covs[:, iu[0], iu[1]]]),
+    )
+    for i in range(args.batch):
+        # the record row at time 0 is zero: no increment yet
+        records = np.vstack([np.zeros((1, n_ch)), batch.records[i]])
+        _write_csv(
+            out_dir / f"trajectory_{i:04d}.csv",
+            header,
+            np.column_stack([batch.times, batch.means[i], records]),
         )
-        rows = []
-        for n, t in enumerate(traj.times):
-            rec = traj.records[n - 1] if n > 0 else np.zeros(len(channels))
-            rows.append([t, *traj.means[n], *rec])
-        _write_csv(out_dir / f"trajectory_{i:04d}.csv", header, rows)
-        cov_header = ["time"] + [
-            f"cov_{a}_{b}" for a in range(d) for b in range(a, d)
-        ]
-        cov_rows = []
-        for n, t in enumerate(traj.cov_times):
-            V = traj.covs[n]
-            cov_rows.append([t] + [V[a, b] for a in range(d) for b in range(a, d)])
-        _write_csv(out_dir / f"covariance_{i:04d}.csv", cov_header, cov_rows)
+        with open(out_dir / f"covariance_{i:04d}.csv", "w") as fh:
+            fh.write(cov_text)
 
     _write_summary(
         out_dir,
         config,
         {
-            "seeds": [[args.seed, i] for i in indices],
+            "seeds": [[args.seed, i] for i in range(args.batch)],
             "n_trajectories": args.batch,
             "passed": True,
         },
@@ -480,8 +506,7 @@ def main(argv=None) -> int:
             _apply_config(args, argv)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        config = {k: v for k, v in vars(args).items() if k != "config"}
-        return handlers[args.command](args, out_dir, config)
+        return handlers[args.command](args, out_dir, dict(vars(args)))
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -203,7 +203,7 @@ def riccati_rhs(model: LinearModel, channels, D_extra: np.ndarray = None):
         for ch in channels:
             if ch.k > 0:
                 Vs = V @ ch.s
-                dV = dV - 4 * ch.k * ch.eta * np.outer(Vs, Vs)
+                dV = dV - 4 * ch.k * ch.eta * (Vs[:, None] * Vs)
         return dV
 
     return rhs
@@ -309,6 +309,75 @@ def _noise_increments(seed, n_channels: int, n_steps: int, dt: float):
     return np.column_stack(cols)
 
 
+def _conditional_sweep(model, state0, channels, force, dt, T, seeds, cov_stride):
+    """The one conditional stepping loop, vectorized over trajectories.
+
+    Means are a (dim, n_traj) matrix stepped by Euler-Maruyama; the
+    covariance flow is seed-independent, so one RK4 step per time step
+    serves every trajectory.  Trajectory i draws its noise from the
+    streams keyed by seeds[i].  Returns (times, means, records,
+    cov_times, covs) with means (n_traj, n_steps + 1, dim), records
+    (n_traj, n_steps, n_channels) and covs (n_cov, dim, dim) at the
+    steps 0, cov_stride, 2 cov_stride, ... and always the last one.
+    """
+    _validate_step(model, dt, T)
+    if not is_physical_cov(state0.cov, model.Omega, model.hbar):
+        raise ValueError("initial covariance violates the uncertainty bound")
+    for ch in channels:
+        if ch.k == 0:
+            raise ValueError("channel with k = 0 produces no record; omit it")
+    if cov_stride < 1:
+        raise ValueError("cov_stride must be at least 1")
+    n_steps = int(round(T / dt))
+    n_traj = len(seeds)
+    n_ch = len(channels)
+    d = model.dim
+    rhs = riccati_rhs(model, channels)
+
+    # (n_steps, n_ch, n_traj): one contiguous row of increments per step
+    dW = np.stack(
+        [_noise_increments(seed, n_ch, n_steps, dt) for seed in seeds], axis=-1
+    )
+    scales = [math.sqrt(4 * ch.k * ch.eta) for ch in channels]
+
+    times = np.arange(n_steps + 1) * dt
+    cov_idx = list(range(0, n_steps + 1, cov_stride))
+    if cov_idx[-1] != n_steps:
+        cov_idx.append(n_steps)
+    cov_steps = set(cov_idx)
+
+    mu = np.tile(state0.mean[:, None], (1, n_traj))
+    V = state0.cov.copy()
+    means = np.empty((n_steps + 1, d, n_traj))
+    means[0] = mu
+    records = np.empty((n_steps, n_ch, n_traj))
+    covs = [V]
+
+    b = force.b[:, None] if force is not None else None
+    wave = force.waveform if force is not None else None
+    for n in range(n_steps):
+        dmu = (model.A @ mu) * dt
+        if force is not None:
+            dmu = dmu + b * (wave(n * dt) * dt)
+        for c, ch in enumerate(channels):
+            gain = scales[c] * (V @ ch.s)
+            records[n, c] = (ch.s @ mu) * dt + dW[n, c] / scales[c]
+            dmu = dmu + gain[:, None] * dW[n, c]
+        mu = mu + dmu
+        V = _rk4_matrix_step(rhs, V, dt)
+        means[n + 1] = mu
+        if n + 1 in cov_steps:
+            covs.append(V)
+
+    return (
+        times,
+        np.ascontiguousarray(means.transpose(2, 0, 1)),
+        np.ascontiguousarray(records.transpose(2, 0, 1)),
+        times[np.array(cov_idx)],
+        np.array(covs),
+    )
+
+
 def evolve_conditional(
     model: LinearModel,
     state0: GaussianState,
@@ -321,61 +390,18 @@ def evolve_conditional(
 ) -> Trajectory:
     """Euler-Maruyama conditional mean with RK4 covariance alongside.
 
-    Deterministic given (model, channels, force, dt, T, seed); the
-    covariance flow is deterministic and shared by all seeds.
+    Deterministic given (model, channels, force, dt, T, seed); a batch
+    of one of :func:`simulate_batch`'s sweep.
     """
-    _validate_step(model, dt, T)
-    if not is_physical_cov(state0.cov, model.Omega, model.hbar):
-        raise ValueError("initial covariance violates the uncertainty bound")
-    for ch in channels:
-        if ch.k == 0:
-            raise ValueError("channel with k = 0 produces no record; omit it")
-    n_steps = int(round(T / dt))
-    rhs = riccati_rhs(model, channels)
-    dW = _noise_increments(seed, len(channels), n_steps, dt)
-
-    d = model.dim
-    mu = state0.mean.copy()
-    V = state0.cov.copy()
-    times = np.arange(n_steps + 1) * dt
-    means = np.empty((n_steps + 1, d))
-    means[0] = mu
-    records = np.empty((n_steps, len(channels)))
-    cov_idx = list(range(0, n_steps + 1, max(1, cov_stride)))
-    if cov_idx[-1] != n_steps:
-        cov_idx.append(n_steps)
-    covs = np.empty((len(cov_idx), d, d))
-    cov_pos = 0
-    if cov_idx[0] == 0:
-        covs[0] = V
-        cov_pos = 1
-
-    b = force.b if force is not None else None
-    wave = force.waveform if force is not None else None
-    for n in range(n_steps):
-        t = n * dt
-        dmu = model.A @ mu * dt
-        if force is not None:
-            dmu = dmu + b * (wave(t) * dt)
-        for c, ch in enumerate(channels):
-            gain = math.sqrt(4 * ch.k * ch.eta) * (V @ ch.s)
-            records[n, c] = float(ch.s @ mu) * dt + dW[n, c] / math.sqrt(
-                4 * ch.k * ch.eta
-            )
-            dmu = dmu + gain * dW[n, c]
-        mu = mu + dmu
-        V = _rk4_matrix_step(rhs, V, dt)
-        means[n + 1] = mu
-        if cov_pos < len(cov_idx) and cov_idx[cov_pos] == n + 1:
-            covs[cov_pos] = V
-            cov_pos += 1
-
+    times, means, records, cov_times, covs = _conditional_sweep(
+        model, state0, channels, force, dt, T, [seed], cov_stride
+    )
     return Trajectory(
         times=times,
-        means=means,
-        cov_times=times[np.array(cov_idx)],
+        means=means[0],
+        cov_times=cov_times,
         covs=covs,
-        records=records,
+        records=records[0],
         seed=seed,
         dt=dt,
     )
@@ -390,6 +416,9 @@ class BatchResult:
     records: np.ndarray  # (n_traj, n_steps, n_channels)
     V_final: np.ndarray
     master_seed: int
+    means: np.ndarray  # (n_traj, n_steps + 1, dim)
+    cov_times: np.ndarray
+    covs: np.ndarray  # (len(cov_times), dim, dim), shared by all seeds
 
 
 def simulate_batch(
@@ -401,53 +430,31 @@ def simulate_batch(
     T: float,
     master_seed: int,
     n_traj: int,
+    cov_stride: int = 1,
 ) -> BatchResult:
-    """Monte Carlo ensemble of conditional means.
+    """Monte Carlo ensemble of conditional trajectories.
 
     Trajectory i uses noise streams keyed by (master_seed, i, channel),
     identical to evolve_conditional with seed = (master_seed, i).  Means
-    are propagated as one matrix per step, which is what makes
-    hundred-seed ensembles cheap: gains and covariance are
-    seed-independent.
+    are propagated as one matrix per step and one covariance sweep
+    serves every seed, which is what makes hundred-seed ensembles
+    cheap.  Per-step means take n_traj x (n_steps + 1) x dim x 8 bytes.
     """
-    _validate_step(model, dt, T)
-    for ch in channels:
-        if ch.k == 0:
-            raise ValueError("channel with k = 0 produces no record; omit it")
-    n_steps = int(round(T / dt))
-    n_ch = len(channels)
-    d = model.dim
-    rhs = riccati_rhs(model, channels)
-
-    dW = np.empty((n_traj, n_steps, n_ch))
-    for i in range(n_traj):
-        dW[i] = _noise_increments((master_seed, i), n_ch, n_steps, dt)
-
-    mu = np.tile(state0.mean[:, None], (1, n_traj))  # (dim, n_traj)
-    V = state0.cov.copy()
-    records = np.empty((n_traj, n_steps, n_ch))
-    b = force.b if force is not None else None
-    wave = force.waveform if force is not None else None
-    for n in range(n_steps):
-        t = n * dt
-        dmu = (model.A @ mu) * dt
-        if force is not None:
-            dmu = dmu + (b * (wave(t) * dt))[:, None]
-        for c, ch in enumerate(channels):
-            gain = math.sqrt(4 * ch.k * ch.eta) * (V @ ch.s)
-            records[:, n, c] = (ch.s @ mu) * dt + dW[:, n, c] / math.sqrt(
-                4 * ch.k * ch.eta
-            )
-            dmu = dmu + np.outer(gain, dW[:, n, c])
-        mu = mu + dmu
-        V = _rk4_matrix_step(rhs, V, dt)
-
+    if n_traj < 1:
+        raise ValueError("n_traj must be at least 1")
+    seeds = [(master_seed, i) for i in range(n_traj)]
+    times, means, records, cov_times, covs = _conditional_sweep(
+        model, state0, channels, force, dt, T, seeds, cov_stride
+    )
     return BatchResult(
-        times=np.arange(n_steps + 1) * dt,
-        means_final=mu.T.copy(),
+        times=times,
+        means_final=means[:, -1].copy(),
         records=records,
-        V_final=V,
+        V_final=covs[-1].copy(),
         master_seed=master_seed,
+        means=means,
+        cov_times=cov_times,
+        covs=covs,
     )
 
 

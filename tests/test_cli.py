@@ -2,11 +2,19 @@
 byte-identical reproducibility."""
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qmfslab.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from qmfslab.cli import (
+    EXIT_BAD_INPUT,
+    EXIT_OK,
+    EXIT_VIOLATION,
+    _write_csv,
+    main,
+)
 
 
 def read_summary(out_dir):
@@ -85,6 +93,47 @@ class TestSimulate:
         assert (out1 / "trajectory_0000.csv").read_bytes() != (
             out2 / "trajectory_0000.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--batch", "--parallel", "--cov-stride"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_is_bad_input(self, tmp_path, flag, value, capsys):
+        argv = self.common(tmp_path / "run", (flag, value))
+        assert main(argv) == EXIT_BAD_INPUT
+        assert f"{flag} must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "summary.json").exists()
+
+    def test_count_from_config_checked(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"batch": -1}))
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "run"),
+                "simulate", "--T", "0.1"]
+        assert main(argv) == EXIT_BAD_INPUT
+
+
+class TestConfigHash:
+    def run(self, out, seed="7", parallel="1"):
+        assert main(["--out", str(out), "--seed", seed, "simulate",
+                     "--T", "0.05", "--batch", "2",
+                     "--parallel", parallel]) == EXIT_OK
+        return read_summary(out)["config_hash"]
+
+    def test_out_and_parallel_do_not_change_hash(self, tmp_path):
+        assert self.run(tmp_path / "a") == self.run(tmp_path / "b", parallel="2")
+
+    def test_seed_changes_hash(self, tmp_path):
+        assert self.run(tmp_path / "a") != self.run(tmp_path / "b", seed="8")
+
+
+class TestCsv:
+    def test_values_written_as_repr_of_float(self, tmp_path):
+        rows = [[-0.0, 1e-5, 1e16, math.nan], [0.1, -2.5, 3.0, 1 / 3]]
+        path = tmp_path / "x.csv"
+        _write_csv(path, ["a", "b", "c", "d"], rows)
+        expected = "a,b,c,d\n" + "".join(
+            ",".join(repr(float(x)) for x in row) + "\n" for row in rows
+        )
+        assert path.read_bytes() == expected.encode()
+        assert path.read_text().splitlines()[1] == "-0.0,1e-05,1e+16,nan"
 
 
 class TestForce:
@@ -187,3 +236,37 @@ class TestModelFile:
             ["--out", str(out), "check", "--model-file", str(fixture)]
         )
         assert code == EXIT_OK
+
+    def test_four_pairs_up_to_omega_three(self, tmp_path):
+        # the commutator grid horizon follows the model's own spectrum;
+        # a fixed omega = 1 would push ||A t|| past the trusted expm bound
+        omegas = [1.0, 1.7, 2.4, 3.0]
+        d = 4 * len(omegas)
+        G = np.zeros((d, d))
+        observables = []
+        for k, w in enumerate(omegas):
+            i = 4 * k
+            G[i:i + 4, i:i + 4] = np.diag([w * w, 1.0, -w * w, -1.0])
+            q = np.zeros(d)
+            q[[i, i + 2]] = 1.0
+            pi = np.zeros(d)
+            pi[[i + 1, i + 3]] = [1.0, -1.0]
+            observables += [{"label": f"Q{k + 1}", "s": q.tolist()},
+                            {"label": f"Pi{k + 1}", "s": pi.tolist()}]
+        fixture = tmp_path / "four_pairs.json"
+        fixture.write_text(json.dumps(
+            {"n_modes": 2 * len(omegas), "hbar": 1.0, "G": G.tolist(),
+             "observables": observables}
+        ))
+        out = tmp_path / "run"
+        code = main(
+            ["--out", str(out), "check", "--model-file", str(fixture)]
+        )
+        assert code == EXIT_OK
+        sets = read_summary(out)["sets"]
+        assert [label for s in sets for label in s["labels"]] == [
+            o["label"] for o in observables
+        ]
+        for entry in sets:
+            assert entry["verdict"] == "QMFS"
+            assert entry["grid_consistent"] is True

@@ -1,11 +1,15 @@
 """Continuous measurement: back-action geometry, Riccati flow,
 conditional trajectories, and waveform estimation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qmfslab import models
 from qmfslab.conditional import (
+    _noise_increments,
+    _rk4_matrix_step,
     EstimationError,
     ForceDrive,
     GaussianState,
@@ -260,6 +264,119 @@ class TestSimulateBatch:
         b1 = simulate_batch(model, st, ch, None, 1e-3, 0.2, 1, 2)
         b2 = simulate_batch(model, st, ch, None, 1e-3, 0.2, 999, 2)
         assert np.array_equal(b1.V_final, b2.V_final)
+
+
+    def test_batch_size_below_one_rejected(self):
+        model = free_mass()
+        with pytest.raises(ValueError, match="n_traj"):
+            simulate_batch(model, vacuum_state(model), (pos_channel(1.0),),
+                           None, 1e-3, 0.1, 0, 0)
+
+    def test_cov_stride_below_one_rejected(self):
+        model = free_mass()
+        with pytest.raises(ValueError, match="cov_stride"):
+            evolve_conditional(model, vacuum_state(model),
+                               (pos_channel(1.0),), T=0.1, cov_stride=0)
+
+
+def reference_trajectory(model, state0, channels, force, dt, T, seed,
+                         cov_stride):
+    """One trajectory at a time, as a plain loop over steps.
+
+    The reference the batched sweep must match bit for bit.  Returns
+    (means, records, cov_times, covs).
+    """
+    n_steps = int(round(T / dt))
+    rhs = riccati_rhs(model, channels)
+    dW = _noise_increments(seed, len(channels), n_steps, dt)
+
+    d = model.dim
+    mu = state0.mean.copy()
+    V = state0.cov.copy()
+    times = np.arange(n_steps + 1) * dt
+    means = np.empty((n_steps + 1, d))
+    means[0] = mu
+    records = np.empty((n_steps, len(channels)))
+    cov_idx = list(range(0, n_steps + 1, max(1, cov_stride)))
+    if cov_idx[-1] != n_steps:
+        cov_idx.append(n_steps)
+    covs = np.empty((len(cov_idx), d, d))
+    cov_pos = 0
+    if cov_idx[0] == 0:
+        covs[0] = V
+        cov_pos = 1
+
+    b = force.b if force is not None else None
+    wave = force.waveform if force is not None else None
+    for n in range(n_steps):
+        t = n * dt
+        dmu = model.A @ mu * dt
+        if force is not None:
+            dmu = dmu + b * (wave(t) * dt)
+        for c, ch in enumerate(channels):
+            gain = math.sqrt(4 * ch.k * ch.eta) * (V @ ch.s)
+            records[n, c] = float(ch.s @ mu) * dt + dW[n, c] / math.sqrt(
+                4 * ch.k * ch.eta
+            )
+            dmu = dmu + gain * dW[n, c]
+        mu = mu + dmu
+        V = _rk4_matrix_step(rhs, V, dt)
+        means[n + 1] = mu
+        if cov_pos < len(cov_idx) and cov_idx[cov_pos] == n + 1:
+            covs[cov_pos] = V
+            cov_pos += 1
+    return means, records, times[np.array(cov_idx)], covs
+
+
+def driven_pair():
+    model = models.oscillator_pair(1.0, 1.0).model
+    ch = (MeasurementChannel(models.ROW_Q, 2.0, 1.0),)
+    drive = ForceDrive.sinusoid(model.force_couplings[0], 1.0, 1.0)
+    return model, ch, drive
+
+
+def undriven_free_mass():
+    return free_mass(), (pos_channel(3.0, 0.7),), None
+
+
+class TestSweepMatchesReferenceLoop:
+    CASES = [
+        pytest.param(driven_pair, id="pair-sinusoid"),
+        pytest.param(undriven_free_mass, id="free-mass-no-force"),
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("cov_stride", [1, 7])
+    def test_evolve_conditional(self, case, cov_stride):
+        model, ch, drive = case()
+        st = vacuum_state(model)
+        traj = evolve_conditional(model, st, ch, force=drive, dt=1e-3,
+                                  T=0.3, seed=(5, 1), cov_stride=cov_stride)
+        means, records, cov_times, covs = reference_trajectory(
+            model, st, ch, drive, 1e-3, 0.3, (5, 1), cov_stride
+        )
+        assert np.array_equal(traj.means, means)
+        assert np.array_equal(traj.records, records)
+        assert np.array_equal(traj.cov_times, cov_times)
+        assert np.array_equal(traj.covs, covs)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("cov_stride", [1, 7])
+    def test_every_batch_row(self, case, cov_stride):
+        model, ch, drive = case()
+        st = vacuum_state(model)
+        batch = simulate_batch(model, st, ch, drive, dt=1e-3, T=0.3,
+                               master_seed=9, n_traj=5, cov_stride=cov_stride)
+        for i in range(5):
+            means, records, cov_times, covs = reference_trajectory(
+                model, st, ch, drive, 1e-3, 0.3, (9, i), cov_stride
+            )
+            assert np.array_equal(batch.means[i], means)
+            assert np.array_equal(batch.means_final[i], means[-1])
+            assert np.array_equal(batch.records[i], records)
+            assert np.array_equal(batch.cov_times, cov_times)
+            assert np.array_equal(batch.covs, covs)
+            assert np.array_equal(batch.V_final, covs[-1])
 
 
 class TestForceEstimation:
