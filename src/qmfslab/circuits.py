@@ -5,8 +5,10 @@ conjugating any Z_j gives a diagonal operator with entries
 (-1)^(f_j(x)): a Boolean function of the input bits.  All such images
 commute with the inputs, which is the stroboscopic (pre/post-gate)
 no-back-action condition; the classical processing between input and
-output lives entirely inside this commuting family.  Everything is
-exact integer arithmetic, so the oracle tolerances are zero.
+output lives entirely inside this commuting family.  The oracle
+tolerances are zero: the truth tables are integer arithmetic, and the
+dense check runs in float64 on 0/+-1 matrices whose products are sums
+with at most one nonzero term, so BLAS computes them exactly.
 
 Circuit text format: first line "bits N", then one gate per line,
 "X t" / "CX c t" / "CCX c1 c2 t" with 0-indexed distinct bit indices.
@@ -153,32 +155,40 @@ def dense_oracle_check(circuit: ReversibleCircuit) -> int:
 
     Builds the 2^n x 2^n permutation unitary, conjugates every Z_j, and
     asserts that each image (a) is diagonal, (b) matches the truth-table
-    prediction, and (c) commutes with every input Z_k.  Integer
-    arithmetic throughout, so any nonzero deviation is a real bug.
+    prediction, and (c) commutes with every input Z_k.  The image is
+    built from ``circuit_permutation`` alone, never from ``propagate_z``,
+    so it is an independent check of the truth tables.
+
+    The arithmetic is float64 BLAS, and it is exact: U has one 1 per
+    column, so every entry of Z_j U and of U^T (Z_j U) is a sum with at
+    most one nonzero (+-1) term (a few, all small integers, if a defect
+    made U non-bijective).  The commutator with the diagonal Z_k is taken
+    elementwise.  Any nonzero deviation is therefore a real bug.
     """
+    return max(_dense_deviations(circuit))
+
+
+def _dense_deviations(circuit: ReversibleCircuit) -> tuple:
+    """(off-diagonal, prediction, commutator) deviations of the dense check."""
     n = circuit.n_bits
     if n > MAX_DENSE_BITS:
         raise ValueError(f"dense oracle limited to {MAX_DENSE_BITS} bits")
     dim = 1 << n
     perm = circuit_permutation(circuit)
-    U = np.zeros((dim, dim), dtype=np.int64)
-    U[perm, np.arange(dim)] = 1  # U |x> = |perm(x)>
-    deviation = 0
+    U = np.zeros((dim, dim))
+    U[perm, np.arange(dim)] = 1.0  # U |x> = |perm(x)>
+    z = [1.0 - 2.0 * ((np.arange(dim) >> k) & 1) for k in range(n)]
+    off_dev = pred_dev = comm_dev = 0
     for j in range(n):
-        Zj = np.diag(1 - 2 * ((np.arange(dim) >> j) & 1))
-        img = U.T @ Zj @ U
-        off = img - np.diag(np.diag(img))
-        deviation = max(deviation, int(np.max(np.abs(off))))
+        img = U.T @ np.diag(z[j]) @ U
+        diag = np.diag(img)
+        off_dev = max(off_dev, int(np.max(np.abs(img - np.diag(diag)))))
         predicted = propagate_z(circuit, j).diagonal()
-        deviation = max(
-            deviation, int(np.max(np.abs(np.diag(img) - predicted)))
-        )
-        for k in range(n):
-            Zk = np.diag(1 - 2 * ((np.arange(dim) >> k) & 1))
-            deviation = max(
-                deviation, int(np.max(np.abs(img @ Zk - Zk @ img)))
-            )
-    return deviation
+        pred_dev = max(pred_dev, int(np.max(np.abs(diag - predicted))))
+        for zk in z:
+            comm = img * zk[None, :] - zk[:, None] * img  # [img, Z_k]
+            comm_dev = max(comm_dev, int(np.max(np.abs(comm))))
+    return off_dev, pred_dev, comm_dev
 
 
 def truth_table_from_function(n_bits: int, fn) -> BoolFunc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,9 +27,10 @@ import numpy as np
 from . import __version__, circuits, conditional, fock, koopman, models, spins
 from .phase_space import (
     MAX_EXPM_NORM,
+    commutator_from_propagators,
     is_qmfs,
     model_from_json,
-    two_time_commutator,
+    transfer_matrix,
 )
 
 EXIT_OK = 0
@@ -127,15 +129,16 @@ def cmd_check(args, out_dir: Path, config: dict) -> int:
     tol = 1e-12 * args.tol_scale
     grid_tol = 1e-10 * args.tol_scale
     ts = np.linspace(0.0, _grid_horizon(model), 20)
+    Phis = [transfer_matrix(model, t) for t in ts]
     rows = []
     ok = True
     results = []
     for obs in _observable_sets(bundle, args):
         verdict = is_qmfs(model, obs, tol=tol)
         grid_max = 0.0
-        for t in ts:
-            for tp in ts:
-                K = two_time_commutator(model, obs, t, tp)
+        for Phi_t in Phis:
+            for Phi_tp in Phis:
+                K = commutator_from_propagators(model, obs, Phi_t, Phi_tp)
                 grid_max = max(grid_max, float(np.max(np.abs(K))))
         scale = model.hbar * np.linalg.norm(obs.S, 2) ** 2
         grid_ok = (grid_max < grid_tol * scale) if verdict.is_qmfs else True
@@ -199,6 +202,21 @@ def _check_simulate_args(args) -> None:
             raise ValueError(f"--{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_real_flags(args, nonzero=(), positive=()) -> None:
+    """Reject non-finite values, zero ``nonzero`` and non-positive
+    ``positive`` flags (also when they come from --config)."""
+    for flag in (*nonzero, *positive):
+        value = getattr(args, flag)
+        name = "--" + flag.replace("_", "-")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if flag in positive and value <= 0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
+        if value == 0:
+            raise ValueError(f"{name} must be nonzero, got {value!r}")
+
+
 def cmd_simulate(args, out_dir: Path, config: dict) -> int:
     _check_simulate_args(args)
     bundle = _build_bundle(args)
@@ -252,6 +270,7 @@ def cmd_simulate(args, out_dir: Path, config: dict) -> int:
 
 
 def cmd_force(args, out_dir: Path, config: dict) -> int:
+    _check_real_flags(args, positive=("k",))
     bundle = _build_bundle(args)
     model = bundle.model
     channels = _channels_from_args(bundle, args)
@@ -289,6 +308,7 @@ def cmd_force(args, out_dir: Path, config: dict) -> int:
 
 
 def cmd_koopman(args, out_dir: Path, config: dict) -> int:
+    _check_real_flags(args, nonzero=("m", "omega"))
     m, omega, eps = args.m, args.omega, args.epsilon
     f_poly = fock.poly1((0, 1, 1.0 / m), (2, 0, eps))
     g_poly = fock.poly1((1, 0, m * omega**2))
@@ -328,6 +348,7 @@ def cmd_koopman(args, out_dir: Path, config: dict) -> int:
 
 
 def cmd_spin(args, out_dir: Path, config: dict) -> int:
+    _check_real_flags(args, nonzero=("gamma_b0",))
     j0_list = [float(x) for x in args.j0_list.split(",")]
     rows = []
     ok = True
@@ -450,25 +471,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# keys allowed in a JSON config, per subcommand (global keys always allowed)
-_GLOBAL_KEYS = {"command", "out", "seed", "tol_scale"}
-_COMMAND_KEYS = {
-    "check": {"model", "model_file", "m", "omega", "hbar", "j0", "gamma_b0"},
-    "simulate": {
-        "model", "model_file", "m", "omega", "hbar", "j0", "gamma_b0",
-        "k", "eta", "dt", "T", "batch", "parallel", "cov_stride",
-        "force_amp", "force_freq", "force_phase",
-    },
-    "force": {
-        "model", "model_file", "m", "omega", "hbar", "j0", "gamma_b0",
-        "k", "eta", "dt", "T", "compare_single",
-    },
-    "koopman": {
-        "m", "omega", "epsilon", "q0", "pi0", "dt", "T", "n_levels",
-    },
-    "spin": {"j0_list", "gamma_b0"},
-    "circuit": {"file", "verify"},
-}
+def _option_keys(parser: argparse.ArgumentParser) -> set:
+    """Destinations of a parser's options (--help excluded)."""
+    return {a.dest for a in parser._actions
+            if a.option_strings and a.default is not argparse.SUPPRESS}
+
+
+def _command_keys(parser: argparse.ArgumentParser) -> dict:
+    """{subcommand: option keys}, read from the argparse subparsers."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: _option_keys(p) for name, p in sub.choices.items()}
+
+
+# keys allowed in a JSON config, per subcommand (global keys always
+# allowed); derived from the parser so the two cannot drift
+_PARSER = build_parser()
+_GLOBAL_KEYS = {"command"} | _option_keys(_PARSER) - {"config"}
+_COMMAND_KEYS = _command_keys(_PARSER)
 
 
 def _apply_config(args, argv) -> None:

@@ -221,17 +221,21 @@ def poly_op(poly, Q_ops, Pi_ops) -> np.ndarray:
     """Operator value of a polynomial in the commuting set (Q, Pi).
 
     All arguments commute, so any factor ordering gives the same
-    (Hermitian) operator; products are taken in a fixed canonical order.
+    (Hermitian) operator; products are taken in a fixed canonical order,
+    each term starting from its first factor.
     """
     dim = Q_ops[0].shape[0]
     out = np.zeros((dim, dim), dtype=complex)
     for (a, b), coef in poly:
-        term = coef * np.eye(dim, dtype=complex)
+        factors = []
         for j, (aj, bj) in enumerate(zip(a, b)):
-            for _ in range(aj):
-                term = term @ Q_ops[j]
-            for _ in range(bj):
-                term = term @ Pi_ops[j]
+            factors += [Q_ops[j]] * aj + [Pi_ops[j]] * bj
+        if not factors:
+            out += coef * np.eye(dim)
+            continue
+        term = coef * factors[0]
+        for factor in factors[1:]:
+            term = term @ factor
         out += term
     return out
 
@@ -296,19 +300,50 @@ def oscillator_hamiltonian(
 
 
 class HeisenbergPropagator:
-    """Caches the eigendecomposition of H for repeated O(t) evaluations."""
+    """Caches the eigendecomposition H = V diag(E) V+ for repeated
+    evaluations at many times: operators O(t), their kept rows, and
+    states psi(t)."""
 
     def __init__(self, H: np.ndarray, hbar: float = 1.0):
         self.hbar = hbar
         self.energies, self.vectors = np.linalg.eigh(H)
 
+    def _phase(self, t: float) -> np.ndarray:
+        return np.exp(1j * self.energies * t / self.hbar)
+
+    def to_eigenbasis(self, O: np.ndarray) -> np.ndarray:
+        """V+ O V; pass it to ``evolve_eigen`` to reuse it across times."""
+        V = self.vectors
+        return V.conj().T @ O @ V
+
+    def evolve_eigen(self, Otil: np.ndarray, t: float) -> np.ndarray:
+        """O(t) from the eigenbasis form Otil = V+ O V."""
+        V = self.vectors
+        phase = self._phase(t)
+        return V @ (Otil * np.outer(phase, phase.conj())) @ V.conj().T
+
     def evolve(self, O: np.ndarray, t: float) -> np.ndarray:
         """O(t) = exp(iHt/hbar) O exp(-iHt/hbar)."""
+        return self.evolve_eigen(self.to_eigenbasis(O), t)
+
+    def evolve_rows(self, O: np.ndarray, t: float, keep) -> np.ndarray:
+        """Rows ``keep`` of O(t), from thin k x dim products only.
+
+        With W = (V[keep] phase) V+ the rows are ((W O) V phase*) V+, so
+        the cost is four k x dim by dim x dim products instead of the
+        full dim^3 conjugation.
+        """
         V = self.vectors
-        Ot = V.conj().T @ O @ V
-        phase = np.exp(1j * self.energies * t / self.hbar)
-        Ot = Ot * np.outer(phase, phase.conj())
-        return V @ Ot @ V.conj().T
+        Vh = V.conj().T
+        phase = self._phase(t)
+        W = (V[keep, :] * phase) @ Vh
+        return ((W @ O) @ V * phase.conj()) @ Vh
+
+    def evolve_state(self, psi: np.ndarray, t: float) -> np.ndarray:
+        """psi(t) = exp(-iHt/hbar) psi."""
+        V = self.vectors
+        phase = np.exp(-1j * self.energies * t / self.hbar)
+        return V @ (phase * (V.conj().T @ psi))
 
 
 def heisenberg_op(H: np.ndarray, O: np.ndarray, t: float, hbar: float = 1.0):
@@ -345,25 +380,24 @@ def commutator_residual(
 
     ``norm`` selects the matrix norm applied to the projected
     commutator: spectral ("spec") or Frobenius ("fro").
+
+    For Hermitian evolved operators A, B the projected commutator
+    P(AB - BA)P only needs the kept rows R = A[keep, :]: it equals
+    R_A R_B+ - R_B R_A+.  The rows come from
+    ``HeisenbergPropagator.evolve_rows``: thin (kept rows) x dim
+    products with the one eigendecomposition of H, never a full
+    dim x dim conjugation of O.
     """
-    energies, V = np.linalg.eigh(H)
+    prop = HeisenbergPropagator(H, hbar)
     keep = np.diag(guard_projector(spec)) != 0
-    V_keep = V[keep, :]
-    Vh = V.conj().T
     ord_ = 2 if norm == "spec" else "fro"
 
-    # For Hermitian evolved operators A, B the projected commutator
-    # P(AB - BA)P only needs the kept rows R = A[keep, :]:
-    # it equals R_A R_B+ - R_B R_A+.
     rows = []
     for O in O_set:
         defect = np.linalg.norm(O - O.conj().T)
         if defect > 1e-10 * max(1.0, np.linalg.norm(O)):
             raise ValueError("observables must be Hermitian")
-        Otil = Vh @ O @ V
-        for t in t_grid:
-            phase = np.exp(1j * energies * t / hbar)
-            rows.append(V_keep @ (Otil * np.outer(phase, phase.conj())) @ Vh)
+        rows += [prop.evolve_rows(O, t, keep) for t in t_grid]
 
     worst = 0.0
     for i, RA in enumerate(rows):

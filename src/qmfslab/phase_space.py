@@ -34,6 +34,7 @@ __all__ = [
     "build_drift",
     "transfer_matrix",
     "two_time_commutator",
+    "commutator_from_propagators",
     "is_qmfs",
     "model_to_json",
     "model_from_json",
@@ -159,9 +160,20 @@ def two_time_commutator(
     model: LinearModel, obs: ObservableSet, t: float, t_prime: float
 ) -> np.ndarray:
     """Exact c-number commutator matrix K_jk = [O_j(t), O_k(t')]."""
+    return commutator_from_propagators(
+        model, obs, transfer_matrix(model, t), transfer_matrix(model, t_prime)
+    )
+
+
+def commutator_from_propagators(
+    model: LinearModel, obs: ObservableSet, Phi_t: np.ndarray, Phi_tp: np.ndarray
+) -> np.ndarray:
+    """K(t, t') from precomputed Phi(t) and Phi(t').
+
+    A time grid then needs one ``transfer_matrix`` per grid time, shared
+    by every pair of times and every observable set of the model.
+    """
     S = obs.S
-    Phi_t = transfer_matrix(model, t)
-    Phi_tp = transfer_matrix(model, t_prime)
     return 1j * model.hbar * (S @ Phi_t @ model.Omega @ Phi_tp.T @ S.T)
 
 

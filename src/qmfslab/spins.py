@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import HeisenbergPropagator
 from .models import ModelBundle, spin_pair_hp
 from .phase_space import transfer_matrix
 
@@ -55,29 +56,22 @@ def angular_momentum_ops(J0: float, hbar: float = 1.0):
 
 @dataclass(frozen=True)
 class SpinPair:
-    """Two spin ensembles with dense operators on dimension (2 J0 + 1)^2."""
+    """Two spin ensembles with dense operators on dimension (2 J0 + 1)^2.
+
+    ``propagator`` evolves operators (``evolve``) and states
+    (``evolve_state``) under H.
+    """
 
     J0: float
     gamma_B0: float
     hbar: float
     ops: dict  # Jx, Jy, Jz, Jx2, Jy2, Jz2 on the product space
     H: np.ndarray
-    energies: np.ndarray
-    vectors: np.ndarray
+    propagator: HeisenbergPropagator
 
     @property
     def dim(self) -> int:
         return self.H.shape[0]
-
-    def heisenberg(self, O: np.ndarray, t: float) -> np.ndarray:
-        V = self.vectors
-        Ot = V.conj().T @ O @ V
-        phase = np.exp(1j * self.energies * t / self.hbar)
-        return V @ (Ot * np.outer(phase, phase.conj())) @ V.conj().T
-
-    def evolve_state(self, psi: np.ndarray, t: float) -> np.ndarray:
-        V = self.vectors
-        return V @ (np.exp(-1j * self.energies * t / self.hbar) * (V.conj().T @ psi))
 
     @property
     def Q(self) -> np.ndarray:
@@ -108,8 +102,7 @@ def build_spin_pair(J0: float, gamma_B0: float, hbar: float = 1.0) -> SpinPair:
     if np.linalg.norm(cons) > 1e-13 * max(1.0, np.linalg.norm(H)):
         raise AssertionError("H does not conserve Jz + J'z")
 
-    energies, vectors = np.linalg.eigh(H)
-    return SpinPair(J0, gamma_B0, hbar, ops, H, energies, vectors)
+    return SpinPair(J0, gamma_B0, hbar, ops, H, HeisenbergPropagator(H, hbar))
 
 
 def stretched_state(pair: SpinPair, theta: float = 0.0) -> np.ndarray:
@@ -133,8 +126,10 @@ def stretched_state(pair: SpinPair, theta: float = 0.0) -> np.ndarray:
 
 def qmfs_commutator_identity(pair: SpinPair, t: float, t_prime: float) -> float:
     """Residual norm of the exact two-time commutator identity for Q."""
-    Qt = pair.heisenberg(pair.Q, t)
-    Qtp = pair.heisenberg(pair.Q, t_prime)
+    prop = pair.propagator
+    Qtil = prop.to_eigenbasis(pair.Q)  # once for both times
+    Qt = prop.evolve_eigen(Qtil, t)
+    Qtp = prop.evolve_eigen(Qtil, t_prime)
     comm = Qt @ Qtp - Qtp @ Qt
     closed = (
         1j
@@ -161,8 +156,10 @@ def excitation_restricted_norm(
         + (pair.J0 * hbar + np.diag(pair.ops["Jz2"]))
     ) / hbar
     keep = np.real(n_op) <= n_max + 1e-9
-    Qt = pair.heisenberg(pair.Q, t)
-    Qtp = pair.heisenberg(pair.Q, t_prime)
+    prop = pair.propagator
+    Qtil = prop.to_eigenbasis(pair.Q)
+    Qt = prop.evolve_eigen(Qtil, t)
+    Qtp = prop.evolve_eigen(Qtil, t_prime)
     comm = Qt @ Qtp - Qtp @ Qt
     return float(np.linalg.norm(comm[np.ix_(keep, keep)], 2))
 
@@ -198,7 +195,7 @@ def hp_agreement(
     dev_mean = 0.0
     dev_var = 0.0
     for t in t_grid:
-        psit = pair.evolve_state(psi, t)
+        psit = pair.propagator.evolve_state(psi, t)
         exact_mean = float(np.real(psit.conj() @ Q @ psit))
         exact_var = float(np.real(psit.conj() @ Q2 @ psit)) - exact_mean**2
         Phi = transfer_matrix(model, t)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qmfslab import circuits
 from qmfslab.circuits import (
     BoolFunc,
     ReversibleCircuit,
@@ -124,6 +125,35 @@ class TestDenseOracle:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             dense_oracle_check(ReversibleCircuit(9, ()))
+
+
+class TestDenseOracleCatchesDefects:
+    """The float64 check is exact, so one planted defect must show."""
+
+    toffoli = ReversibleCircuit(3, (("CCX", 0, 1, 2), ("CX", 2, 0)))
+
+    def test_non_bijective_permutation(self, monkeypatch):
+        perm = circuit_permutation(self.toffoli)
+        perm[1] = perm[0]  # inputs 0 and 1 collide: U is no permutation
+        monkeypatch.setattr(circuits, "circuit_permutation",
+                            lambda circuit: perm.copy())
+        off_diag, _, commutator = circuits._dense_deviations(self.toffoli)
+        assert off_diag > 0
+        assert commutator > 0
+        assert dense_oracle_check(self.toffoli) > 0
+
+    def test_flipped_truth_table_entry(self, monkeypatch):
+        honest = circuits.propagate_z
+
+        def flipped(circuit, j):
+            table = honest(circuit, j).table.copy()
+            if j == 2:
+                table[5] ^= 1
+            return BoolFunc(circuit.n_bits, table)
+
+        monkeypatch.setattr(circuits, "propagate_z", flipped)
+        assert circuits._dense_deviations(self.toffoli) == (0, 2, 0)
+        assert dense_oracle_check(self.toffoli) > 0
 
 
 class TestBoolFunc:

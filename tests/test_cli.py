@@ -12,7 +12,9 @@ from qmfslab.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
     EXIT_VIOLATION,
+    _apply_config,
     _write_csv,
+    build_parser,
     main,
 )
 
@@ -190,7 +192,70 @@ class TestCircuit:
         assert code == EXIT_BAD_INPUT
 
 
+class TestBadRealFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["spin", "--gamma-b0", "0"], "--gamma-b0"),
+            (["spin", "--gamma-b0", "nan"], "--gamma-b0"),
+            (["koopman", "--omega", "0"], "--omega"),
+            (["koopman", "--omega", "inf"], "--omega"),
+            (["koopman", "--m", "0"], "--m"),
+            (["force", "--k", "0"], "--k"),
+            (["force", "--k", "-1"], "--k"),
+        ],
+    )
+    def test_bad_value_is_bad_input(self, tmp_path, argv, flag, capsys):
+        out = tmp_path / "run"
+        assert main(["--out", str(out), *argv]) == EXIT_BAD_INPUT
+        assert f"error: {flag} must be" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_value_from_config_checked(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma_b0": 0.0}))
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "run"), "spin"]
+        assert main(argv) == EXIT_BAD_INPUT
+
+
+def subcommand_parsers():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    return sub.choices
+
+
 class TestConfig:
+    @pytest.mark.parametrize("command", sorted(subcommand_parsers()))
+    def test_every_option_is_a_config_key(self, tmp_path, command):
+        options = {
+            a.dest: a.default
+            for a in subcommand_parsers()[command]._actions
+            if a.option_strings and a.dest != "help"
+        }
+        assert options
+        argv = [command] + (["--file", "c.txt"] if command == "circuit" else [])
+        args = build_parser().parse_args(argv)
+        args.config = tmp_path / "cfg.json"
+        args.config.write_text(json.dumps({"seed": 3, **options}))
+        _apply_config(args, argv)
+        assert args.seed == 3
+
+    @pytest.mark.parametrize("command", sorted(subcommand_parsers()))
+    def test_unknown_key_exits_2(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"not_a_key": 1}))
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "run"), command]
+        if command == "circuit":
+            argv += ["--file", str(tmp_path / "c.txt")]
+        assert main(argv) == EXIT_BAD_INPUT
+
+    def test_other_subcommand_key_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"batch": 2}))
+        out = tmp_path / "run"
+        code = main(["--config", str(cfg), "--out", str(out), "check"])
+        assert code == EXIT_BAD_INPUT
+
     def test_config_overlay(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "single", "omega": 2.0}))

@@ -212,6 +212,34 @@ class TestHeisenbergPropagation:
             prop.evolve(q, 0.7), heisenberg_op(H, q, 0.7), atol=1e-12
         )
 
+    def test_kept_rows_match_full_conjugation(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+        H = (X + X.conj().T) / 2
+        Y = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+        O = (Y + Y.conj().T) / 2
+        keep = np.zeros(24, dtype=bool)
+        keep[[0, 5, 17]] = True
+        prop = HeisenbergPropagator(H)
+        for t in (0.0, 0.4, 3.0):
+            full = prop.evolve(O, t)
+            rows = prop.evolve_rows(O, t, keep)
+            assert np.linalg.norm(rows - full[keep]) < 1e-12 * np.linalg.norm(O)
+
+    def test_state_evolution_matches_operator_evolution(self):
+        # <psi(t)| O |psi(t)> = <psi| O(t) |psi>
+        spec = TruncationSpec(n_levels=10, n_modes=1)
+        H = oscillator_hamiltonian(spec, 1.0, 1.0)
+        q, _ = build_quadrature_ops(spec)[0]
+        psi = np.zeros(10, dtype=complex)
+        psi[[0, 1]] = [0.6, 0.8]
+        prop = HeisenbergPropagator(H)
+        psit = prop.evolve_state(psi, 1.3)
+        assert np.linalg.norm(psit) == pytest.approx(1.0)
+        assert psit.conj() @ q @ psit == pytest.approx(
+            psi.conj() @ prop.evolve(q, 1.3) @ psi, abs=1e-12
+        )
+
 
 class TestGuard:
     def test_projector_counts(self):
@@ -257,6 +285,28 @@ class TestCommutatorResidual:
         bad = np.triu(np.ones((4, 4), dtype=complex))
         with pytest.raises(ValueError, match="Hermitian"):
             commutator_residual(H, [bad], [0.0], spec)
+
+    def test_matches_full_dense_reference(self):
+        # reference: full O(t) per time, projected commutators, as before
+        # the kept-row products
+        pk = PolyKoopman(
+            M=1,
+            f=(poly1((0, 1, 1.0), (2, 0, 0.1)),),
+            g=(poly1((1, 0, 1.0)),),
+        )
+        spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=3)
+        H, ops = build_koopman_hamiltonian(pk, spec)
+        O_set = [ops["Q"][0], ops["P"][0], ops["Pi"][0]]
+        t_grid = [0.0, 0.5, 1.5]
+        P = guard_projector(spec)
+        evolved = [heisenberg_op(H, O, t) for O in O_set for t in t_grid]
+        reference = max(
+            np.linalg.norm(P @ (A @ B - B @ A) @ P, 2)
+            for A in evolved for B in evolved
+        )
+        res = commutator_residual(H, O_set, t_grid, spec)
+        assert reference > 0.5
+        assert res == pytest.approx(reference, rel=1e-12)
 
     def test_frobenius_bounds_spectral(self):
         pk = PolyKoopman(

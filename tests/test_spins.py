@@ -100,8 +100,8 @@ class TestCommutatorIdentity:
         assert correct < 1e-12 and swapped < 1e-12
         # the identity is genuinely antisymmetric: commutator at (t, t')
         # differs from the one at (t', t)
-        Qt = pair.heisenberg(pair.Q, t)
-        Qtp = pair.heisenberg(pair.Q, tp)
+        Qt = pair.propagator.evolve(pair.Q, t)
+        Qtp = pair.propagator.evolve(pair.Q, tp)
         comm = Qt @ Qtp - Qtp @ Qt
         assert np.linalg.norm(comm) > 0.1
 
@@ -111,8 +111,8 @@ class TestCommutatorIdentity:
         # a nonzero right-hand side
         pair = build_spin_pair(4.0, 1.0)
         psi = stretched_state(pair)
-        Qt = pair.heisenberg(pair.Q, 0.0)
-        Qtp = pair.heisenberg(pair.Q, 0.9)
+        Qt = pair.propagator.evolve(pair.Q, 0.0)
+        Qtp = pair.propagator.evolve(pair.Q, 0.9)
         comm = Qt @ Qtp - Qtp @ Qt
         assert abs(psi.conj() @ comm @ psi) < 1e-12
 
@@ -173,7 +173,7 @@ class TestHeisenbergEvolution:
         g = 1.7
         pair = build_spin_pair(2.0, g)
         t = 0.6
-        Jxt = pair.heisenberg(pair.ops["Jx"], t)
+        Jxt = pair.propagator.evolve(pair.ops["Jx"], t)
         expected = pair.ops["Jx"] * np.cos(g * t) + pair.ops["Jy"] * np.sin(
             g * t
         )
@@ -182,5 +182,5 @@ class TestHeisenbergEvolution:
     def test_state_evolution_unitary(self):
         pair = build_spin_pair(2.0, 1.0)
         psi = stretched_state(pair, 0.3)
-        psit = pair.evolve_state(psi, 1.7)
+        psit = pair.propagator.evolve_state(psi, 1.7)
         assert np.linalg.norm(psit) == pytest.approx(1.0)
