@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -40,6 +41,10 @@ EXIT_BAD_INPUT = 2
 
 # config keys that do not change results, left out of config_hash
 _UNHASHED_KEYS = {"out", "parallel", "config"}
+
+# model-builder parameter -> the option that sets it
+_BUILDER_OPTIONS = {"m": "m", "omega": "omega", "omega_mod": "omega",
+                    "hbar": "hbar", "J0": "j0", "gamma_B0": "gamma_b0"}
 
 
 def _csv_text(header, rows) -> str:
@@ -85,16 +90,9 @@ def _build_bundle(args) -> models.ModelBundle:
             description=f"model from {args.model_file}",
             metadata={"observables": obs},
         )
-    name = args.model
-    if name == "single":
-        return models.single_oscillator(args.m, args.omega, args.hbar)
-    if name == "pair":
-        return models.oscillator_pair(args.m, args.omega, args.hbar)
-    if name == "sideband":
-        return models.sideband_model(args.omega, args.hbar)
-    if name == "spin-hp":
-        return models.spin_pair_hp(args.j0, args.gamma_b0, args.hbar)
-    raise ValueError(f"unknown model {name!r}")
+    builder = models.BUILDERS[args.model]
+    params = inspect.signature(builder).parameters
+    return builder(**{p: getattr(args, _BUILDER_OPTIONS[p]) for p in params})
 
 
 def _observable_sets(bundle, args):
@@ -178,10 +176,7 @@ def cmd_check(args, out_dir: Path, config: dict) -> int:
 
 
 def _channels_from_args(bundle, args):
-    if bundle.model.n_modes == 2:
-        s = models.ROW_Q
-    else:
-        s = np.array([1.0, 0.0])
+    s = models.ROW_Q if bundle.model.n_modes == 2 else np.array([1.0, 0.0])
     return (conditional.MeasurementChannel(s, args.k, args.eta),)
 
 
@@ -202,10 +197,12 @@ def _check_simulate_args(args) -> None:
             raise ValueError(f"--{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_real_flags(args, nonzero=(), positive=()) -> None:
-    """Reject non-finite values, zero ``nonzero`` and non-positive
-    ``positive`` flags (also when they come from --config)."""
-    for flag in (*nonzero, *positive):
+def _check_real_flags(args, finite=(), nonzero=(), positive=(),
+                      nonnegative=()) -> None:
+    """Reject non-finite values of all these flags, zero ``nonzero``,
+    non-positive ``positive`` and negative ``nonnegative`` ones (also
+    when they come from --config)."""
+    for flag in (*finite, *nonzero, *positive, *nonnegative):
         value = getattr(args, flag)
         name = "--" + flag.replace("_", "-")
         if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -213,12 +210,16 @@ def _check_real_flags(args, nonzero=(), positive=()) -> None:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
         if flag in positive and value <= 0:
             raise ValueError(f"{name} must be > 0, got {value!r}")
-        if value == 0:
+        if flag in nonnegative and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
+        if flag in nonzero and value == 0:
             raise ValueError(f"{name} must be nonzero, got {value!r}")
 
 
 def cmd_simulate(args, out_dir: Path, config: dict) -> int:
     _check_simulate_args(args)
+    _check_real_flags(args, finite=("force_amp", "force_freq", "force_phase"),
+                      nonnegative=("k",))
     bundle = _build_bundle(args)
     model = bundle.model
     channels = _channels_from_args(bundle, args) if args.k > 0 else ()
@@ -272,30 +273,25 @@ def cmd_simulate(args, out_dir: Path, config: dict) -> int:
 def cmd_force(args, out_dir: Path, config: dict) -> int:
     _check_real_flags(args, positive=("k",))
     bundle = _build_bundle(args)
-    model = bundle.model
-    channels = _channels_from_args(bundle, args)
     omega = bundle.metadata.get("omega", 1.0)
-    b = model.force_couplings[0]
-    template = conditional.ForceDrive.sinusoid(b, 1.0, omega)
-    std = conditional.force_posterior_std(
-        model, channels, template, args.dt, args.T
-    )
+
+    def posterior_std(bundle):
+        model = bundle.model
+        template = conditional.ForceDrive.sinusoid(
+            model.force_couplings[0], 1.0, omega
+        )
+        return conditional.force_posterior_std(
+            model, _channels_from_args(bundle, args), template, args.dt, args.T
+        )
+
+    std = posterior_std(bundle)
     result = {"model": args.model, "posterior_std": std}
     rows = [[args.k, args.eta, std]]
     header = ["k", "eta", "posterior_std"]
     ok = True
     if args.compare_single and args.model == "pair":
-        single = models.single_oscillator(args.m, args.omega, args.hbar)
-        ch_s = (
-            conditional.MeasurementChannel(
-                np.array([1.0, 0.0]), args.k, args.eta
-            ),
-        )
-        tmpl_s = conditional.ForceDrive.sinusoid(
-            single.model.force_couplings[0], 1.0, omega
-        )
-        std_single = conditional.force_posterior_std(
-            single.model, ch_s, tmpl_s, args.dt, args.T
+        std_single = posterior_std(
+            models.single_oscillator(args.m, args.omega, args.hbar)
         )
         result["posterior_std_single"] = std_single
         result["ratio_pair_over_single"] = std / std_single
@@ -405,7 +401,7 @@ def cmd_circuit(args, out_dir: Path, config: dict) -> int:
 
 def _add_model_args(p):
     p.add_argument("--model", default="pair",
-                   choices=["single", "pair", "sideband", "spin-hp"])
+                   choices=list(models.BUILDERS))
     p.add_argument("--model-file", default=None,
                    help="JSON model fixture (overrides --model)")
     p.add_argument("--m", type=float, default=1.0)

@@ -4,9 +4,8 @@ Measurement model, pinned by the purity requirement (an ideal eta = 1
 monitor conditions a stable model onto a pure Gaussian state):
 
     record      dy = s.x dt + dW / sqrt(4 k eta)
-    back-action D  = hbar^2 k (Omega s)(Omega s)^T
-    covariance  dV/dt = A V + V A^T + sum D + D_extra
-                        - sum 4 k eta (V s)(V s)^T
+    back-action D  = sum hbar^2 k (Omega s)(Omega s)^T
+    covariance  dV/dt = A V + V A^T + D - V M V,  M = sum 4 k eta s s^T
     mean        dmu = A mu dt + b F(t) dt + sum sqrt(4 k eta) (V s) dW
 
 The back-action lands along Omega s, i.e. on the conjugate of the
@@ -14,10 +13,14 @@ measured observable; when s belongs to a commuting closed subsystem,
 the conjugate never feeds back and the projected back-action vanishes
 identically.
 
-Waveform (force) estimation augments the state with the unknown
-amplitude as a zero-dynamics parameter and runs the Kalman filter over
-the augmented model, which yields the maximum-likelihood amplitude and
-its analytic posterior standard deviation.
+Every covariance flow (trajectories, fixed horizons, the steady state,
+the force filter) advances through one step that is exact at any step
+size, the restarted linear-fractional (Davison-Maki) propagator.
+
+A force F(t) = c.z(t) is the output of a linear generator z' = W z, so
+waveform estimation appends z, scaled by the unknown amplitude, to the
+state and runs the Kalman filter over that time-invariant model; this
+yields the maximum-likelihood amplitude and its posterior spread.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag, expm
 
-from .phase_space import LinearModel, transfer_matrix
+from .phase_space import MAX_EXPM_NORM, LinearModel, transfer_matrix
 
 __all__ = [
     "GaussianState",
@@ -133,33 +137,68 @@ class MeasurementChannel:
         s = np.asarray(self.s, dtype=float)
         if np.linalg.norm(s) == 0:
             raise ValueError("measured observable must be nonzero")
-        if self.k < 0:
-            raise ValueError("strength k must be >= 0")
+        if not (math.isfinite(self.k) and self.k >= 0):
+            raise ValueError(f"strength k must be finite and >= 0, got {self.k!r}")
         if not 0 < self.eta <= 1:
             raise ValueError("efficiency must be in (0, 1]")
         s.setflags(write=False)
         object.__setattr__(self, "s", s)
 
 
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ForceDrive:
-    """External signal F(t) entering through coupling vector b."""
+    """External force F(t) = c.z(t) entering through coupling vector b.
+
+    The waveform is the output of the linear generator z' = W z with
+    z(0) = z0, so a driven model stays linear and time-invariant once z
+    is appended to its state.
+    """
 
     b: np.ndarray
-    waveform: object  # callable t -> float
+    W: np.ndarray
+    c: np.ndarray
+    z0: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        b.setflags(write=False)
-        object.__setattr__(self, "b", b)
+        for name in ("b", "W", "c", "z0"):
+            value = np.array(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"force drive {name} must be finite")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        nz = self.z0.size
+        if self.W.shape != (nz, nz) or self.c.shape != (nz,):
+            raise ValueError("generator W, c and z0 sizes do not match")
 
     @staticmethod
     def constant(b, F0: float) -> "ForceDrive":
-        return ForceDrive(b, lambda t: F0)
+        """F(t) = F0: a 1-dim generator with W = 0."""
+        _require_finite(F0=F0)
+        return ForceDrive(b, np.zeros((1, 1)), np.ones(1), np.array([F0]))
 
     @staticmethod
     def sinusoid(b, F0: float, omega_F: float, phase: float = 0.0) -> "ForceDrive":
-        return ForceDrive(b, lambda t: F0 * math.sin(omega_F * t + phase))
+        """F(t) = F0 sin(omega_F t + phase): z = F0 (sin, cos) rotates."""
+        _require_finite(F0=F0, omega_F=omega_F, phase=phase)
+        W = np.array([[0.0, omega_F], [-omega_F, 0.0]])
+        z0 = F0 * np.array([math.sin(phase), math.cos(phase)])
+        return ForceDrive(b, W, np.array([1.0, 0.0]), z0)
+
+    def samples(self, dt: float, n_steps: int) -> np.ndarray:
+        """F at t = n dt for n < n_steps: c.z_n with z_{n+1} = expm(W dt) z_n."""
+        R = expm(self.W * dt)
+        z = self.z0
+        out = np.empty(n_steps)
+        for n in range(n_steps):
+            out[n] = self.c @ z
+            z = R @ z
+        return out
 
 
 @dataclass(frozen=True)
@@ -189,90 +228,78 @@ def backaction_diffusion(model: LinearModel, channel: MeasurementChannel):
     return model.hbar**2 * channel.k * np.outer(v, v)
 
 
-def riccati_rhs(model: LinearModel, channels, D_extra: np.ndarray = None):
+def _flow_terms(model: LinearModel, channels):
+    """(D, M) of the covariance flow dV/dt = A V + V A^T + D - V M V."""
+    D = np.zeros((model.dim, model.dim))
+    M = np.zeros((model.dim, model.dim))
+    for ch in channels:
+        D += backaction_diffusion(model, ch)
+        M += 4 * ch.k * ch.eta * np.outer(ch.s, ch.s)
+    return D, M
+
+
+def riccati_rhs(model: LinearModel, channels):
     """Right-hand side V -> dV/dt of the conditional covariance flow."""
     A = model.A
-    D = np.zeros((model.dim, model.dim))
-    if D_extra is not None:
-        D = D + np.asarray(D_extra, dtype=float)
-    for ch in channels:
-        D = D + backaction_diffusion(model, ch)
-
-    def rhs(V):
-        dV = A @ V + V @ A.T + D
-        for ch in channels:
-            if ch.k > 0:
-                Vs = V @ ch.s
-                dV = dV - 4 * ch.k * ch.eta * (Vs[:, None] * Vs)
-        return dV
-
-    return rhs
+    D, M = _flow_terms(model, channels)
+    return lambda V: A @ V + V @ A.T + D - V @ M @ V
 
 
-def _rk4_matrix_step(rhs, V, h):
-    k1 = rhs(V)
-    k2 = rhs(V + h / 2 * k1)
-    k3 = rhs(V + h / 2 * k2)
-    k4 = rhs(V + h * k3)
-    Vn = V + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return (Vn + Vn.T) / 2
+def _exact_step(A, D, M, h):
+    """The covariance step V -> V(h) of dV/dt = A V + V A^T + D - V M V.
+
+    V(h) = Y X^-1 with [X; Y] = expm(h H) [I; V] and the Hamiltonian
+    H = [[-A^T, M], [D, A]]: exact at any h.  h is split into n equal
+    parts so that ||h H / n||_2 stays within MAX_EXPM_NORM; one expm
+    serves them all, and each part restarts from X = I (the modified
+    Davison-Maki method), which keeps X well conditioned.
+    """
+    d = A.shape[0]
+    H = np.block([[-A.T, M], [D, A]])
+    n = max(1, math.ceil(abs(h) * np.linalg.norm(H, 2) / MAX_EXPM_NORM))
+    Phi = expm(h / n * H)
+    Phi_I, Phi_V = Phi[:, :d].copy(), Phi[:, d:].copy()
+
+    def step(V):
+        for _ in range(n):
+            XY = Phi_I + Phi_V @ V
+            V = np.linalg.solve(XY[:d].T, XY[d:].T).T
+            V = (V + V.T) / 2
+        return V
+
+    return step
 
 
-def riccati_evolve(
-    model: LinearModel,
-    channels,
-    V0: np.ndarray,
-    T: float,
-    D_extra: np.ndarray = None,
-    dt: float = None,
-) -> np.ndarray:
-    """Integrate the covariance flow for a fixed horizon (fixed-step RK4)."""
-    rhs = riccati_rhs(model, channels, D_extra)
-    if dt is None:
-        rate = np.linalg.norm(model.A, 2) + sum(
-            4 * ch.k * ch.eta * np.linalg.norm(ch.s) ** 2 for ch in channels
-        )
-        dt = 0.01 / max(rate, 1.0)
-    n_steps = max(1, int(math.ceil(T / dt)))
-    h = T / n_steps
-    V = np.asarray(V0, dtype=float).copy()
-    for _ in range(n_steps):
-        V = _rk4_matrix_step(rhs, V, h)
-    return V
+def riccati_evolve(model: LinearModel, channels, V0, T: float) -> np.ndarray:
+    """Covariance after a fixed horizon T, exact up to rounding."""
+    step = _exact_step(model.A, *_flow_terms(model, channels), T)
+    return step(np.asarray(V0, dtype=float))
 
 
-def steady_covariance(
-    model: LinearModel,
-    channels,
-    D_extra: np.ndarray = None,
-    V0: np.ndarray = None,
-    horizon: float = 1000.0,
-    rtol: float = 1e-12,
-    chunk: float = 1.0,
-) -> np.ndarray:
+def steady_covariance(model: LinearModel, channels,
+                      horizon: float = 1000.0) -> np.ndarray:
     """Stationary conditional covariance.
 
-    Integrates until ||dV/dt|| / ||V|| < rtol per unit time; raises
-    :class:`RiccatiDivergenceError` (with the last V attached) when the
-    flow keeps growing or the horizon runs out.
+    Steps the flow from the vacuum in exact unit-time steps until
+    ||dV/dt|| / ||V|| < 1e-12; raises :class:`RiccatiDivergenceError`
+    (with the last V attached) when the flow keeps growing or the
+    horizon runs out.
     """
     if not any(ch.k > 0 for ch in channels):
         if not np.all(np.real(np.linalg.eigvals(model.A)) < 0):
             raise ValueError("need a measurement channel or a stable drift")
-    rhs = riccati_rhs(model, channels, D_extra)
-    V = vacuum_state(model).cov if V0 is None else np.asarray(V0, dtype=float)
-    V = V.copy()
-    t = 0.0
+    step = _exact_step(model.A, *_flow_terms(model, channels), 1.0)
+    rhs = riccati_rhs(model, channels)
+    V = vacuum_state(model).cov
     init_scale = max(np.linalg.norm(V), 1.0)
-    while t < horizon:
-        V = riccati_evolve(model, channels, V, chunk, D_extra)
-        t += chunk
+    for t in range(1, math.ceil(horizon) + 1):
+        V = step(V)
         norm_V = np.linalg.norm(V)
         if not np.isfinite(norm_V) or norm_V > 1e12 * init_scale:
             raise RiccatiDivergenceError(
-                f"covariance flow diverging at t = {t:.3g}", V
+                f"covariance flow diverging at t = {t}", V
             )
-        if np.linalg.norm(rhs(V)) < rtol * max(norm_V, 1e-300):
+        if np.linalg.norm(rhs(V)) < 1e-12 * max(norm_V, 1e-300):
             return V
     raise RiccatiDivergenceError(
         f"no stationary covariance within horizon {horizon:g} "
@@ -282,6 +309,8 @@ def steady_covariance(
 
 
 def _validate_step(model, dt, T):
+    if not (math.isfinite(dt) and math.isfinite(T)):
+        raise ValueError(f"dt and T must be finite, got dt = {dt!r}, T = {T!r}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if T < dt:
@@ -299,26 +328,25 @@ def _noise_increments(seed, n_channels: int, n_steps: int, dt: float):
     Stream c is keyed by (seed, c), so the draw for (seed, channel,
     step) is reproducible independently of batching or thread order.
     """
-    cols = []
+    dW = np.empty((n_steps, n_channels))
     for c in range(n_channels):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(c,))
         gen = np.random.Generator(np.random.Philox(ss))
-        cols.append(gen.standard_normal(n_steps) * math.sqrt(dt))
-    if not cols:
-        return np.zeros((n_steps, 0))
-    return np.column_stack(cols)
+        dW[:, c] = gen.standard_normal(n_steps) * math.sqrt(dt)
+    return dW
 
 
 def _conditional_sweep(model, state0, channels, force, dt, T, seeds, cov_stride):
     """The one conditional stepping loop, vectorized over trajectories.
 
     Means are a (dim, n_traj) matrix stepped by Euler-Maruyama; the
-    covariance flow is seed-independent, so one RK4 step per time step
-    serves every trajectory.  Trajectory i draws its noise from the
-    streams keyed by seeds[i].  Returns (times, means, records,
-    cov_times, covs) with means (n_traj, n_steps + 1, dim), records
-    (n_traj, n_steps, n_channels) and covs (n_cov, dim, dim) at the
-    steps 0, cov_stride, 2 cov_stride, ... and always the last one.
+    covariance flow and the force samples are seed-independent, so one
+    exact covariance step per time step serves every trajectory.
+    Trajectory i draws its noise from the streams keyed by seeds[i].
+    Returns (times, means, records, cov_times, covs) with means
+    (n_traj, n_steps + 1, dim), records (n_traj, n_steps, n_channels)
+    and covs (n_cov, dim, dim) at the steps 0, cov_stride,
+    2 cov_stride, ... and always the last one.
     """
     _validate_step(model, dt, T)
     if not is_physical_cov(state0.cov, model.Omega, model.hbar):
@@ -332,7 +360,7 @@ def _conditional_sweep(model, state0, channels, force, dt, T, seeds, cov_stride)
     n_traj = len(seeds)
     n_ch = len(channels)
     d = model.dim
-    rhs = riccati_rhs(model, channels)
+    step = _exact_step(model.A, *_flow_terms(model, channels), dt)
 
     # (n_steps, n_ch, n_traj): one contiguous row of increments per step
     dW = np.stack(
@@ -341,10 +369,7 @@ def _conditional_sweep(model, state0, channels, force, dt, T, seeds, cov_stride)
     scales = [math.sqrt(4 * ch.k * ch.eta) for ch in channels]
 
     times = np.arange(n_steps + 1) * dt
-    cov_idx = list(range(0, n_steps + 1, cov_stride))
-    if cov_idx[-1] != n_steps:
-        cov_idx.append(n_steps)
-    cov_steps = set(cov_idx)
+    cov_steps = set(range(0, n_steps + 1, cov_stride)) | {n_steps}
 
     mu = np.tile(state0.mean[:, None], (1, n_traj))
     V = state0.cov.copy()
@@ -353,18 +378,19 @@ def _conditional_sweep(model, state0, channels, force, dt, T, seeds, cov_stride)
     records = np.empty((n_steps, n_ch, n_traj))
     covs = [V]
 
-    b = force.b[:, None] if force is not None else None
-    wave = force.waveform if force is not None else None
+    if force is not None:
+        b = force.b[:, None]
+        F = force.samples(dt, n_steps)
     for n in range(n_steps):
         dmu = (model.A @ mu) * dt
         if force is not None:
-            dmu = dmu + b * (wave(n * dt) * dt)
+            dmu = dmu + b * (F[n] * dt)
         for c, ch in enumerate(channels):
             gain = scales[c] * (V @ ch.s)
             records[n, c] = (ch.s @ mu) * dt + dW[n, c] / scales[c]
             dmu = dmu + gain[:, None] * dW[n, c]
         mu = mu + dmu
-        V = _rk4_matrix_step(rhs, V, dt)
+        V = step(V)
         means[n + 1] = mu
         if n + 1 in cov_steps:
             covs.append(V)
@@ -373,7 +399,7 @@ def _conditional_sweep(model, state0, channels, force, dt, T, seeds, cov_stride)
         times,
         np.ascontiguousarray(means.transpose(2, 0, 1)),
         np.ascontiguousarray(records.transpose(2, 0, 1)),
-        times[np.array(cov_idx)],
+        times[sorted(cov_steps)],
         np.array(covs),
     )
 
@@ -388,7 +414,7 @@ def evolve_conditional(
     seed=0,
     cov_stride: int = 1,
 ) -> Trajectory:
-    """Euler-Maruyama conditional mean with RK4 covariance alongside.
+    """Euler-Maruyama conditional mean with the exact covariance step alongside.
 
     Deterministic given (model, channels, force, dt, T, seed); a batch
     of one of :func:`simulate_batch`'s sweep.
@@ -396,15 +422,8 @@ def evolve_conditional(
     times, means, records, cov_times, covs = _conditional_sweep(
         model, state0, channels, force, dt, T, [seed], cov_stride
     )
-    return Trajectory(
-        times=times,
-        means=means[0],
-        cov_times=cov_times,
-        covs=covs,
-        records=records[0],
-        seed=seed,
-        dt=dt,
-    )
+    return Trajectory(times=times, means=means[0], cov_times=cov_times,
+                      covs=covs, records=records[0], seed=seed, dt=dt)
 
 
 @dataclass(frozen=True)
@@ -467,62 +486,34 @@ class ForceEstimate:
     information: float
 
 
-def _augmented_filter_sweep(
-    model: LinearModel,
-    channels,
-    template: ForceDrive,
-    dt: float,
-    n_steps: int,
-    V0: np.ndarray,
-    prior_var: float,
-):
-    """Shared covariance/gain sweep of the amplitude-augmented model.
+def _augmented_drift(model: LinearModel, force: ForceDrive) -> np.ndarray:
+    """Drift [[A, b c^T], [0, W]] of the state [x; z] with the generator appended."""
+    zeros = np.zeros((force.z0.size, model.dim))
+    return np.block([[model.A, np.outer(force.b, force.c)], [zeros, force.W]])
 
-    Returns per-step gains (n_steps, n_ch, d+1), per-step propagators,
-    and the final augmented covariance.
+
+def _augmented_filter(model: LinearModel, channels, template: ForceDrive,
+                      V0: np.ndarray, prior_var: float):
+    """(A, D, M) of the [x; z] covariance flow and its prior covariance.
+
+    The prior on z is prior_var z0 z0^T: an unknown amplitude times the
+    template's z0.
     """
-    d = model.dim
-    da = d + 1
-    A = model.A
-    b = template.b
-    if np.linalg.norm(b) == 0:
+    if np.linalg.norm(template.b) == 0:
         raise EstimationError("zero force coupling: no information")
-    D = np.zeros((da, da))
-    for ch in channels:
-        D[:d, :d] += backaction_diffusion(model, ch)
-    s_aug = [np.concatenate([ch.s, [0.0]]) for ch in channels]
+    pad = (0, template.z0.size)
+    D, M = _flow_terms(model, channels)
+    Va = np.pad(np.asarray(V0, dtype=float), pad)
+    Va[model.dim:, model.dim:] = prior_var * np.outer(template.z0, template.z0)
+    return _augmented_drift(model, template), np.pad(D, pad), np.pad(M, pad), Va
 
-    Va = np.zeros((da, da))
-    Va[:d, :d] = V0
-    Va[d, d] = prior_var
 
-    gains = np.empty((n_steps, len(channels), da))
-    Aa = np.zeros((da, da))
-    Aa[:d, :d] = A
-
-    def rhs(V, t):
-        Aa[:d, d] = b * template.waveform(t)
-        dV = Aa @ V + V @ Aa.T + D
-        for ch, sa in zip(channels, s_aug):
-            Vs = V @ sa
-            dV = dV - 4 * ch.k * ch.eta * np.outer(Vs, Vs)
-        return dV
-
-    props = np.empty((n_steps, da, da))
-    for n in range(n_steps):
-        t = n * dt
-        for c, (ch, sa) in enumerate(zip(channels, s_aug)):
-            gains[n, c] = 4 * ch.k * ch.eta * (Va @ sa)
-        Aa[:d, d] = b * template.waveform(t)
-        props[n] = np.eye(da) + Aa * dt
-        # RK4 on the time-varying Riccati
-        k1 = rhs(Va, t)
-        k2 = rhs(Va + dt / 2 * k1, t + dt / 2)
-        k3 = rhs(Va + dt / 2 * k2, t + dt / 2)
-        k4 = rhs(Va + dt * k3, t + dt)
-        Va = Va + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        Va = (Va + Va.T) / 2
-    return gains, props, s_aug, Va
+def _amplitude_readout(template: ForceDrive, T: float) -> np.ndarray:
+    """u with amplitude = u.z(T): z(T) = amplitude v, v = expm(W T) z0."""
+    v = expm(template.W * T) @ template.z0
+    if not v @ v > 0:
+        raise EstimationError("template waveform is zero: no information")
+    return v / (v @ v)
 
 
 def _ml_from_posterior(mu_F: float, V_FF: float, prior_var: float):
@@ -544,13 +535,14 @@ def force_posterior_std(
 ) -> float:
     """Analytic posterior std of the amplitude (no record needed)."""
     _validate_step(model, dt, T)
-    n_steps = int(round(T / dt))
+    T = int(round(T / dt)) * dt
     if V0 is None:
         V0 = vacuum_state(model).cov
-    *_, Va = _augmented_filter_sweep(
-        model, channels, template, dt, n_steps, V0, prior_var
-    )
-    est = _ml_from_posterior(1.0, Va[-1, -1], prior_var)
+    A, D, M, Va = _augmented_filter(model, channels, template, V0, prior_var)
+    Va = _exact_step(A, D, M, T)(Va)
+    u = _amplitude_readout(template, T)
+    d = model.dim
+    est = _ml_from_posterior(1.0, u @ Va[d:, d:] @ u, prior_var)
     return est.posterior_std
 
 
@@ -563,11 +555,8 @@ def estimate_force(
     prior_var: float = 1e4,
 ) -> ForceEstimate:
     """ML amplitude of a known-shape force from one measurement record."""
-    records = trajectory.records[None, :, :]
-    batch = estimate_force_batch(
-        records, model, channels, template, trajectory.dt, state0, prior_var
-    )
-    return batch[0]
+    return estimate_force_batch(trajectory.records[None], model, channels,
+                                template, trajectory.dt, state0, prior_var)[0]
 
 
 def estimate_force_batch(
@@ -587,33 +576,44 @@ def estimate_force_batch(
     if state0 is None:
         state0 = vacuum_state(model)
     d = model.dim
-    gains, props, s_aug, Va = _augmented_filter_sweep(
-        model, channels, template, dt, n_steps, state0.cov, prior_var
-    )
-    mu = np.zeros((d + 1, n_traj))
+    A, D, M, Va = _augmented_filter(model, channels, template, state0.cov,
+                                    prior_var)
+    step = _exact_step(A, D, M, dt)
+    # means step in the frame where the amplitude is constant: Euler for
+    # x, as in the simulator, the exact rotation R for z, and each gain
+    # applied before that rotation (E = diag(I, R))
+    R = expm(template.W * dt)
+    E = block_diag(np.eye(d), R)
+    P = E + A * dt
+    P[d:, d:] = R
+    s_aug = [np.pad(ch.s, (0, R.shape[0])) for ch in channels]
+    mu = np.zeros((A.shape[0], n_traj))
     mu[:d] = state0.mean[:, None]
     for n in range(n_steps):
-        pred = props[n] @ mu
-        mu_new = pred.copy()
-        for c, sa in enumerate(s_aug):
+        mu_new = P @ mu
+        for c, (ch, sa) in enumerate(zip(channels, s_aug)):
+            gain = E @ (4 * ch.k * ch.eta * (Va @ sa))
             innovation = records[:, n, c] - (sa @ mu) * dt
-            mu_new += np.outer(gains[n, c], innovation)
+            mu_new += np.outer(gain, innovation)
         mu = mu_new
-    V_FF = Va[-1, -1]
-    return [_ml_from_posterior(float(mu[d, i]), V_FF, prior_var)
+        Va = step(Va)
+    u = _amplitude_readout(template, n_steps * dt)
+    V_FF = u @ Va[d:, d:] @ u
+    return [_ml_from_posterior(float(u @ mu[d:, i]), V_FF, prior_var)
             for i in range(n_traj)]
 
 
-def unconditional_mean(model: LinearModel, mean0, force: ForceDrive, t: float,
-                       n_quad: int = 2000) -> np.ndarray:
-    """Deterministic mean response mu(t) = Phi(t) mu0 + int Phi(t-u) b F(u) du."""
-    mu = transfer_matrix(model, t) @ np.asarray(mean0, dtype=float)
-    if force is not None:
-        us = np.linspace(0.0, t, n_quad + 1)
-        vals = np.array([
-            transfer_matrix(model, t - u) @ (force.b * force.waveform(u))
-            for u in us
-        ])
-        h = us[1] - us[0]
-        mu = mu + h * (vals[0] / 2 + vals[1:-1].sum(axis=0) + vals[-1] / 2)
-    return mu
+def unconditional_mean(model: LinearModel, mean0, force: ForceDrive,
+                       t: float) -> np.ndarray:
+    """Deterministic mean response mu(t) = Phi(t) mu0 + int Phi(t-u) b F(u) du.
+
+    With a force, [x; z] evolves under the augmented drift, so the
+    response is one block exponential (Van Loan), not a quadrature.
+    """
+    mean0 = np.asarray(mean0, dtype=float)
+    if force is None:
+        return transfer_matrix(model, t) @ mean0
+    At = _augmented_drift(model, force) * t
+    if not np.linalg.norm(At, 2) <= MAX_EXPM_NORM:
+        raise ValueError(f"||A t|| exceeds the trusted expm bound {MAX_EXPM_NORM}")
+    return (expm(At) @ np.concatenate([mean0, force.z0]))[:model.dim]

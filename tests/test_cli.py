@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmfslab import models
 from qmfslab.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
     EXIT_VIOLATION,
     _apply_config,
+    _build_bundle,
     _write_csv,
     build_parser,
     main,
@@ -216,6 +218,87 @@ class TestBadRealFlags:
         cfg.write_text(json.dumps({"gamma_b0": 0.0}))
         argv = ["--config", str(cfg), "--out", str(tmp_path / "run"), "spin"]
         assert main(argv) == EXIT_BAD_INPUT
+
+
+class TestNonFiniteOrNegativeValues:
+    """Bad real values exit 2 before any output, on the CLI and via config."""
+
+    CASES = [
+        ("simulate", "k", "-1", "--k must be"),
+        ("simulate", "k", "nan", "--k must be"),
+        ("simulate", "force_amp", "nan", "--force-amp must be"),
+        ("simulate", "force_freq", "inf", "--force-freq must be"),
+        ("simulate", "force_phase", "nan", "--force-phase must be"),
+        ("simulate", "dt", "nan", "dt and T must be finite"),
+        ("simulate", "T", "inf", "dt and T must be finite"),
+        ("force", "dt", "nan", "dt and T must be finite"),
+        ("force", "T", "inf", "dt and T must be finite"),
+    ]
+    BASE = {"simulate": {"T": "0.05", "force_amp": "1"},
+            "force": {"T": "0.5"}}
+
+    def base_argv(self, command, key):
+        """Short-run flags for command, leaving key to the test."""
+        return [arg for k, v in self.BASE[command].items() if k != key
+                for arg in ("--" + k.replace("_", "-"), v)]
+
+    @pytest.mark.parametrize("command, key, value, message", CASES)
+    def test_on_the_command_line(self, tmp_path, capsys, command, key,
+                                 value, message):
+        out = tmp_path / "run"
+        flag = "--" + key.replace("_", "-")
+        argv = ["--out", str(out), command, *self.base_argv(command, key),
+                flag, value]
+        assert main(argv) == EXIT_BAD_INPUT
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command, key, value, message", CASES)
+    def test_from_config(self, tmp_path, capsys, command, key, value,
+                         message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float(value)}))
+        out = tmp_path / "run"
+        argv = ["--config", str(cfg), "--out", str(out), command,
+                *self.base_argv(command, key)]
+        assert main(argv) == EXIT_BAD_INPUT
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_k_zero_is_an_unmonitored_run(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["--out", str(out), "simulate", "--T", "0.05", "--k", "0"]
+        assert main(argv) == EXIT_OK
+        header = (out / "trajectory_0000.csv").read_text().splitlines()[0]
+        assert "yrecord" not in header
+
+
+class TestModelChoices:
+    def test_choices_are_the_builders(self):
+        (choices,) = {tuple(a.choices) for a in
+                      subcommand_parsers()["check"]._actions
+                      if a.dest == "model"}
+        assert list(choices) == list(models.BUILDERS)
+
+    # each model as the runner built it before it dispatched on BUILDERS
+    EXPECTED = {
+        "single": lambda a: models.single_oscillator(a.m, a.omega, a.hbar),
+        "pair": lambda a: models.oscillator_pair(a.m, a.omega, a.hbar),
+        "sideband": lambda a: models.sideband_model(a.omega, a.hbar),
+        "spin-hp": lambda a: models.spin_pair_hp(a.j0, a.gamma_b0, a.hbar),
+    }
+
+    @pytest.mark.parametrize("name", list(models.BUILDERS))
+    def test_every_builder_gets_its_options(self, name):
+        args = build_parser().parse_args([
+            "check", "--model", name, "--m", "2", "--omega", "1.5",
+            "--hbar", "0.5", "--j0", "6", "--gamma-b0", "0.7",
+        ])
+        bundle = _build_bundle(args)
+        expected = self.EXPECTED[name](args)
+        assert bundle.description == expected.description
+        assert np.array_equal(bundle.model.G, expected.model.G)
+        assert bundle.model.hbar == expected.model.hbar
 
 
 def subcommand_parsers():

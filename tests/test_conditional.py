@@ -8,8 +8,9 @@ import pytest
 
 from qmfslab import models
 from qmfslab.conditional import (
+    _exact_step,
+    _flow_terms,
     _noise_increments,
-    _rk4_matrix_step,
     EstimationError,
     ForceDrive,
     GaussianState,
@@ -78,6 +79,11 @@ class TestChannels:
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError):
             MeasurementChannel(np.array([1.0, 0.0]), -1.0)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_non_finite_strength_rejected(self, k):
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementChannel(np.array([1.0, 0.0]), k)
 
     def test_efficiency_range(self):
         with pytest.raises(ValueError):
@@ -214,6 +220,17 @@ class TestEvolveConditional:
                 model, vacuum_state(model), (pos_channel(1.0),), dt=0.1, T=1.0
             )
 
+    @pytest.mark.parametrize("dt, T", [(math.nan, 1.0), (1e-3, math.inf),
+                                       (1e-3, math.nan)])
+    def test_non_finite_step_rejected(self, dt, T):
+        model = free_mass()
+        with pytest.raises(ValueError, match="finite"):
+            evolve_conditional(model, vacuum_state(model),
+                               (pos_channel(1.0),), dt=dt, T=T)
+        drive = ForceDrive.constant(np.array([0.0, 1.0]), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            force_posterior_std(model, (pos_channel(1.0),), drive, dt, T)
+
     def test_unphysical_initial_cov_rejected(self):
         model = free_mass()
         st = GaussianState(np.zeros(2), 0.01 * np.eye(2))
@@ -287,7 +304,7 @@ def reference_trajectory(model, state0, channels, force, dt, T, seed,
     (means, records, cov_times, covs).
     """
     n_steps = int(round(T / dt))
-    rhs = riccati_rhs(model, channels)
+    step = _exact_step(model.A, *_flow_terms(model, channels), dt)
     dW = _noise_increments(seed, len(channels), n_steps, dt)
 
     d = model.dim
@@ -307,12 +324,11 @@ def reference_trajectory(model, state0, channels, force, dt, T, seed,
         cov_pos = 1
 
     b = force.b if force is not None else None
-    wave = force.waveform if force is not None else None
+    F = force.samples(dt, n_steps) if force is not None else None
     for n in range(n_steps):
-        t = n * dt
         dmu = model.A @ mu * dt
         if force is not None:
-            dmu = dmu + b * (wave(t) * dt)
+            dmu = dmu + b * (F[n] * dt)
         for c, ch in enumerate(channels):
             gain = math.sqrt(4 * ch.k * ch.eta) * (V @ ch.s)
             records[n, c] = float(ch.s @ mu) * dt + dW[n, c] / math.sqrt(
@@ -320,7 +336,7 @@ def reference_trajectory(model, state0, channels, force, dt, T, seed,
             )
             dmu = dmu + gain * dW[n, c]
         mu = mu + dmu
-        V = _rk4_matrix_step(rhs, V, dt)
+        V = step(V)
         means[n + 1] = mu
         if cov_pos < len(cov_idx) and cov_idx[cov_pos] == n + 1:
             covs[cov_pos] = V
@@ -377,6 +393,178 @@ class TestSweepMatchesReferenceLoop:
             assert np.array_equal(batch.cov_times, cov_times)
             assert np.array_equal(batch.covs, covs)
             assert np.array_equal(batch.V_final, covs[-1])
+
+
+def rk4_riccati_rhs(model, channels):
+    """dV/dt channel by channel, written apart from the engine's (D, M)."""
+    A = model.A
+    D = np.zeros((model.dim, model.dim))
+    for ch in channels:
+        D = D + backaction_diffusion(model, ch)
+
+    def rhs(V):
+        dV = A @ V + V @ A.T + D
+        for ch in channels:
+            Vs = V @ ch.s
+            dV = dV - 4 * ch.k * ch.eta * np.outer(Vs, Vs)
+        return dV
+
+    return rhs
+
+
+def rk4_step(rhs, V, h):
+    k1 = rhs(V)
+    k2 = rhs(V + h / 2 * k1)
+    k3 = rhs(V + h / 2 * k2)
+    k4 = rhs(V + h * k3)
+    Vn = V + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return (Vn + Vn.T) / 2
+
+
+def rk4_force_filter(model, channels, b, waveform, records, dt,
+                     prior_var=1e4):
+    """Amplitude-augmented Kalman filter with a time-varying RK4 Riccati.
+
+    The state is [x; a] with the amplitude a constant and the force
+    b a waveform(t); returns (ML amplitudes, posterior std) from the
+    vacuum prior, the oracle for the exosystem filter.
+    """
+    n_traj, n_steps, _ = records.shape
+    d = model.dim
+    da = d + 1
+    D = np.zeros((da, da))
+    for ch in channels:
+        D[:d, :d] += backaction_diffusion(model, ch)
+    s_aug = [np.concatenate([ch.s, [0.0]]) for ch in channels]
+    Va = np.zeros((da, da))
+    Va[:d, :d] = vacuum_state(model).cov
+    Va[d, d] = prior_var
+
+    def drift(t):
+        Aa = np.zeros((da, da))
+        Aa[:d, :d] = model.A
+        Aa[:d, d] = b * waveform(t)
+        return Aa
+
+    def rhs(V, t):
+        Aa = drift(t)
+        dV = Aa @ V + V @ Aa.T + D
+        for ch, sa in zip(channels, s_aug):
+            Vs = V @ sa
+            dV = dV - 4 * ch.k * ch.eta * np.outer(Vs, Vs)
+        return dV
+
+    mu = np.zeros((da, n_traj))
+    for n in range(n_steps):
+        t = n * dt
+        mu_new = (np.eye(da) + drift(t) * dt) @ mu
+        for c, (ch, sa) in enumerate(zip(channels, s_aug)):
+            gain = 4 * ch.k * ch.eta * (Va @ sa)
+            mu_new += np.outer(gain, records[:, n, c] - (sa @ mu) * dt)
+        mu = mu_new
+        k1 = rhs(Va, t)
+        k2 = rhs(Va + dt / 2 * k1, t + dt / 2)
+        k3 = rhs(Va + dt / 2 * k2, t + dt / 2)
+        k4 = rhs(Va + dt * k3, t + dt)
+        Va = Va + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        Va = (Va + Va.T) / 2
+    information = 1.0 / Va[d, d] - 1.0 / prior_var
+    return mu[d] / Va[d, d] / information, 1.0 / math.sqrt(information)
+
+
+class TestExactCovarianceStep:
+    CASES = [
+        pytest.param(lambda: (models.oscillator_pair(1.0, 1.0).model,
+                              (MeasurementChannel(models.ROW_Q, 2.0, 1.0),)),
+                     id="pair-k2"),
+        pytest.param(lambda: (free_mass(), (pos_channel(3.0, 0.7),)),
+                     id="free-mass-k3-eta0.7"),
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_rk4(self, case):
+        # per time step as in the sweep, and in unit steps as riccati_evolve
+        model, ch = case()
+        dt, n = 1e-3, 2000
+        step = _exact_step(model.A, *_flow_terms(model, ch), dt)
+        rhs = rk4_riccati_rhs(model, ch)
+        V0 = vacuum_state(model).cov
+        V = W = V0
+        for _ in range(n):
+            V = step(V)
+            W = rk4_step(rhs, W, dt)
+        scale = np.max(np.abs(W))
+        assert np.max(np.abs(V - W)) <= 1e-12 * scale
+        V_long = riccati_evolve(model, ch, V0, T=n * dt)
+        assert np.max(np.abs(V_long - W)) <= 1e-12 * scale
+
+
+def pair_force_case():
+    return (models.oscillator_pair(1.0, 1.0).model,
+            (MeasurementChannel(models.ROW_Q, 2.0, 1.0),))
+
+
+def single_force_case():
+    return models.single_oscillator(1.0, 1.0).model, (pos_channel(2.0),)
+
+
+class TestForceFilterMatchesRK4:
+    SHAPES = {
+        "sinusoid": (lambda b, F0: ForceDrive.sinusoid(b, F0, 1.0),
+                     lambda t: math.sin(t)),
+        "constant": (lambda b, F0: ForceDrive.constant(b, F0),
+                     lambda t: 1.0),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("case", [
+        pytest.param(pair_force_case, id="pair"),
+        pytest.param(single_force_case, id="single"),
+    ])
+    def test_posterior_std_and_estimates(self, case, shape):
+        model, ch = case()
+        make, waveform = self.SHAPES[shape]
+        b = model.force_couplings[0]
+        dt, T = 2e-3, 4.0
+        batch = simulate_batch(model, vacuum_state(model), ch, make(b, 1.3),
+                               dt, T, master_seed=4, n_traj=3)
+        template = make(b, 1.0)
+        ests = estimate_force_batch(batch.records, model, ch, template, dt)
+        amps, std_ref = rk4_force_filter(model, ch, b, waveform,
+                                         batch.records, dt)
+        std = force_posterior_std(model, ch, template, dt, T)
+        assert abs(std / std_ref - 1) <= 1e-7
+        for est, amp in zip(ests, amps):
+            assert abs(est.posterior_std / std_ref - 1) <= 1e-7
+            # relative to the estimate, or to its spread when it is near 0
+            scale = max(abs(amp), std_ref)
+            assert abs(est.amplitude - amp) <= 1e-7 * scale
+
+
+class TestForceDrive:
+    def test_samples_match_closed_form(self):
+        dt, n = 1e-3, 20000
+        t = np.arange(n) * dt
+        b = np.array([0.0, 1.0])
+        const = ForceDrive.constant(b, 2.5).samples(dt, n)
+        assert np.max(np.abs(const - 2.5)) <= 1e-12 * 2.5
+        sin = ForceDrive.sinusoid(b, 1.7, 1.3, 0.4).samples(dt, n)
+        assert np.max(np.abs(sin - 1.7 * np.sin(1.3 * t + 0.4))) <= 1e-12 * 1.7
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: ForceDrive.constant(np.ones(2), math.nan), "F0"),
+        (lambda: ForceDrive.sinusoid(np.ones(2), math.inf, 1.0), "F0"),
+        (lambda: ForceDrive.sinusoid(np.ones(2), 1.0, math.nan), "omega_F"),
+        (lambda: ForceDrive.sinusoid(np.ones(2), 1.0, math.inf), "omega_F"),
+        (lambda: ForceDrive.sinusoid(np.ones(2), 1.0, 1.0, math.inf), "phase"),
+    ])
+    def test_non_finite_parameter_rejected(self, make, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make()
+
+    def test_generator_sizes_must_match(self):
+        with pytest.raises(ValueError, match="sizes"):
+            ForceDrive(np.ones(2), np.zeros((2, 2)), np.ones(1), np.ones(2))
 
 
 class TestForceEstimation:
