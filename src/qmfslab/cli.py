@@ -6,6 +6,9 @@ tolerances, residuals, seeds, pass/fail per invariant).  Exit codes:
 0 success, 1 invariant violation (details in the summary), 2 invalid
 input.
 
+A --config JSON file sets option defaults: its values are checked like
+the flags they name, and a flag given on the command line wins.
+
 Reproducibility: trajectory i of a batch uses noise streams keyed by
 (master_seed, i, channel), so outputs are bit-identical across reruns
 and across --parallel settings; result files are keyed by seed index.
@@ -151,27 +154,14 @@ def cmd_check(args, out_dir: Path, config: dict) -> int:
                 "grid_consistent": bool(grid_ok),
             }
         )
-        rows.append(
-            (
-                1.0 if verdict.is_qmfs else 0.0,
-                verdict.max_residual,
-                grid_max,
-            )
-        )
-    _write_csv(
-        out_dir / "check.csv",
-        ["is_qmfs", "algebraic_residual", "grid_commutator_max"],
-        rows,
-    )
-    _write_summary(
-        out_dir,
-        config,
-        {
-            "tolerances": {"algebraic": tol, "grid": grid_tol},
-            "sets": results,
-            "passed": bool(ok),
-        },
-    )
+        rows.append((float(verdict.is_qmfs), verdict.max_residual, grid_max))
+    _write_csv(out_dir / "check.csv",
+               ["is_qmfs", "algebraic_residual", "grid_commutator_max"], rows)
+    _write_summary(out_dir, config, {
+        "tolerances": {"algebraic": tol, "grid": grid_tol},
+        "sets": results,
+        "passed": bool(ok),
+    })
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -189,37 +179,7 @@ def _force_from_args(bundle, args):
     )
 
 
-def _check_simulate_args(args) -> None:
-    for flag in ("batch", "parallel", "cov_stride"):
-        value = getattr(args, flag)
-        if not isinstance(value, int) or value < 1:
-            name = flag.replace("_", "-")
-            raise ValueError(f"--{name} must be an integer >= 1, got {value!r}")
-
-
-def _check_real_flags(args, finite=(), nonzero=(), positive=(),
-                      nonnegative=()) -> None:
-    """Reject non-finite values of all these flags, zero ``nonzero``,
-    non-positive ``positive`` and negative ``nonnegative`` ones (also
-    when they come from --config)."""
-    for flag in (*finite, *nonzero, *positive, *nonnegative):
-        value = getattr(args, flag)
-        name = "--" + flag.replace("_", "-")
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if flag in positive and value <= 0:
-            raise ValueError(f"{name} must be > 0, got {value!r}")
-        if flag in nonnegative and value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value!r}")
-        if flag in nonzero and value == 0:
-            raise ValueError(f"{name} must be nonzero, got {value!r}")
-
-
 def cmd_simulate(args, out_dir: Path, config: dict) -> int:
-    _check_simulate_args(args)
-    _check_real_flags(args, finite=("force_amp", "force_freq", "force_phase"),
-                      nonnegative=("k",))
     bundle = _build_bundle(args)
     model = bundle.model
     channels = _channels_from_args(bundle, args) if args.k > 0 else ()
@@ -258,20 +218,15 @@ def cmd_simulate(args, out_dir: Path, config: dict) -> int:
         with open(out_dir / f"covariance_{i:04d}.csv", "w") as fh:
             fh.write(cov_text)
 
-    _write_summary(
-        out_dir,
-        config,
-        {
-            "seeds": [[args.seed, i] for i in range(args.batch)],
-            "n_trajectories": args.batch,
-            "passed": True,
-        },
-    )
+    _write_summary(out_dir, config, {
+        "seeds": [[args.seed, i] for i in range(args.batch)],
+        "n_trajectories": args.batch,
+        "passed": True,
+    })
     return EXIT_OK
 
 
 def cmd_force(args, out_dir: Path, config: dict) -> int:
-    _check_real_flags(args, positive=("k",))
     bundle = _build_bundle(args)
     omega = bundle.metadata.get("omega", 1.0)
 
@@ -304,17 +259,13 @@ def cmd_force(args, out_dir: Path, config: dict) -> int:
 
 
 def cmd_koopman(args, out_dir: Path, config: dict) -> int:
-    _check_real_flags(args, nonzero=("m", "omega"))
     m, omega, eps = args.m, args.omega, args.epsilon
     f_poly = fock.poly1((0, 1, 1.0 / m), (2, 0, eps))
     g_poly = fock.poly1((1, 0, m * omega**2))
     flow = koopman.ClassicalFlow(f_poly, g_poly, dt=args.dt)
     times, Qs, Ps = koopman.integrate(flow, args.q0, args.pi0, args.T)
-    _write_csv(
-        out_dir / "classical.csv",
-        ["time", "Q", "Pi"],
-        np.column_stack([times, Qs, Ps]),
-    )
+    _write_csv(out_dir / "classical.csv", ["time", "Q", "Pi"],
+               np.column_stack([times, Qs, Ps]))
 
     # Small fixed trusted core: the commutator defect of the truncated
     # nonlinear Hamiltonian contaminates higher excitation levels first,
@@ -331,20 +282,15 @@ def cmd_koopman(args, out_dir: Path, config: dict) -> int:
     )
     tol = 1e-5 * args.tol_scale
     ok = residual < tol
-    _write_summary(
-        out_dir,
-        config,
-        {
-            "tolerances": {"oracle_residual": tol},
-            "oracle_residual": residual,
-            "passed": bool(ok),
-        },
-    )
+    _write_summary(out_dir, config, {
+        "tolerances": {"oracle_residual": tol},
+        "oracle_residual": residual,
+        "passed": bool(ok),
+    })
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def cmd_spin(args, out_dir: Path, config: dict) -> int:
-    _check_real_flags(args, nonzero=("gamma_b0",))
     j0_list = [float(x) for x in args.j0_list.split(",")]
     rows = []
     ok = True
@@ -356,22 +302,14 @@ def cmd_spin(args, out_dir: Path, config: dict) -> int:
         # fixed physical displacement: the rotation angle shrinks with
         # J0, so the Gaussian-model error decreases across the sweep
         dev_mean, dev_var = spins.hp_agreement(
-            pair,
-            0.5,
-            np.linspace(0.0, 2 * np.pi / args.gamma_b0, 9),
-        )
+            pair, 0.5, np.linspace(0.0, 2 * np.pi / args.gamma_b0, 9))
         ok = ok and residual < tol
         rows.append([J0, residual, dev_mean, dev_var])
-    _write_csv(
-        out_dir / "spin_sweep.csv",
-        ["J0", "residual_norm", "hp_deviation_mean", "hp_deviation_var"],
-        rows,
-    )
-    _write_summary(
-        out_dir,
-        config,
-        {"tolerances": {"identity_residual": tol}, "passed": bool(ok)},
-    )
+    _write_csv(out_dir / "spin_sweep.csv",
+               ["J0", "residual_norm", "hp_deviation_mean", "hp_deviation_var"],
+               rows)
+    _write_summary(out_dir, config, {
+        "tolerances": {"identity_residual": tol}, "passed": bool(ok)})
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -399,6 +337,37 @@ def cmd_circuit(args, out_dir: Path, config: dict) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+def _checked(convert, requirement, test):
+    """argparse type: ``convert(text)``, rejected unless ``test`` holds."""
+
+    def check(text):
+        try:
+            value = convert(text)
+            ok = test(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text!r}")
+        return value
+
+    return check
+
+
+_COUNT = _checked(int, "an integer >= 1", lambda v: v >= 1)
+_FINITE = _checked(float, "a finite number", math.isfinite)
+_NONNEGATIVE = _checked(float, "a finite number >= 0",
+                        lambda v: math.isfinite(v) and v >= 0)
+_POSITIVE = _checked(float, "a finite number > 0",
+                     lambda v: math.isfinite(v) and v > 0)
+_NONZERO = _checked(float, "a finite nonzero number",
+                    lambda v: math.isfinite(v) and v != 0)
+# kept as text: cmd_spin splits it
+_FINITE_LIST = _checked(str, "comma-separated finite numbers",
+                        lambda v: all(math.isfinite(float(x))
+                                      for x in v.split(",")))
+
+
 def _add_model_args(p):
     p.add_argument("--model", default="pair",
                    choices=list(models.BUILDERS))
@@ -412,9 +381,15 @@ def _add_model_args(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one definition of every option and of the values it allows.
+
+    Parsers do not exit on a bad value: they raise
+    ``argparse.ArgumentError``, which ``main`` reports as bad input.
+    """
     parser = argparse.ArgumentParser(
         prog="qmfslab",
         description="Back-action-evading subsystem experiments",
+        exit_on_error=False,
     )
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default="qmfslab_out", help="output directory")
@@ -422,33 +397,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-scale", type=float, default=1.0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="QMFS verdicts and commutator residuals")
+    def command(name, help):
+        return sub.add_parser(name, help=help, exit_on_error=False)
+
+    p = command("check", "QMFS verdicts and commutator residuals")
     _add_model_args(p)
 
-    p = sub.add_parser("simulate", help="conditional trajectories")
+    p = command("simulate", "conditional trajectories")
     _add_model_args(p)
-    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--k", type=_NONNEGATIVE, default=1.0)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--T", type=float, default=10.0)
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--parallel", type=int, default=1)
-    p.add_argument("--cov-stride", type=int, default=100)
-    p.add_argument("--force-amp", type=float, default=0.0)
-    p.add_argument("--force-freq", type=float, default=1.0)
-    p.add_argument("--force-phase", type=float, default=0.0)
+    p.add_argument("--batch", type=_COUNT, default=1)
+    p.add_argument("--parallel", type=_COUNT, default=1)
+    p.add_argument("--cov-stride", type=_COUNT, default=100)
+    p.add_argument("--force-amp", type=_FINITE, default=0.0)
+    p.add_argument("--force-freq", type=_FINITE, default=1.0)
+    p.add_argument("--force-phase", type=_FINITE, default=0.0)
 
-    p = sub.add_parser("force", help="posterior-std force-sensing table")
+    p = command("force", "posterior-std force-sensing table")
     _add_model_args(p)
-    p.add_argument("--k", type=float, default=10.0)
+    p.add_argument("--k", type=_POSITIVE, default=10.0)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=2e-3)
     p.add_argument("--T", type=float, default=20.0)
     p.add_argument("--compare-single", action="store_true")
 
-    p = sub.add_parser("koopman", help="classical flow vs dense oracle")
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
+    p = command("koopman", "classical flow vs dense oracle")
+    p.add_argument("--m", type=_NONZERO, default=1.0)
+    p.add_argument("--omega", type=_NONZERO, default=1.0)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--q0", type=float, default=0.3)
     p.add_argument("--pi0", type=float, default=0.0)
@@ -456,74 +434,87 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=2.0)
     p.add_argument("--n-levels", type=int, default=20)
 
-    p = sub.add_parser("spin", help="finite-J0 sweep")
-    p.add_argument("--j0-list", default="2,4,8")
-    p.add_argument("--gamma-b0", type=float, default=1.0)
+    p = command("spin", "finite-J0 sweep")
+    p.add_argument("--j0-list", type=_FINITE_LIST, default="2,4,8")
+    p.add_argument("--gamma-b0", type=_NONZERO, default=1.0)
 
-    p = sub.add_parser("circuit", help="reversible-circuit propagation")
+    p = command("circuit", "reversible-circuit propagation")
     p.add_argument("--file", required=True)
     p.add_argument("--verify", action="store_true")
 
     return parser
 
 
-def _option_keys(parser: argparse.ArgumentParser) -> set:
-    """Destinations of a parser's options (--help excluded)."""
-    return {a.dest for a in parser._actions
-            if a.option_strings and a.default is not argparse.SUPPRESS}
+def _apply_config(parsers, path) -> None:
+    """Make the values of a JSON config the defaults of the options they
+    name, so that a second parse converts and checks them like flags.
 
-
-def _command_keys(parser: argparse.ArgumentParser) -> dict:
-    """{subcommand: option keys}, read from the argparse subparsers."""
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {name: _option_keys(p) for name, p in sub.choices.items()}
-
-
-# keys allowed in a JSON config, per subcommand (global keys always
-# allowed); derived from the parser so the two cannot drift
-_PARSER = build_parser()
-_GLOBAL_KEYS = {"command"} | _option_keys(_PARSER) - {"config"}
-_COMMAND_KEYS = _command_keys(_PARSER)
-
-
-def _apply_config(args, argv) -> None:
-    """Overlay JSON config values onto defaulted (not explicitly set) args."""
-    doc = json.loads(Path(args.config).read_text())
+    A typed option takes the value's string form, a flag a JSON boolean;
+    null keeps the default.  ``parsers`` are the root parser and the
+    chosen subcommand's, whose options are the allowed keys.
+    """
+    doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    allowed = _GLOBAL_KEYS | _COMMAND_KEYS.get(args.command, set())
-    unknown = set(doc) - allowed
+    options = {a.dest: (p, a) for p in parsers for a in p._actions
+               if a.default is not argparse.SUPPRESS and a.dest != "config"}
+    unknown = set(doc) - set(options)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv
-                if a.startswith("--")}
     for key, value in doc.items():
-        if key == "command":
+        parser, action = options[key]
+        if value is None or key == "command":
             continue
-        if key not in explicit:
-            setattr(args, key, value)
+        if action.nargs == 0:  # a store_true flag
+            if not isinstance(value, bool):
+                raise argparse.ArgumentError(
+                    action, f"must be true or false, got {value!r}")
+        elif isinstance(value, (bool, list, dict)):
+            raise argparse.ArgumentError(
+                action, f"must be a string or a number, got {value!r}")
+        else:
+            value = str(value)
+        parser.set_defaults(**{key: value})
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """Options from argv, with --config values in place of the defaults.
+
+    argparse knows which flags were given (also abbreviated or with
+    ``=``), so those win over the config.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    sub = commands.choices[args.command]
+    _apply_config((parser, sub), args.config)
+    args = parser.parse_args(argv)
+    # argparse checks choices on given values only, not on defaults
+    for action in sub._actions:
+        if action.choices is not None:
+            sub._check_value(action, getattr(args, action.dest))
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "check": cmd_check,
-        "simulate": cmd_simulate,
-        "force": cmd_force,
-        "koopman": cmd_koopman,
-        "spin": cmd_spin,
-        "circuit": cmd_circuit,
-    }
+    handlers = {"check": cmd_check, "simulate": cmd_simulate,
+                "force": cmd_force, "koopman": cmd_koopman, "spin": cmd_spin,
+                "circuit": cmd_circuit}
     try:
-        if args.config:
-            _apply_config(args, argv)
+        args = parse_args(argv)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args, out_dir, dict(vars(args)))
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except argparse.ArgumentError as exc:
+        print("error:", *filter(None, (exc.argument_name, exc.message)),
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
+        # MemoryError: a run too long to allocate (numpy refuses at once)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

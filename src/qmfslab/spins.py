@@ -124,13 +124,18 @@ def stretched_state(pair: SpinPair, theta: float = 0.0) -> np.ndarray:
     return np.kron(up, down)
 
 
-def qmfs_commutator_identity(pair: SpinPair, t: float, t_prime: float) -> float:
-    """Residual norm of the exact two-time commutator identity for Q."""
+def _two_time_commutator(pair: SpinPair, t: float, t_prime: float):
+    """[Q(t), Q(t')], with Q moved into the eigenbasis of H once."""
     prop = pair.propagator
-    Qtil = prop.to_eigenbasis(pair.Q)  # once for both times
+    Qtil = prop.to_eigenbasis(pair.Q)
     Qt = prop.evolve_eigen(Qtil, t)
     Qtp = prop.evolve_eigen(Qtil, t_prime)
-    comm = Qt @ Qtp - Qtp @ Qt
+    return Qt @ Qtp - Qtp @ Qt
+
+
+def qmfs_commutator_identity(pair: SpinPair, t: float, t_prime: float) -> float:
+    """Residual norm of the exact two-time commutator identity for Q."""
+    comm = _two_time_commutator(pair, t, t_prime)
     closed = (
         1j
         * pair.hbar
@@ -156,11 +161,7 @@ def excitation_restricted_norm(
         + (pair.J0 * hbar + np.diag(pair.ops["Jz2"]))
     ) / hbar
     keep = np.real(n_op) <= n_max + 1e-9
-    prop = pair.propagator
-    Qtil = prop.to_eigenbasis(pair.Q)
-    Qt = prop.evolve_eigen(Qtil, t)
-    Qtp = prop.evolve_eigen(Qtil, t_prime)
-    comm = Qt @ Qtp - Qtp @ Qt
+    comm = _two_time_commutator(pair, t, t_prime)
     return float(np.linalg.norm(comm[np.ix_(keep, keep)], 2))
 
 

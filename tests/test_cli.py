@@ -13,11 +13,11 @@ from qmfslab.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
     EXIT_VIOLATION,
-    _apply_config,
     _build_bundle,
     _write_csv,
     build_parser,
     main,
+    parse_args,
 )
 
 
@@ -317,10 +317,9 @@ class TestConfig:
         }
         assert options
         argv = [command] + (["--file", "c.txt"] if command == "circuit" else [])
-        args = build_parser().parse_args(argv)
-        args.config = tmp_path / "cfg.json"
-        args.config.write_text(json.dumps({"seed": 3, **options}))
-        _apply_config(args, argv)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, **options}))
+        args = parse_args(["--config", str(cfg), *argv])
         assert args.seed == 3
 
     @pytest.mark.parametrize("command", sorted(subcommand_parsers()))
@@ -418,3 +417,156 @@ class TestModelFile:
         for entry in sets:
             assert entry["verdict"] == "QMFS"
             assert entry["grid_consistent"] is True
+
+
+# a valid non-default value for each option that takes text
+OTHER_TEXT = {"out": "elsewhere", "model_file": "m.json", "j0_list": "3,5"}
+
+
+def other_value(action):
+    """A valid value of an option that differs from its default."""
+    if action.nargs == 0:
+        return True
+    if action.choices:
+        return next(c for c in action.choices if c != action.default)
+    if isinstance(action.default, (int, float)):
+        return action.default + 1
+    return OTHER_TEXT[action.dest]
+
+
+def option_cases():
+    """(command, is_root, action) for every option but --help, --config
+    and required ones (those come from the command line)."""
+    root = build_parser()
+    cases = []
+    for command, sub in subcommand_parsers().items():
+        for is_root, parser in ((True, root), (False, sub)):
+            cases += [pytest.param(command, is_root, a,
+                                   id=f"{command}-{a.dest}")
+                      for a in parser._actions
+                      if a.option_strings and a.dest not in ("help", "config")
+                      and not a.required]
+    return cases
+
+
+class TestConfigIsParsedLikeFlags:
+    """A --config value is converted and checked as the flag would be."""
+
+    @staticmethod
+    def parsed(tmp_path, argv, doc=None):
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv = ["--config", str(cfg), *argv]
+        items = vars(parse_args(argv)).items()
+        return [(key, value) for key, value in items if key != "config"]
+
+    @pytest.mark.parametrize("command, is_root, action", option_cases())
+    def test_flag_and_config_parse_alike(self, tmp_path, command, is_root,
+                                         action):
+        value = other_value(action)
+        required = ["--file", "c.txt"] if command == "circuit" else []
+        flag = [action.option_strings[0]]
+        if action.nargs != 0:
+            flag.append(str(value))
+        argv = ([*flag, command, *required] if is_root
+                else [command, *required, *flag])
+        by_flag = self.parsed(tmp_path, argv)
+        by_config = self.parsed(tmp_path, [command, *required],
+                                {action.dest: value})
+        assert by_flag == by_config
+        assert dict(by_flag)[action.dest] != action.default
+
+    @pytest.mark.parametrize("flags, key, given", [
+        (["--bat", "4"], "batch", 4),
+        (["--k=3"], "k", 3.0),
+        (["--batch=4"], "batch", 4),
+    ])
+    def test_given_flag_beats_config(self, tmp_path, flags, key, given):
+        parsed = dict(self.parsed(tmp_path, ["simulate", *flags],
+                                  {"batch": 2, "k": 5}))
+        assert parsed[key] == given
+
+    def test_null_keeps_the_default(self, tmp_path):
+        parsed = dict(self.parsed(tmp_path, ["check"], {"omega": None}))
+        assert parsed["omega"] == 1.0
+
+    @pytest.mark.parametrize("command, doc, flags", [
+        ("check", {"omega": "2"}, ["--omega", "2"]),
+        ("simulate", {"dt": "0.001", "T": 0.05}, ["--dt", "0.001",
+                                                  "--T", "0.05"]),
+        ("spin", {"j0_list": 4}, ["--j0-list", "4"]),
+    ])
+    def test_valid_text_runs_as_the_flag(self, tmp_path, command, doc,
+                                         flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        a, b = tmp_path / "by_config", tmp_path / "by_flag"
+        assert main(["--config", str(cfg), "--out", str(a), command]) == EXIT_OK
+        assert main(["--out", str(b), command, *flags]) == EXIT_OK
+        assert (read_summary(a)["config_hash"]
+                == read_summary(b)["config_hash"])
+        for path in a.glob("*.csv"):
+            assert path.read_bytes() == (b / path.name).read_bytes()
+
+    def test_int_in_config_hashes_as_the_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega": 2}))
+        a, b = tmp_path / "by_config", tmp_path / "by_flag"
+        assert main(["--config", str(cfg), "--out", str(a), "check"]) == EXIT_OK
+        assert main(["--out", str(b), "check", "--omega", "2"]) == EXIT_OK
+        assert read_summary(a)["config"]["omega"] == 2.0
+        assert (read_summary(a)["config_hash"]
+                == read_summary(b)["config_hash"])
+
+    @pytest.mark.parametrize("command, doc, flag", [
+        ("check", {"tol_scale": "a"}, "--tol-scale"),
+        ("check", {"omega": True}, "--omega"),
+        ("koopman", {"n_levels": 2.5}, "--n-levels"),
+        ("simulate", {"seed": 1.5}, "--seed"),
+        ("simulate", {"batch": 0}, "--batch"),
+        ("spin", {"j0_list": [2, 4]}, "--j0-list"),
+        ("spin", {"j0_list": "2,x"}, "--j0-list"),
+        ("circuit", {"verify": "no"}, "--verify"),
+        ("force", {"compare_single": 1}, "--compare-single"),
+        ("check", {"model": "nope"}, "--model"),
+    ])
+    def test_bad_value_exits_2_naming_the_flag(self, tmp_path, capsys,
+                                               command, doc, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        argv = ["--config", str(cfg), "--out", str(out), command]
+        if command == "circuit":
+            circ = tmp_path / "c.txt"
+            circ.write_text("bits 1\nX 0\n")
+            argv += ["--file", str(circ)]
+        assert main(argv) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ")
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
+    def test_config_model_gets_the_flag_message(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "nope"}))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "check"]) == EXIT_BAD_INPUT
+        by_config = capsys.readouterr().err
+        assert main(["--out", str(out), "check",
+                     "--model", "nope"]) == EXIT_BAD_INPUT
+        assert by_config == capsys.readouterr().err
+        assert all(name in by_config for name in models.BUILDERS)
+
+
+class TestUnallocatableRun:
+    def test_huge_horizon_is_bad_input(self, tmp_path, capsys):
+        # 1e15 steps: numpy refuses the petabyte noise array at once
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "simulate",
+                     "--T", "1e12"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists()
