@@ -373,11 +373,11 @@ def _add_model_args(p):
                    choices=list(models.BUILDERS))
     p.add_argument("--model-file", default=None,
                    help="JSON model fixture (overrides --model)")
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--j0", type=float, default=8.0)
-    p.add_argument("--gamma-b0", type=float, default=1.0)
+    p.add_argument("--m", type=_FINITE, default=1.0)
+    p.add_argument("--omega", type=_FINITE, default=1.0)
+    p.add_argument("--hbar", type=_FINITE, default=1.0)
+    p.add_argument("--j0", type=_FINITE, default=8.0)
+    p.add_argument("--gamma-b0", type=_FINITE, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,11 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("koopman", "classical flow vs dense oracle")
     p.add_argument("--m", type=_NONZERO, default=1.0)
     p.add_argument("--omega", type=_NONZERO, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--q0", type=float, default=0.3)
-    p.add_argument("--pi0", type=float, default=0.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--T", type=float, default=2.0)
+    p.add_argument("--epsilon", type=_FINITE, default=0.1)
+    p.add_argument("--q0", type=_FINITE, default=0.3)
+    p.add_argument("--pi0", type=_FINITE, default=0.0)
+    p.add_argument("--dt", type=_POSITIVE, default=1e-3)
+    p.add_argument("--T", type=_POSITIVE, default=2.0)
     p.add_argument("--n-levels", type=int, default=20)
 
     p = command("spin", "finite-J0 sweep")
@@ -480,22 +480,31 @@ def _apply_config(parsers, path) -> None:
 def parse_args(argv) -> argparse.Namespace:
     """Options from argv, with --config values in place of the defaults.
 
-    argparse knows which flags were given (also abbreviated or with
-    ``=``), so those win over the config.
+    The first parse finds the subcommand and the config file without
+    enforcing required options; the second, after the config values have
+    become defaults, enforces those the config did not set.  argparse
+    knows which flags were given (also abbreviated or with ``=``), so
+    those win over the config.
     """
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
     (commands,) = [a for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction)]
-    sub = commands.choices[args.command]
-    _apply_config((parser, sub), args.config)
+    required = [a for p in commands.choices.values() for a in p._actions
+                if a.required and a.option_strings]
+    for action in required:
+        action.required = False
     args = parser.parse_args(argv)
-    # argparse checks choices on given values only, not on defaults
-    for action in sub._actions:
-        if action.choices is not None:
-            sub._check_value(action, getattr(args, action.dest))
+    sub = commands.choices[args.command]
+    if args.config:
+        _apply_config((parser, sub), args.config)
+    for action in required:
+        action.required = action.default is None
+    args = parser.parse_args(argv)
+    if args.config:
+        # argparse checks choices on given values only, not on defaults
+        for action in sub._actions:
+            if action.choices is not None:
+                sub._check_value(action, getattr(args, action.dest))
     return args
 
 

@@ -20,6 +20,7 @@ makes them commute.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -37,7 +38,6 @@ __all__ = [
     "commutator_residual",
     "guard_projector",
     "top_level_population",
-    "poly_op",
     "poly_eval",
     "poly1",
 ]
@@ -97,6 +97,16 @@ def _embed(op: np.ndarray, mode: int, spec: TruncationSpec) -> np.ndarray:
     return out
 
 
+def _quadratures(N: int, hbar: float, ref_scale: float):
+    """Single-mode (q, p), N x N, at reference scale ``ref_scale``."""
+    if ref_scale <= 0:
+        raise ValueError("ref_scale must be positive")
+    a = _ladder(N)
+    q = np.sqrt(hbar / (2 * ref_scale)) * (a + a.T)
+    p = 1j * np.sqrt(hbar * ref_scale / 2) * (a.T - a)
+    return q, p
+
+
 def build_quadrature_ops(
     spec: TruncationSpec, hbar: float = 1.0, ref_scale: float = 1.0
 ):
@@ -106,11 +116,7 @@ def build_quadrature_ops(
     reference scale w~ = ``ref_scale``.  The truncation defect of
     [q, p] = i hbar is confined to the top level of each ladder.
     """
-    if ref_scale <= 0:
-        raise ValueError("ref_scale must be positive")
-    a = _ladder(spec.n_levels)
-    q1 = np.sqrt(hbar / (2 * ref_scale)) * (a + a.T)
-    p1 = 1j * np.sqrt(hbar * ref_scale / 2) * (a.T - a)
+    q1, p1 = _quadratures(spec.n_levels, hbar, ref_scale)
     return [
         (_embed(q1, k, spec), _embed(p1, k, spec)) for k in range(spec.n_modes)
     ]
@@ -217,29 +223,6 @@ def poly_eval(poly, Q, Pi) -> float:
     return total
 
 
-def poly_op(poly, Q_ops, Pi_ops) -> np.ndarray:
-    """Operator value of a polynomial in the commuting set (Q, Pi).
-
-    All arguments commute, so any factor ordering gives the same
-    (Hermitian) operator; products are taken in a fixed canonical order,
-    each term starting from its first factor.
-    """
-    dim = Q_ops[0].shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    for (a, b), coef in poly:
-        factors = []
-        for j, (aj, bj) in enumerate(zip(a, b)):
-            factors += [Q_ops[j]] * aj + [Pi_ops[j]] * bj
-        if not factors:
-            out += coef * np.eye(dim)
-            continue
-        term = coef * factors[0]
-        for factor in factors[1:]:
-            term = term @ factor
-        out += term
-    return out
-
-
 def koopman_operators(
     pk_M: int, spec: TruncationSpec, hbar: float = 1.0, ref_scale: float = 1.0
 ) -> dict:
@@ -263,18 +246,41 @@ def build_koopman_hamiltonian(
     hbar: float = 1.0,
     ref_scale: float = 1.0,
 ):
-    """Dense Hamiltonian matrix plus the operator dictionary it acts on."""
+    """Dense Hamiltonian matrix plus the operator dictionary it acts on.
+
+    Every operator in H acts on one mode, so each term is a Kronecker
+    product of single-mode (n_levels x n_levels) factors: a monomial
+    prod_j Q_j^a_j Pi_j^b_j has factor q^a_j on mode j and p^b_j on mode
+    M + j, and P_j (Phi_j) multiplies the factor of mode j (M + j) from
+    the left or from the right.  H is still summed term by term, once
+    for each of P f, f P, Phi g and g Phi, so the Hermiticity check below
+    still catches an ordering defect.
+    """
     ops = koopman_operators(pk.M, spec, hbar, ref_scale)
+    q, p = _quadratures(spec.n_levels, hbar, ref_scale)
+    power = np.linalg.matrix_power
+
+    def monomials(poly):
+        """(coef, one factor per mode) for each monomial of ``poly``."""
+        for (ea, eb), coef in poly:
+            yield coef, [power(q, k) for k in ea] + [power(p, k) for k in eb]
+
+    def kron(coef, factors):
+        """coef times the Kronecker product, scaled on the first factor."""
+        return functools.reduce(np.kron, factors[1:], coef * factors[0])
+
     dim = spec.dim
     H = np.zeros((dim, dim), dtype=complex)
     for j in range(pk.M):
-        F = poly_op(pk.f[j], ops["Q"], ops["Pi"])
-        Gm = poly_op(pk.g[j], ops["Q"], ops["Pi"])
-        P = ops["P"][j]
-        Phi = ops["Phi"][j]
-        H += 0.5 * (P @ F + F @ P + Phi @ Gm + Gm @ Phi)
-    if pk.h:
-        H += poly_op(pk.h, ops["Q"], ops["Pi"])
+        # P_j f_j + f_j P_j on mode j, Phi_j g_j + g_j Phi_j on mode M + j
+        for poly, mode, op in ((pk.f[j], j, p), (pk.g[j], pk.M + j, q)):
+            for coef, factors in monomials(poly):
+                inner = factors[mode]
+                for side in (op @ inner, inner @ op):
+                    factors[mode] = side
+                    H += kron(0.5 * coef, factors)
+    for coef, factors in monomials(pk.h):
+        H += kron(coef, factors)
     defect = np.linalg.norm(H - H.conj().T)
     scale = max(np.linalg.norm(H), 1.0)
     if defect > 1e-12 * scale:
@@ -311,20 +317,12 @@ class HeisenbergPropagator:
     def _phase(self, t: float) -> np.ndarray:
         return np.exp(1j * self.energies * t / self.hbar)
 
-    def to_eigenbasis(self, O: np.ndarray) -> np.ndarray:
-        """V+ O V; pass it to ``evolve_eigen`` to reuse it across times."""
-        V = self.vectors
-        return V.conj().T @ O @ V
-
-    def evolve_eigen(self, Otil: np.ndarray, t: float) -> np.ndarray:
-        """O(t) from the eigenbasis form Otil = V+ O V."""
-        V = self.vectors
-        phase = self._phase(t)
-        return V @ (Otil * np.outer(phase, phase.conj())) @ V.conj().T
-
     def evolve(self, O: np.ndarray, t: float) -> np.ndarray:
         """O(t) = exp(iHt/hbar) O exp(-iHt/hbar)."""
-        return self.evolve_eigen(self.to_eigenbasis(O), t)
+        V = self.vectors
+        phase = self._phase(t)
+        Otil = V.conj().T @ O @ V
+        return V @ (Otil * np.outer(phase, phase.conj())) @ V.conj().T
 
     def evolve_rows(self, O: np.ndarray, t: float, keep) -> np.ndarray:
         """Rows ``keep`` of O(t), from thin k x dim products only.

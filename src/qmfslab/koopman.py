@@ -75,8 +75,8 @@ class ClassicalFlow:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
         object.__setattr__(self, "_f", _make_eval(self.f))
         object.__setattr__(self, "_g", _make_eval(self.g))
 

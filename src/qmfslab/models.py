@@ -14,6 +14,7 @@ split the dynamics into two commuting oscillator subsystems {Q, Pi} and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +79,14 @@ def rebased_model(model: LinearModel, T: np.ndarray) -> LinearModel:
     return LinearModel(model.n_modes, model.hbar, Gp, couplings)
 
 
-def _check_oscillator_params(m: float, omega: float):
+def _check_finite(**params):
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_oscillator_params(m: float, omega: float, hbar: float):
+    _check_finite(m=m, omega=omega, hbar=hbar)
     if m == 0:
         raise ValueError("mass must be nonzero")
     if omega <= 0:
@@ -91,7 +99,7 @@ def single_oscillator(m: float, omega: float, hbar: float = 1.0) -> ModelBundle:
     Negative m inverts the entire Hamiltonian: same oscillation frequency,
     opposite phase-space circulation, energy ladder running down.
     """
-    _check_oscillator_params(m, omega)
+    _check_oscillator_params(m, omega, hbar)
     G = np.diag([m * omega**2, 1.0 / m])
     model = LinearModel(1, hbar, G, force_couplings=(np.array([0.0, 1.0]),))
     sign = "negative" if m < 0 else "positive"
@@ -130,10 +138,10 @@ def oscillator_pair(m: float, omega: float, hbar: float = 1.0) -> ModelBundle:
     closed harmonic-oscillator subsystem.  The force port drives p of
     the positive-mass oscillator.
     """
+    _check_oscillator_params(m, omega, hbar)
     if m <= 0:
         raise ValueError("pair mass must be positive (the primed partner "
                          "carries the negative mass)")
-    _check_oscillator_params(m, omega)
     G = np.diag([m * omega**2, 1.0 / m, -m * omega**2, -1.0 / m])
     force_b = np.array([0.0, 1.0, 0.0, 0.0])
     model = LinearModel(2, hbar, G, force_couplings=(force_b,))
@@ -166,6 +174,7 @@ def sideband_model(omega_mod: float, hbar: float = 1.0) -> ModelBundle:
     E_i built from alpha_i, but the carrier oscillation is not part of
     the modulation-picture dynamics.
     """
+    _check_finite(omega_mod=omega_mod, hbar=hbar)
     if omega_mod <= 0:
         raise ValueError("modulation frequency must be positive")
     base = oscillator_pair(1.0, omega_mod, hbar)
@@ -209,6 +218,7 @@ def spin_pair_hp(J0: float, gamma_B0: float, hbar: float = 1.0) -> ModelBundle:
     This is the oscillator pair at frequency gamma*B0 with effective
     mass 1/(gamma*B0).
     """
+    _check_finite(J0=J0, gamma_B0=gamma_B0, hbar=hbar)
     if J0 <= 0:
         raise ValueError("J0 must be positive")
     if gamma_B0 <= 0:

@@ -305,6 +305,37 @@ class TestCriterion7SpinPair:
         ]
         assert devs[0] > devs[1] > devs[2]
 
+    # the block path reaches the large-J0 limit (dimension up to 257^2)
+    LARGE_J0 = (16.0, 32.0, 64.0, 128.0)
+
+    @pytest.fixture(scope="class")
+    def large_pairs(self):
+        return [spins.build_spin_pair(J0, 1.0, HBAR) for J0 in self.LARGE_J0]
+
+    @staticmethod
+    def loglog_slope(values, J0s):
+        return np.polyfit(np.log(J0s), np.log(values), 1)[0]
+
+    def test_identity_residual_at_large_j0(self, large_pairs):
+        # the residual bound measured about eps ||Q||^2 ~ 4 J0 eps
+        # (8e-14 at J0 = 128), far below the unchanged tolerance
+        for pair in large_pairs:
+            assert spins.qmfs_commutator_identity(pair, 0.7, 0.2) < 1e-10
+
+    def test_low_excitation_norm_falls_as_one_over_j0(self, large_pairs):
+        norms = [spins.excitation_restricted_norm(pair, 0.0, 0.7, n_max=2)
+                 for pair in large_pairs]
+        assert all(np.diff(norms) < 0)
+        assert self.loglog_slope(norms, self.LARGE_J0) == pytest.approx(
+            -1.0, abs=0.05)
+
+    def test_hp_deviation_keeps_falling(self, large_pairs):
+        devs = [spins.hp_agreement(pair, 0.5,
+                                   np.linspace(0.0, 2 * np.pi, 9))[1]
+                for pair in large_pairs]
+        assert all(np.diff(devs) < 0)
+        assert self.loglog_slope(devs, self.LARGE_J0) < -0.9
+
 
 class TestCriterion8Stroboscopic:
     def test_cnot_and_toffoli_maps_exact(self):

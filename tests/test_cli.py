@@ -171,8 +171,62 @@ class TestSpin:
         lines = (out / "spin_sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + two rows
 
+    def test_beyond_the_old_dense_cap(self, tmp_path):
+        # J0 = 32 is dimension 65^2 = 4225, above the old dense cap 4096
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "spin", "--j0-list", "4,32"]) == EXIT_OK
+        summary = read_summary(out)
+        rows = np.loadtxt(out / "spin_sweep.csv", delimiter=",", skiprows=1)
+        assert rows[:, 0].tolist() == [4.0, 32.0]
+        assert np.all(rows[:, 1] < summary["tolerances"]["identity_residual"])
+
+    @pytest.mark.parametrize("j0_list", ["4,200", "0.7", "4,-2"])
+    def test_j0_outside_the_block_path_is_bad_input(self, tmp_path, capsys,
+                                                    j0_list):
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "spin",
+                     "--j0-list", j0_list]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "J0" in err
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
 
 class TestCircuit:
+    def test_file_from_config(self, tmp_path):
+        circ = tmp_path / "toffoli.txt"
+        circ.write_text("bits 3\nCCX 0 1 2\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"file": str(circ), "verify": True}))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "circuit"]) == EXIT_OK
+        assert read_summary(out)["n_bits"] == 3
+        assert read_summary(out)["dense_deviation"] == 0
+
+    def test_file_flag_beats_config(self, tmp_path):
+        toffoli, cnot = tmp_path / "toffoli.txt", tmp_path / "cnot.txt"
+        toffoli.write_text("bits 3\nCCX 0 1 2\n")
+        cnot.write_text("bits 2\nCX 0 1\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"file": str(toffoli)}))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out", str(out), "circuit",
+                     "--file", str(cnot)]) == EXIT_OK
+        assert read_summary(out)["n_bits"] == 2
+
+    @pytest.mark.parametrize("doc", [None, {"file": None}, {"verify": True}])
+    def test_file_still_required(self, tmp_path, capsys, doc):
+        argv = ["--out", str(tmp_path / "run"), "circuit"]
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv = ["--config", str(cfg), *argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_BAD_INPUT
+        assert "required: --file" in capsys.readouterr().err
+
     def test_truth_tables_and_verify(self, tmp_path):
         circ = tmp_path / "toffoli.txt"
         circ.write_text("bits 3\nCCX 0 1 2\n")
@@ -233,9 +287,23 @@ class TestNonFiniteOrNegativeValues:
         ("simulate", "T", "inf", "dt and T must be finite"),
         ("force", "dt", "nan", "dt and T must be finite"),
         ("force", "T", "inf", "dt and T must be finite"),
+        ("check", "j0", "nan", "--j0 must be"),
+        ("check", "gamma_b0", "inf", "--gamma-b0 must be"),
+        ("check", "hbar", "nan", "--hbar must be"),
+        ("check", "omega", "nan", "--omega must be"),
+        ("check", "m", "inf", "--m must be"),
+        ("simulate", "omega", "nan", "--omega must be"),
+        ("force", "hbar", "inf", "--hbar must be"),
+        ("koopman", "dt", "nan", "--dt must be"),
+        ("koopman", "dt", "0", "--dt must be"),
+        ("koopman", "T", "inf", "--T must be"),
+        ("koopman", "epsilon", "nan", "--epsilon must be"),
+        ("koopman", "q0", "inf", "--q0 must be"),
+        ("koopman", "pi0", "nan", "--pi0 must be"),
     ]
     BASE = {"simulate": {"T": "0.05", "force_amp": "1"},
-            "force": {"T": "0.5"}}
+            "force": {"T": "0.5"}, "check": {"model": "spin-hp"},
+            "koopman": {"n_levels": "8"}}
 
     def base_argv(self, command, key):
         """Short-run flags for command, leaving key to the test."""
@@ -250,7 +318,9 @@ class TestNonFiniteOrNegativeValues:
         argv = ["--out", str(out), command, *self.base_argv(command, key),
                 flag, value]
         assert main(argv) == EXIT_BAD_INPUT
-        assert f"error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("command, key, value, message", CASES)
@@ -262,7 +332,9 @@ class TestNonFiniteOrNegativeValues:
         argv = ["--config", str(cfg), "--out", str(out), command,
                 *self.base_argv(command, key)]
         assert main(argv) == EXIT_BAD_INPUT
-        assert f"error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
         assert not (out / "summary.json").exists()
 
     def test_k_zero_is_an_unmonitored_run(self, tmp_path):

@@ -18,9 +18,42 @@ from qmfslab.fock import (
     oscillator_hamiltonian,
     poly1,
     poly_eval,
-    poly_op,
     top_level_population,
 )
+
+
+def poly_op(poly, Q_ops, Pi_ops) -> np.ndarray:
+    """Dense operator value of a polynomial in the commuting set (Q, Pi),
+    as dense matrix products in a fixed canonical order."""
+    dim = Q_ops[0].shape[0]
+    out = np.zeros((dim, dim), dtype=complex)
+    for (a, b), coef in poly:
+        factors = []
+        for j, (aj, bj) in enumerate(zip(a, b)):
+            factors += [Q_ops[j]] * aj + [Pi_ops[j]] * bj
+        if not factors:
+            out += coef * np.eye(dim)
+            continue
+        term = coef * factors[0]
+        for factor in factors[1:]:
+            term = term @ factor
+        out += term
+    return out
+
+
+def dense_koopman_hamiltonian(pk, spec, hbar=1.0, ref_scale=1.0):
+    """H from dense products of the embedded operators: the construction
+    the Kronecker-factor build replaced, kept as its oracle."""
+    ops = koopman_operators(pk.M, spec, hbar, ref_scale)
+    H = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for j in range(pk.M):
+        F = poly_op(pk.f[j], ops["Q"], ops["Pi"])
+        Gm = poly_op(pk.g[j], ops["Q"], ops["Pi"])
+        P, Phi = ops["P"][j], ops["Phi"][j]
+        H += 0.5 * (P @ F + F @ P + Phi @ Gm + Gm @ Phi)
+    if pk.h:
+        H += poly_op(pk.h, ops["Q"], ops["Pi"])
+    return H
 
 
 class TestTruncationSpec:
@@ -146,6 +179,33 @@ class TestPolyKoopman:
 
 
 class TestKoopmanHamiltonian:
+    CASES = [
+        # the koopman command's default flow
+        (PolyKoopman(M=1, f=(poly1((0, 1, 1.0), (2, 0, 0.1)),),
+                     g=(poly1((1, 0, 1.0)),)),
+         TruncationSpec(n_levels=20, n_modes=2, core_levels=2), 1.0, 1.0),
+        # cubic and mixed terms, constants, h, other hbar and scale
+        (PolyKoopman(M=1, f=(poly1((0, 1, 0.7), (3, 0, -0.2), (1, 2, 0.3)),),
+                     g=(poly1((1, 0, 1.3), (0, 0, 0.5)),),
+                     h=poly1((2, 1, 0.4), (0, 0, 1.0))),
+         TruncationSpec(n_levels=12, n_modes=2), 0.7, 1.9),
+        # two pairs: factors on four modes
+        (PolyKoopman(M=2,
+                     f=(((((0, 0), (1, 0)), 1.0), (((1, 0), (0, 1)), 0.2)),
+                        ((((0, 0), (0, 1)), 1.0),)),
+                     g=(((((1, 0), (0, 0)), 1.0),),
+                        ((((0, 1), (0, 0)), 2.0), (((1, 1), (0, 0)), 0.1))),
+                     h=((((1, 0), (0, 1)), 0.3),)),
+         TruncationSpec(n_levels=5, n_modes=4), 1.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("pk, spec, hbar, ref_scale", CASES)
+    def test_kronecker_build_matches_dense_products(self, pk, spec, hbar,
+                                                    ref_scale):
+        H, _ = build_koopman_hamiltonian(pk, spec, hbar, ref_scale)
+        ref = dense_koopman_hamiltonian(pk, spec, hbar, ref_scale)
+        assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_hermitian(self):
         pk = PolyKoopman(
             M=1,

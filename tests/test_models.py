@@ -194,6 +194,29 @@ class TestSpinPairHp:
             spin_pair_hp(8.0, 0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteParameters:
+    """Each builder names the non-finite parameter it was given."""
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: spin_pair_hp(NAN, 1.0), "J0"),
+        (lambda: spin_pair_hp(8.0, INF), "gamma_B0"),
+        (lambda: spin_pair_hp(8.0, 1.0, hbar=NAN), "hbar"),
+        (lambda: single_oscillator(NAN, 1.0), "m"),
+        (lambda: single_oscillator(1.0, -INF), "omega"),
+        (lambda: oscillator_pair(1.0, NAN), "omega"),
+        (lambda: oscillator_pair(NAN, 1.0), "m"),
+        (lambda: oscillator_pair(1.0, 1.0, hbar=INF), "hbar"),
+        (lambda: sideband_model(NAN), "omega_mod"),
+        (lambda: sideband_model(1.0, hbar=NAN), "hbar"),
+    ])
+    def test_named(self, build, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build()
+
+
 class TestModelBundle:
     def test_bad_basis_rejected(self):
         b = oscillator_pair(1.0, 1.0)

@@ -1,17 +1,105 @@
 """Exact finite-J0 two-ensemble spin dynamics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from qmfslab import spins
+from qmfslab.fock import HeisenbergPropagator
 from qmfslab.models import spin_pair_hp
+from qmfslab.phase_space import transfer_matrix
 from qmfslab.spins import (
     angular_momentum_ops,
     build_spin_pair,
+    evolve_state,
     excitation_restricted_norm,
     hp_agreement,
     qmfs_commutator_identity,
     stretched_state,
 )
+
+
+class DensePair:
+    """The dense construction the block path replaced, kept as an oracle
+    for small J0: six kron operators on the product space, a dense H and
+    its eigendecomposition, commutators as dense matrix products.
+
+    ``H`` defaults to -gamma B0 (Jz + J'z); pass another diagonal H to
+    check the block path on energies that are not linear in M.
+    """
+
+    def __init__(self, pair, H=None):
+        Jx, Jy, Jz = angular_momentum_ops(pair.J0, pair.hbar)
+        eye = np.eye(Jx.shape[0])
+        self.pair = pair
+        self.ops = {
+            "Jx": np.kron(Jx, eye), "Jy": np.kron(Jy, eye),
+            "Jz": np.kron(Jz, eye), "Jx2": np.kron(eye, Jx),
+            "Jy2": np.kron(eye, Jy), "Jz2": np.kron(eye, Jz),
+        }
+        if H is None:
+            H = -pair.gamma_B0 * (self.ops["Jz"] + self.ops["Jz2"])
+        self.H = H
+        self.Q = (self.ops["Jx"] + self.ops["Jx2"]) / np.sqrt(pair.J0)
+        self.propagator = HeisenbergPropagator(H, pair.hbar)
+
+    def commutator(self, t, t_prime):
+        Qt = self.propagator.evolve(self.Q, t)
+        Qtp = self.propagator.evolve(self.Q, t_prime)
+        return Qt @ Qtp - Qtp @ Qt
+
+    def identity_residual(self, t, t_prime):
+        p = self.pair
+        closed = (1j * p.hbar * np.sin(p.gamma_B0 * (t_prime - t))
+                  * (self.ops["Jz"] + self.ops["Jz2"]) / p.J0)
+        return float(np.linalg.norm(self.commutator(t, t_prime) - closed, 2))
+
+    def excitation_restricted_norm(self, t, t_prime, n_max):
+        p = self.pair
+        n_op = ((p.J0 * p.hbar - np.diag(self.ops["Jz"]))
+                + (p.J0 * p.hbar + np.diag(self.ops["Jz2"]))) / p.hbar
+        keep = np.real(n_op) <= n_max + 1e-9
+        comm = self.commutator(t, t_prime)
+        return float(np.linalg.norm(comm[np.ix_(keep, keep)], 2))
+
+    def hp_agreement(self, displacement, t_grid):
+        p = self.pair
+        model = spin_pair_hp(p.J0, p.gamma_B0, p.hbar).model
+        theta = displacement / (np.sqrt(p.J0) * p.hbar)
+        _, Jy, _ = angular_momentum_ops(p.J0, p.hbar)
+        w, U = np.linalg.eigh(Jy)
+        up = np.zeros(p.d, dtype=complex)
+        up[0] = 1.0
+        up = U @ np.diag(np.exp(-1j * theta * w / p.hbar)) @ U.conj().T @ up
+        down = np.zeros(p.d, dtype=complex)
+        down[-1] = 1.0
+        psi = np.kron(up, down)
+        mean0 = np.array([p.J0 * p.hbar * np.sin(theta) / np.sqrt(p.J0),
+                          0.0, 0.0, 0.0])
+        V0 = (p.hbar / 2) * np.eye(4)
+        row_Q = np.array([1.0, 0.0, 1.0, 0.0])
+        Q2 = self.Q @ self.Q
+        dev_mean = dev_var = 0.0
+        for t in t_grid:
+            psit = self.propagator.evolve_state(psi, t)
+            mean = float(np.real(psit.conj() @ self.Q @ psit))
+            var = float(np.real(psit.conj() @ Q2 @ psit)) - mean**2
+            Phi = transfer_matrix(model, t)
+            dev_mean = max(dev_mean, abs(mean - float(row_Q @ Phi @ mean0)))
+            dev_var = max(dev_var, abs(
+                var - float(row_Q @ Phi @ V0 @ Phi.T @ row_Q)))
+        scale_mean = max(abs(displacement), np.sqrt(p.hbar))
+        return dev_mean / scale_mean, dev_var / p.hbar
+
+
+def as_dense(pair, parts):
+    """A shift-form operator of the block path as a dense matrix."""
+    return spins._dense_block(parts, np.ones((pair.d, pair.d), dtype=bool))
+
+
+SMALL_J0 = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+TIME_PAIRS = [(0.0, 0.7), (1.1, 0.4), (2.0, 2.0), (2.5, -1.3)]
 
 
 class TestAngularMomentumOps:
@@ -37,6 +125,9 @@ class TestAngularMomentumOps:
             angular_momentum_ops(0.7)
         with pytest.raises(ValueError):
             angular_momentum_ops(-1.0)
+        for J0 in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="J0"):
+                angular_momentum_ops(J0)
 
 
 class TestBuildSpinPair:
@@ -45,17 +136,29 @@ class TestBuildSpinPair:
         assert pair.dim == 25
 
     def test_dim_cap(self):
+        # J0 = 128 (dim 257^2) is the largest the block path takes
+        assert build_spin_pair(128.0, 1.0).dim == spins.DIM_CAP
         with pytest.raises(ValueError, match="cap"):
-            build_spin_pair(40.0, 1.0)
+            build_spin_pair(128.5, 1.0)
+
+    def test_dim_cap_checked_before_allocation(self):
+        # single-spin operators alone would need 2e6 x 2e6 entries
+        with pytest.raises(ValueError, match="cap"):
+            build_spin_pair(1e6, 1.0)
 
     def test_energy_conservation_structure(self):
-        # H = -gamma B0 (Jz + J'z) is diagonal in the product basis
+        # H = -gamma B0 (Jz + J'z) is diagonal in the product basis, and
+        # the block path's energies are its diagonal
         pair = build_spin_pair(1.0, 2.0)
-        assert np.allclose(pair.H, np.diag(np.diag(pair.H)), atol=1e-13)
+        H = DensePair(pair).H
+        assert np.allclose(H, np.diag(np.diag(H)), atol=1e-13)
+        assert np.array_equal(np.diag(H), pair.energies.ravel())
 
     def test_collective_q_hermitian(self):
         pair = build_spin_pair(2.0, 1.0)
-        assert np.linalg.norm(pair.Q - pair.Q.conj().T) < 1e-13
+        dense = as_dense(pair, spins._evolved_q(pair, 0.0))
+        assert np.linalg.norm(dense - dense.conj().T) < 1e-13
+        assert np.array_equal(dense, DensePair(pair).Q)
 
 
 class TestStretchedState:
@@ -67,8 +170,9 @@ class TestStretchedState:
     def test_opposite_polarization(self):
         pair = build_spin_pair(4.0, 1.0)
         psi = stretched_state(pair)
-        jz = np.real(psi.conj() @ pair.ops["Jz"] @ psi)
-        jz2 = np.real(psi.conj() @ pair.ops["Jz2"] @ psi)
+        ops = DensePair(pair).ops
+        jz = np.real(psi.conj() @ ops["Jz"] @ psi)
+        jz2 = np.real(psi.conj() @ ops["Jz2"] @ psi)
         assert jz == pytest.approx(4.0)
         assert jz2 == pytest.approx(-4.0)
 
@@ -76,7 +180,7 @@ class TestStretchedState:
         pair = build_spin_pair(8.0, 1.0)
         theta = 0.05
         psi = stretched_state(pair, theta)
-        q = np.real(psi.conj() @ pair.Q @ psi)
+        q = np.real(psi.conj() @ DensePair(pair).Q @ psi)
         # <Jx> = J0 sin(theta) for the rotated spin
         assert q == pytest.approx(8.0 * np.sin(theta) / np.sqrt(8.0), abs=1e-12)
 
@@ -100,9 +204,7 @@ class TestCommutatorIdentity:
         assert correct < 1e-12 and swapped < 1e-12
         # the identity is genuinely antisymmetric: commutator at (t, t')
         # differs from the one at (t', t)
-        Qt = pair.propagator.evolve(pair.Q, t)
-        Qtp = pair.propagator.evolve(pair.Q, tp)
-        comm = Qt @ Qtp - Qtp @ Qt
+        comm = DensePair(pair).commutator(t, tp)
         assert np.linalg.norm(comm) > 0.1
 
     def test_suppressed_on_stretched_state(self):
@@ -111,9 +213,7 @@ class TestCommutatorIdentity:
         # a nonzero right-hand side
         pair = build_spin_pair(4.0, 1.0)
         psi = stretched_state(pair)
-        Qt = pair.propagator.evolve(pair.Q, 0.0)
-        Qtp = pair.propagator.evolve(pair.Q, 0.9)
-        comm = Qt @ Qtp - Qtp @ Qt
+        comm = DensePair(pair).commutator(0.0, 0.9)
         assert abs(psi.conj() @ comm @ psi) < 1e-12
 
 
@@ -134,6 +234,12 @@ class TestExcitationRestriction:
         low = excitation_restricted_norm(pair, 0.0, 0.7, n_max=1)
         high = excitation_restricted_norm(pair, 0.0, 0.7, n_max=16)
         assert high > low
+
+    def test_kept_block_is_capped(self):
+        # n_max = 4 J0 keeps all 65^2 = 4225 states of J0 = 32
+        pair = build_spin_pair(32.0, 1.0)
+        with pytest.raises(ValueError, match="kept block"):
+            excitation_restricted_norm(pair, 0.0, 0.7, n_max=128)
 
 
 class TestHolsteinPrimakoff:
@@ -172,9 +278,10 @@ class TestHeisenbergEvolution:
         # (sign checked against the dense propagator)
         g = 1.7
         pair = build_spin_pair(2.0, g)
+        dense = DensePair(pair)
         t = 0.6
-        Jxt = pair.propagator.evolve(pair.ops["Jx"], t)
-        expected = pair.ops["Jx"] * np.cos(g * t) + pair.ops["Jy"] * np.sin(
+        Jxt = dense.propagator.evolve(dense.ops["Jx"], t)
+        expected = dense.ops["Jx"] * np.cos(g * t) + dense.ops["Jy"] * np.sin(
             g * t
         )
         assert np.linalg.norm(Jxt - expected) < 1e-12
@@ -182,5 +289,91 @@ class TestHeisenbergEvolution:
     def test_state_evolution_unitary(self):
         pair = build_spin_pair(2.0, 1.0)
         psi = stretched_state(pair, 0.3)
-        psit = pair.propagator.evolve_state(psi, 1.7)
+        psit = evolve_state(pair, psi, 1.7)
         assert np.linalg.norm(psit) == pytest.approx(1.0)
+
+
+def nonlinear_energies(pair):
+    """Energies quadratic in M: the Delta M = +-2 parts of the
+    commutator no longer cancel, so the residual is macroscopic."""
+    jz = pair.jz_total
+    return -pair.gamma_B0 * jz + 0.37 * jz**2 / pair.hbar
+
+
+class TestBlockPathAgainstDense:
+    """The block path reproduces the dense construction at J0 <= 4."""
+
+    @pytest.mark.parametrize("J0", SMALL_J0)
+    def test_commutator_matches_entrywise(self, J0):
+        pair = build_spin_pair(J0, 1.3)
+        dense = DensePair(pair)
+        scale = np.linalg.norm(dense.Q, 2) ** 2
+        for t, tp in TIME_PAIRS:
+            block = as_dense(pair, spins._two_time_commutator(pair, t, tp))
+            diff = block - dense.commutator(t, tp)
+            assert np.max(np.abs(diff)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("J0", SMALL_J0)
+    def test_dense_residual_between_the_bounds(self, J0):
+        # both sides are rounding noise here, so "between" holds up to
+        # the rounding scale eps ||Q||^2
+        pair = build_spin_pair(J0, 1.3)
+        dense = DensePair(pair)
+        rounding = 1e-13 * np.linalg.norm(dense.Q, 2) ** 2
+        for t, tp in TIME_PAIRS:
+            D, U = spins._identity_residual_blocks(pair, t, tp)
+            residual = dense.identity_residual(t, tp)
+            assert max(D, U) <= residual + rounding
+            assert residual <= D + 2 * U + rounding
+            assert qmfs_commutator_identity(pair, t, tp) == D + 2 * U
+
+    @pytest.mark.parametrize("J0", (1.0, 2.0, 3.0))
+    def test_bounds_hold_for_a_macroscopic_residual(self, J0, monkeypatch):
+        pair = build_spin_pair(J0, 1.3)
+        dense = DensePair(pair, H=np.diag(nonlinear_energies(pair).ravel()))
+        monkeypatch.setattr(spins.SpinPair, "energies",
+                            property(nonlinear_energies))
+        for t, tp in [(0.0, 0.7), (1.1, 0.4), (2.5, -1.3)]:
+            D, U = spins._identity_residual_blocks(pair, t, tp)
+            residual = dense.identity_residual(t, tp)
+            assert residual > 0.1 and U > 0.1
+            assert max(D, U) <= residual * (1 + 1e-12)
+            assert residual <= (D + 2 * U) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("J0", SMALL_J0)
+    def test_excitation_norm_matches(self, J0):
+        pair = build_spin_pair(J0, 1.3)
+        dense = DensePair(pair)
+        scale = np.linalg.norm(dense.Q, 2) ** 2
+        for n_max in (0, 1, 2, 5):
+            for t, tp in TIME_PAIRS:
+                assert excitation_restricted_norm(pair, t, tp, n_max) == (
+                    pytest.approx(dense.excitation_restricted_norm(
+                        t, tp, n_max), abs=1e-13 * scale))
+
+    @pytest.mark.parametrize("J0", (1.0, 2.0, 3.0, 4.0))
+    def test_hp_agreement_matches(self, J0):
+        pair = build_spin_pair(J0, 1.3)
+        grid = np.linspace(0.0, 2 * np.pi, 9)
+        dev_mean, dev_var = hp_agreement(pair, 0.5, grid)
+        ref_mean, ref_var = DensePair(pair).hp_agreement(0.5, grid)
+        assert dev_var == pytest.approx(ref_var, rel=1e-12)
+        # the Gaussian mean is exact, so the mean deviation is rounding
+        # noise (~1e-14); it agrees on the scale of the moments (1)
+        assert dev_mean == pytest.approx(ref_mean, abs=1e-12)
+
+    @pytest.mark.parametrize("J0", (0.5, 2.0, 4.0))
+    def test_state_evolution_by_phases(self, J0):
+        pair = build_spin_pair(J0, 1.3)
+        psi = stretched_state(pair, 0.4)
+        ref = DensePair(pair).propagator.evolve_state(psi, 1.9)
+        assert np.max(np.abs(evolve_state(pair, psi, 1.9) - ref)) < 1e-13
+
+    def test_stray_delta_m_is_caught(self):
+        # a Jx with (non-constant) diagonal entries gives Q a Delta M = 0
+        # part, so the commutator gets Delta M = +-1 parts; those raise
+        pair = build_spin_pair(2.0, 1.0)
+        stray = np.diag(np.linspace(0.0, 0.3, pair.d))
+        bad = dataclasses.replace(pair, jx=pair.jx + stray)
+        with pytest.raises(AssertionError, match="changes M"):
+            spins._identity_residual_blocks(bad, 0.0, 0.7)
