@@ -166,7 +166,13 @@ def cmd_check(args, out_dir: Path, config: dict) -> int:
 
 
 def _channels_from_args(bundle, args):
-    s = models.ROW_Q if bundle.model.n_modes == 2 else np.array([1.0, 0.0])
+    """Monitor q of a 1-mode model or Q = q + q' of a 2-mode model."""
+    n_modes = bundle.model.n_modes
+    if n_modes > 2:
+        raise ValueError(
+            f"the model has {n_modes} modes; the monitor measures q of a "
+            "1-mode model or Q = q + q' of a 2-mode model only")
+    s = models.ROW_Q if n_modes == 2 else np.array([1.0, 0.0])
     return (conditional.MeasurementChannel(s, args.k, args.eta),)
 
 
@@ -232,11 +238,12 @@ def cmd_force(args, out_dir: Path, config: dict) -> int:
 
     def posterior_std(bundle):
         model = bundle.model
+        channels = _channels_from_args(bundle, args)
         template = conditional.ForceDrive.sinusoid(
             model.force_couplings[0], 1.0, omega
         )
         return conditional.force_posterior_std(
-            model, _channels_from_args(bundle, args), template, args.dt, args.T
+            model, channels, template, args.dt, args.T
         )
 
     std = posterior_std(bundle)
@@ -362,10 +369,18 @@ _POSITIVE = _checked(float, "a finite number > 0",
                      lambda v: math.isfinite(v) and v > 0)
 _NONZERO = _checked(float, "a finite nonzero number",
                     lambda v: math.isfinite(v) and v != 0)
-# kept as text: cmd_spin splits it
-_FINITE_LIST = _checked(str, "comma-separated finite numbers",
-                        lambda v: all(math.isfinite(float(x))
-                                      for x in v.split(",")))
+
+
+def _j0_list(text):
+    """argparse type of --j0-list, kept as text (cmd_spin splits it):
+    every J0 must pass the check that ``spins.build_spin_pair`` makes."""
+    try:
+        for x in text.split(","):
+            spins._check_j0(float(x))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated J0 values, got {text!r}: {exc}")
+    return text
 
 
 def _add_model_args(p):
@@ -435,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-levels", type=int, default=20)
 
     p = command("spin", "finite-J0 sweep")
-    p.add_argument("--j0-list", type=_FINITE_LIST, default="2,4,8")
+    p.add_argument("--j0-list", type=_j0_list, default="2,4,8")
     p.add_argument("--gamma-b0", type=_NONZERO, default=1.0)
 
     p = command("circuit", "reversible-circuit propagation")

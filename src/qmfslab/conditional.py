@@ -31,7 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag, expm
 
-from .phase_space import MAX_EXPM_NORM, LinearModel, transfer_matrix
+from .phase_space import (
+    MAX_EXPM_NORM,
+    LinearModel,
+    _check_finite,
+    transfer_matrix,
+)
 
 __all__ = [
     "GaussianState",
@@ -145,12 +150,6 @@ class MeasurementChannel:
         object.__setattr__(self, "s", s)
 
 
-def _require_finite(**values):
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ForceDrive:
     """External force F(t) = c.z(t) entering through coupling vector b.
@@ -179,13 +178,13 @@ class ForceDrive:
     @staticmethod
     def constant(b, F0: float) -> "ForceDrive":
         """F(t) = F0: a 1-dim generator with W = 0."""
-        _require_finite(F0=F0)
+        _check_finite(F0=F0)
         return ForceDrive(b, np.zeros((1, 1)), np.ones(1), np.array([F0]))
 
     @staticmethod
     def sinusoid(b, F0: float, omega_F: float, phase: float = 0.0) -> "ForceDrive":
         """F(t) = F0 sin(omega_F t + phase): z = F0 (sin, cos) rotates."""
-        _require_finite(F0=F0, omega_F=omega_F, phase=phase)
+        _check_finite(F0=F0, omega_F=omega_F, phase=phase)
         W = np.array([[0.0, omega_F], [-omega_F, 0.0]])
         z0 = F0 * np.array([math.sin(phase), math.cos(phase)])
         return ForceDrive(b, W, np.array([1.0, 0.0]), z0)

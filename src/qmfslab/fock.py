@@ -6,6 +6,12 @@ independent ground truth for the linear phase-space engine and the
 classical-flow correspondence, with truncation as the only error
 source.
 
+Every product-space operator is a Kronecker product of single-mode
+(n_levels x n_levels) factors, mode 0 first, formed by one helper: an
+operator on one mode is its factor there and the identity elsewhere.
+Products of operators on one mode are taken on the factors, so no
+dim x dim product is needed to build them.
+
 The Koopman-style Hamiltonian
 
     H = (1/2) sum_j (P_j f_j + f_j P_j + Phi_j g_j + g_j Phi_j) + h
@@ -13,9 +19,16 @@ The Koopman-style Hamiltonian
 with f, g, h polynomials in the mutually commuting set (Q, Pi) drives
 dQ_j/dt = f_j(Q, Pi), dPi_j/dt = -g_j(Q, Pi): the (Q, Pi) observables
 evolve under any chosen classical dynamics while commuting with each
-other at all times.  Mode layout: mode j carries (Q_j, P_j), mode M+j
-carries (Phi_j, Pi_j); Q and Pi live on different modes, which is what
-makes them commute.
+other at all times.  Mode layout for M pairs on 2 M modes: mode j
+carries (Q_j, P_j) and mode M + j carries (Phi_j, Pi_j), so
+``build_quadrature_ops(spec)[j]`` is (Q_j, P_j) and ``[M + j]`` is
+(Phi_j, Pi_j).  Q and Pi live on different modes, which is what makes
+them commute.
+
+Truncation is trusted only on the low-excitation core: the product
+states with fewer than ``core_levels`` quanta in every mode.
+``core_mask`` is that set as a boolean mask over the product basis
+(flat kron index), and guarded quantities are read on it.
 """
 
 from __future__ import annotations
@@ -30,18 +43,17 @@ __all__ = [
     "TruncationSpec",
     "PolyKoopman",
     "build_quadrature_ops",
-    "koopman_operators",
     "build_koopman_hamiltonian",
     "oscillator_hamiltonian",
-    "heisenberg_op",
     "HeisenbergPropagator",
     "commutator_residual",
-    "guard_projector",
+    "core_mask",
     "top_level_population",
     "poly_eval",
     "poly1",
 ]
 
+# largest product-space dimension n_levels ** n_modes
 DIM_CAP = 4096
 MAX_DEGREE = 4
 
@@ -51,7 +63,8 @@ class TruncationSpec:
     """Per-mode truncation N with a trusted low-excitation core.
 
     Guarded quantities are evaluated on the subspace with fewer than
-    ``core_levels`` quanta per mode (default N // 2).  A thin band at
+    ``core_levels`` quanta per mode (default N // 2; see ``core_mask``).
+    The dimension N ** n_modes may not exceed ``DIM_CAP``.  A thin band at
     the top of the ladder is not enough: for the coupled Hamiltonians
     built here the truncation defect sits inside a (near-)degenerate
     spectrum and contaminates a depth that grows with N, so the trusted
@@ -62,18 +75,14 @@ class TruncationSpec:
     n_levels: int
     n_modes: int = 2
     core_levels: int = None
-    guard_fraction: float = 1e-6
-    dim_cap: int = DIM_CAP
 
     def __post_init__(self):
         if self.n_levels < 2:
             raise ValueError("need at least 2 levels per mode")
         if self.n_modes < 1:
             raise ValueError("need at least 1 mode")
-        if self.dim > self.dim_cap:
-            raise ValueError(
-                f"total dimension {self.dim} exceeds cap {self.dim_cap}"
-            )
+        if self.dim > DIM_CAP:
+            raise ValueError(f"total dimension {self.dim} exceeds cap {DIM_CAP}")
         if self.core_levels is None:
             object.__setattr__(self, "core_levels", max(1, self.n_levels // 2))
         if not 1 <= self.core_levels <= self.n_levels:
@@ -88,13 +97,15 @@ def _ladder(N: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, N)), 1)
 
 
+def _kron(factors) -> np.ndarray:
+    """Kronecker product of one factor per mode, mode 0 first."""
+    return functools.reduce(np.kron, factors)
+
+
 def _embed(op: np.ndarray, mode: int, spec: TruncationSpec) -> np.ndarray:
-    """Single-mode operator -> full product space (kron ordering mode 0 first)."""
-    out = np.array([[1.0 + 0j]])
-    N = spec.n_levels
-    for k in range(spec.n_modes):
-        out = np.kron(out, op if k == mode else np.eye(N))
-    return out
+    """Single-mode operator on ``mode``, the identity on every other mode."""
+    eye = np.eye(spec.n_levels)
+    return _kron([op if k == mode else eye for k in range(spec.n_modes)])
 
 
 def _quadratures(N: int, hbar: float, ref_scale: float):
@@ -223,30 +234,18 @@ def poly_eval(poly, Q, Pi) -> float:
     return total
 
 
-def koopman_operators(
-    pk_M: int, spec: TruncationSpec, hbar: float = 1.0, ref_scale: float = 1.0
-) -> dict:
-    """Operator dictionary {Q, P, Phi, Pi}: lists of length M."""
-    if spec.n_modes != 2 * pk_M:
-        raise ValueError(
-            f"need {2 * pk_M} modes for M={pk_M} pairs, spec has {spec.n_modes}"
-        )
-    pairs = build_quadrature_ops(spec, hbar, ref_scale)
-    return {
-        "Q": [pairs[j][0] for j in range(pk_M)],
-        "P": [pairs[j][1] for j in range(pk_M)],
-        "Phi": [pairs[pk_M + j][0] for j in range(pk_M)],
-        "Pi": [pairs[pk_M + j][1] for j in range(pk_M)],
-    }
-
-
 def build_koopman_hamiltonian(
     pk: PolyKoopman,
     spec: TruncationSpec,
     hbar: float = 1.0,
     ref_scale: float = 1.0,
 ):
-    """Dense Hamiltonian matrix plus the operator dictionary it acts on.
+    """Dense Hamiltonian H and the commuting observables it is checked on.
+
+    Returns ``(H, {"Q": [Q_j], "Pi": [Pi_j]})`` for j < M; ``spec`` must
+    have 2 M modes (layout in the module docstring).  P_j and Phi_j
+    enter H only through single-mode factors and are not returned; take
+    them from ``build_quadrature_ops`` by mode.
 
     Every operator in H acts on one mode, so each term is a Kronecker
     product of single-mode (n_levels x n_levels) factors: a monomial
@@ -256,7 +255,10 @@ def build_koopman_hamiltonian(
     for each of P f, f P, Phi g and g Phi, so the Hermiticity check below
     still catches an ordering defect.
     """
-    ops = koopman_operators(pk.M, spec, hbar, ref_scale)
+    if spec.n_modes != 2 * pk.M:
+        raise ValueError(
+            f"need {2 * pk.M} modes for M={pk.M} pairs, spec has {spec.n_modes}"
+        )
     q, p = _quadratures(spec.n_levels, hbar, ref_scale)
     power = np.linalg.matrix_power
 
@@ -265,9 +267,9 @@ def build_koopman_hamiltonian(
         for (ea, eb), coef in poly:
             yield coef, [power(q, k) for k in ea] + [power(p, k) for k in eb]
 
-    def kron(coef, factors):
+    def scaled(coef, factors):
         """coef times the Kronecker product, scaled on the first factor."""
-        return functools.reduce(np.kron, factors[1:], coef * factors[0])
+        return _kron([coef * factors[0]] + factors[1:])
 
     dim = spec.dim
     H = np.zeros((dim, dim), dtype=complex)
@@ -278,9 +280,9 @@ def build_koopman_hamiltonian(
                 inner = factors[mode]
                 for side in (op @ inner, inner @ op):
                     factors[mode] = side
-                    H += kron(0.5 * coef, factors)
+                    H += scaled(0.5 * coef, factors)
     for coef, factors in monomials(pk.h):
-        H += kron(coef, factors)
+        H += scaled(coef, factors)
     defect = np.linalg.norm(H - H.conj().T)
     scale = max(np.linalg.norm(H), 1.0)
     if defect > 1e-12 * scale:
@@ -288,7 +290,11 @@ def build_koopman_hamiltonian(
             f"Hamiltonian not Hermitian (defect {defect:.3g}); ordering bug"
         )
     H = (H + H.conj().T) / 2
-    return H, ops
+    observables = {
+        "Q": [_embed(q, j, spec) for j in range(pk.M)],
+        "Pi": [_embed(p, pk.M + j, spec) for j in range(pk.M)],
+    }
+    return H, observables
 
 
 def oscillator_hamiltonian(
@@ -298,11 +304,14 @@ def oscillator_hamiltonian(
     hbar: float = 1.0,
     mode: int = 0,
 ) -> np.ndarray:
-    """H = p^2/2m + m w^2 q^2/2 on one mode (m < 0 inverts the ladder)."""
+    """H = p^2/2m + m w^2 q^2/2 on one mode (m < 0 inverts the ladder).
+
+    Formed on the single-mode factors, then embedded.
+    """
     if m == 0 or omega <= 0:
         raise ValueError("need m != 0 and omega > 0")
-    q, p = build_quadrature_ops(spec, hbar, ref_scale=abs(m) * omega)[mode]
-    return p @ p / (2 * m) + 0.5 * m * omega**2 * (q @ q)
+    q, p = _quadratures(spec.n_levels, hbar, ref_scale=abs(m) * omega)
+    return _embed(p @ p / (2 * m) + 0.5 * m * omega**2 * (q @ q), mode, spec)
 
 
 class HeisenbergPropagator:
@@ -344,26 +353,16 @@ class HeisenbergPropagator:
         return V @ (phase * (V.conj().T @ psi))
 
 
-def heisenberg_op(H: np.ndarray, O: np.ndarray, t: float, hbar: float = 1.0):
-    """One-shot Heisenberg evolution; use the propagator class for grids."""
-    return HeisenbergPropagator(H, hbar).evolve(O, t)
-
-
-def guard_projector(spec: TruncationSpec) -> np.ndarray:
-    """Diagonal projector onto the trusted low-excitation core."""
-    keep_single = np.zeros(spec.n_levels)
-    keep_single[: spec.core_levels] = 1.0
-    keep = np.array([1.0])
-    for _ in range(spec.n_modes):
-        keep = np.kron(keep, keep_single)
-    return np.diag(keep)
+def core_mask(spec: TruncationSpec) -> np.ndarray:
+    """Boolean mask of the trusted core over the product basis: the
+    states with fewer than ``core_levels`` quanta in every mode."""
+    single = np.arange(spec.n_levels) < spec.core_levels
+    return _kron([single] * spec.n_modes)
 
 
 def top_level_population(state: np.ndarray, spec: TruncationSpec) -> float:
-    """Population outside the core; above guard_fraction = untrusted."""
-    P = guard_projector(spec)
-    guarded = np.diag(P) == 0
-    return float(np.sum(np.abs(state[guarded]) ** 2))
+    """Population of ``state`` outside the trusted core."""
+    return float(np.sum(np.abs(state[~core_mask(spec)]) ** 2))
 
 
 def commutator_residual(
@@ -372,23 +371,18 @@ def commutator_residual(
     t_grid,
     spec: TruncationSpec,
     hbar: float = 1.0,
-    norm: str = "spec",
 ) -> float:
-    """Max guarded norm of [O_j(t), O_k(t')] over all pairs and grid times.
+    """Max spectral norm of [O_j(t), O_k(t')] on the trusted core, over
+    all pairs and grid times.
 
-    ``norm`` selects the matrix norm applied to the projected
-    commutator: spectral ("spec") or Frobenius ("fro").
-
-    For Hermitian evolved operators A, B the projected commutator
-    P(AB - BA)P only needs the kept rows R = A[keep, :]: it equals
-    R_A R_B+ - R_B R_A+.  The rows come from
+    For Hermitian evolved operators A, B the core block of AB - BA only
+    needs the kept rows R = A[keep, :]: it equals R_A R_B+ - R_B R_A+.  The rows come from
     ``HeisenbergPropagator.evolve_rows``: thin (kept rows) x dim
     products with the one eigendecomposition of H, never a full
     dim x dim conjugation of O.
     """
     prop = HeisenbergPropagator(H, hbar)
-    keep = np.diag(guard_projector(spec)) != 0
-    ord_ = 2 if norm == "spec" else "fro"
+    keep = core_mask(spec)
 
     rows = []
     for O in O_set:
@@ -401,5 +395,5 @@ def commutator_residual(
     for i, RA in enumerate(rows):
         for RB in rows[i:]:
             C = RA @ RB.conj().T - RB @ RA.conj().T
-            worst = max(worst, float(np.linalg.norm(C, ord_)))
+            worst = max(worst, float(np.linalg.norm(C, 2)))
     return worst

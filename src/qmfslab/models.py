@@ -14,12 +14,11 @@ split the dynamics into two commuting oscillator subsystems {Q, Pi} and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phase_space import LinearModel, ObservableSet, is_qmfs, symplectic_form
+from .phase_space import LinearModel, ObservableSet, _check_finite, is_qmfs
 
 __all__ = [
     "ModelBundle",
@@ -77,12 +76,6 @@ def rebased_model(model: LinearModel, T: np.ndarray) -> LinearModel:
     Gp = (Gp + Gp.T) / 2
     couplings = tuple(T @ b for b in model.force_couplings)
     return LinearModel(model.n_modes, model.hbar, Gp, couplings)
-
-
-def _check_finite(**params):
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _check_oscillator_params(m: float, omega: float, hbar: float):
@@ -242,6 +235,9 @@ def spin_pair_hp(J0: float, gamma_B0: float, hbar: float = 1.0) -> ModelBundle:
             "J0": J0,
             "gamma_B0": gamma_B0,
             "effective_mass": 1.0 / w,
+            # the oscillator pair it maps to, as the pair builder records it
+            "m": 1.0 / w,
+            "omega": w,
             "mapping": "q=Jx/sqrt(J0), p=Jy/sqrt(J0), "
                        "q'=J'x/sqrt(J0), p'=-J'y/sqrt(J0)",
         },

@@ -21,6 +21,7 @@ S A^i Omega (A^T)^j S^T = 0 for 0 <= i, j <= 2n-1, which is what
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,13 @@ __all__ = [
 # expm(A t) is trusted (rel err <= 1e-12) only up to this norm; larger
 # arguments are rejected rather than silently degraded.
 MAX_EXPM_NORM = 50.0
+
+
+def _check_finite(**params):
+    """Reject a non-finite scalar parameter, naming it."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

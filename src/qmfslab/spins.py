@@ -66,6 +66,17 @@ def _single_dim(J0: float) -> int:
     return int(round(2 * J0)) + 1
 
 
+def _check_j0(J0: float) -> None:
+    """Reject a J0 that is not a positive (half-)integer or whose product
+    dimension (2 J0 + 1)^2 is above ``DIM_CAP``."""
+    d = _single_dim(J0)
+    if d * d > DIM_CAP:
+        raise ValueError(
+            f"J0 = {J0} needs product dimension {d * d}, above the cap "
+            f"{DIM_CAP} of the block path (J0 <= {(math.isqrt(DIM_CAP) - 1) / 2:g})"
+        )
+
+
 def angular_momentum_ops(J0: float, hbar: float = 1.0):
     """Dense (Jx, Jy, Jz) for a single spin of total angular momentum J0."""
     d = _single_dim(J0)
@@ -128,12 +139,7 @@ def build_spin_pair(J0: float, gamma_B0: float, hbar: float = 1.0) -> SpinPair:
     single-spin operators, and Jz must be diagonal: then H is diagonal
     on the product basis and conserves Jz + J'z.
     """
-    d = _single_dim(J0)
-    if d * d > DIM_CAP:
-        raise ValueError(
-            f"J0 = {J0} needs product dimension {d * d}, above the cap "
-            f"{DIM_CAP} of the block path (J0 <= {(math.isqrt(DIM_CAP) - 1) / 2:g})"
-        )
+    _check_j0(J0)
     Jx, Jy, Jz = angular_momentum_ops(J0, hbar)
     comm = Jx @ Jy - Jy @ Jx - 1j * hbar * Jz
     if np.linalg.norm(comm) > 1e-13 * max(1.0, np.linalg.norm(Jz)) * hbar:

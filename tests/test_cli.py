@@ -154,6 +154,19 @@ class TestForce:
         summary = read_summary(out)
         assert summary["force"]["ratio_pair_over_single"] < 1.0
 
+    def test_spin_hp_template_at_its_pair_frequency(self, tmp_path):
+        # spin-hp at gamma B0 = 2 is the pair at m = 1/2, omega = 2 (same
+        # G), so the resonant template and the posterior spread agree
+        spin, pair = tmp_path / "spin", tmp_path / "pair"
+        assert main(["--out", str(spin), "force", "--model", "spin-hp",
+                     "--gamma-b0", "2", "--T", "5"]) == EXIT_OK
+        assert main(["--out", str(pair), "force", "--model", "pair",
+                     "--m", "0.5", "--omega", "2", "--T", "5"]) == EXIT_OK
+        assert (read_summary(spin)["force"]["posterior_std"]
+                == read_summary(pair)["force"]["posterior_std"])
+        assert ((spin / "force.csv").read_text()
+                == (pair / "force.csv").read_text())
+
 
 class TestKoopman:
     def test_default_run_passes(self, tmp_path):
@@ -180,14 +193,14 @@ class TestSpin:
         assert rows[:, 0].tolist() == [4.0, 32.0]
         assert np.all(rows[:, 1] < summary["tolerances"]["identity_residual"])
 
-    @pytest.mark.parametrize("j0_list", ["4,200", "0.7", "4,-2"])
+    @pytest.mark.parametrize("j0_list", ["4,200", "0.7", "4,-2", "-1"])
     def test_j0_outside_the_block_path_is_bad_input(self, tmp_path, capsys,
                                                     j0_list):
         out = tmp_path / "run"
         assert main(["--out", str(out), "spin",
                      "--j0-list", j0_list]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "J0" in err
+        assert err.startswith("error: --j0-list ") and "J0" in err
         assert "Traceback" not in err
         assert not (out / "summary.json").exists()
 
@@ -490,6 +503,25 @@ class TestModelFile:
             assert entry["verdict"] == "QMFS"
             assert entry["grid_consistent"] is True
 
+    @pytest.mark.parametrize("command", ["simulate", "force"])
+    def test_monitor_needs_one_or_two_modes(self, tmp_path, capsys, command):
+        # the monitor measures q or Q = q + q'; a 4-pair model has neither
+        G = np.kron(np.eye(4), np.diag([1.0, 1.0, -1.0, -1.0]))
+        force_b = np.zeros(16)
+        force_b[1] = 1.0
+        fixture = tmp_path / "four_pairs.json"
+        fixture.write_text(json.dumps(
+            {"n_modes": 8, "hbar": 1.0, "G": G.tolist(),
+             "force_couplings": [force_b.tolist()]}))
+        out = tmp_path / "run"
+        assert main(["--out", str(out), command, "--model-file",
+                     str(fixture), "--T", "0.1"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: the model has 8 modes;")
+        assert "1-mode" in err and "2-mode" in err
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
 
 # a valid non-default value for each option that takes text
 OTHER_TEXT = {"out": "elsewhere", "model_file": "m.json", "j0_list": "3,5"}
@@ -602,6 +634,11 @@ class TestConfigIsParsedLikeFlags:
         ("circuit", {"verify": "no"}, "--verify"),
         ("force", {"compare_single": 1}, "--compare-single"),
         ("check", {"model": "nope"}, "--model"),
+        # J0 values that spins.build_spin_pair rejects
+        ("spin", {"j0_list": "4,200"}, "--j0-list"),
+        ("spin", {"j0_list": 0.7}, "--j0-list"),
+        ("spin", {"j0_list": "4,-2"}, "--j0-list"),
+        ("spin", {"j0_list": -1}, "--j0-list"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                command, doc, flag):

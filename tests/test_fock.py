@@ -3,6 +3,7 @@ Hamiltonian, and guarded commutator residuals."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qmfslab import fock
 from qmfslab.fock import (
@@ -12,9 +13,7 @@ from qmfslab.fock import (
     build_koopman_hamiltonian,
     build_quadrature_ops,
     commutator_residual,
-    guard_projector,
-    heisenberg_op,
-    koopman_operators,
+    core_mask,
     oscillator_hamiltonian,
     poly1,
     poly_eval,
@@ -41,10 +40,39 @@ def poly_op(poly, Q_ops, Pi_ops) -> np.ndarray:
     return out
 
 
+def dense_embed(op, mode, spec):
+    """op on ``mode`` and the identity elsewhere, one kron per mode (mode 0
+    first): the embedding loop the one Kronecker helper replaced."""
+    out = np.array([[1.0 + 0j]])
+    for k in range(spec.n_modes):
+        out = np.kron(out, op if k == mode else np.eye(spec.n_levels))
+    return out
+
+
+def dense_quadrature_ops(spec, hbar=1.0, ref_scale=1.0):
+    """(q_k, p_k) per mode, embedded by ``dense_embed``."""
+    one = TruncationSpec(n_levels=spec.n_levels, n_modes=1)
+    q, p = build_quadrature_ops(one, hbar, ref_scale)[0]
+    return [(dense_embed(q, k, spec), dense_embed(p, k, spec))
+            for k in range(spec.n_modes)]
+
+
+def koopman_ops(M, spec, hbar=1.0, ref_scale=1.0):
+    """{Q, P, Phi, Pi}, lists of length M, from the quadratures by mode:
+    mode j carries (Q_j, P_j), mode M + j carries (Phi_j, Pi_j)."""
+    pairs = dense_quadrature_ops(spec, hbar, ref_scale)
+    return {
+        "Q": [pairs[j][0] for j in range(M)],
+        "P": [pairs[j][1] for j in range(M)],
+        "Phi": [pairs[M + j][0] for j in range(M)],
+        "Pi": [pairs[M + j][1] for j in range(M)],
+    }
+
+
 def dense_koopman_hamiltonian(pk, spec, hbar=1.0, ref_scale=1.0):
     """H from dense products of the embedded operators: the construction
     the Kronecker-factor build replaced, kept as its oracle."""
-    ops = koopman_operators(pk.M, spec, hbar, ref_scale)
+    ops = koopman_ops(pk.M, spec, hbar, ref_scale)
     H = np.zeros((spec.dim, spec.dim), dtype=complex)
     for j in range(pk.M):
         F = poly_op(pk.f[j], ops["Q"], ops["Pi"])
@@ -56,6 +84,23 @@ def dense_koopman_hamiltonian(pk, spec, hbar=1.0, ref_scale=1.0):
     return H
 
 
+def dense_oscillator_hamiltonian(spec, m, omega, hbar=1.0, mode=0):
+    """p^2/2m + m w^2 q^2/2 from dense products of the embedded
+    quadratures: the construction the single-mode build replaced."""
+    q, p = dense_quadrature_ops(spec, hbar, ref_scale=abs(m) * omega)[mode]
+    return p @ p / (2 * m) + 0.5 * m * omega**2 * (q @ q)
+
+
+def dense_guard_projector(spec):
+    """Diagonal projector onto the core, as the core mask replaced it."""
+    keep_single = np.zeros(spec.n_levels)
+    keep_single[: spec.core_levels] = 1.0
+    keep = np.array([1.0])
+    for _ in range(spec.n_modes):
+        keep = np.kron(keep, keep_single)
+    return np.diag(keep)
+
+
 class TestTruncationSpec:
     def test_dim(self):
         assert TruncationSpec(n_levels=5, n_modes=2).dim == 25
@@ -64,8 +109,9 @@ class TestTruncationSpec:
         assert TruncationSpec(n_levels=12).core_levels == 6
 
     def test_dim_cap(self):
+        assert TruncationSpec(n_levels=64, n_modes=2).dim == fock.DIM_CAP
         with pytest.raises(ValueError, match="cap"):
-            TruncationSpec(n_levels=100, n_modes=2)
+            TruncationSpec(n_levels=65, n_modes=2)
 
     def test_core_bounds(self):
         with pytest.raises(ValueError):
@@ -73,6 +119,17 @@ class TestTruncationSpec:
 
 
 class TestQuadratures:
+    @pytest.mark.parametrize("spec", [
+        TruncationSpec(n_levels=4, n_modes=1),
+        TruncationSpec(n_levels=5, n_modes=2),
+        TruncationSpec(n_levels=3, n_modes=4),
+    ])
+    def test_each_mode_embedded_on_its_own_factor(self, spec):
+        ops = build_quadrature_ops(spec, hbar=0.7, ref_scale=1.3)
+        ref = dense_quadrature_ops(spec, hbar=0.7, ref_scale=1.3)
+        for (q, p), (q_ref, p_ref) in zip(ops, ref, strict=True):
+            assert np.array_equal(q, q_ref) and np.array_equal(p, p_ref)
+
     def test_canonical_commutator_defect_at_top(self):
         # [q, p] = i hbar everywhere except the top ladder level
         spec = TruncationSpec(n_levels=12, n_modes=1)
@@ -124,6 +181,18 @@ class TestOscillatorSpectrum:
         E = np.sort(np.linalg.eigvalsh(H))[::-1]
         expected = -2.0 * (np.arange(10) + 0.5)
         assert np.allclose(E[:10], expected, atol=1e-10)
+
+    @pytest.mark.parametrize("spec, m, omega, hbar, mode", [
+        (TruncationSpec(n_levels=30, n_modes=1), 1.0, 2.0, 1.0, 0),
+        (TruncationSpec(n_levels=12, n_modes=2), -0.7, 1.3, 0.5, 1),
+        (TruncationSpec(n_levels=6, n_modes=3), 2.0, 0.4, 1.0, 1),
+        (TruncationSpec(n_levels=5, n_modes=4), -1.0, 1.0, 1.0, 3),
+    ])
+    def test_single_mode_build_matches_dense_products(self, spec, m, omega,
+                                                      hbar, mode):
+        H = oscillator_hamiltonian(spec, m, omega, hbar, mode)
+        ref = dense_oscillator_hamiltonian(spec, m, omega, hbar, mode)
+        assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_mirror_spectra(self):
         spec = TruncationSpec(n_levels=20, n_modes=1)
@@ -218,12 +287,26 @@ class TestKoopmanHamiltonian:
 
     def test_mode_count_checked(self):
         pk = PolyKoopman(M=1, f=(poly1((0, 1, 1.0)),), g=(poly1((1, 0, 1.0)),))
-        with pytest.raises(ValueError, match="modes"):
-            koopman_operators(1, TruncationSpec(n_levels=8, n_modes=3))
+        for n_modes in (1, 3):
+            with pytest.raises(ValueError, match="modes"):
+                build_koopman_hamiltonian(
+                    pk, TruncationSpec(n_levels=8, n_modes=n_modes))
+
+    @pytest.mark.parametrize("pk, spec, hbar, ref_scale", CASES)
+    def test_returns_q_and_pi_by_mode(self, pk, spec, hbar, ref_scale):
+        # only the commuting observables, on the modes of the layout
+        _, ops = build_koopman_hamiltonian(pk, spec, hbar, ref_scale)
+        assert sorted(ops) == ["Pi", "Q"]
+        ref = koopman_ops(pk.M, spec, hbar, ref_scale)
+        for name in ("Q", "Pi"):
+            assert len(ops[name]) == pk.M
+            for op, op_ref in zip(ops[name], ref[name]):
+                assert np.array_equal(op, op_ref)
 
     def test_q_and_pi_commute_exactly(self):
+        pk = PolyKoopman(M=1, f=(poly1((0, 1, 1.0)),), g=(poly1((1, 0, 1.0)),))
         spec = TruncationSpec(n_levels=8, n_modes=2)
-        ops = koopman_operators(1, spec)
+        _, ops = build_koopman_hamiltonian(pk, spec)
         Q, Pi = ops["Q"][0], ops["Pi"][0]
         assert np.linalg.norm(Q @ Pi - Pi @ Q) == 0.0
 
@@ -237,7 +320,7 @@ class TestKoopmanHamiltonian:
         H, ops = build_koopman_hamiltonian(pk, spec)
         Q, Pi = ops["Q"][0], ops["Pi"][0]
         dQ = 1j * (H @ Q - Q @ H)
-        P = guard_projector(spec)
+        P = dense_guard_projector(spec)
         assert np.linalg.norm(P @ (dQ - Pi) @ P) < 1e-10
         dPi = 1j * (H @ Pi - Pi @ H)
         assert np.linalg.norm(P @ (dPi + w**2 * Q) @ P) < 1e-10
@@ -248,7 +331,8 @@ class TestHeisenbergPropagation:
         spec = TruncationSpec(n_levels=10, n_modes=1)
         H = oscillator_hamiltonian(spec, 1.0, 1.0)
         q, _ = build_quadrature_ops(spec, ref_scale=1.0)[0]
-        assert np.allclose(heisenberg_op(H, q, 0.0), q, atol=1e-12)
+        assert np.allclose(HeisenbergPropagator(H).evolve(q, 0.0), q,
+                           atol=1e-12)
 
     def test_oscillator_quadrature_rotation(self):
         # q(t) = q cos wt + p sin wt / (m w), away from the truncation edge
@@ -257,20 +341,21 @@ class TestHeisenbergPropagation:
         H = oscillator_hamiltonian(spec, m, w)
         q, p = build_quadrature_ops(spec, ref_scale=m * w)[0]
         prop = HeisenbergPropagator(H)
-        P = guard_projector(spec)
+        P = dense_guard_projector(spec)
         for t in (0.3, 1.0, 2.5):
             qt = prop.evolve(q, t)
             expected = q * np.cos(w * t) + p * np.sin(w * t) / (m * w)
             assert np.linalg.norm(P @ (qt - expected) @ P) < 1e-10
 
     def test_propagator_matches_one_shot(self):
+        # one-shot reference: conjugation by U = expm(-iHt/hbar)
         spec = TruncationSpec(n_levels=8, n_modes=1)
         H = oscillator_hamiltonian(spec, 1.0, 1.0)
         q, _ = build_quadrature_ops(spec)[0]
+        U = expm(-1j * H * 0.7)
         prop = HeisenbergPropagator(H)
-        assert np.allclose(
-            prop.evolve(q, 0.7), heisenberg_op(H, q, 0.7), atol=1e-12
-        )
+        assert np.allclose(prop.evolve(q, 0.7), U.conj().T @ q @ U,
+                           atol=1e-12)
 
     def test_kept_rows_match_full_conjugation(self):
         rng = np.random.default_rng(3)
@@ -304,8 +389,19 @@ class TestHeisenbergPropagation:
 class TestGuard:
     def test_projector_counts(self):
         spec = TruncationSpec(n_levels=4, n_modes=2, core_levels=2)
-        P = guard_projector(spec)
-        assert np.trace(P) == pytest.approx(4.0)
+        mask = core_mask(spec)
+        assert mask.dtype == bool and mask.shape == (spec.dim,)
+        assert np.count_nonzero(mask) == 4
+
+    @pytest.mark.parametrize("n_levels, n_modes, core_levels", [
+        (4, 2, 2), (5, 1, 3), (3, 3, 1), (6, 2, 6), (4, 4, 3),
+    ])
+    def test_mask_selects_the_projector_states(self, n_levels, n_modes,
+                                               core_levels):
+        spec = TruncationSpec(n_levels=n_levels, n_modes=n_modes,
+                              core_levels=core_levels)
+        P = dense_guard_projector(spec)
+        assert np.array_equal(core_mask(spec), np.diag(P) != 0)
 
     def test_top_level_population(self):
         spec = TruncationSpec(n_levels=3, n_modes=1, core_levels=2)
@@ -334,9 +430,8 @@ class TestCommutatorResidual:
         )
         spec = TruncationSpec(n_levels=16, n_modes=2, core_levels=5)
         H, ops = build_koopman_hamiltonian(pk, spec)
-        res = commutator_residual(
-            H, [ops["Q"][0], ops["P"][0]], [0.0, 1.0], spec
-        )
+        P0 = build_quadrature_ops(spec)[0][1]
+        res = commutator_residual(H, [ops["Q"][0], P0], [0.0, 1.0], spec)
         assert res > 0.5
 
     def test_non_hermitian_rejected(self):
@@ -356,10 +451,12 @@ class TestCommutatorResidual:
         )
         spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=3)
         H, ops = build_koopman_hamiltonian(pk, spec)
-        O_set = [ops["Q"][0], ops["P"][0], ops["Pi"][0]]
+        P0 = build_quadrature_ops(spec)[0][1]
+        O_set = [ops["Q"][0], P0, ops["Pi"][0]]
         t_grid = [0.0, 0.5, 1.5]
-        P = guard_projector(spec)
-        evolved = [heisenberg_op(H, O, t) for O in O_set for t in t_grid]
+        P = dense_guard_projector(spec)
+        prop = HeisenbergPropagator(H)
+        evolved = [prop.evolve(O, t) for O in O_set for t in t_grid]
         reference = max(
             np.linalg.norm(P @ (A @ B - B @ A) @ P, 2)
             for A in evolved for B in evolved
@@ -367,16 +464,3 @@ class TestCommutatorResidual:
         res = commutator_residual(H, O_set, t_grid, spec)
         assert reference > 0.5
         assert res == pytest.approx(reference, rel=1e-12)
-
-    def test_frobenius_bounds_spectral(self):
-        pk = PolyKoopman(
-            M=1,
-            f=(poly1((0, 1, 1.0), (2, 0, 0.1)),),
-            g=(poly1((1, 0, 1.0)),),
-        )
-        spec = TruncationSpec(n_levels=10, n_modes=2, core_levels=3)
-        H, ops = build_koopman_hamiltonian(pk, spec)
-        O_set = [ops["Q"][0], ops["Pi"][0]]
-        r_spec = commutator_residual(H, O_set, [1.0], spec, norm="spec")
-        r_fro = commutator_residual(H, O_set, [1.0], spec, norm="fro")
-        assert r_spec <= r_fro + 1e-15

@@ -174,6 +174,12 @@ class TestSpinPairHp:
         b = spin_pair_hp(4.0, 2.0)
         assert b.metadata["effective_mass"] == pytest.approx(0.5)
 
+    def test_metadata_names_the_equivalent_pair(self):
+        # m and omega as oscillator_pair records them, for the same G
+        b = spin_pair_hp(4.0, 2.0)
+        pair = oscillator_pair(b.metadata["m"], b.metadata["omega"])
+        assert np.array_equal(pair.model.G, b.model.G)
+
     def test_qmfs_sets_present(self):
         b = spin_pair_hp(8.0, 1.0)
         assert len(b.qmfs_sets) == 2
