@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__, circuits, conditional, fock, koopman, models, spins
 from .phase_space import (
     MAX_EXPM_NORM,
+    ObservableSet,
     commutator_from_propagators,
     is_qmfs,
     model_from_json,
@@ -98,14 +99,12 @@ def _build_bundle(args) -> models.ModelBundle:
     return builder(**{p: getattr(args, _BUILDER_OPTIONS[p]) for p in params})
 
 
-def _observable_sets(bundle, args):
+def _observable_sets(bundle):
     sets = list(bundle.qmfs_sets)
     obs = bundle.metadata.get("observables")
     if obs is not None:
         sets.append(obs)
     if not sets and bundle.model.n_modes == 1:
-        from .phase_space import ObservableSet
-
         sets.append(ObservableSet(np.eye(2), ("q", "p")))
     return sets
 
@@ -134,7 +133,7 @@ def cmd_check(args, out_dir: Path, config: dict) -> int:
     rows = []
     ok = True
     results = []
-    for obs in _observable_sets(bundle, args):
+    for obs in _observable_sets(bundle):
         verdict = is_qmfs(model, obs, tol=tol)
         grid_max = 0.0
         for Phi_t in Phis:
@@ -176,12 +175,20 @@ def _channels_from_args(bundle, args):
     return (conditional.MeasurementChannel(s, args.k, args.eta),)
 
 
+def _force_coupling(model):
+    """The port a force drives: the model's first force coupling."""
+    if not model.force_couplings:
+        raise ValueError("the model has no force coupling; a model file "
+                         "names it under \"force_couplings\"")
+    return model.force_couplings[0]
+
+
 def _force_from_args(bundle, args):
     if args.force_amp == 0.0:
         return None
-    b = bundle.model.force_couplings[0]
     return conditional.ForceDrive.sinusoid(
-        b, args.force_amp, args.force_freq, args.force_phase
+        _force_coupling(bundle.model), args.force_amp, args.force_freq,
+        args.force_phase
     )
 
 
@@ -240,7 +247,7 @@ def cmd_force(args, out_dir: Path, config: dict) -> int:
         model = bundle.model
         channels = _channels_from_args(bundle, args)
         template = conditional.ForceDrive.sinusoid(
-            model.force_couplings[0], 1.0, omega
+            _force_coupling(model), 1.0, omega
         )
         return conditional.force_posterior_std(
             model, channels, template, args.dt, args.T
@@ -369,6 +376,9 @@ _POSITIVE = _checked(float, "a finite number > 0",
                      lambda v: math.isfinite(v) and v > 0)
 _NONZERO = _checked(float, "a finite nonzero number",
                     lambda v: math.isfinite(v) and v != 0)
+# koopman levels per mode: the check fock.TruncationSpec makes for 2 modes
+_N_LEVELS = _checked(int, f"an integer in [2, {math.isqrt(fock.DIM_CAP)}]",
+                     lambda v: fock.TruncationSpec(n_levels=v, n_modes=2))
 
 
 def _j0_list(text):
@@ -447,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi0", type=_FINITE, default=0.0)
     p.add_argument("--dt", type=_POSITIVE, default=1e-3)
     p.add_argument("--T", type=_POSITIVE, default=2.0)
-    p.add_argument("--n-levels", type=int, default=20)
+    p.add_argument("--n-levels", type=_N_LEVELS, default=20)
 
     p = command("spin", "finite-J0 sweep")
     p.add_argument("--j0-list", type=_j0_list, default="2,4,8")

@@ -430,9 +430,7 @@ class BatchResult:
     """Vectorized ensemble run sharing one covariance sweep."""
 
     times: np.ndarray
-    means_final: np.ndarray  # (n_traj, dim)
     records: np.ndarray  # (n_traj, n_steps, n_channels)
-    V_final: np.ndarray
     master_seed: int
     means: np.ndarray  # (n_traj, n_steps + 1, dim)
     cov_times: np.ndarray
@@ -466,9 +464,7 @@ def simulate_batch(
     )
     return BatchResult(
         times=times,
-        means_final=means[:, -1].copy(),
         records=records,
-        V_final=covs[-1].copy(),
         master_seed=master_seed,
         means=means,
         cov_times=cov_times,

@@ -23,7 +23,9 @@ other at all times.  Mode layout for M pairs on 2 M modes: mode j
 carries (Q_j, P_j) and mode M + j carries (Phi_j, Pi_j), so
 ``build_quadrature_ops(spec)[j]`` is (Q_j, P_j) and ``[M + j]`` is
 (Phi_j, Pi_j).  Q and Pi live on different modes, which is what makes
-them commute.
+them commute.  The polynomials are plain term tuples (``poly1``,
+``PolyKoopman``), the same ones ``koopman.ClassicalFlow`` integrates;
+they are built in code and have no file format.
 
 Truncation is trusted only on the low-excitation core: the product
 states with fewer than ``core_levels`` quanta in every mode.
@@ -34,7 +36,6 @@ states with fewer than ``core_levels`` quanta in every mode.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,6 @@ __all__ = [
     "commutator_residual",
     "core_mask",
     "top_level_population",
-    "poly_eval",
     "poly1",
 ]
 
@@ -140,14 +140,13 @@ class PolyKoopman:
     Each polynomial is a tuple of terms ((a, b), coef) with exponent
     tuples a, b of length M: the monomial prod_j Q_j^a_j Pi_j^b_j.
     ``f`` and ``g`` hold one polynomial per pair; ``h`` is a single
-    polynomial.
+    polynomial.  Total degree is capped at ``MAX_DEGREE``.
     """
 
     M: int
     f: tuple
     g: tuple
     h: tuple = ()
-    max_degree: int = MAX_DEGREE
 
     def __post_init__(self):
         if self.M < 1:
@@ -158,80 +157,15 @@ class PolyKoopman:
             for (a, b), coef in poly:
                 if len(a) != self.M or len(b) != self.M:
                     raise ValueError("exponent tuples must have length M")
-                if sum(a) + sum(b) > self.max_degree:
+                if sum(a) + sum(b) > MAX_DEGREE:
                     raise ValueError("polynomial degree exceeds cap")
                 if not np.isfinite(coef):
                     raise ValueError("coefficients must be finite")
-
-    @staticmethod
-    def from_json(text: str) -> "PolyKoopman":
-        """Parse {"M", "f": [{"a","b","coef"}...], "g": [...], "h": [...]}.
-
-        For M = 1 the exponents "a", "b" are plain integers; for M > 1
-        they are length-M lists.
-        """
-        doc = json.loads(text)
-        M = int(doc["M"])
-
-        def parse_poly(entries):
-            terms = []
-            for e in entries:
-                a = e["a"] if isinstance(e["a"], list) else [e["a"]]
-                b = e["b"] if isinstance(e["b"], list) else [e["b"]]
-                terms.append(
-                    ((tuple(int(x) for x in a), tuple(int(x) for x in b)),
-                     float(e["coef"]))
-                )
-            return tuple(terms)
-
-        if M == 1:
-            f = (parse_poly(doc["f"]),)
-            g = (parse_poly(doc["g"]),)
-        else:
-            f = tuple(parse_poly(entry) for entry in doc["f"])
-            g = tuple(parse_poly(entry) for entry in doc["g"])
-        h = parse_poly(doc.get("h", []))
-        return PolyKoopman(M=M, f=f, g=g, h=h)
-
-    def to_json(self) -> str:
-        def dump_poly(poly):
-            out = []
-            for (a, b), coef in poly:
-                entry = {
-                    "a": a[0] if self.M == 1 else list(a),
-                    "b": b[0] if self.M == 1 else list(b),
-                    "coef": coef,
-                }
-                out.append(entry)
-            return out
-
-        doc = {"M": self.M}
-        if self.M == 1:
-            doc["f"] = dump_poly(self.f[0])
-            doc["g"] = dump_poly(self.g[0])
-        else:
-            doc["f"] = [dump_poly(p) for p in self.f]
-            doc["g"] = [dump_poly(p) for p in self.g]
-        doc["h"] = dump_poly(self.h)
-        return json.dumps(doc, indent=2)
 
 
 def poly1(*terms) -> tuple:
     """Convenience constructor for an M = 1 polynomial: poly1((a, b, coef), ...)."""
     return tuple((((int(a),), (int(b),)), float(c)) for a, b, c in terms)
-
-
-def poly_eval(poly, Q, Pi) -> float:
-    """Evaluate a polynomial at scalar (or array) phase-space points."""
-    Q = np.atleast_1d(np.asarray(Q, dtype=float))
-    Pi = np.atleast_1d(np.asarray(Pi, dtype=float))
-    total = 0.0
-    for (a, b), coef in poly:
-        term = coef
-        for j, (aj, bj) in enumerate(zip(a, b)):
-            term = term * Q[j] ** aj * Pi[j] ** bj
-        total = total + term
-    return total
 
 
 def build_koopman_hamiltonian(

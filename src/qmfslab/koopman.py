@@ -3,9 +3,11 @@
 The subsystem obeys dQ/dt = f(Q, Pi, t), dPi/dt = -g(Q, Pi, t) for
 whatever f and g were built into the coupled quantum model, so its
 trajectories and Liouville densities are plain classical objects.  This
-module integrates them: RK4 for trajectories (with a step-halving error
-estimate), semi-Lagrangian transport along characteristics for sampled
-densities (exact along trajectories, no numerical diffusion).
+module integrates them with one RK4 sweep: trajectories (with a
+step-halving error estimate), semi-Lagrangian transport along
+characteristics for sampled densities (exact along trajectories, no
+numerical diffusion), and tangent maps as the complex-step derivative of
+that sweep (Martins, Sturdza & Alonso, ACM TOMS 29:245, 2003).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
 ]
 
 BLOWUP_NORM = 1e12  # arbitrary but documented; nonlinear flows may escape
+COMPLEX_STEP = 1e-30  # imaginary displacement of the tangent map
 
 
 class FlowDivergenceError(RuntimeError):
@@ -51,19 +54,6 @@ def _make_eval(fn):
     return evaluate
 
 
-def _poly_partial(terms, var: int):
-    """d/dQ (var=0) or d/dPi (var=1) of an M=1 polynomial."""
-    out = []
-    for (a, b), coef in terms:
-        exps = [a[0], b[0]]
-        if exps[var] == 0:
-            continue
-        new_coef = coef * exps[var]
-        exps[var] -= 1
-        out.append((((exps[0],), (exps[1],)), new_coef))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ClassicalFlow:
     """Velocity field (f, -g); f and g are callables (Q, Pi, t) -> value
@@ -83,20 +73,6 @@ class ClassicalFlow:
     def velocity(self, Q, Pi, t):
         return self._f(Q, Pi, t), -self._g(Q, Pi, t)
 
-    def jacobian(self, Q: float, Pi: float, t: float) -> np.ndarray:
-        """d(velocity)/d(Q, Pi); analytic for polynomials, central FD else."""
-        rows = []
-        for fn, sign in ((self.f, 1.0), (self.g, -1.0)):
-            if callable(fn):
-                eps = 1e-6 * max(1.0, abs(Q), abs(Pi))
-                dQ = (fn(Q + eps, Pi, t) - fn(Q - eps, Pi, t)) / (2 * eps)
-                dP = (fn(Q, Pi + eps, t) - fn(Q, Pi - eps, t)) / (2 * eps)
-            else:
-                dQ = _make_eval(_poly_partial(fn, 0))(Q, Pi, t)
-                dP = _make_eval(_poly_partial(fn, 1))(Q, Pi, t)
-            rows.append([sign * dQ, sign * dP])
-        return np.array(rows)
-
 
 def _rk4_sweep(flow: ClassicalFlow, Q, Pi, T: float, dt: float, record: bool):
     n_steps = max(1, int(round(T / dt)))
@@ -115,7 +91,7 @@ def _rk4_sweep(flow: ClassicalFlow, Q, Pi, T: float, dt: float, record: bool):
         Q = Q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
         Pi = Pi + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
         t += h
-        if np.max(np.hypot(Q, Pi)) > BLOWUP_NORM:
+        if np.max(np.hypot(Q.real, Pi.real)) > BLOWUP_NORM:
             raise FlowDivergenceError(
                 f"trajectory norm exceeded {BLOWUP_NORM:g} at t = {t:.6g}"
             )
@@ -159,35 +135,28 @@ def integrate(
 def integrate_with_tangent(
     flow: ClassicalFlow, Q0: float, Pi0: float, T: float, dt: float = None
 ):
-    """Trajectory plus the tangent map J(T) (variational RK4).
+    """End point y(T) = (Q, Pi) and the tangent map J(T) = dy(T)/dy(0).
+
+    One RK4 sweep on two complex copies of the initial point, copy j
+    displaced by i * COMPLEX_STEP along direction j: Re gives y, and
+    Im / COMPLEX_STEP gives column j of J, the derivative of the RK4 map
+    to rounding (no difference quotient, so no cancellation).  A
+    callable f or g may be non-analytic, which would make J wrong
+    without an error, so polynomial flows only.
 
     det J measures phase-space area change: 1 for Hamiltonian flows,
     exp(-integrated divergence) otherwise.
     """
+    if callable(flow.f) or callable(flow.g):
+        raise ValueError("the tangent map needs polynomial f and g, "
+                         "not callables")
     dt = flow.dt if dt is None else dt
-    n_steps = max(1, int(round(T / dt)))
-    h = T / n_steps
-    y = np.array([float(Q0), float(Pi0)])
-    J = np.eye(2)
-    t = 0.0
-
-    def rhs(state, tang, tt):
-        vq, vp = flow.velocity(state[0], state[1], tt)
-        D = flow.jacobian(state[0], state[1], tt)
-        return np.array([vq, vp]), D @ tang
-
-    for _ in range(n_steps):
-        k1, K1 = rhs(y, J, t)
-        k2, K2 = rhs(y + h / 2 * k1, J + h / 2 * K1, t + h / 2)
-        k3, K3 = rhs(y + h / 2 * k2, J + h / 2 * K2, t + h / 2)
-        k4, K4 = rhs(y + h * k3, J + h * K3, t + h)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        J = J + h / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
-        t += h
-        if np.hypot(*y) > BLOWUP_NORM:
-            raise FlowDivergenceError(
-                f"trajectory norm exceeded {BLOWUP_NORM:g} at t = {t:.6g}"
-            )
+    step = 1j * COMPLEX_STEP
+    Q = np.array([float(Q0) + step, float(Q0)])
+    Pi = np.array([float(Pi0), float(Pi0) + step])
+    Q, Pi = _rk4_sweep(flow, Q, Pi, T, dt, record=False)
+    y = np.array([Q[0].real, Pi[0].real])
+    J = np.array([Q.imag, Pi.imag]) / COMPLEX_STEP
     return y, J
 
 

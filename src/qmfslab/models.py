@@ -58,9 +58,6 @@ class ModelBundle:
                     f"test (residual {verdict.max_residual:.3g})"
                 )
 
-    def basis(self, name: str) -> np.ndarray:
-        return self.named_bases[name]
-
 
 def rebased_model(model: LinearModel, T: np.ndarray) -> LinearModel:
     """Model in new canonical coordinates x' = T x (T symplectic).
@@ -209,7 +206,7 @@ def spin_pair_hp(J0: float, gamma_B0: float, hbar: float = 1.0) -> ModelBundle:
     q = Jx/sqrt(J0), p = Jy/sqrt(J0), q' = J'x/sqrt(J0),
     p' = -J'y/sqrt(J0), giving H ~ (gamma B0 / 2)(q^2 + p^2 - q'^2 - p'^2).
     This is the oscillator pair at frequency gamma*B0 with effective
-    mass 1/(gamma*B0).
+    mass 1/(gamma*B0), and it is built as that ``oscillator_pair``.
     """
     _check_finite(J0=J0, gamma_B0=gamma_B0, hbar=hbar)
     if J0 <= 0:
@@ -217,17 +214,11 @@ def spin_pair_hp(J0: float, gamma_B0: float, hbar: float = 1.0) -> ModelBundle:
     if gamma_B0 <= 0:
         raise ValueError("Larmor frequency must be positive")
     w = gamma_B0
-    G = w * np.diag([1.0, 1.0, -1.0, -1.0])
-    force_b = np.array([0.0, 1.0, 0.0, 0.0])
-    model = LinearModel(2, hbar, G, force_couplings=(force_b,))
-    qmfs_sets = (
-        ObservableSet(np.array([ROW_Q, ROW_PI]), ("Q", "Pi")),
-        ObservableSet(np.array([ROW_PHI, ROW_P]), ("Phi", "P")),
-    )
+    base = oscillator_pair(1.0 / w, w, hbar)
     return ModelBundle(
-        model=model,
-        named_bases={"physical": np.eye(4), "qmfs": PAIR_TRANSFORM},
-        qmfs_sets=qmfs_sets,
+        model=base.model,
+        named_bases=dict(base.named_bases),
+        qmfs_sets=base.qmfs_sets,
         description=(
             f"Holstein-Primakoff spin pair, J0={J0}, Larmor frequency {gamma_B0}"
         ),
@@ -235,9 +226,7 @@ def spin_pair_hp(J0: float, gamma_B0: float, hbar: float = 1.0) -> ModelBundle:
             "J0": J0,
             "gamma_B0": gamma_B0,
             "effective_mass": 1.0 / w,
-            # the oscillator pair it maps to, as the pair builder records it
-            "m": 1.0 / w,
-            "omega": w,
+            **base.metadata,  # m and omega of the pair it maps to
             "mapping": "q=Jx/sqrt(J0), p=Jy/sqrt(J0), "
                        "q'=J'x/sqrt(J0), p'=-J'y/sqrt(J0)",
         },

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvals_banded, expm
 
-from .models import ModelBundle, spin_pair_hp
+from .models import ROW_Q, ModelBundle, spin_pair_hp
 from .phase_space import transfer_matrix
 
 __all__ = [
@@ -365,7 +365,6 @@ def hp_agreement(
     mean0 = np.array([pair.J0 * pair.hbar * np.sin(theta) / np.sqrt(pair.J0),
                       0.0, 0.0, 0.0])
     V0 = (pair.hbar / 2) * np.eye(4)
-    row_Q = np.array([1.0, 0.0, 1.0, 0.0])
 
     dev_mean = 0.0
     dev_var = 0.0
@@ -376,8 +375,8 @@ def hp_agreement(
         exact_mean = float(np.real(np.vdot(psit, q_psit)))
         exact_var = float(np.real(np.vdot(q_psit, q_psit))) - exact_mean**2
         Phi = transfer_matrix(model, t)
-        model_mean = float(row_Q @ Phi @ mean0)
-        model_var = float(row_Q @ Phi @ V0 @ Phi.T @ row_Q)
+        model_mean = float(ROW_Q @ Phi @ mean0)
+        model_var = float(ROW_Q @ Phi @ V0 @ Phi.T @ ROW_Q)
         dev_mean = max(dev_mean, abs(exact_mean - model_mean))
         dev_var = max(dev_var, abs(exact_var - model_var))
     scale_mean = max(abs(displacement), np.sqrt(pair.hbar))

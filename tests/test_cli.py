@@ -313,6 +313,9 @@ class TestNonFiniteOrNegativeValues:
         ("koopman", "epsilon", "nan", "--epsilon must be"),
         ("koopman", "q0", "inf", "--q0 must be"),
         ("koopman", "pi0", "nan", "--pi0 must be"),
+        ("koopman", "n_levels", "1", "--n-levels must be"),
+        ("koopman", "n_levels", "100", "--n-levels must be"),
+        ("koopman", "n_levels", "2.5", "--n-levels must be"),
     ]
     BASE = {"simulate": {"T": "0.05", "force_amp": "1"},
             "force": {"T": "0.5"}, "check": {"model": "spin-hp"},
@@ -523,6 +526,31 @@ class TestModelFile:
         assert not (out / "summary.json").exists()
 
 
+    # a 1-mode model with no force port
+    NO_COUPLING = {"n_modes": 1, "hbar": 1.0, "G": [[1.0, 0.0], [0.0, 1.0]]}
+
+    @pytest.mark.parametrize("argv", [["force"],
+                                      ["simulate", "--force-amp", "1"]])
+    def test_force_needs_a_coupling(self, tmp_path, capsys, argv):
+        fixture = tmp_path / "no_coupling.json"
+        fixture.write_text(json.dumps(self.NO_COUPLING))
+        out = tmp_path / "run"
+        assert main(["--out", str(out), *argv, "--model-file", str(fixture),
+                     "--T", "0.1"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: the model has no force coupling")
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
+    def test_unforced_run_needs_no_coupling(self, tmp_path):
+        fixture = tmp_path / "no_coupling.json"
+        fixture.write_text(json.dumps(self.NO_COUPLING))
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "simulate", "--model-file",
+                     str(fixture), "--T", "0.1"]) == EXIT_OK
+        assert (out / "trajectory_0000.csv").exists()
+
+
 # a valid non-default value for each option that takes text
 OTHER_TEXT = {"out": "elsewhere", "model_file": "m.json", "j0_list": "3,5"}
 
@@ -639,6 +667,9 @@ class TestConfigIsParsedLikeFlags:
         ("spin", {"j0_list": 0.7}, "--j0-list"),
         ("spin", {"j0_list": "4,-2"}, "--j0-list"),
         ("spin", {"j0_list": -1}, "--j0-list"),
+        # level counts that fock.TruncationSpec rejects for two modes
+        ("koopman", {"n_levels": 1}, "--n-levels"),
+        ("koopman", {"n_levels": 100}, "--n-levels"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                command, doc, flag):

@@ -272,7 +272,7 @@ class TestSimulateBatch:
                 model, st, ch, force=drive, dt=1e-3, T=0.3, seed=(9, i)
             )
             assert np.allclose(batch.records[i], traj.records, atol=1e-12)
-            assert np.allclose(batch.means_final[i], traj.means[-1], atol=1e-10)
+            assert np.allclose(batch.means[i, -1], traj.means[-1], atol=1e-10)
 
     def test_covariance_is_seed_independent(self):
         model = free_mass()
@@ -280,7 +280,7 @@ class TestSimulateBatch:
         ch = (pos_channel(1.0),)
         b1 = simulate_batch(model, st, ch, None, 1e-3, 0.2, 1, 2)
         b2 = simulate_batch(model, st, ch, None, 1e-3, 0.2, 999, 2)
-        assert np.array_equal(b1.V_final, b2.V_final)
+        assert np.array_equal(b1.covs[-1], b2.covs[-1])
 
 
     def test_batch_size_below_one_rejected(self):
@@ -388,11 +388,11 @@ class TestSweepMatchesReferenceLoop:
                 model, st, ch, drive, 1e-3, 0.3, (9, i), cov_stride
             )
             assert np.array_equal(batch.means[i], means)
-            assert np.array_equal(batch.means_final[i], means[-1])
+            assert np.array_equal(batch.means[i, -1], means[-1])
             assert np.array_equal(batch.records[i], records)
             assert np.array_equal(batch.cov_times, cov_times)
             assert np.array_equal(batch.covs, covs)
-            assert np.array_equal(batch.V_final, covs[-1])
+            assert np.array_equal(batch.covs[-1], covs[-1])
 
 
 def rk4_riccati_rhs(model, channels):

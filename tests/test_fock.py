@@ -16,7 +16,6 @@ from qmfslab.fock import (
     core_mask,
     oscillator_hamiltonian,
     poly1,
-    poly_eval,
     top_level_population,
 )
 
@@ -206,33 +205,9 @@ class TestOscillatorSpectrum:
 
 
 class TestPolyKoopman:
-    def test_json_round_trip_m1(self):
-        pk = PolyKoopman(
-            M=1,
-            f=(poly1((0, 1, 1.0), (2, 0, 0.1)),),
-            g=(poly1((1, 0, 1.0)),),
-        )
-        back = PolyKoopman.from_json(pk.to_json())
-        assert back == pk
-
-    def test_json_round_trip_m2(self):
-        zero = ((0, 0), (0, 0))
-        one_q = ((1, 0), (0, 0))
-        pk = PolyKoopman(
-            M=2,
-            f=(((zero, 1.0),), ((one_q, 0.5),)),
-            g=(((one_q, 2.0),), ((zero, 0.0),)),
-        )
-        back = PolyKoopman.from_json(pk.to_json())
-        assert back == pk
-
     def test_degree_cap(self):
         with pytest.raises(ValueError, match="degree"):
             PolyKoopman(M=1, f=(poly1((5, 1, 1.0)),), g=(poly1((1, 0, 1.0)),))
-
-    def test_poly_eval(self):
-        poly = poly1((0, 1, 1.0), (2, 0, 0.1))
-        assert poly_eval(poly, 2.0, 3.0) == pytest.approx(3.0 + 0.4)
 
     def test_poly_op_matches_pointwise_on_diagonals(self):
         # diagonal (commuting) operators: operator polynomial equals the

@@ -21,6 +21,16 @@ def harmonic_flow(m=1.0, omega=1.0, dt=1e-3):
     )
 
 
+# the flow of the koopman command (m = omega = 1, epsilon = 0.1) and a
+# Duffing oscillator
+KOOPMAN_FLOW = ClassicalFlow(
+    f=poly1((0, 1, 1.0), (2, 0, 0.1)), g=poly1((1, 0, 1.0))
+)
+DUFFING_FLOW = ClassicalFlow(
+    f=poly1((0, 1, 1.0)), g=poly1((1, 0, 1.0), (3, 0, 0.3))
+)
+
+
 class TestClassicalFlow:
     def test_velocity_sign_convention(self):
         # dQ/dt = f, dPi/dt = -g
@@ -30,9 +40,7 @@ class TestClassicalFlow:
         assert vp == pytest.approx(-2.0)
 
     def test_callable_and_poly_agree(self):
-        poly_flow = ClassicalFlow(
-            f=poly1((0, 1, 1.0), (2, 0, 0.1)), g=poly1((1, 0, 1.0))
-        )
+        poly_flow = KOOPMAN_FLOW
         call_flow = ClassicalFlow(
             f=lambda Q, Pi, t: Pi + 0.1 * Q**2, g=lambda Q, Pi, t: Q
         )
@@ -40,17 +48,6 @@ class TestClassicalFlow:
             assert np.allclose(
                 poly_flow.velocity(Q, Pi, 0.0), call_flow.velocity(Q, Pi, 0.0)
             )
-
-    def test_jacobian_analytic_vs_fd(self):
-        poly_flow = ClassicalFlow(
-            f=poly1((0, 1, 1.0), (2, 0, 0.1)), g=poly1((1, 0, 1.0))
-        )
-        call_flow = ClassicalFlow(
-            f=lambda Q, Pi, t: Pi + 0.1 * Q**2, g=lambda Q, Pi, t: Q
-        )
-        J_poly = poly_flow.jacobian(0.7, -0.4, 0.0)
-        J_fd = call_flow.jacobian(0.7, -0.4, 0.0)
-        assert np.allclose(J_poly, J_fd, atol=1e-7)
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
@@ -95,10 +92,7 @@ class TestIntegrate:
 class TestTangent:
     def test_hamiltonian_flow_preserves_area(self):
         # Duffing oscillator: f = Pi, g = Q + 0.3 Q^3 has zero divergence
-        flow = ClassicalFlow(
-            f=poly1((0, 1, 1.0)), g=poly1((1, 0, 1.0), (3, 0, 0.3))
-        )
-        y, J = integrate_with_tangent(flow, 0.5, -0.2, T=3.0)
+        _, J = integrate_with_tangent(DUFFING_FLOW, 0.5, -0.2, T=3.0)
         assert np.linalg.det(J) == pytest.approx(1.0, abs=1e-8)
 
     def test_harmonic_monodromy(self):
@@ -109,10 +103,41 @@ class TestTangent:
     def test_dissipative_flow_contracts(self):
         # f = Pi - 0.5 Q gives divergence -0.5: area shrinks as exp(-t/2)
         flow = ClassicalFlow(
-            f=lambda Q, Pi, t: Pi - 0.5 * Q, g=lambda Q, Pi, t: Q, dt=1e-3
+            f=poly1((0, 1, 1.0), (1, 0, -0.5)), g=poly1((1, 0, 1.0)), dt=1e-3
         )
         _, J = integrate_with_tangent(flow, 1.0, 0.0, T=2.0)
         assert np.linalg.det(J) == pytest.approx(np.exp(-1.0), rel=1e-5)
+
+    @pytest.mark.parametrize("flow", [KOOPMAN_FLOW, DUFFING_FLOW],
+                             ids=["koopman", "duffing"])
+    def test_matches_central_differences_of_integrate(self, flow):
+        # an oracle apart from the complex step: difference quotients of
+        # the real-valued sweep's end points
+        y0, T, eps = np.array([0.5, -0.2]), 3.0, 1e-5
+        _, J = integrate_with_tangent(flow, *y0, T=T)
+
+        def end_point(y):
+            _, Qs, Ps = integrate(flow, *y, T=T, check=False)
+            return np.array([Qs[-1], Ps[-1]])
+
+        J_fd = np.column_stack([
+            (end_point(y0 + eps * e) - end_point(y0 - eps * e)) / (2 * eps)
+            for e in np.eye(2)
+        ])
+        assert np.max(np.abs(J - J_fd)) <= 1e-7 * np.max(np.abs(J_fd))
+
+    @pytest.mark.parametrize("flow", [KOOPMAN_FLOW, DUFFING_FLOW],
+                             ids=["koopman", "duffing"])
+    def test_end_point_is_integrates_last_row(self, flow):
+        y, _ = integrate_with_tangent(flow, 0.5, -0.2, T=3.0)
+        _, Qs, Ps = integrate(flow, 0.5, -0.2, T=3.0, check=False)
+        assert np.array_equal(y, [Qs[-1], Ps[-1]])
+
+    def test_callable_flow_rejected(self):
+        # a callable may be non-analytic, where the complex step is wrong
+        flow = ClassicalFlow(f=lambda Q, Pi, t: Pi, g=lambda Q, Pi, t: Q)
+        with pytest.raises(ValueError, match="polynomial"):
+            integrate_with_tangent(flow, 1.0, 0.0, T=1.0)
 
 
 class TestTransport:
