@@ -16,6 +16,7 @@ from qmfslab.fock import (
     core_mask,
     oscillator_hamiltonian,
     poly1,
+    real_gauge,
     top_level_population,
 )
 
@@ -98,6 +99,27 @@ def dense_guard_projector(spec):
     for _ in range(spec.n_modes):
         keep = np.kron(keep, keep_single)
     return np.diag(keep)
+
+
+def koopman_flow(eps, m=1.0, omega=1.0):
+    """The ``koopman`` command's flow: dQ/dt = Pi/m + eps Q^2,
+    dPi/dt = -m w^2 Q.  Reversible under Q -> -Q."""
+    return PolyKoopman(M=1, f=(poly1((0, 1, 1.0 / m), (2, 0, eps)),),
+                       g=(poly1((1, 0, m * omega**2)),))
+
+
+LINEAR_FLOW = PolyKoopman(M=1, f=(poly1((0, 1, 1.0)),), g=(poly1((1, 0, 1.0)),))
+# a damping Q term in f: reversible under neither Q -> -Q nor Pi -> -Pi
+DAMPED_FLOW = PolyKoopman(M=1, f=(poly1((0, 1, 1.0), (1, 0, -0.5)),),
+                          g=(poly1((1, 0, 1.0)),))
+
+
+def quanta_phases(spec):
+    """i^(total quanta) per product state, one kron per mode."""
+    out = np.array([1.0 + 0j])
+    for _ in range(spec.n_modes):
+        out = np.kron(out, 1j ** np.arange(spec.n_levels))
+    return out
 
 
 class TestTruncationSpec:
@@ -416,14 +438,13 @@ class TestCommutatorResidual:
         with pytest.raises(ValueError, match="Hermitian"):
             commutator_residual(H, [bad], [0.0], spec)
 
-    def test_matches_full_dense_reference(self):
-        # reference: full O(t) per time, projected commutators, as before
-        # the kept-row products
-        pk = PolyKoopman(
-            M=1,
-            f=(poly1((0, 1, 1.0), (2, 0, 0.1)),),
-            g=(poly1((1, 0, 1.0)),),
-        )
+    @pytest.mark.parametrize("pk", [
+        koopman_flow(0.1), koopman_flow(0.3), DAMPED_FLOW,
+    ], ids=["koopman", "koopman-eps0.3", "damped"])
+    def test_matches_full_dense_reference(self, pk):
+        # reference: full O(t) per time from the complex eigendecomposition,
+        # projected commutators, as before the kept-row products and the
+        # real gauge
         spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=3)
         H, ops = build_koopman_hamiltonian(pk, spec)
         P0 = build_quadrature_ops(spec)[0][1]
@@ -439,3 +460,73 @@ class TestCommutatorResidual:
         res = commutator_residual(H, O_set, t_grid, spec)
         assert reference > 0.5
         assert res == pytest.approx(reference, rel=1e-12)
+
+
+class TestRealGauge:
+    """The real symmetric eigendecomposition against the complex one."""
+
+    @pytest.mark.parametrize("pk, gauged", [
+        (koopman_flow(0.0), False), (koopman_flow(0.1), True),
+        (koopman_flow(0.3), True), (koopman_flow(0.3, m=0.7, omega=1.4), True),
+        (LINEAR_FLOW, False),
+    ])
+    def test_reversible_flow_is_real_in_the_gauge(self, pk, gauged):
+        spec = TruncationSpec(n_levels=9, n_modes=2, core_levels=2)
+        H, _ = build_koopman_hamiltonian(pk, spec)
+        Ht, u = real_gauge(H, spec)
+        assert np.isrealobj(Ht)
+        ref = dense_koopman_hamiltonian(pk, spec)
+        u_ref = quanta_phases(spec) if gauged else np.ones(spec.dim)
+        ref = u_ref[:, None] * ref * u_ref.conj()
+        assert np.max(np.abs(ref.imag)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(Ht - ref.real)) <= 1e-14 * np.max(np.abs(ref))
+        if gauged:
+            assert np.array_equal(u, u_ref)
+        else:
+            assert u is None
+
+    def test_damped_flow_stays_complex(self):
+        spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=3)
+        H, _ = build_koopman_hamiltonian(DAMPED_FLOW, spec)
+        Ht, u = real_gauge(H, spec)
+        assert Ht is H and u is None
+
+    @pytest.mark.parametrize("pk", [koopman_flow(0.1), LINEAR_FLOW])
+    def test_propagator_matches_complex_eigh(self, pk):
+        spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=3)
+        H, ops = build_koopman_hamiltonian(pk, spec)
+        Ht, u = real_gauge(H, spec)
+        real = HeisenbergPropagator(Ht, 0.8, u)
+        ref = HeisenbergPropagator(H, 0.8)
+        assert np.isrealobj(real.vectors) and np.iscomplexobj(ref.vectors)
+        keep = core_mask(spec)
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        psi /= np.linalg.norm(psi)
+        P0 = build_quadrature_ops(spec, hbar=0.8)[0][1]
+        for O in (ops["Q"][0], ops["Pi"][0], P0):
+            scale = np.linalg.norm(O)
+            for t in (0.0, 0.6, 2.3):
+                full = ref.evolve(O, t)
+                assert np.linalg.norm(real.evolve(O, t) - full) < 1e-12 * scale
+                rows = real.evolve_rows(O, t, keep)
+                assert np.linalg.norm(rows - ref.evolve_rows(O, t, keep)) \
+                    < 1e-12 * scale
+                assert np.linalg.norm(rows - full[keep]) < 1e-12 * scale
+        for t in (0.6, 2.3):
+            psit = real.evolve_state(psi, t)
+            assert np.linalg.norm(psit - ref.evolve_state(psi, t)) < 1e-12
+            assert np.linalg.norm(psit - expm(-1j * H * t / 0.8) @ psi) < 1e-12
+
+    def test_real_and_complex_residuals_agree_at_24_levels(self, monkeypatch):
+        # the converged residual is a near-cancellation: the two
+        # eigensolvers agree to 1e-6 relative, not to the last digit
+        spec = TruncationSpec(n_levels=24, n_modes=2, core_levels=2)
+        H, ops = build_koopman_hamiltonian(koopman_flow(0.1), spec)
+        O_set = [ops["Q"][0], ops["Pi"][0]]
+        t_grid = np.linspace(0.0, 2.0, 5)
+        res = commutator_residual(H, O_set, t_grid, spec)
+        monkeypatch.setattr(fock, "real_gauge", lambda H, spec: (H, None))
+        ref = commutator_residual(H, O_set, t_grid, spec)
+        assert 0 < res < 1e-5
+        assert res == pytest.approx(ref, rel=1e-6)
