@@ -438,10 +438,8 @@ class TestCommutatorResidual:
         with pytest.raises(ValueError, match="Hermitian"):
             commutator_residual(H, [bad], [0.0], spec)
 
-    @pytest.mark.parametrize("pk", [
-        koopman_flow(0.1), koopman_flow(0.3), DAMPED_FLOW,
-    ], ids=["koopman", "koopman-eps0.3", "damped"])
-    def test_matches_full_dense_reference(self, pk):
+    @staticmethod
+    def check_against_full_dense_reference(pk):
         # reference: full O(t) per time from the complex eigendecomposition,
         # projected commutators, as before the kept-row products and the
         # real gauge
@@ -460,6 +458,15 @@ class TestCommutatorResidual:
         res = commutator_residual(H, O_set, t_grid, spec)
         assert reference > 0.5
         assert res == pytest.approx(reference, rel=1e-12)
+
+    def test_matches_full_dense_reference(self):
+        # the ``koopman`` command's flow at eps = 0.1
+        self.check_against_full_dense_reference(koopman_flow(0.1))
+
+    @pytest.mark.parametrize("pk", [koopman_flow(0.3), DAMPED_FLOW],
+                             ids=["koopman-eps0.3", "damped"])
+    def test_matches_full_dense_reference_other_flows(self, pk):
+        self.check_against_full_dense_reference(pk)
 
 
 class TestRealGauge:
