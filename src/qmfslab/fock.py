@@ -266,49 +266,31 @@ def oscillator_hamiltonian(
     return _embed(p @ p / (2 * m) + 0.5 * m * omega**2 * (q @ q), mode, spec)
 
 
-def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B.  A real operand multiplies the real and imaginary parts of a
-    complex one, so it is never copied to complex (half the flops too)."""
-    if np.iscomplexobj(A) and np.isrealobj(B):
-        return A.real @ B + 1j * (A.imag @ B)
-    if np.isrealobj(A) and np.iscomplexobj(B):
-        return A @ B.real + 1j * (A @ B.imag)
-    return A @ B
-
-
 class HeisenbergPropagator:
     """Caches the eigendecomposition H = V diag(E) V+ for repeated
     evaluations at many times: operators O(t), their kept rows, and
     states psi(t).
 
     With ``phases`` u (a unit-modulus diagonal, see ``real_gauge``) the
-    matrix passed in is the gauged u H u*, so V = diag(u*) V~ with V~
-    its eigenvectors.  V is never formed: the phases multiply the thin
-    operands, and a real V~ multiplies their real and imaginary parts.
+    matrix passed in is the gauged u H u*, whose eigenvectors V~ give
+    V = diag(u*) V~; the phases are applied once, here.
     """
 
     def __init__(self, H: np.ndarray, hbar: float = 1.0, phases=None):
         self.hbar = hbar
-        self.phases = phases
         self.energies, self.vectors = np.linalg.eigh(H)
+        if phases is not None:
+            self.vectors = phases.conj()[:, None] * self.vectors
 
     def _phase(self, t: float) -> np.ndarray:
         return np.exp(1j * self.energies * t / self.hbar)
 
-    def _times_v(self, A: np.ndarray) -> np.ndarray:
-        """A V."""
-        if self.phases is not None:
-            A = A * self.phases.conj()
-        return _matmul(A, self.vectors)
-
-    def _times_vh(self, A: np.ndarray) -> np.ndarray:
-        """A V+, as (A* V^T)* so that V is not conjugated."""
-        out = _matmul(A.conj(), self.vectors.T).conj()
-        return out if self.phases is None else out * self.phases
-
     def evolve(self, O: np.ndarray, t: float) -> np.ndarray:
-        """O(t) = exp(iHt/hbar) O exp(-iHt/hbar): every row of it."""
-        return self.evolve_rows(O, t, slice(None))
+        """O(t) = exp(iHt/hbar) O exp(-iHt/hbar)."""
+        V = self.vectors
+        phase = self._phase(t)
+        Otil = V.conj().T @ O @ V
+        return V @ (Otil * np.outer(phase, phase.conj())) @ V.conj().T
 
     def evolve_rows(self, O: np.ndarray, t: float, keep) -> np.ndarray:
         """Rows ``keep`` of O(t), from thin k x dim products only.
@@ -317,17 +299,17 @@ class HeisenbergPropagator:
         the cost is four k x dim by dim x dim products instead of the
         full dim^3 conjugation.
         """
+        V = self.vectors
+        Vh = V.conj().T
         phase = self._phase(t)
-        V_keep = self.vectors[keep]
-        if self.phases is not None:
-            V_keep = V_keep * self.phases[keep, None].conj()
-        W = self._times_vh(V_keep * phase)
-        return self._times_vh(self._times_v(_matmul(W, O)) * phase.conj())
+        W = (V[keep, :] * phase) @ Vh
+        return ((W @ O) @ V * phase.conj()) @ Vh
 
     def evolve_state(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """psi(t) = exp(-iHt/hbar) psi, from the row psi(t)+ = psi+ V
-        exp(iEt/hbar) V+."""
-        return self._times_vh(self._times_v(psi.conj()) * self._phase(t)).conj()
+        """psi(t) = exp(-iHt/hbar) psi."""
+        V = self.vectors
+        phase = np.exp(-1j * self.energies * t / self.hbar)
+        return V @ (phase * (V.conj().T @ psi))
 
 
 def core_mask(spec: TruncationSpec) -> np.ndarray:
@@ -401,6 +383,7 @@ def commutator_residual(
             raise ValueError("observables must be Hermitian")
     Ht, phases = real_gauge(H, spec)
     prop = HeisenbergPropagator(Ht, hbar, phases)
+    del Ht  # the propagator keeps V only; free the gauged copy of H
     keep = core_mask(spec)
     rows = [prop.evolve_rows(O, t, keep) for O in O_set for t in t_grid]
 
