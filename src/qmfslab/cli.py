@@ -547,8 +547,12 @@ def main(argv=None) -> int:
         print("error:", *filter(None, (exc.argument_name, exc.message)),
               file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ValueError, OSError, KeyError, MemoryError) as exc:
-        # MemoryError: a run too long to allocate (numpy refuses at once)
+    except (ValueError, OSError, KeyError, MemoryError,
+            koopman.FlowDivergenceError, koopman.StepSizeError,
+            conditional.EstimationError) as exc:
+        # MemoryError: a run too long to allocate (numpy refuses at once);
+        # the three RuntimeErrors: a flow that escapes, a dt too coarse
+        # for the step-halving check, a model with no force information
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -44,6 +44,23 @@ flow is; then H is real as built.  ``real_gauge`` tries the two gauges;
 a flow with neither symmetry, such as one with a damping Q term in f,
 keeps the complex H.
 
+The same reversibility halves the eigenproblem.  The parity
+S_j = (-1)^(n_j) of mode j maps (q_j, p_j) -> (-q_j, -p_j) and fixes
+every other mode.  For the Koopman Hamiltonian of one pair, S_0 flips
+(Q, P), so S_0 H S_0 = -H exactly when f is even in Q and g and h are
+odd in Q: the Q -> -Q, t -> -t reversibility above (h = 0 in the
+``koopman`` command).  Then H only couples states of opposite n_0
+parity, H = [[0, B], [B+, 0]] between the two classes, and S_0 maps an
+eigenvector at E to one at -E, so the spectrum is +-E.  Truncation keeps
+this exactly, since q and p change n by one.  ``chiral_parity`` finds
+the first such mode, mode 0 first, by reading off that H has no entry
+inside either class, and ``HeisenbergPropagator`` then takes the
+eigenpairs from one SVD of the coupling block B, half the size of H.
+The parity of mode M + j flips (Phi_j, Pi_j) instead, and applies to a
+flow odd in Pi through f and even through g (the linear flow has both
+parities).  A damping Q term in f breaks every parity, and such a flow
+keeps the ``eigh``.
+
 Truncation is trusted only on the low-excitation core: the product
 states with fewer than ``core_levels`` quanta in every mode.
 ``core_mask`` is that set as a boolean mask over the product basis
@@ -66,6 +83,7 @@ __all__ = [
     "HeisenbergPropagator",
     "commutator_residual",
     "real_gauge",
+    "chiral_parity",
     "core_mask",
     "top_level_population",
     "poly1",
@@ -118,6 +136,21 @@ def _ladder(N: int) -> np.ndarray:
 def _kron(factors) -> np.ndarray:
     """Kronecker product of one factor per mode, mode 0 first."""
     return functools.reduce(np.kron, factors)
+
+
+def _kron_sum(terms, spec: TruncationSpec) -> np.ndarray:
+    """Complex sum of coef * kron(factors) over ``terms``, pairs of a
+    coefficient and one factor per mode, in one contraction: each mode's
+    factors are stacked over the terms, and one ``einsum`` sums the
+    terms with no dim x dim temporary each."""
+    N, n = spec.n_levels, spec.n_modes
+    # subscripts: 0 for the term, 1 + k (row) and 1 + n + k (column) on mode k
+    operands = [np.array([coef for coef, _ in terms]), [0]]
+    for k in range(n):
+        stack = np.array([factors[k] for _, factors in terms], dtype=complex)
+        operands += [stack.reshape(len(terms), N, N), [0, 1 + k, 1 + n + k]]
+    H = np.einsum(*operands, list(range(1, 2 * n + 1)), optimize=True)
+    return H.reshape(spec.dim, spec.dim)
 
 
 def _embed(op: np.ndarray, mode: int, spec: TruncationSpec) -> np.ndarray:
@@ -203,9 +236,10 @@ def build_koopman_hamiltonian(
     product of single-mode (n_levels x n_levels) factors: a monomial
     prod_j Q_j^a_j Pi_j^b_j has factor q^a_j on mode j and p^b_j on mode
     M + j, and P_j (Phi_j) multiplies the factor of mode j (M + j) from
-    the left or from the right.  H is still summed term by term, once
-    for each of P f, f P, Phi g and g Phi, so the Hermiticity check below
-    still catches an ordering defect.
+    the left or from the right.  The P f, f P, Phi g and g Phi sides stay
+    separate terms, so the Hermiticity check below still catches an
+    ordering defect; the terms' factors are stacked per mode and summed
+    in one contraction (``_kron_sum``).
     """
     if spec.n_modes != 2 * pk.M:
         raise ValueError(
@@ -219,22 +253,18 @@ def build_koopman_hamiltonian(
         for (ea, eb), coef in poly:
             yield coef, [power(q, k) for k in ea] + [power(p, k) for k in eb]
 
-    def scaled(coef, factors):
-        """coef times the Kronecker product, scaled on the first factor."""
-        return _kron([coef * factors[0]] + factors[1:])
-
-    dim = spec.dim
-    H = np.zeros((dim, dim), dtype=complex)
+    terms = []
     for j in range(pk.M):
         # P_j f_j + f_j P_j on mode j, Phi_j g_j + g_j Phi_j on mode M + j
         for poly, mode, op in ((pk.f[j], j, p), (pk.g[j], pk.M + j, q)):
             for coef, factors in monomials(poly):
                 inner = factors[mode]
                 for side in (op @ inner, inner @ op):
-                    factors[mode] = side
-                    H += scaled(0.5 * coef, factors)
-    for coef, factors in monomials(pk.h):
-        H += scaled(coef, factors)
+                    sided = list(factors)
+                    sided[mode] = side
+                    terms.append((0.5 * coef, sided))
+    terms += monomials(pk.h)
+    H = _kron_sum(terms, spec)
     defect = np.linalg.norm(H - H.conj().T)
     scale = max(np.linalg.norm(H), 1.0)
     if defect > 1e-12 * scale:
@@ -274,11 +304,25 @@ class HeisenbergPropagator:
     With ``phases`` u (a unit-modulus diagonal, see ``real_gauge``) the
     matrix passed in is the gauged u H u*, whose eigenvectors V~ give
     V = diag(u*) V~; the phases are applied once, here.
+
+    With ``parity``, the boolean mask of the odd class of a parity S that
+    anticommutes with H (see ``chiral_parity``), H = [[0, B], [B+, 0]]
+    between the even and odd classes and one SVD B = U diag(s) W+ of the
+    coupling block replaces the ``eigh``: each singular triple gives the
+    eigenpairs (u, +w) / sqrt 2 at +s and (u, -w) / sqrt 2 at -s, and
+    the left singular vectors past the odd class's size (the even class
+    is larger at an odd level count) are the E = 0 eigenvectors (u, 0)
+    (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205, 1965).  Without it
+    the propagator runs the plain ``eigh``.
     """
 
-    def __init__(self, H: np.ndarray, hbar: float = 1.0, phases=None):
+    def __init__(self, H: np.ndarray, hbar: float = 1.0, phases=None,
+                 parity=None):
         self.hbar = hbar
-        self.energies, self.vectors = np.linalg.eigh(H)
+        if parity is None:
+            self.energies, self.vectors = np.linalg.eigh(H)
+        else:
+            self.energies, self.vectors = _chiral_eigh(H, parity)
         if phases is not None:
             self.vectors = phases.conj()[:, None] * self.vectors
 
@@ -292,24 +336,49 @@ class HeisenbergPropagator:
         Otil = V.conj().T @ O @ V
         return V @ (Otil * np.outer(phase, phase.conj())) @ V.conj().T
 
-    def evolve_rows(self, O: np.ndarray, t: float, keep) -> np.ndarray:
-        """Rows ``keep`` of O(t), from thin k x dim products only.
+    def evolve_rows(self, O: np.ndarray, t_grid, keep) -> np.ndarray:
+        """Rows ``keep`` of O(t) at every t of ``t_grid``, as an array of
+        shape (len(t_grid), k, dim), from thin products only.
 
-        With W = (V[keep] phase) V+ the rows are ((W O) V phase*) V+, so
-        the cost is four k x dim by dim x dim products instead of the
-        full dim^3 conjugation.
+        With A_t = V[keep] phase(t) the rows are
+        (((A_t V+) O) V phase(t)*) V+.  The A_t of all times are stacked,
+        so each of the four stages is one (len(t_grid) k) x dim by
+        dim x dim product instead of one per time, and a product X V+ is
+        formed as (V X+)+, so no dim x dim copy of V+ is made.
         """
         V = self.vectors
-        Vh = V.conj().T
-        phase = self._phase(t)
-        W = (V[keep, :] * phase) @ Vh
-        return ((W @ O) @ V * phase.conj()) @ Vh
+        Vk = V[keep, :]
+        k, dim = Vk.shape
+        phase = np.exp(1j * np.outer(t_grid, self.energies) / self.hbar)
+        A = (Vk * phase[:, None, :]).reshape(-1, dim)
+        W = (V @ A.conj().T).conj().T
+        X = ((W @ O) @ V).reshape(-1, k, dim) * phase.conj()[:, None, :]
+        rows = (V @ X.reshape(-1, dim).conj().T).conj().T
+        return rows.reshape(-1, k, dim)
 
     def evolve_state(self, psi: np.ndarray, t: float) -> np.ndarray:
         """psi(t) = exp(-iHt/hbar) psi."""
         V = self.vectors
         phase = np.exp(-1j * self.energies * t / self.hbar)
         return V @ (phase * (V.conj().T @ psi))
+
+
+def _chiral_eigh(H: np.ndarray, odd: np.ndarray):
+    """Energies and eigenvectors of H = [[0, B], [B+, 0]] between the
+    classes ``~odd`` and ``odd`` from one full SVD of B (see
+    ``HeisenbergPropagator``)."""
+    even = ~odd
+    U, s, Wh = np.linalg.svd(H[np.ix_(even, odd)])
+    k = s.size  # the odd class's size; U has one column per even state
+    half = np.sqrt(0.5)
+    V = np.zeros(H.shape, dtype=U.dtype)
+    V[even, :k] = V[even, k : 2 * k] = half * U[:, :k]
+    V[even, 2 * k :] = U[:, k:]
+    W = Wh.conj().T
+    V[odd, :k] = half * W
+    V[odd, k : 2 * k] = -half * W
+    energies = np.concatenate([s, -s, np.zeros(U.shape[1] - k)])
+    return energies, V
 
 
 def core_mask(spec: TruncationSpec) -> np.ndarray:
@@ -353,6 +422,24 @@ def real_gauge(H: np.ndarray, spec: TruncationSpec):
     return Ht, u
 
 
+def chiral_parity(H: np.ndarray, spec: TruncationSpec):
+    """Mask of the odd class of the first mode parity S_j = (-1)^(n_j),
+    mode 0 first, that anticommutes with H, else ``None``.
+
+    S_j anticommutes with H exactly when every entry of H between two
+    states of equal n_j parity is zero; that is read off H itself, so a
+    zero means exactly zero.  The mask selects the states with n_j odd.
+    """
+    odd_level = np.arange(spec.n_levels) % 2 == 1
+    every_level = np.ones(spec.n_levels, dtype=bool)
+    for j in range(spec.n_modes):
+        odd = _kron([odd_level if k == j else every_level
+                     for k in range(spec.n_modes)])
+        if not np.any(H, where=odd[:, None] == odd):
+            return odd
+    return None
+
+
 def commutator_residual(
     H: np.ndarray,
     O_set,
@@ -364,16 +451,20 @@ def commutator_residual(
     all pairs and grid times.
 
     For Hermitian evolved operators A, B the core block of AB - BA only
-    needs the kept rows R = A[keep, :]: it equals R_A R_B+ - R_B R_A+.  The rows come from
-    ``HeisenbergPropagator.evolve_rows``: thin (kept rows) x dim
-    products with the one eigendecomposition of H, never a full
-    dim x dim conjugation of O.  When ``real_gauge`` makes H real, that
-    eigendecomposition is a real symmetric one; otherwise it is complex
-    Hermitian.  The two agree to rounding, but the residual of a
-    converged oracle is a near-cancellation: it moves by ~1e-7 relative
-    with the eigensolver and the BLAS thread count, so the ``koopman``
-    command's ``summary.json`` reproduces to 1e-6 relative in
-    ``oracle_residual``, not byte for byte.
+    needs the kept rows R = A[keep, :]: it equals
+    R_A R_B+ - R_B R_A+.  The rows come from
+    ``HeisenbergPropagator.evolve_rows``, once per observable for the
+    whole time grid: thin (kept rows x times) x dim products with the
+    one eigendecomposition of H, never a full dim x dim conjugation of
+    O.  When ``real_gauge`` makes H real, that eigendecomposition is a
+    real one; otherwise it is complex Hermitian.  When ``chiral_parity``
+    finds a mode parity that anticommutes with H, it is one SVD of the
+    coupling block between the parity classes; otherwise an ``eigh``.
+    All agree to rounding, but the residual of a converged oracle is a
+    near-cancellation: it moves by ~1e-7 relative with the eigensolver
+    and the BLAS thread count, so the ``koopman`` command's
+    ``summary.json`` reproduces to 1e-6 relative in ``oracle_residual``,
+    not byte for byte.
     """
     # checked before the eigendecomposition exists, so the check's
     # dim x dim temporaries do not add to its memory
@@ -382,10 +473,10 @@ def commutator_residual(
         if defect > 1e-10 * max(1.0, np.linalg.norm(O)):
             raise ValueError("observables must be Hermitian")
     Ht, phases = real_gauge(H, spec)
-    prop = HeisenbergPropagator(Ht, hbar, phases)
+    prop = HeisenbergPropagator(Ht, hbar, phases, chiral_parity(Ht, spec))
     del Ht  # the propagator keeps V only; free the gauged copy of H
     keep = core_mask(spec)
-    rows = [prop.evolve_rows(O, t, keep) for O in O_set for t in t_grid]
+    rows = [R for O in O_set for R in prop.evolve_rows(O, t_grid, keep)]
 
     worst = 0.0
     for i, RA in enumerate(rows):

@@ -74,8 +74,13 @@ class ClassicalFlow:
         return self._f(Q, Pi, t), -self._g(Q, Pi, t)
 
 
-def _rk4_sweep(flow: ClassicalFlow, Q, Pi, T: float, dt: float, record: bool):
-    n_steps = max(1, int(round(T / dt)))
+def _n_steps(T: float, dt: float) -> int:
+    """Number of equal RK4 steps over [0, T] nearest to step size dt."""
+    return max(1, int(round(T / dt)))
+
+
+def _rk4_sweep(flow: ClassicalFlow, Q, Pi, T: float, n_steps: int,
+               record: bool):
     h = T / n_steps
     t = 0.0
     if record:
@@ -113,15 +118,19 @@ def integrate(
 ):
     """RK4 trajectory (times, Q(t), Pi(t)).
 
-    With ``check`` on, the endpoint is re-integrated at half step and
-    the relative difference must stay below ``rtol``.
+    With ``check`` on, the endpoint is re-integrated with exactly twice
+    the number of steps, so at half the step actually taken even when dt
+    exceeds T, and the relative difference must stay below ``rtol``.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     dt = flow.dt if dt is None else dt
-    times, Qs, Ps = _rk4_sweep(flow, float(Q0), float(Pi0), T, dt, record=True)
+    n_steps = _n_steps(T, dt)
+    times, Qs, Ps = _rk4_sweep(flow, float(Q0), float(Pi0), T, n_steps,
+                               record=True)
     if check:
-        Qh, Ph = _rk4_sweep(flow, float(Q0), float(Pi0), T, dt / 2, record=False)
+        Qh, Ph = _rk4_sweep(flow, float(Q0), float(Pi0), T, 2 * n_steps,
+                            record=False)
         scale = max(1.0, abs(Qh), abs(Ph))
         err = max(abs(Qs[-1] - Qh), abs(Ps[-1] - Ph)) / scale
         if err > rtol:
@@ -154,7 +163,7 @@ def integrate_with_tangent(
     step = 1j * COMPLEX_STEP
     Q = np.array([float(Q0) + step, float(Q0)])
     Pi = np.array([float(Pi0), float(Pi0) + step])
-    Q, Pi = _rk4_sweep(flow, Q, Pi, T, dt, record=False)
+    Q, Pi = _rk4_sweep(flow, Q, Pi, T, _n_steps(T, dt), record=False)
     y = np.array([Q[0].real, Pi[0].real])
     J = np.array([Q.imag, Pi.imag]) / COMPLEX_STEP
     return y, J
@@ -178,9 +187,8 @@ def transport_density(
     if samples.shape[0] < 1:
         raise ValueError("need at least one sample")
     dt = flow.dt if dt is None else dt
-    Q, Pi = _rk4_sweep(
-        flow, samples[:, 0].copy(), samples[:, 1].copy(), T, dt, record=False
-    )
+    Q, Pi = _rk4_sweep(flow, samples[:, 0].copy(), samples[:, 1].copy(), T,
+                       _n_steps(T, dt), record=False)
     out = np.column_stack([Q, Pi])
     mean, cov = ensemble_moments(out, weights)
     return out, mean, cov

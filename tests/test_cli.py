@@ -177,6 +177,37 @@ class TestKoopman:
         assert (out / "classical.csv").exists()
 
 
+class TestRunTimeBadInput:
+    """Input that only fails once the run starts: exit 2 with the
+    message, no traceback and no summary."""
+
+    def check_bad_input(self, out, argv, capsys, message):
+        assert main(["--out", str(out), *argv]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists()
+        assert not (out / "classical.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--q0"])
+    def test_flow_divergence(self, tmp_path, capsys, flag):
+        self.check_bad_input(tmp_path / "run", ["koopman", flag, "1e6"],
+                             capsys, "trajectory norm exceeded")
+
+    def test_step_too_coarse(self, tmp_path, capsys):
+        self.check_bad_input(tmp_path / "run", ["koopman", "--dt", "3"],
+                             capsys, "step-halving error")
+
+    def test_zero_force_coupling(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "n_modes": 1, "hbar": 1.0, "G": [[1.0, 0.0], [0.0, 1.0]],
+            "force_couplings": [[0.0, 0.0]]}))
+        self.check_bad_input(tmp_path / "run",
+                             ["force", "--model-file", str(path)],
+                             capsys, "zero force coupling")
+
+
 class TestSpin:
     def test_sweep(self, tmp_path):
         out = tmp_path / "run"

@@ -12,6 +12,7 @@ from qmfslab.fock import (
     TruncationSpec,
     build_koopman_hamiltonian,
     build_quadrature_ops,
+    chiral_parity,
     commutator_residual,
     core_mask,
     oscillator_hamiltonian,
@@ -109,9 +110,23 @@ def koopman_flow(eps, m=1.0, omega=1.0):
 
 
 LINEAR_FLOW = PolyKoopman(M=1, f=(poly1((0, 1, 1.0)),), g=(poly1((1, 0, 1.0)),))
+# odd in Pi through f, even in Pi through g, but g is not odd in Q: only
+# the parity of mode 1 (Phi, Pi) anticommutes with H
+MODE1_FLOW = PolyKoopman(M=1, f=(poly1((0, 1, 1.0)),),
+                         g=(poly1((1, 0, 1.0), (0, 2, 0.1)),))
 # a damping Q term in f: reversible under neither Q -> -Q nor Pi -> -Pi
 DAMPED_FLOW = PolyKoopman(M=1, f=(poly1((0, 1, 1.0), (1, 0, -0.5)),),
                           g=(poly1((1, 0, 1.0)),))
+
+
+def mode_parity(spec, mode):
+    """Mask of the product states with an odd number of quanta in
+    ``mode``, one kron per mode."""
+    out = np.array([True])
+    for k in range(spec.n_modes):
+        odd = np.arange(spec.n_levels) % 2 == 1
+        out = np.kron(out, odd if k == mode else np.ones_like(odd))
+    return out
 
 
 def quanta_phases(spec):
@@ -363,10 +378,13 @@ class TestHeisenbergPropagation:
         keep = np.zeros(24, dtype=bool)
         keep[[0, 5, 17]] = True
         prop = HeisenbergPropagator(H)
-        for t in (0.0, 0.4, 3.0):
+        t_grid = (0.0, 0.4, 3.0)
+        rows = prop.evolve_rows(O, t_grid, keep)
+        assert rows.shape == (3, 3, 24)
+        for t, rows_t in zip(t_grid, rows):
             full = prop.evolve(O, t)
-            rows = prop.evolve_rows(O, t, keep)
-            assert np.linalg.norm(rows - full[keep]) < 1e-12 * np.linalg.norm(O)
+            assert np.linalg.norm(rows_t - full[keep]) \
+                < 1e-12 * np.linalg.norm(O)
 
     def test_state_evolution_matches_operator_evolution(self):
         # <psi(t)| O |psi(t)> = <psi| O(t) |psi>
@@ -498,32 +516,46 @@ class TestRealGauge:
         Ht, u = real_gauge(H, spec)
         assert Ht is H and u is None
 
-    @pytest.mark.parametrize("pk", [koopman_flow(0.1), LINEAR_FLOW])
+    @pytest.mark.parametrize("pk", [koopman_flow(0.1), LINEAR_FLOW,
+                                    MODE1_FLOW])
     def test_propagator_matches_complex_eigh(self, pk):
-        spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=3)
+        # the real eigh and the chiral SVD, both in the real gauge,
+        # against the complex eigh of H as built, at even and odd N
+        for n_levels in (8, 9):
+            self.check_propagators(pk, n_levels)
+
+    @staticmethod
+    def check_propagators(pk, n_levels):
+        spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=3)
         H, ops = build_koopman_hamiltonian(pk, spec)
         Ht, u = real_gauge(H, spec)
-        real = HeisenbergPropagator(Ht, 0.8, u)
-        ref = HeisenbergPropagator(H, 0.8)
+        parity = chiral_parity(Ht, spec)
         assert np.isrealobj(Ht) and np.iscomplexobj(H)
+        assert parity is not None
+        ref = HeisenbergPropagator(H, 0.8)
         keep = core_mask(spec)
         rng = np.random.default_rng(5)
         psi = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
         psi /= np.linalg.norm(psi)
         P0 = build_quadrature_ops(spec, hbar=0.8)[0][1]
-        for O in (ops["Q"][0], ops["Pi"][0], P0):
-            scale = np.linalg.norm(O)
-            for t in (0.0, 0.6, 2.3):
-                full = ref.evolve(O, t)
-                assert np.linalg.norm(real.evolve(O, t) - full) < 1e-12 * scale
-                rows = real.evolve_rows(O, t, keep)
-                assert np.linalg.norm(rows - ref.evolve_rows(O, t, keep)) \
-                    < 1e-12 * scale
-                assert np.linalg.norm(rows - full[keep]) < 1e-12 * scale
-        for t in (0.6, 2.3):
-            psit = real.evolve_state(psi, t)
-            assert np.linalg.norm(psit - ref.evolve_state(psi, t)) < 1e-12
-            assert np.linalg.norm(psit - expm(-1j * H * t / 0.8) @ psi) < 1e-12
+        t_grid = (0.0, 0.6, 2.3)
+        for prop in (HeisenbergPropagator(Ht, 0.8, u),
+                     HeisenbergPropagator(Ht, 0.8, u, parity)):
+            for O in (ops["Q"][0], ops["Pi"][0], P0):
+                scale = np.linalg.norm(O)
+                rows = prop.evolve_rows(O, t_grid, keep)
+                ref_rows = ref.evolve_rows(O, t_grid, keep)
+                assert np.linalg.norm(rows - ref_rows) < 1e-12 * scale
+                for t, rows_t in zip(t_grid, rows):
+                    full = ref.evolve(O, t)
+                    assert np.linalg.norm(prop.evolve(O, t) - full) \
+                        < 1e-12 * scale
+                    assert np.linalg.norm(rows_t - full[keep]) < 1e-12 * scale
+            for t in (0.6, 2.3):
+                psit = prop.evolve_state(psi, t)
+                assert np.linalg.norm(psit - ref.evolve_state(psi, t)) < 1e-12
+                assert np.linalg.norm(psit - expm(-1j * H * t / 0.8) @ psi) \
+                    < 1e-12
 
     def test_real_and_complex_residuals_agree_at_24_levels(self, monkeypatch):
         # the converged residual is a near-cancellation: the two
@@ -534,6 +566,62 @@ class TestRealGauge:
         t_grid = np.linspace(0.0, 2.0, 5)
         res = commutator_residual(H, O_set, t_grid, spec)
         monkeypatch.setattr(fock, "real_gauge", lambda H, spec: (H, None))
+        ref = commutator_residual(H, O_set, t_grid, spec)
+        assert 0 < res < 1e-5
+        assert res == pytest.approx(ref, rel=1e-6)
+
+
+class TestChiralSplit:
+    """A mode parity that anticommutes with H: one SVD of the coupling
+    block in place of the eigh."""
+
+    @pytest.mark.parametrize("n_levels", [8, 9])
+    @pytest.mark.parametrize("pk, mode", [
+        (koopman_flow(0.0), 0), (koopman_flow(0.1), 0), (koopman_flow(0.3), 0),
+        (LINEAR_FLOW, 0), (MODE1_FLOW, 1), (DAMPED_FLOW, None),
+    ], ids=["eps0", "eps0.1", "eps0.3", "linear", "mode1", "damped"])
+    def test_split_on_the_first_anticommuting_parity(self, pk, mode,
+                                                     n_levels):
+        spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
+        H, _ = build_koopman_hamiltonian(pk, spec)
+        for matrix in (H, real_gauge(H, spec)[0]):
+            parity = chiral_parity(matrix, spec)
+            if mode is None:
+                assert parity is None
+            else:
+                assert np.array_equal(parity, mode_parity(spec, mode))
+                S = np.where(parity, -1.0, 1.0)
+                assert not np.any(S[:, None] * H * S + H)
+
+    @pytest.mark.parametrize("n_levels", [8, 9])
+    @pytest.mark.parametrize("pk", [koopman_flow(0.1), koopman_flow(0.0),
+                                    MODE1_FLOW],
+                             ids=["gauged", "real", "mode1"])
+    def test_eigenpairs(self, pk, n_levels):
+        # at 9 levels the even class is larger: its extra left singular
+        # vectors are the E = 0 eigenvectors
+        spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
+        H, _ = build_koopman_hamiltonian(pk, spec)
+        Ht, u = real_gauge(H, spec)
+        prop = HeisenbergPropagator(Ht, 1.0, u, chiral_parity(Ht, spec))
+        V, E = prop.vectors, prop.energies
+        assert V.shape == H.shape and E.shape == (spec.dim,)
+        scale = np.linalg.norm(H)
+        assert np.linalg.norm(H @ V - V * E) < 1e-13 * scale
+        assert np.linalg.norm(V.conj().T @ V - np.eye(spec.dim)) < 1e-13 \
+            * spec.dim
+        assert np.allclose(np.sort(E), np.linalg.eigvalsh(H),
+                           atol=1e-13 * scale)
+        assert np.count_nonzero(E == 0) == (spec.dim // n_levels
+                                            if n_levels % 2 else 0)
+
+    def test_split_and_eigh_residuals_agree_at_24_levels(self, monkeypatch):
+        spec = TruncationSpec(n_levels=24, n_modes=2, core_levels=2)
+        H, ops = build_koopman_hamiltonian(koopman_flow(0.1), spec)
+        O_set = [ops["Q"][0], ops["Pi"][0]]
+        t_grid = np.linspace(0.0, 2.0, 5)
+        res = commutator_residual(H, O_set, t_grid, spec)
+        monkeypatch.setattr(fock, "chiral_parity", lambda H, spec: None)
         ref = commutator_residual(H, O_set, t_grid, spec)
         assert 0 < res < 1e-5
         assert res == pytest.approx(ref, rel=1e-6)

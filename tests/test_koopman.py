@@ -78,6 +78,14 @@ class TestIntegrate:
         with pytest.raises(StepSizeError):
             integrate(flow, 1.5, 0.0, T=5.0, rtol=1e-12)
 
+    def test_step_halving_check_when_dt_exceeds_T(self):
+        # one RK4 step of h = 2 against two of h = 1; a check sweep that
+        # rounded T / (dt / 2) would repeat the single step
+        flow = ClassicalFlow(f=poly1((0, 1, 1.0), (2, 0, 0.1)),
+                             g=poly1((1, 0, 1.0)), dt=3.0)
+        with pytest.raises(StepSizeError):
+            integrate(flow, 0.3, 0.0, T=2.0)
+
     def test_divergence_guard(self):
         # dQ/dt = Q^2 blows up in finite time
         flow = ClassicalFlow(f=poly1((2, 0, 1.0)), g=poly1((1, 0, 0.0), (0, 0, 0.0)), dt=1e-3)
