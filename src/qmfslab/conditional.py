@@ -14,8 +14,16 @@ the conjugate never feeds back and the projected back-action vanishes
 identically.
 
 Every covariance flow (trajectories, fixed horizons, the steady state,
-the force filter) advances through one step that is exact at any step
-size, the restarted linear-fractional (Davison-Maki) propagator.
+the force filter) advances through one engine that is exact at any step
+size, the restarted linear-fractional (Davison-Maki) propagator.  On a
+grid of steps h it works in blocks of K steps, K the largest with
+K h ||H||_2 <= 1 for the Hamiltonian matrix H of the flow (and at most
+MAX_BLOCK_STEPS): one stacked expm gives expm(k h H) for k = 1..K, each
+block applies them all to its start in one batched solve, and the next
+block restarts from the last V (Davison & Maki, IEEE TAC 18, 71, 1973;
+Kenney & Leipnik, IEEE TAC 30, 962, 1985).  Each V thus comes from an
+exact propagator over at most K steps, so rounding does not build up
+step by step.
 
 A force F(t) = c.z(t) is the output of a linear generator z' = W z, so
 waveform estimation appends z, scaled by the unknown amplitude, to the
@@ -63,6 +71,7 @@ __all__ = [
 ]
 
 MAX_STEP_NORM = 0.1  # reject Euler steps with ||A|| dt above this
+MAX_BLOCK_STEPS = 1000  # bounds the stacked propagators and block temporaries
 
 
 class RiccatiDivergenceError(RuntimeError):
@@ -189,14 +198,20 @@ class ForceDrive:
         z0 = F0 * np.array([math.sin(phase), math.cos(phase)])
         return ForceDrive(b, W, np.array([1.0, 0.0]), z0)
 
-    def samples(self, dt: float, n_steps: int) -> np.ndarray:
-        """F at t = n dt for n < n_steps: c.z_n with z_{n+1} = expm(W dt) z_n."""
-        R = expm(self.W * dt)
+    def samples(self, dt: float, n_steps: int, block: int = 1) -> np.ndarray:
+        """F at t = n dt for n < n_steps: c.z_n, in blocks of `block` steps.
+
+        Within a block starting at step n0, z_{n0 + j} = expm(W j dt) z_{n0},
+        all from one stacked expm; the next block starts at
+        z_{n0 + block}.  block = 1 is the recursion z_{n+1} = expm(W dt) z_n.
+        """
+        R = expm(self.W * (dt * np.arange(block + 1))[:, None, None])
+        cR = self.c @ R[:block]  # row j: c^T expm(W j dt)
         z = self.z0
         out = np.empty(n_steps)
-        for n in range(n_steps):
-            out[n] = self.c @ z
-            z = R @ z
+        for n0 in range(0, n_steps, block):
+            out[n0:n0 + block] = cR[:n_steps - n0] @ z
+            z = R[block] @ z
         return out
 
 
@@ -244,29 +259,64 @@ def riccati_rhs(model: LinearModel, channels):
     return lambda V: A @ V + V @ A.T + D - V @ M @ V
 
 
-def _exact_step(A, D, M, h):
-    """The covariance step V -> V(h) of dV/dt = A V + V A^T + D - V M V.
+def _covariance_grid(A, D, M, h, n_steps):
+    """The Davison-Maki engine: V at every step of n_steps steps of size h.
 
-    V(h) = Y X^-1 with [X; Y] = expm(h H) [I; V] and the Hamiltonian
-    H = [[-A^T, M], [D, A]]: exact at any h.  h is split into n equal
-    parts so that ||h H / n||_2 stays within MAX_EXPM_NORM; one expm
-    serves them all, and each part restarts from X = I (the modified
-    Davison-Maki method), which keeps X well conditioned.
+    Solves dV/dt = A V + V A^T + D - V M V through the Hamiltonian
+    H = [[-A^T, M], [D, A]]: V(t) = Y X^-1 with [X; Y] = expm(t H) [I; V(0)],
+    exact at any t.  Steps come in blocks of K, the largest K with
+    K h ||H||_2 <= 1, capped at n_steps and at MAX_BLOCK_STEPS (a flow
+    with a tiny ||H|| would otherwise stack ~n_steps propagators and
+    per-step temporaries in one block).  One stacked expm gives
+    Phi_k = expm(k h H) for k = 1..K; a block applies Phi_1..Phi_k to
+    [I; V] at its start and makes one batched solve for all its steps,
+    and the next block restarts from X = I at its last V (the modified
+    Davison-Maki method of Kenney & Leipnik), which keeps X well
+    conditioned and keeps rounding from building up step by step.  When
+    h ||H||_2 > 1 the blocks hold one step each, and a step is split into
+    n equal parts with ||h H / n||_2 <= MAX_EXPM_NORM, each part again a
+    restart from X = I.  Every V is symmetrised.
+
+    Returns (K, blocks): blocks(V0) yields (n0, Vs), Vs[j] being V at
+    step n0 + j + 1.
     """
     d = A.shape[0]
     H = np.block([[-A.T, M], [D, A]])
-    n = max(1, math.ceil(abs(h) * np.linalg.norm(H, 2) / MAX_EXPM_NORM))
-    Phi = expm(h / n * H)
-    Phi_I, Phi_V = Phi[:, :d].copy(), Phi[:, d:].copy()
+    hH = abs(h) * np.linalg.norm(H, 2)
+    n = max(1, math.ceil(hH / MAX_EXPM_NORM))
+    K = min(n_steps, MAX_BLOCK_STEPS)
+    K = max(1, math.floor(min(K, 1 / hH) if hH > 0 else K))
+    Phi = expm(h / n * np.arange(1, K + 1)[:, None, None] * H)
+    Phi_I, Phi_V = Phi[:, :, :d].copy(), Phi[:, :, d:].copy()
 
-    def step(V):
-        for _ in range(n):
-            XY = Phi_I + Phi_V @ V
-            V = np.linalg.solve(XY[:d].T, XY[d:].T).T
-            V = (V + V.T) / 2
-        return V
+    def restart(V, k):
+        XY = Phi_I[:k] + Phi_V[:k] @ V
+        Vs = np.linalg.solve(XY[:, :d].transpose(0, 2, 1),
+                             XY[:, d:].transpose(0, 2, 1)).transpose(0, 2, 1)
+        return (Vs + Vs.transpose(0, 2, 1)) / 2
 
-    return step
+    def blocks(V):
+        for n0 in range(0, n_steps, K):
+            for _ in range(n):  # n > 1 only with one step per block
+                Vs = restart(V, min(K, n_steps - n0))
+                V = Vs[-1]
+            yield n0, Vs
+
+    return K, blocks
+
+
+def _exact_step(A, D, M, h):
+    """The covariance step V -> V(h): the Davison-Maki grid of one step.
+
+    V(h) = Y X^-1 with [X; Y] = expm(h H) [I; V], exact at any h.  A
+    grid of one step has K = 1: h is split into n equal parts so that
+    ||h H / n||_2 stays within MAX_EXPM_NORM, and each part restarts
+    from X = I.  Runs of many steps take _covariance_grid itself, whose
+    blocks of K steps (K h ||H||_2 <= 1) share one stacked expm and
+    make one batched solve each.
+    """
+    _, blocks = _covariance_grid(A, D, M, h, 1)
+    return lambda V: next(blocks(V))[1][0]
 
 
 def riccati_evolve(model: LinearModel, channels, V0, T: float) -> np.ndarray:
@@ -338,9 +388,12 @@ def _noise_increments(seed, n_channels: int, n_steps: int, dt: float):
 def _conditional_sweep(model, state0, channels, force, dt, T, seeds, cov_stride):
     """The one conditional stepping loop, vectorized over trajectories.
 
-    Means are a (dim, n_traj) matrix stepped by Euler-Maruyama; the
-    covariance flow and the force samples are seed-independent, so one
-    exact covariance step per time step serves every trajectory.
+    The covariance flow and the force samples are seed-independent, so
+    one covariance grid (_covariance_grid) serves every trajectory.  It
+    comes in blocks of K steps; within a block the gains V s, the noise
+    kicks and the force pushes are formed for all steps at once, the
+    means, a (dim, n_traj) matrix, take their Euler-Maruyama steps one
+    by one, and the block's records come from its means in one product.
     Trajectory i draws its noise from the streams keyed by seeds[i].
     Returns (times, means, records, cov_times, covs) with means
     (n_traj, n_steps + 1, dim), records (n_traj, n_steps, n_channels)
@@ -359,48 +412,53 @@ def _conditional_sweep(model, state0, channels, force, dt, T, seeds, cov_stride)
     n_traj = len(seeds)
     n_ch = len(channels)
     d = model.dim
-    step = _exact_step(model.A, *_flow_terms(model, channels), dt)
+    A = model.A
+    K, blocks = _covariance_grid(A, *_flow_terms(model, channels), dt, n_steps)
 
     # (n_steps, n_ch, n_traj): one contiguous row of increments per step
     dW = np.stack(
         [_noise_increments(seed, n_ch, n_steps, dt) for seed in seeds], axis=-1
     )
-    scales = [math.sqrt(4 * ch.k * ch.eta) for ch in channels]
+    S = np.array([ch.s for ch in channels]).reshape(n_ch, d)
+    scales = np.array([math.sqrt(4 * ch.k * ch.eta) for ch in channels])
 
     times = np.arange(n_steps + 1) * dt
-    cov_steps = set(range(0, n_steps + 1, cov_stride)) | {n_steps}
-
-    mu = np.tile(state0.mean[:, None], (1, n_traj))
-    V = state0.cov.copy()
-    means = np.empty((n_steps + 1, d, n_traj))
-    means[0] = mu
-    records = np.empty((n_steps, n_ch, n_traj))
-    covs = [V]
-
+    is_cov = np.zeros(n_steps + 1, dtype=bool)
+    is_cov[::cov_stride] = is_cov[-1] = True
+    means = np.empty((n_traj, n_steps + 1, d))
+    means[:, 0] = state0.mean
+    records = np.empty((n_traj, n_steps, n_ch))
+    covs = [state0.cov[None]]
     if force is not None:
-        b = force.b[:, None]
-        F = force.samples(dt, n_steps)
-    for n in range(n_steps):
-        dmu = (model.A @ mu) * dt
+        F = force.samples(dt, n_steps, K)
+    mus = np.empty((K + 1, d, n_traj))  # the means over one block
+    mus[0] = state0.mean[:, None]
+    V = state0.cov
+    for n0, Vs in blocks(V):
+        k = len(Vs)
+        steps = slice(n0, n0 + k)
+        # step n's gain uses V_n: the block's start, then all rows but its last
+        V_n = np.concatenate([V[None], Vs[:-1]])
+        # what each step adds to (A mu) dt, in order: the force push,
+        # then the kick of each channel
+        terms = [(scales[c] * (V_n @ ch.s))[:, :, None] * dW[steps, c, None]
+                 for c, ch in enumerate(channels)]
         if force is not None:
-            dmu = dmu + b * (F[n] * dt)
-        for c, ch in enumerate(channels):
-            gain = scales[c] * (V @ ch.s)
-            records[n, c] = (ch.s @ mu) * dt + dW[n, c] / scales[c]
-            dmu = dmu + gain[:, None] * dW[n, c]
-        mu = mu + dmu
-        V = step(V)
-        means[n + 1] = mu
-        if n + 1 in cov_steps:
-            covs.append(V)
+            terms.insert(0, force.b[:, None] * (F[steps] * dt)[:, None, None])
+        for j in range(k):
+            dmu = A @ mus[j]
+            dmu *= dt
+            for term in terms:
+                dmu += term[j]
+            np.add(mus[j], dmu, out=mus[j + 1])
+        means[:, n0 + 1:n0 + k + 1] = mus[1:k + 1].transpose(2, 0, 1)
+        records[:, steps] = (means[:, steps] @ S.T) * dt
+        records[:, steps] += dW[steps].transpose(2, 0, 1) / scales
+        mus[0] = mus[k]
+        covs.append(Vs[is_cov[n0 + 1:n0 + k + 1]])
+        V = Vs[-1]
 
-    return (
-        times,
-        np.ascontiguousarray(means.transpose(2, 0, 1)),
-        np.ascontiguousarray(records.transpose(2, 0, 1)),
-        times[sorted(cov_steps)],
-        np.array(covs),
-    )
+    return times, means, records, times[is_cov], np.concatenate(covs)
 
 
 def evolve_conditional(
@@ -573,7 +631,7 @@ def estimate_force_batch(
     d = model.dim
     A, D, M, Va = _augmented_filter(model, channels, template, state0.cov,
                                     prior_var)
-    step = _exact_step(A, D, M, dt)
+    _, blocks = _covariance_grid(A, D, M, dt, n_steps)
     # means step in the frame where the amplitude is constant: Euler for
     # x, as in the simulator, the exact rotation R for z, and each gain
     # applied before that rotation (E = diag(I, R))
@@ -584,14 +642,18 @@ def estimate_force_batch(
     s_aug = [np.pad(ch.s, (0, R.shape[0])) for ch in channels]
     mu = np.zeros((A.shape[0], n_traj))
     mu[:d] = state0.mean[:, None]
-    for n in range(n_steps):
-        mu_new = P @ mu
-        for c, (ch, sa) in enumerate(zip(channels, s_aug)):
-            gain = E @ (4 * ch.k * ch.eta * (Va @ sa))
-            innovation = records[:, n, c] - (sa @ mu) * dt
-            mu_new += np.outer(gain, innovation)
-        mu = mu_new
-        Va = step(Va)
+    for n0, Vs in blocks(Va):
+        # step n's gain uses Va_n: the block's start, then all rows but its last
+        Va_n = np.concatenate([Va[None], Vs[:-1]])
+        gains = [4 * ch.k * ch.eta * (Va_n @ sa) @ E.T
+                 for ch, sa in zip(channels, s_aug)]
+        for j in range(len(Vs)):
+            mu_new = P @ mu
+            for c, (sa, gain) in enumerate(zip(s_aug, gains)):
+                innovation = records[:, n0 + j, c] - (sa @ mu) * dt
+                mu_new += np.outer(gain[j], innovation)
+            mu = mu_new
+        Va = Vs[-1]
     u = _amplitude_readout(template, n_steps * dt)
     V_FF = u @ Va[d:, d:] @ u
     return [_ml_from_posterior(float(u @ mu[d:, i]), V_FF, prior_var)

@@ -12,6 +12,7 @@ that sweep (Martins, Sturdza & Alonso, ACM TOMS 29:245, 2003).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,7 @@ def _rk4_sweep(flow: ClassicalFlow, Q, Pi, T: float, n_steps: int,
                record: bool):
     h = T / n_steps
     t = 0.0
+    scalar = np.ndim(Q) == 0  # one trajectory: guard without a reduction
     if record:
         times = np.empty(n_steps + 1)
         Qs = np.empty((n_steps + 1,) + np.shape(Q))
@@ -96,7 +98,9 @@ def _rk4_sweep(flow: ClassicalFlow, Q, Pi, T: float, n_steps: int,
         Q = Q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
         Pi = Pi + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
         t += h
-        if np.max(np.hypot(Q.real, Pi.real)) > BLOWUP_NORM:
+        size = (math.hypot(Q.real, Pi.real) if scalar
+                else np.max(np.hypot(Q.real, Pi.real)))
+        if size > BLOWUP_NORM:
             raise FlowDivergenceError(
                 f"trajectory norm exceeded {BLOWUP_NORM:g} at t = {t:.6g}"
             )

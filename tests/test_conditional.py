@@ -8,6 +8,8 @@ import pytest
 
 from qmfslab import models
 from qmfslab.conditional import (
+    MAX_BLOCK_STEPS,
+    _covariance_grid,
     _exact_step,
     _flow_terms,
     _noise_increments,
@@ -300,16 +302,19 @@ def reference_trajectory(model, state0, channels, force, dt, T, seed,
                          cov_stride):
     """One trajectory at a time, as a plain loop over steps.
 
-    The reference the batched sweep must match bit for bit.  Returns
+    The reference the batched sweep must match bit for bit.  V_n and the
+    force blocks come from the engine's covariance grid.  Returns
     (means, records, cov_times, covs).
     """
     n_steps = int(round(T / dt))
-    step = _exact_step(model.A, *_flow_terms(model, channels), dt)
+    K, blocks = _covariance_grid(model.A, *_flow_terms(model, channels), dt,
+                                 n_steps)
+    grid = [state0.cov] + [V for _, Vs in blocks(state0.cov) for V in Vs]
     dW = _noise_increments(seed, len(channels), n_steps, dt)
 
     d = model.dim
     mu = state0.mean.copy()
-    V = state0.cov.copy()
+    V = grid[0]
     times = np.arange(n_steps + 1) * dt
     means = np.empty((n_steps + 1, d))
     means[0] = mu
@@ -324,7 +329,7 @@ def reference_trajectory(model, state0, channels, force, dt, T, seed,
         cov_pos = 1
 
     b = force.b if force is not None else None
-    F = force.samples(dt, n_steps) if force is not None else None
+    F = force.samples(dt, n_steps, K) if force is not None else None
     for n in range(n_steps):
         dmu = model.A @ mu * dt
         if force is not None:
@@ -336,7 +341,7 @@ def reference_trajectory(model, state0, channels, force, dt, T, seed,
             )
             dmu = dmu + gain * dW[n, c]
         mu = mu + dmu
-        V = step(V)
+        V = grid[n + 1]
         means[n + 1] = mu
         if cov_pos < len(cov_idx) and cov_idx[cov_pos] == n + 1:
             covs[cov_pos] = V
@@ -483,7 +488,8 @@ class TestExactCovarianceStep:
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_rk4(self, case):
-        # per time step as in the sweep, and in unit steps as riccati_evolve
+        # per time step, on the sweep's block grid, and in one long step
+        # as riccati_evolve
         model, ch = case()
         dt, n = 1e-3, 2000
         step = _exact_step(model.A, *_flow_terms(model, ch), dt)
@@ -495,8 +501,112 @@ class TestExactCovarianceStep:
             W = rk4_step(rhs, W, dt)
         scale = np.max(np.abs(W))
         assert np.max(np.abs(V - W)) <= 1e-12 * scale
+        V_grid = grid_covs(model, ch, dt, n, V0)[-1]
+        assert np.max(np.abs(V_grid - W)) <= 1e-12 * scale
         V_long = riccati_evolve(model, ch, V0, T=n * dt)
         assert np.max(np.abs(V_long - W)) <= 1e-12 * scale
+
+
+def grid_covs(model, channels, dt, n_steps, V0):
+    """V(0) and every V of the engine's covariance grid, (n_steps + 1, d, d)."""
+    _, blocks = _covariance_grid(model.A, *_flow_terms(model, channels), dt,
+                                 n_steps)
+    return np.array([V0] + [V for _, Vs in blocks(V0) for V in Vs])
+
+
+def hp_covariance(model, channels, V0, n, dt):
+    """V(t) = Y X^-1 with [X; Y] = expm(t H) [I; V0] in 60-digit arithmetic.
+
+    t = n dt exactly; H = [[-A^T, M], [D, A]] is assembled here channel
+    by channel, apart from the engine's (D, M).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    d = model.dim
+    D = sum(backaction_diffusion(model, ch) for ch in channels)
+    M = sum(4 * ch.k * ch.eta * np.outer(ch.s, ch.s) for ch in channels)
+    H = np.block([[-model.A.T, M], [D, model.A]])
+    with mpmath.workdps(60):
+        t = n * mpmath.mpf(dt)
+        XY = (mpmath.expm(mpmath.matrix(H.tolist()) * t)
+              * mpmath.matrix(np.vstack([np.eye(d), V0]).tolist()))
+        V = XY[d:, :] * mpmath.inverse(XY[:d, :])
+        return np.array(V.tolist(), dtype=float)
+
+
+def slow_pair():
+    # ||H|| ~ 0.01: K h ||H|| <= 1 would allow 96079 steps per block
+    return (models.oscillator_pair(100.0, 0.01).model,
+            (MeasurementChannel(models.ROW_Q, 1e-4, 1.0),))
+
+
+def pair_k(k):
+    return lambda: (models.oscillator_pair(1.0, 1.0).model,
+                    (MeasurementChannel(models.ROW_Q, k, 1.0),))
+
+
+class TestCovarianceGrid:
+    @pytest.mark.parametrize("case", [
+        pytest.param(pair_k(2.0), id="pair-k2"),
+        pytest.param(lambda: (models.single_oscillator(1.0, 1.0).model,
+                              (pos_channel(2.0),)), id="single-k2"),
+    ])
+    def test_matches_high_precision_reference(self, case):
+        # measured 0.8e-16 to 2.5e-15; composing 10^4 single steps left
+        # 2.0e-14 to 8.1e-14, which this bound rejects
+        model, ch = case()
+        dt = 1e-3
+        V0 = vacuum_state(model).cov
+        grid = grid_covs(model, ch, dt, 10000, V0)
+        for t in (1, 5, 10):
+            n = int(round(t / dt))
+            ref = hp_covariance(model, ch, V0, n, dt)
+            assert np.max(np.abs(grid[n] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    # (model and channels, dt, n_steps, block size K, relative bound).
+    # Blocks of one step restart at every step, as the per-step loop
+    # did, and their rounding builds up like its: measured 1.2e-15 and
+    # 8.0e-14 (the stiff split case) against <= 4.1e-16 for K > 1.
+    BOUNDARY = [
+        pytest.param(pair_k(2.0), 1e-3, 30, 30, 1e-14, id="n-below-K"),
+        pytest.param(pair_k(2.0), 1e-3, 300, 62, 1e-14, id="n-not-multiple"),
+        pytest.param(pair_k(200.0), 1e-3, 300, 1, 1e-12, id="K1-hH-1.6"),
+        pytest.param(pair_k(200.0), 0.05, 20, 1, 1e-12, id="K1-split-hH-80"),
+        pytest.param(slow_pair, 1e-3, 2500, MAX_BLOCK_STEPS, 1e-14,
+                     id="K-capped"),
+    ]
+
+    @pytest.mark.parametrize("case, dt, n, K, tol", BOUNDARY)
+    def test_block_boundaries(self, case, dt, n, K, tol):
+        model, ch = case()
+        A, (D, M) = model.A, _flow_terms(model, ch)
+        norm = dt * np.linalg.norm(np.block([[-A.T, M], [D, A]]), 2)
+        block, blocks = _covariance_grid(A, D, M, dt, n)
+        assert block == K
+        assert K * norm <= 1 or K == 1
+        assert K in (n, MAX_BLOCK_STEPS) or (K + 1) * norm > 1
+        V0 = vacuum_state(model).cov
+        starts, sizes = zip(*[(n0, len(Vs)) for n0, Vs in blocks(V0)])
+        assert list(starts) == list(range(0, n, K))
+        assert sum(sizes) == n and set(sizes[:-1]) <= {K}
+        grid = grid_covs(model, ch, dt, n, V0)
+        for step in sorted({1, K - 1, K, K + 1, 2 * K, n - 1, n} - {0}):
+            if step <= n:
+                ref = hp_covariance(model, ch, V0, step, dt)
+                err = np.max(np.abs(grid[step] - ref))
+                assert err <= tol * np.max(np.abs(ref)), step
+        assert np.array_equal(grid, grid.transpose(0, 2, 1))
+        assert all(is_physical_cov(V, model.Omega, model.hbar) for V in grid)
+
+    @pytest.mark.parametrize("cov_stride", [1, 7, 1000])
+    @pytest.mark.parametrize("case, dt, n, K, tol", BOUNDARY)
+    def test_sweep_keeps_grid_rows(self, case, dt, n, K, tol, cov_stride):
+        model, ch = case()
+        st = vacuum_state(model)
+        traj = evolve_conditional(model, st, ch, dt=dt, T=n * dt, seed=3,
+                                  cov_stride=cov_stride)
+        idx = sorted(set(range(0, n + 1, cov_stride)) | {n})
+        assert np.array_equal(traj.cov_times, np.arange(n + 1)[idx] * dt)
+        assert np.array_equal(traj.covs, grid_covs(model, ch, dt, n, st.cov)[idx])
 
 
 def pair_force_case():
@@ -550,6 +660,17 @@ class TestForceDrive:
         assert np.max(np.abs(const - 2.5)) <= 1e-12 * 2.5
         sin = ForceDrive.sinusoid(b, 1.7, 1.3, 0.4).samples(dt, n)
         assert np.max(np.abs(sin - 1.7 * np.sin(1.3 * t + 0.4))) <= 1e-12 * 1.7
+
+    @pytest.mark.parametrize("block", [1, 62, 1000])
+    def test_block_samples_match_closed_form(self, block):
+        # blocks of one step are the recursion; 62 does not divide n
+        dt, n = 1e-3, 20000
+        t = np.arange(n) * dt
+        drive = ForceDrive.sinusoid(np.array([0.0, 1.0]), 1.7, 1.3, 0.4)
+        sin = drive.samples(dt, n, block)
+        assert np.max(np.abs(sin - 1.7 * np.sin(1.3 * t + 0.4))) <= 1e-12 * 1.7
+        if block == 1:
+            assert np.array_equal(sin, drive.samples(dt, n))
 
     @pytest.mark.parametrize("make, name", [
         (lambda: ForceDrive.constant(np.ones(2), math.nan), "F0"),

@@ -92,6 +92,21 @@ class TestIntegrate:
         with pytest.raises((FlowDivergenceError, OverflowError)):
             integrate(flow, 5.0, 0.0, T=10.0, check=False)
 
+    def test_divergence_guard_on_every_path(self):
+        # the scalar sweep of integrate, the complex length-2 sweep of the
+        # tangent map and the array sweep of transport stop at one step
+        flow = ClassicalFlow(f=poly1((2, 0, 1.0)), g=poly1((1, 0, 0.0)),
+                             dt=1e-3)
+        messages = []
+        for run in (lambda: integrate(flow, 5.0, 0.0, T=1.0, check=False),
+                    lambda: integrate_with_tangent(flow, 5.0, 0.0, T=1.0),
+                    lambda: transport_density(flow, np.array([[5.0, 0.0]]),
+                                              T=1.0)):
+            with pytest.raises(FlowDivergenceError) as err:
+                run()
+            messages.append(str(err.value))
+        assert messages == ["trajectory norm exceeded 1e+12 at t = 0.201"] * 3
+
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             integrate(harmonic_flow(), 1.0, 0.0, T=0.0)
