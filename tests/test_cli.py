@@ -3,6 +3,7 @@ byte-identical reproducibility."""
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,87 @@ class TestSimulate:
         argv = ["--config", str(cfg), "--out", str(tmp_path / "run"),
                 "simulate", "--T", "0.1"]
         assert main(argv) == EXIT_BAD_INPUT
+
+
+def usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    """Count os.fork calls; each still forks."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestParallelWriters:
+    def run(self, out, batch, parallel):
+        return main(["--out", str(out), "--seed", "5", "simulate",
+                     "--model", "pair", "--k", "2", "--T", "0.2",
+                     "--force-amp", "1", "--batch", str(batch),
+                     "--parallel", str(parallel)])
+
+    def assert_same_files(self, out_a, out_b, batch):
+        for i in range(batch):
+            for stem in ("trajectory", "covariance"):
+                name = f"{stem}_{i:04d}.csv"
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    @pytest.mark.parametrize("parallel", [2, 3, 64])
+    def test_split_writes_the_serial_bytes(self, tmp_path, fork_calls,
+                                           parallel, batch):
+        assert self.run(tmp_path / "p1", batch, 1) == EXIT_OK
+        assert fork_calls == []
+        assert self.run(tmp_path / "pn", batch, parallel) == EXIT_OK
+        assert len(fork_calls) == min(parallel, batch, usable_cpus()) - 1
+        assert_no_child_left()
+        self.assert_same_files(tmp_path / "p1", tmp_path / "pn", batch)
+
+    def test_uneven_split_over_three_writers(self, tmp_path, monkeypatch,
+                                             fork_calls):
+        # 5 trajectories over 3 writers: shares of 2, 2 and 1
+        assert self.run(tmp_path / "p1", 5, 1) == EXIT_OK
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert self.run(tmp_path / "p3", 5, 3) == EXIT_OK
+        assert len(fork_calls) == 2
+        assert_no_child_left()
+        self.assert_same_files(tmp_path / "p1", tmp_path / "p3", 5)
+
+    def test_serial_without_fork(self, tmp_path, monkeypatch):
+        assert self.run(tmp_path / "p1", 3, 1) == EXIT_OK
+        monkeypatch.delattr(os, "fork")
+        assert self.run(tmp_path / "p3", 3, 3) == EXIT_OK
+        self.assert_same_files(tmp_path / "p1", tmp_path / "p3", 3)
+
+    @pytest.mark.parametrize("parallel", [2, 1])
+    def test_failed_writer_is_bad_input(self, tmp_path, capsys, parallel):
+        out = tmp_path / "run"
+        (out / "trajectory_0001.csv").mkdir(parents=True)
+        assert self.run(out, 2, parallel) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "trajectory_0001.csv" in err
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists()
+        assert_no_child_left()
 
 
 class TestConfigHash:
