@@ -37,12 +37,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, expm
 
 from .phase_space import (
     MAX_EXPM_NORM,
     LinearModel,
     _check_finite,
+    expm,
     transfer_matrix,
 )
 
@@ -277,6 +277,12 @@ def _covariance_grid(A, D, M, h, n_steps):
     n equal parts with ||h H / n||_2 <= MAX_EXPM_NORM, each part again a
     restart from X = I.  Every V is symmetrised.
 
+    The split restarts of a grid, n * n_steps when n > 1, are at most
+    MAX_EXPM_NORM * MAX_BLOCK_STEPS = 50000, about 1 s at the ~20 us a
+    restart takes on one core of a 2-vCPU host.  A grid that needs more,
+    e.g. the pair at k = 1e6 and h = 1e-3 over 1e4 steps (h ||H||_2 =
+    8e3, 161 restarts per step), raises ValueError before any work.
+
     Returns (K, blocks): blocks(V0) yields (n0, Vs), Vs[j] being V at
     step n0 + j + 1.
     """
@@ -284,6 +290,14 @@ def _covariance_grid(A, D, M, h, n_steps):
     H = np.block([[-A.T, M], [D, A]])
     hH = abs(h) * np.linalg.norm(H, 2)
     n = max(1, math.ceil(hH / MAX_EXPM_NORM))
+    max_restarts = round(MAX_EXPM_NORM * MAX_BLOCK_STEPS)
+    if n > 1 and n * n_steps > max_restarts:
+        raise ValueError(
+            f"h ||H||_2 = {hH:.3g} splits each of {n_steps} covariance "
+            f"step(s) into {n} restarts, more than {max_restarts} in all; "
+            "lower the measurement strength (--k) or the horizon (--T), or "
+            f"take a step (--dt) with h ||H||_2 <= {MAX_EXPM_NORM:g}"
+        )
     K = min(n_steps, MAX_BLOCK_STEPS)
     K = max(1, math.floor(min(K, 1 / hH) if hH > 0 else K))
     Phi = expm(h / n * np.arange(1, K + 1)[:, None, None] * H)
@@ -636,7 +650,8 @@ def estimate_force_batch(
     # x, as in the simulator, the exact rotation R for z, and each gain
     # applied before that rotation (E = diag(I, R))
     R = expm(template.W * dt)
-    E = block_diag(np.eye(d), R)
+    E = np.eye(A.shape[0])
+    E[d:, d:] = R
     P = E + A * dt
     P[d:, d:] = R
     s_aug = [np.pad(ch.s, (0, R.shape[0])) for ch in channels]

@@ -25,12 +25,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "LinearModel",
     "ObservableSet",
     "QmfsVerdict",
+    "expm",
     "symplectic_form",
     "build_drift",
     "transfer_matrix",
@@ -44,6 +44,84 @@ __all__ = [
 # expm(A t) is trusted (rel err <= 1e-12) only up to this norm; larger
 # arguments are rejected rather than silently degraded.
 MAX_EXPM_NORM = 50.0
+
+# Diagonal Pade approximants r_m of exp for m = 3, 5, 7, 9, 13: the
+# coefficients b_0..b_m, and theta_m, the largest 1-norm at which r_m
+# has backward error <= 2^-53 (Higham, SIAM J. Matrix Anal. Appl. 26,
+# 1179, 2005).
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
+        56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+        30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+         960960.0, 16380.0, 182.0, 1.0),
+}
+_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1,
+                   9.504178996162932e-1, 2.097847961257068e0,
+                   5.371920351148152e0])
+_DEGREES = tuple(_PADE)  # 3, 5, 7, 9, 13, in the order of _THETA
+
+
+def _pade(A: np.ndarray, m: int) -> np.ndarray:
+    """r_m(A) = (V - U)^-1 (V + U) for a stack A, U odd and V even in A."""
+    b = _PADE[m]
+    ident = np.eye(A.shape[-1], dtype=A.dtype)
+    A2 = A @ A
+    if m == 13:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    else:
+        powers = [A2]  # A^2, A^4, ..., A^(m-1)
+        while len(powers) < m // 2:
+            powers.append(powers[-1] @ A2)
+        U = A @ (b[1] * ident + sum(b[2 * j + 1] * P
+                                    for j, P in enumerate(powers, 1)))
+        V = b[0] * ident + sum(b[2 * j] * P for j, P in enumerate(powers, 1))
+    return np.linalg.solve(V - U, V + U)
+
+
+def expm(A) -> np.ndarray:
+    """Matrix exponential of A (n, n), or of each matrix of a stack (..., n, n).
+
+    Scaling and squaring (Higham 2005): each matrix X takes the lowest
+    Pade degree m in (3, 5, 7, 9, 13) with ||X||_1 <= theta_m, or m = 13
+    on X / 2^s with s = ceil(log2(||X||_1 / theta_13)) squared s times.
+    Degree and s are chosen per matrix, so a small matrix stacked with a
+    large one is not over-squared.  Real input gives a real result,
+    complex input a complex one; the zero matrix gives the identity
+    exactly.
+    """
+    A = np.asarray(A)
+    A = A.astype(np.result_type(A.dtype, float), copy=False)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expm needs square matrices, got shape {A.shape}")
+    shape = A.shape
+    A = A.reshape((-1,) + shape[-2:])
+    norms = np.abs(A).sum(axis=-2).max(axis=-1, initial=0.0)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("expm of a matrix with non-finite entries")
+    degree = np.minimum(np.searchsorted(_THETA, norms), len(_THETA) - 1)
+    squarings = np.zeros(len(A), dtype=int)
+    big = norms > _THETA[-1]
+    squarings[big] = np.ceil(np.log2(norms[big] / _THETA[-1]))
+    out = np.empty_like(A)
+    for i in set(degree.tolist()):
+        sel = degree == i
+        scale = np.ldexp(1.0, -squarings[sel])[:, None, None]
+        out[sel] = _pade(A[sel] * scale, _DEGREES[i])
+    for k in range(squarings.max(initial=0)):
+        sel = squarings > k
+        out[sel] = out[sel] @ out[sel]
+    return out.reshape(shape)
 
 
 def _check_finite(**params):

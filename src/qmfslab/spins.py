@@ -35,10 +35,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded, expm
 
 from .models import ROW_Q, ModelBundle, spin_pair_hp
-from .phase_space import transfer_matrix
+from .phase_space import expm, transfer_matrix
 
 __all__ = [
     "SpinPair",
@@ -230,6 +229,10 @@ def _max_block_norm(X: dict) -> float:
     in M, and each block G_M = X_M^H X_M is a Hermitian band matrix in i
     of at most d rows.  ||X_M||_2^2 is its largest eigenvalue.
     """
+    # imported here, not at the top: scipy.linalg takes ~0.25 s to load,
+    # and no other command needs it
+    from scipy.linalg import eigvals_banded
+
     if not X:
         return 0.0
     G = _product(_adjoint(X), X)

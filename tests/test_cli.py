@@ -4,11 +4,15 @@ byte-identical reproducibility."""
 import json
 import math
 import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmfslab
 from qmfslab import models
 from qmfslab.cli import (
     EXIT_BAD_INPUT,
@@ -280,6 +284,17 @@ class TestRunTimeBadInput:
         self.check_bad_input(tmp_path / "run", ["koopman", "--dt", "3"],
                              capsys, "step-halving error")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "pair", "--k", "1e12", "--T", "0.01"],
+        ["force", "--model", "pair", "--k", "1e12"],
+        ["simulate", "--k", "1e6"],  # 161 restarts in each of 1e4 steps
+    ])
+    def test_too_many_covariance_restarts(self, tmp_path, capsys, argv):
+        # these ran for minutes, splitting every step into up to 1.6e8 parts
+        start = time.perf_counter()
+        self.check_bad_input(tmp_path / "run", argv, capsys, "h ||H||_2 = ")
+        assert time.perf_counter() - start < 1.0
+
     def test_zero_force_coupling(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({
@@ -288,6 +303,51 @@ class TestRunTimeBadInput:
         self.check_bad_input(tmp_path / "run",
                              ["force", "--model-file", str(path)],
                              capsys, "zero force coupling")
+
+
+# every command but spin at smoke size, then spin, writing under argv[1];
+# prints, after each, its exit code and whether scipy is loaded
+IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+from qmfslab import cli
+out = Path(sys.argv[1])
+(out / "toffoli.txt").write_text("bits 3\\nCCX 0 1 2\\n")
+runs = [
+    ["check", "--model", "pair"],
+    ["check", "--model", "spin-hp"],
+    ["--seed", "3", "simulate", "--model", "pair", "--k", "2", "--T", "0.5",
+     "--batch", "2", "--force-amp", "1"],
+    ["force", "--model", "pair", "--compare-single", "--T", "2"],
+    ["koopman"],
+    ["circuit", "--file", str(out / "toffoli.txt"), "--verify"],
+    ["spin", "--j0-list", "2,4"],
+]
+report = []
+for i, argv in enumerate(runs):
+    code = cli.main(["--out", str(out / str(i)), *argv])
+    report.append([argv, code, "scipy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+class TestImportBoundary:
+    """scipy (0.2-0.3 s to import) is loaded by spin's banded eigenvalues
+    only; every other command runs on numpy alone."""
+
+    def test_only_spin_loads_scipy(self, tmp_path):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(qmfslab.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, str(tmp_path)], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        *others, (_, spin_code, spin_scipy) = report
+        for argv, code, scipy_loaded in others:
+            assert code == EXIT_OK, argv
+            assert not scipy_loaded, argv
+        assert spin_code == EXIT_OK and spin_scipy
 
 
 class TestSpin:

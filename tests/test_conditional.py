@@ -33,7 +33,7 @@ from qmfslab.conditional import (
     unconditional_mean,
     vacuum_state,
 )
-from qmfslab.phase_space import LinearModel, transfer_matrix
+from qmfslab.phase_space import MAX_EXPM_NORM, LinearModel, transfer_matrix
 
 
 def free_mass(m=1.0, hbar=1.0):
@@ -596,6 +596,19 @@ class TestCovarianceGrid:
                 assert err <= tol * np.max(np.abs(ref)), step
         assert np.array_equal(grid, grid.transpose(0, 2, 1))
         assert all(is_physical_cov(V, model.Omega, model.hbar) for V in grid)
+
+    def test_split_restarts_are_bounded(self):
+        # pair at k = 200, h = 0.05: h ||H||_2 = 80 splits each step in 2,
+        # so 25000 steps make the MAX_EXPM_NORM * MAX_BLOCK_STEPS = 50000
+        # restarts allowed and one more step is refused before any work
+        model, ch = pair_k(200.0)()
+        A, (D, M) = model.A, _flow_terms(model, ch)
+        assert MAX_EXPM_NORM * MAX_BLOCK_STEPS == 50000
+        assert _covariance_grid(A, D, M, 0.05, 25000)[0] == 1
+        with pytest.raises(ValueError, match=r"h \|\|H\|\|_2 = 80 .* 2 restarts"):
+            _covariance_grid(A, D, M, 0.05, 25001)
+        # a step within the expm bound is never split, at any step count
+        assert _covariance_grid(A, D, M, 0.01, 10**6)[0] == 1
 
     @pytest.mark.parametrize("cov_stride", [1, 7, 1000])
     @pytest.mark.parametrize("case, dt, n, K, tol", BOUNDARY)

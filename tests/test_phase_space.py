@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from qmfslab.phase_space import (
+    MAX_EXPM_NORM,
     LinearModel,
     ObservableSet,
     build_drift,
+    expm,
     is_qmfs,
     model_from_json,
     model_to_json,
@@ -131,6 +133,108 @@ class TestTransferMatrix:
     def test_rejects_nonfinite_time(self):
         with pytest.raises(ValueError):
             transfer_matrix(single_osc(), np.inf)
+
+
+def random_matrix(rng, n, norm, complex_):
+    """A random n x n matrix scaled to the given 2-norm."""
+    X = rng.standard_normal((n, n))
+    if complex_:
+        X = X + 1j * rng.standard_normal((n, n))
+    return X * (norm / np.linalg.norm(X, 2))
+
+
+def mp_expm(X):
+    """expm at 60 digits, rounded to float64 (complex128 for complex X)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        E = mpmath.expm(mpmath.matrix(X.tolist()))
+        E = np.array(E.tolist(), dtype=complex)
+    return E if np.iscomplexobj(X) else E.real
+
+
+def rel_err(E, ref):
+    return np.linalg.norm(E - ref) / np.linalg.norm(ref)
+
+
+# 2-norms from near zero to the trusted bound, touching every Pade degree
+# and several squarings
+NORMS = (1e-8, 1e-3, 0.1, 0.6, 1.5, 4.0, 20.0, MAX_EXPM_NORM)
+
+
+class TestExpm:
+    """The numpy scaling-and-squaring expm against two independent
+    references: mpmath at 60 digits and scipy.linalg.expm."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_mpmath(self, n, complex_):
+        # measured: at most 1.8e-14 (the scalar exp(20)); scipy 7.7e-13
+        rng = np.random.default_rng(100 * n + complex_)
+        for norm in NORMS:
+            X = random_matrix(rng, n, norm, complex_)
+            E = expm(X)
+            assert E.dtype == (np.complex128 if complex_ else np.float64)
+            assert rel_err(E, mp_expm(X)) <= 1e-13, (n, norm)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_scipy(self, n, complex_):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(7 + 100 * n + complex_)
+        for norm in np.geomspace(1e-8, MAX_EXPM_NORM, 40):
+            X = random_matrix(rng, n, norm, complex_)
+            assert rel_err(expm(X), scipy_linalg.expm(X)) <= 1e-12, (n, norm)
+
+    def test_rotation(self):
+        # scipy 1.17 is off by 1.8e-14 here
+        W = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        c, s = np.cos(20.0), np.sin(20.0)
+        assert np.max(np.abs(expm(W * 20.0) - [[c, s], [-s, c]])) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_is_exact_identity(self, n, dtype):
+        E = expm(np.zeros((3, n, n), dtype=dtype))
+        assert E.dtype == np.dtype(dtype)
+        assert np.array_equal(E, np.broadcast_to(np.eye(n), (3, n, n)))
+
+    def test_diagonal(self):
+        d = np.linspace(-MAX_EXPM_NORM, MAX_EXPM_NORM, 11)
+        E = expm(np.diag(d))
+        assert np.array_equal(E, np.diag(np.diag(E)))  # no fill-in
+        assert np.max(np.abs(np.diag(E) / np.exp(d) - 1)) <= 3e-14
+        z = 1j * d  # exp of a diagonal of phases
+        assert np.max(np.abs(np.diag(expm(np.diag(z))) - np.exp(z))) <= 1e-14
+
+    def test_stack_is_scaled_per_slice(self):
+        # one scaling for the whole stack, taken from its largest norm,
+        # would square the 1e-3 slice 4 times: 9.5e-15 instead of 2e-16
+        rng = np.random.default_rng(5)
+        norms = (1e-3, MAX_EXPM_NORM, 0.3, 7.0, 1e-8)
+        X = np.stack([random_matrix(rng, 4, nm, False) for nm in norms])
+        E = expm(X)
+        for Xk, Ek, nm in zip(X, E, norms):
+            tol = 1e-15 if nm < 1 else 1e-13
+            assert rel_err(Ek, mp_expm(Xk)) <= tol, nm
+
+    def test_leading_axes(self):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((2, 3, 4, 4))
+        E = expm(X)
+        assert E.shape == X.shape
+        for i in range(2):
+            for j in range(3):
+                assert rel_err(E[i, j], expm(X[i, j])) <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            expm(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            expm(np.array([[0.0, bad], [0.0, 0.0]]))
 
 
 class TestTwoTimeCommutator:
