@@ -40,7 +40,6 @@ from .conditional import (
     Trajectory,
     backaction_diffusion,
     evolve_conditional,
-    estimate_force,
     steady_covariance,
 )
 from .circuits import BoolFunc, ReversibleCircuit

@@ -72,11 +72,6 @@ class ReversibleCircuit:
             _check_gate(gate, self.n_bits)
         object.__setattr__(self, "gates", gates)
 
-    def then(self, other: "ReversibleCircuit") -> "ReversibleCircuit":
-        if other.n_bits != self.n_bits:
-            raise ValueError("bit-count mismatch")
-        return ReversibleCircuit(self.n_bits, self.gates + other.gates)
-
     def to_text(self) -> str:
         lines = [f"bits {self.n_bits}"]
         lines += [" ".join(str(p) for p in gate) for gate in self.gates]

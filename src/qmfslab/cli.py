@@ -160,7 +160,6 @@ def _build_bundle(args) -> models.ModelBundle:
         model, obs = model_from_json(Path(args.model_file).read_text())
         return models.ModelBundle(
             model=model,
-            named_bases={"physical": np.eye(model.dim)},
             qmfs_sets=(),
             description=f"model from {args.model_file}",
             metadata={"observables": obs},
@@ -197,20 +196,17 @@ def _grid_horizon(model) -> float:
 def cmd_check(args, out_dir: Path, config: dict) -> int:
     bundle = _build_bundle(args)
     model = bundle.model
-    tol = 1e-12 * args.tol_scale
-    grid_tol = 1e-10 * args.tol_scale
+    tol = 1e-12
+    grid_tol = 1e-10
     ts = np.linspace(0.0, _grid_horizon(model), 20)
-    Phis = [transfer_matrix(model, t) for t in ts]
+    Phis = np.array([transfer_matrix(model, t) for t in ts])
     rows = []
     ok = True
     results = []
     for obs in _observable_sets(bundle):
         verdict = is_qmfs(model, obs, tol=tol)
-        grid_max = 0.0
-        for Phi_t in Phis:
-            for Phi_tp in Phis:
-                K = commutator_from_propagators(model, obs, Phi_t, Phi_tp)
-                grid_max = max(grid_max, float(np.max(np.abs(K))))
+        K = commutator_from_propagators(model, obs, Phis[:, None], Phis[None])
+        grid_max = float(np.max(np.abs(K)))
         scale = model.hbar * np.linalg.norm(obs.S, 2) ** 2
         grid_ok = (grid_max < grid_tol * scale) if verdict.is_qmfs else True
         ok = ok and grid_ok
@@ -319,6 +315,11 @@ def cmd_simulate(args, out_dir: Path, config: dict) -> int:
 def cmd_force(args, out_dir: Path, config: dict) -> int:
     bundle = _build_bundle(args)
     omega = bundle.metadata.get("omega", 1.0)
+    if args.compare_single and (bundle.model.n_modes != 2
+                                or "m" not in bundle.metadata):
+        raise ValueError("--compare-single needs a pair model (pair, "
+                         "sideband or spin-hp) to compare with its single "
+                         "oscillator")
 
     def posterior_std(bundle):
         model = bundle.model
@@ -335,10 +336,10 @@ def cmd_force(args, out_dir: Path, config: dict) -> int:
     rows = [[args.k, args.eta, std]]
     header = ["k", "eta", "posterior_std"]
     ok = True
-    if args.compare_single and args.model == "pair":
-        std_single = posterior_std(
-            models.single_oscillator(args.m, args.omega, args.hbar)
-        )
+    if args.compare_single:
+        # the positive-mass oscillator of the pair the model maps to
+        std_single = posterior_std(models.single_oscillator(
+            bundle.metadata["m"], omega, bundle.model.hbar))
         result["posterior_std_single"] = std_single
         result["ratio_pair_over_single"] = std / std_single
         rows[0].append(std / std_single)
@@ -371,7 +372,7 @@ def cmd_koopman(args, out_dir: Path, config: dict) -> int:
     residual = fock.commutator_residual(
         H, [ops["Q"][0], ops["Pi"][0]], t_grid, spec
     )
-    tol = 1e-5 * args.tol_scale
+    tol = 1e-5
     ok = residual < tol
     _write_summary(out_dir, config, {
         "tolerances": {"oracle_residual": tol},
@@ -385,7 +386,7 @@ def cmd_spin(args, out_dir: Path, config: dict) -> int:
     j0_list = [float(x) for x in args.j0_list.split(",")]
     rows = []
     ok = True
-    tol = 1e-10 * args.tol_scale
+    tol = 1e-10
     for J0 in j0_list:
         pair = spins.build_spin_pair(J0, args.gamma_b0)
         residual = spins.qmfs_commutator_identity(pair, 0.7 / args.gamma_b0,
@@ -496,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default="qmfslab_out", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--tol-scale", type=float, default=1.0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help):

@@ -43,7 +43,6 @@ from .phase_space import (
     LinearModel,
     _check_finite,
     expm,
-    transfer_matrix,
 )
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "steady_covariance",
     "evolve_conditional",
     "simulate_batch",
-    "estimate_force",
     "estimate_force_batch",
     "force_posterior_std",
     "vacuum_state",
@@ -613,19 +611,6 @@ def force_posterior_std(
     return est.posterior_std
 
 
-def estimate_force(
-    trajectory: Trajectory,
-    model: LinearModel,
-    channels,
-    template: ForceDrive,
-    state0: GaussianState = None,
-    prior_var: float = 1e4,
-) -> ForceEstimate:
-    """ML amplitude of a known-shape force from one measurement record."""
-    return estimate_force_batch(trajectory.records[None], model, channels,
-                                template, trajectory.dt, state0, prior_var)[0]
-
-
 def estimate_force_batch(
     records: np.ndarray,
     model: LinearModel,
@@ -673,19 +658,3 @@ def estimate_force_batch(
     V_FF = u @ Va[d:, d:] @ u
     return [_ml_from_posterior(float(u @ mu[d:, i]), V_FF, prior_var)
             for i in range(n_traj)]
-
-
-def unconditional_mean(model: LinearModel, mean0, force: ForceDrive,
-                       t: float) -> np.ndarray:
-    """Deterministic mean response mu(t) = Phi(t) mu0 + int Phi(t-u) b F(u) du.
-
-    With a force, [x; z] evolves under the augmented drift, so the
-    response is one block exponential (Van Loan), not a quadrature.
-    """
-    mean0 = np.asarray(mean0, dtype=float)
-    if force is None:
-        return transfer_matrix(model, t) @ mean0
-    At = _augmented_drift(model, force) * t
-    if not np.linalg.norm(At, 2) <= MAX_EXPM_NORM:
-        raise ValueError(f"||A t|| exceeds the trusted expm bound {MAX_EXPM_NORM}")
-    return (expm(At) @ np.concatenate([mean0, force.z0]))[:model.dim]

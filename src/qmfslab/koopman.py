@@ -1,7 +1,7 @@
 """Classical flows for the (Q, Pi) subsystem.
 
-The subsystem obeys dQ/dt = f(Q, Pi, t), dPi/dt = -g(Q, Pi, t) for
-whatever f and g were built into the coupled quantum model, so its
+The subsystem obeys dQ/dt = f(Q, Pi), dPi/dt = -g(Q, Pi) for whatever
+f and g were built into the coupled quantum model, so its
 trajectories and Liouville densities are plain classical objects.  This
 module integrates them with one RK4 sweep: trajectories (with a
 step-halving error estimate), semi-Lagrangian transport along
@@ -39,14 +39,11 @@ class StepSizeError(RuntimeError):
     """Step-halving error estimate exceeded the requested tolerance."""
 
 
-def _make_eval(fn):
-    """Uniform (Q, Pi, t) -> value for callables and M=1 polynomial terms."""
-    if callable(fn):
-        return fn
+def _make_eval(terms):
+    """(Q, Pi) -> value of M=1 polynomial terms (((a,), (b,)), coef)."""
+    terms = tuple(terms)
 
-    terms = tuple(fn)
-
-    def evaluate(Q, Pi, t):
+    def evaluate(Q, Pi):
         total = 0.0
         for (a, b), coef in terms:
             total = total + coef * Q ** a[0] * Pi ** b[0]
@@ -57,9 +54,8 @@ def _make_eval(fn):
 
 @dataclass(frozen=True)
 class ClassicalFlow:
-    """Velocity field (f, -g); f and g are callables (Q, Pi, t) -> value
-    or M=1 polynomial term tuples (shared representation with the dense
-    oracle)."""
+    """Velocity field (f, -g); f and g are M=1 polynomial term tuples
+    (``fock.poly1``), the representation the dense oracle shares."""
 
     f: object
     g: object
@@ -71,8 +67,8 @@ class ClassicalFlow:
         object.__setattr__(self, "_f", _make_eval(self.f))
         object.__setattr__(self, "_g", _make_eval(self.g))
 
-    def velocity(self, Q, Pi, t):
-        return self._f(Q, Pi, t), -self._g(Q, Pi, t)
+    def velocity(self, Q, Pi):
+        return self._f(Q, Pi), -self._g(Q, Pi)
 
 
 def _n_steps(T: float, dt: float) -> int:
@@ -91,10 +87,10 @@ def _rk4_sweep(flow: ClassicalFlow, Q, Pi, T: float, n_steps: int,
         Ps = np.empty_like(Qs)
         times[0], Qs[0], Ps[0] = 0.0, Q, Pi
     for k in range(n_steps):
-        k1q, k1p = flow.velocity(Q, Pi, t)
-        k2q, k2p = flow.velocity(Q + h / 2 * k1q, Pi + h / 2 * k1p, t + h / 2)
-        k3q, k3p = flow.velocity(Q + h / 2 * k2q, Pi + h / 2 * k2p, t + h / 2)
-        k4q, k4p = flow.velocity(Q + h * k3q, Pi + h * k3p, t + h)
+        k1q, k1p = flow.velocity(Q, Pi)
+        k2q, k2p = flow.velocity(Q + h / 2 * k1q, Pi + h / 2 * k1p)
+        k3q, k3p = flow.velocity(Q + h / 2 * k2q, Pi + h / 2 * k2p)
+        k4q, k4p = flow.velocity(Q + h * k3q, Pi + h * k3p)
         Q = Q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
         Pi = Pi + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
         t += h
@@ -153,16 +149,12 @@ def integrate_with_tangent(
     One RK4 sweep on two complex copies of the initial point, copy j
     displaced by i * COMPLEX_STEP along direction j: Re gives y, and
     Im / COMPLEX_STEP gives column j of J, the derivative of the RK4 map
-    to rounding (no difference quotient, so no cancellation).  A
-    callable f or g may be non-analytic, which would make J wrong
-    without an error, so polynomial flows only.
+    to rounding (no difference quotient, so no cancellation).  The
+    polynomial f and g are analytic, which the complex step needs.
 
     det J measures phase-space area change: 1 for Hamiltonian flows,
     exp(-integrated divergence) otherwise.
     """
-    if callable(flow.f) or callable(flow.g):
-        raise ValueError("the tangent map needs polynomial f and g, "
-                         "not callables")
     dt = flow.dt if dt is None else dt
     step = 1j * COMPLEX_STEP
     Q = np.array([float(Q0) + step, float(Q0)])

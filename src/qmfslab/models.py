@@ -1,10 +1,9 @@
 """Constructors for the concrete back-action-evading model zoo.
 
 Every builder returns a :class:`ModelBundle`: the linear model in the
-physical basis, named canonical (symplectic) changes of basis, and the
-observable sets that are known to form quantum-mechanics-free
-subsystems.  The central instance is the positive/negative-mass
-oscillator pair, where the collective variables
+physical basis and the observable sets that are known to form
+quantum-mechanics-free subsystems.  The central instance is the
+positive/negative-mass oscillator pair, where the collective variables
 
     Q = q + q',   P = (p + p')/2,   Phi = (q - q')/2,   Pi = p - p'
 
@@ -33,23 +32,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """A model plus its named canonical bases and known-QMFS candidates."""
+    """A model plus its known-QMFS candidates."""
 
     model: LinearModel
-    named_bases: dict
     qmfs_sets: tuple
     description: str
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        Omega = self.model.Omega
-        for name, T in self.named_bases.items():
-            T = np.asarray(T, dtype=float)
-            defect = np.max(np.abs(T @ Omega @ T.T - Omega))
-            if defect > 1e-13:
-                raise ValueError(
-                    f"basis {name!r} is not symplectic (defect {defect:.3g})"
-                )
         for obs in self.qmfs_sets:
             verdict = is_qmfs(self.model, obs)
             if not verdict:
@@ -95,7 +85,6 @@ def single_oscillator(m: float, omega: float, hbar: float = 1.0) -> ModelBundle:
     sign = "negative" if m < 0 else "positive"
     return ModelBundle(
         model=model,
-        named_bases={"physical": np.eye(2)},
         qmfs_sets=(),
         description=f"{sign}-mass oscillator, m={m}, omega={omega}",
         metadata={"m": m, "omega": omega},
@@ -123,9 +112,9 @@ def oscillator_pair(m: float, omega: float, hbar: float = 1.0) -> ModelBundle:
     """Positive-mass plus negative-mass oscillator pair.
 
     Physical basis (q, p, q', p'), H = p^2/2m + m w^2 q^2/2
-    - p'^2/2m - m w^2 q'^2/2.  The "qmfs" basis (Q, P, Phi, Pi) turns H
-    into P Pi / m + m w^2 Phi Q, so {Q, Pi} and {Phi, P} are each a
-    closed harmonic-oscillator subsystem.  The force port drives p of
+    - p'^2/2m - m w^2 q'^2/2.  The basis (Q, P, Phi, Pi) = PAIR_TRANSFORM x
+    turns H into P Pi / m + m w^2 Phi Q, so {Q, Pi} and {Phi, P} are each
+    a closed harmonic-oscillator subsystem.  The force port drives p of
     the positive-mass oscillator.
     """
     _check_oscillator_params(m, omega, hbar)
@@ -141,7 +130,6 @@ def oscillator_pair(m: float, omega: float, hbar: float = 1.0) -> ModelBundle:
     )
     return ModelBundle(
         model=model,
-        named_bases={"physical": np.eye(4), "qmfs": PAIR_TRANSFORM},
         qmfs_sets=qmfs_sets,
         description=f"positive/negative-mass oscillator pair, m={m}, omega={omega}",
         metadata={"m": m, "omega": omega},
@@ -159,10 +147,10 @@ def sideband_model(omega_mod: float, hbar: float = 1.0) -> ModelBundle:
         alpha2 = sqrt(w/hbar) (-i Phi + P / w)
 
     are exposed as real (Re, Im) observable rows; each pair spans one of
-    the two QMFS subsystems.  The carrier frequency is metadata only:
-    the field decomposes as E = E1 cos(Omega t) + E2 sin(Omega t) with
-    E_i built from alpha_i, but the carrier oscillation is not part of
-    the modulation-picture dynamics.
+    the two QMFS subsystems.  The carrier is not modelled: the field
+    decomposes as E = E1 cos(Omega t) + E2 sin(Omega t) with E_i built
+    from alpha_i, but the carrier oscillation is not part of the
+    modulation-picture dynamics.
     """
     _check_finite(omega_mod=omega_mod, hbar=hbar)
     if omega_mod <= 0:
@@ -185,7 +173,6 @@ def sideband_model(omega_mod: float, hbar: float = 1.0) -> ModelBundle:
     )
     return ModelBundle(
         model=base.model,
-        named_bases=dict(base.named_bases),
         qmfs_sets=base.qmfs_sets + quad_sets,
         description=(
             f"two-sideband modulation picture, modulation frequency {omega_mod}"
@@ -194,7 +181,6 @@ def sideband_model(omega_mod: float, hbar: float = 1.0) -> ModelBundle:
             "m": 1.0,
             "omega": omega_mod,
             "alpha_rows": {"alpha1": alpha1_row, "alpha2": alpha2_row},
-            "field_decomposition": "E = E1 cos(carrier t) + E2 sin(carrier t)",
         },
     )
 
@@ -217,7 +203,6 @@ def spin_pair_hp(J0: float, gamma_B0: float, hbar: float = 1.0) -> ModelBundle:
     base = oscillator_pair(1.0 / w, w, hbar)
     return ModelBundle(
         model=base.model,
-        named_bases=dict(base.named_bases),
         qmfs_sets=base.qmfs_sets,
         description=(
             f"Holstein-Primakoff spin pair, J0={J0}, Larmor frequency {gamma_B0}"
@@ -227,8 +212,6 @@ def spin_pair_hp(J0: float, gamma_B0: float, hbar: float = 1.0) -> ModelBundle:
             "gamma_B0": gamma_B0,
             "effective_mass": 1.0 / w,
             **base.metadata,  # m and omega of the pair it maps to
-            "mapping": "q=Jx/sqrt(J0), p=Jy/sqrt(J0), "
-                       "q'=J'x/sqrt(J0), p'=-J'y/sqrt(J0)",
         },
     )
 

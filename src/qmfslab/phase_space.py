@@ -218,14 +218,6 @@ class ObservableSet:
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "labels", labels)
 
-    def subset(self, rows) -> "ObservableSet":
-        rows = list(rows)
-        return ObservableSet(self.S[rows], tuple(self.labels[i] for i in rows))
-
-    @property
-    def n_obs(self) -> int:
-        return self.S.shape[0]
-
 
 def transfer_matrix(model: LinearModel, t: float) -> np.ndarray:
     """Propagator Phi(t) = expm(A t); exact identity at t = 0."""
@@ -257,10 +249,15 @@ def commutator_from_propagators(
     """K(t, t') from precomputed Phi(t) and Phi(t').
 
     A time grid then needs one ``transfer_matrix`` per grid time, shared
-    by every pair of times and every observable set of the model.
+    by every pair of times and every observable set of the model.  Stacks
+    of propagators broadcast over their leading axes: Phi_t of shape
+    (n, 1, d, d) and Phi_tp of shape (1, n, d, d) give K on the whole
+    n x n grid.  The product is formed left to right either way, so a
+    grid entry takes the same products in the same order as one pair.
     """
     S = obs.S
-    return 1j * model.hbar * (S @ Phi_t @ model.Omega @ Phi_tp.T @ S.T)
+    Phi_tp_T = np.swapaxes(Phi_tp, -1, -2)
+    return 1j * model.hbar * (S @ Phi_t @ model.Omega @ Phi_tp_T @ S.T)
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,6 @@ class TestReversibleCircuit:
         with pytest.raises(ValueError):
             ReversibleCircuit.from_text("X 0\n")
 
-    def test_then_concatenates(self):
-        a = ReversibleCircuit(2, (("X", 0),))
-        b = ReversibleCircuit(2, (("CX", 0, 1),))
-        assert a.then(b).gates == (("X", 0), ("CX", 0, 1))
-        with pytest.raises(ValueError):
-            a.then(ReversibleCircuit(3, ()))
-
 
 class TestPermutation:
     def test_x_gate(self):

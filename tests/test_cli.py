@@ -19,16 +19,56 @@ from qmfslab.cli import (
     EXIT_OK,
     EXIT_VIOLATION,
     _build_bundle,
+    _grid_horizon,
     _write_csv,
     build_parser,
     main,
     parse_args,
+)
+from qmfslab.phase_space import (
+    model_from_json,
+    model_to_json,
+    two_time_commutator,
 )
 
 
 def read_summary(out_dir):
     with open(Path(out_dir) / "summary.json") as fh:
         return json.load(fh)
+
+
+def exit_code(argv):
+    """main's return value, or the status of argparse's own exit (which
+    it takes for an unrecognized flag)."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def four_pairs(observables):
+    """Model document of four +/- mass pairs, omega in {1, 1.7, 2.4, 3},
+    with (Q_k, Pi_k) rows if ``observables`` is "collective", else the
+    physical (q_k, p_k) rows of each positive-mass oscillator."""
+    omegas = [1.0, 1.7, 2.4, 3.0]
+    d = 4 * len(omegas)
+    G = np.zeros((d, d))
+    rows = []
+    for k, w in enumerate(omegas):
+        i = 4 * k
+        G[i:i + 4, i:i + 4] = np.diag([w * w, 1.0, -w * w, -1.0])
+        first, second = np.zeros(d), np.zeros(d)
+        if observables == "collective":
+            first[[i, i + 2]] = 1.0
+            second[[i + 1, i + 3]] = [1.0, -1.0]
+            labels = (f"Q{k + 1}", f"Pi{k + 1}")
+        else:
+            first[i] = second[i + 1] = 1.0
+            labels = (f"q{k + 1}", f"p{k + 1}")
+        rows += [{"label": labels[0], "s": first.tolist()},
+                 {"label": labels[1], "s": second.tolist()}]
+    return {"n_modes": 2 * len(omegas), "hbar": 1.0, "G": G.tolist(),
+            "observables": rows}
 
 
 class TestCheck:
@@ -55,6 +95,25 @@ class TestCheck:
         assert summary["tool"] == "qmfslab"
         assert "config_hash" in summary
         assert "tolerances" in summary
+        assert "tol_scale" not in summary["config"]
+
+    @pytest.mark.parametrize("observables", ["collective", "physical"])
+    def test_grid_is_the_pairwise_maximum(self, tmp_path, observables):
+        # one broadcast kernel call over the grid gives exactly the
+        # maximum of the per-pair commutators
+        fixture = tmp_path / "four_pairs.json"
+        fixture.write_text(json.dumps(four_pairs(observables)))
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "check", "--model-file",
+                     str(fixture)]) == EXIT_OK
+        model, obs = model_from_json(fixture.read_text())
+        ts = np.linspace(0.0, _grid_horizon(model), 20)
+        expected = max(
+            float(np.max(np.abs(two_time_commutator(model, obs, t, tp))))
+            for t in ts for tp in ts)
+        (entry,) = read_summary(out)["sets"]
+        assert entry["grid_commutator_max"] == expected
+        assert (entry["verdict"] == "QMFS") == (observables == "collective")
 
 
 class TestSimulate:
@@ -252,6 +311,43 @@ class TestForce:
                 == read_summary(pair)["force"]["posterior_std"])
         assert ((spin / "force.csv").read_text()
                 == (pair / "force.csv").read_text())
+
+    @pytest.mark.parametrize("model, flags, pair_flags", [
+        ("sideband", ["--omega", "1.5"], ["--m", "1", "--omega", "1.5"]),
+        ("spin-hp", ["--gamma-b0", "2"], ["--m", "0.5", "--omega", "2"]),
+    ])
+    def test_compare_single_on_every_pair_model(self, tmp_path, model,
+                                                flags, pair_flags):
+        # each model is compared with the single oscillator of the pair
+        # it maps to, so its table is the pair's
+        runs = {}
+        for name, argv in ((model, ["--model", model, *flags]),
+                           ("pair", ["--model", "pair", *pair_flags])):
+            runs[name] = tmp_path / name
+            assert main(["--out", str(runs[name]), "force", *argv,
+                         "--T", "2", "--compare-single"]) == EXIT_OK
+        table = (runs[model] / "force.csv").read_text()
+        assert table.splitlines()[0].endswith(",ratio_pair_over_single")
+        assert table == (runs["pair"] / "force.csv").read_text()
+        assert read_summary(runs[model])["force"]["ratio_pair_over_single"] < 1
+
+    @pytest.mark.parametrize("source", ["single", "file"])
+    def test_compare_single_needs_a_pair_model(self, tmp_path, capsys,
+                                               source):
+        # a model file has no single oscillator to compare with, even
+        # when it holds the pair
+        fixture = tmp_path / "pair.json"
+        fixture.write_text(model_to_json(models.oscillator_pair(1, 1).model))
+        model = (["--model", "single"] if source == "single"
+                 else ["--model-file", str(fixture)])
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "force", *model, "--T", "2",
+                     "--compare-single"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: --compare-single needs a pair model")
+        assert "Traceback" not in err
+        assert not (out / "force.csv").exists()
+        assert not (out / "summary.json").exists()
 
 
 class TestKoopman:
@@ -585,12 +681,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("command", sorted(subcommand_parsers()))
     def test_unknown_key_exits_2(self, tmp_path, command):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"not_a_key": 1}))
-        argv = ["--config", str(cfg), "--out", str(tmp_path / "run"), command]
+        # tol_scale / --tol-scale: an option that was removed
+        argv = ["--out", str(tmp_path / "run"), command]
         if command == "circuit":
             argv += ["--file", str(tmp_path / "c.txt")]
-        assert main(argv) == EXIT_BAD_INPUT
+        cfg = tmp_path / "cfg.json"
+        for doc in ({"not_a_key": 1}, {"tol_scale": 1}):
+            cfg.write_text(json.dumps(doc))
+            assert main(["--config", str(cfg), *argv]) == EXIT_BAD_INPUT
+        for flagged in (["--tol-scale", "2", *argv],
+                        [*argv, "--tol-scale", "2"]):
+            assert exit_code(flagged) == EXIT_BAD_INPUT
+        assert "--tol-scale" not in build_parser().format_help()
 
     def test_other_subcommand_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -648,24 +750,10 @@ class TestModelFile:
     def test_four_pairs_up_to_omega_three(self, tmp_path):
         # the commutator grid horizon follows the model's own spectrum;
         # a fixed omega = 1 would push ||A t|| past the trusted expm bound
-        omegas = [1.0, 1.7, 2.4, 3.0]
-        d = 4 * len(omegas)
-        G = np.zeros((d, d))
-        observables = []
-        for k, w in enumerate(omegas):
-            i = 4 * k
-            G[i:i + 4, i:i + 4] = np.diag([w * w, 1.0, -w * w, -1.0])
-            q = np.zeros(d)
-            q[[i, i + 2]] = 1.0
-            pi = np.zeros(d)
-            pi[[i + 1, i + 3]] = [1.0, -1.0]
-            observables += [{"label": f"Q{k + 1}", "s": q.tolist()},
-                            {"label": f"Pi{k + 1}", "s": pi.tolist()}]
+        doc = four_pairs("collective")
+        observables = doc["observables"]
         fixture = tmp_path / "four_pairs.json"
-        fixture.write_text(json.dumps(
-            {"n_modes": 2 * len(omegas), "hbar": 1.0, "G": G.tolist(),
-             "observables": observables}
-        ))
+        fixture.write_text(json.dumps(doc))
         out = tmp_path / "run"
         code = main(
             ["--out", str(out), "check", "--model-file", str(fixture)]
@@ -825,7 +913,7 @@ class TestConfigIsParsedLikeFlags:
                 == read_summary(b)["config_hash"])
 
     @pytest.mark.parametrize("command, doc, flag", [
-        ("check", {"tol_scale": "a"}, "--tol-scale"),
+        ("check", {"seed": "a"}, "--seed"),
         ("check", {"omega": True}, "--omega"),
         ("koopman", {"n_levels": 2.5}, "--n-levels"),
         ("simulate", {"seed": 1.5}, "--seed"),

@@ -19,7 +19,6 @@ from qmfslab.conditional import (
     MeasurementChannel,
     RiccatiDivergenceError,
     backaction_diffusion,
-    estimate_force,
     estimate_force_batch,
     evolve_conditional,
     force_posterior_std,
@@ -30,7 +29,6 @@ from qmfslab.conditional import (
     simulate_batch,
     steady_covariance,
     symplectic_eigenvalues,
-    unconditional_mean,
     vacuum_state,
 )
 from qmfslab.phase_space import MAX_EXPM_NORM, LinearModel, transfer_matrix
@@ -739,7 +737,8 @@ class TestForceEstimation:
             model, st, ch, force=drive, dt=1e-3, T=10.0, seed=21
         )
         template = ForceDrive.sinusoid(model.force_couplings[0], 1.0, 1.0)
-        est = estimate_force(traj, model, ch, template)
+        est = estimate_force_batch(traj.records[None], model, ch, template,
+                                   traj.dt)[0]
         assert abs(est.amplitude - 1.3) < 4 * est.posterior_std
 
     def test_zero_coupling_rejected(self):
@@ -748,28 +747,3 @@ class TestForceEstimation:
         drive = ForceDrive.sinusoid(np.zeros(4), 1.0, 1.0)
         with pytest.raises(EstimationError):
             force_posterior_std(model, ch, drive, dt=2e-3, T=2.0)
-
-
-class TestUnconditionalMean:
-    def test_constant_force_on_oscillator(self):
-        # q(t) = (F/m w^2)(1 - cos w t), p(t) = (F/w) sin w t
-        model = models.single_oscillator(1.0, 1.0).model
-        drive = ForceDrive.constant(model.force_couplings[0], 2.0)
-        t = 1.7
-        mu = unconditional_mean(model, np.zeros(2), drive, t)
-        assert mu[0] == pytest.approx(2.0 * (1 - np.cos(t)), abs=1e-6)
-        assert mu[1] == pytest.approx(2.0 * np.sin(t), abs=1e-6)
-
-    def test_force_response_identical_to_single_oscillator(self):
-        # <Q(t)> of the driven pair equals <q(t)> of the driven single
-        # oscillator for the same force
-        pair = models.oscillator_pair(1.0, 1.0).model
-        single = models.single_oscillator(1.0, 1.0).model
-        dp = ForceDrive.sinusoid(pair.force_couplings[0], 1.0, 0.7)
-        ds = ForceDrive.sinusoid(single.force_couplings[0], 1.0, 0.7)
-        for t in (0.5, 2.0, 5.0):
-            mu_pair = unconditional_mean(pair, np.zeros(4), dp, t)
-            mu_single = unconditional_mean(single, np.zeros(2), ds, t)
-            assert models.ROW_Q @ mu_pair == pytest.approx(
-                mu_single[0], abs=1e-9
-            )

@@ -35,19 +35,9 @@ class TestClassicalFlow:
     def test_velocity_sign_convention(self):
         # dQ/dt = f, dPi/dt = -g
         flow = harmonic_flow()
-        vq, vp = flow.velocity(2.0, 3.0, 0.0)
+        vq, vp = flow.velocity(2.0, 3.0)
         assert vq == pytest.approx(3.0)
         assert vp == pytest.approx(-2.0)
-
-    def test_callable_and_poly_agree(self):
-        poly_flow = KOOPMAN_FLOW
-        call_flow = ClassicalFlow(
-            f=lambda Q, Pi, t: Pi + 0.1 * Q**2, g=lambda Q, Pi, t: Q
-        )
-        for Q, Pi in [(0.3, -0.2), (1.5, 2.0)]:
-            assert np.allclose(
-                poly_flow.velocity(Q, Pi, 0.0), call_flow.velocity(Q, Pi, 0.0)
-            )
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
@@ -155,12 +145,6 @@ class TestTangent:
         y, _ = integrate_with_tangent(flow, 0.5, -0.2, T=3.0)
         _, Qs, Ps = integrate(flow, 0.5, -0.2, T=3.0, check=False)
         assert np.array_equal(y, [Qs[-1], Ps[-1]])
-
-    def test_callable_flow_rejected(self):
-        # a callable may be non-analytic, where the complex step is wrong
-        flow = ClassicalFlow(f=lambda Q, Pi, t: Pi, g=lambda Q, Pi, t: Q)
-        with pytest.raises(ValueError, match="polynomial"):
-            integrate_with_tangent(flow, 1.0, 0.0, T=1.0)
 
 
 class TestTransport:

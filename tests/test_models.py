@@ -224,23 +224,12 @@ class TestNonFiniteParameters:
 
 
 class TestModelBundle:
-    def test_bad_basis_rejected(self):
-        b = oscillator_pair(1.0, 1.0)
-        with pytest.raises(ValueError, match="symplectic"):
-            ModelBundle(
-                model=b.model,
-                named_bases={"bad": 2.0 * np.eye(4)},
-                qmfs_sets=(),
-                description="broken",
-            )
-
     def test_false_qmfs_claim_rejected(self):
         b = oscillator_pair(1.0, 1.0)
         not_qmfs = ObservableSet(np.array([ROW_Q, ROW_P]), ("Q", "P"))
         with pytest.raises(ValueError, match="commutation"):
             ModelBundle(
                 model=b.model,
-                named_bases={},
                 qmfs_sets=(not_qmfs,),
                 description="broken",
             )

@@ -275,16 +275,9 @@ class TestObservableSet:
         obs = ObservableSet(np.eye(2))
         assert len(obs.labels) == 2
 
-    def test_subset_by_index(self):
-        obs = ObservableSet(np.eye(4), ("a", "b", "c", "d"))
-        sub = obs.subset([1, 3])
-        assert sub.labels == ("b", "d")
-        assert np.array_equal(sub.S, np.eye(4)[[1, 3]])
-
     def test_single_row_promoted(self):
         obs = ObservableSet(np.array([1.0, 0.0]))
         assert obs.S.shape == (1, 2)
-        assert obs.n_obs == 1
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
