@@ -8,7 +8,7 @@ Subpackages:
   negative-mass pair, sideband picture, large-spin pair).
 - ``conditional``: continuous Gaussian measurement, Riccati covariance
   flow, stochastic conditional means, waveform estimation.
-- ``fock``: dense truncated-Fock brute-force oracle.
+- ``fock``: truncated-Fock brute-force oracle on Kronecker factors.
 - ``koopman``: classical flows and Liouville transport for the
   commuting subsystem.
 - ``spins``: exact finite-J0 two-ensemble simulation.

@@ -174,7 +174,12 @@ def _observable_sets(bundle):
     obs = bundle.metadata.get("observables")
     if obs is not None:
         sets.append(obs)
-    if not sets and bundle.model.n_modes == 1:
+    if not sets:
+        if bundle.model.n_modes != 1:
+            # nothing to check: the run would pass without a verdict
+            raise ValueError(f"{bundle.description} has "
+                             f"{bundle.model.n_modes} modes and no "
+                             "'observables' to check")
         sets.append(ObservableSet(np.eye(2), ("q", "p")))
     return sets
 
@@ -369,9 +374,7 @@ def cmd_koopman(args, out_dir: Path, config: dict) -> int:
     pk = fock.PolyKoopman(M=1, f=(f_poly,), g=(g_poly,))
     H, ops = fock.build_koopman_hamiltonian(pk, spec)
     t_grid = np.linspace(0.0, min(args.T, 2.0 / omega), 5)
-    residual = fock.commutator_residual(
-        H, [ops["Q"][0], ops["Pi"][0]], t_grid, spec
-    )
+    residual = fock.commutator_residual(H, [ops["Q"][0], ops["Pi"][0]], t_grid)
     tol = 1e-5
     ok = residual < tol
     _write_summary(out_dir, config, {
@@ -579,6 +582,41 @@ def _apply_config(parsers, path) -> None:
         parser.set_defaults(**{key: value})
 
 
+def _unknown_root_flag(parser, argv):
+    """The first flag before the subcommand that the root parser does
+    not define (exactly or as an unambiguous prefix), else ``None``.
+
+    argparse would take such a flag's value as the subcommand and report
+    that value instead of the flag.
+    """
+    known = parser._option_string_actions
+    args = iter(argv)
+    for arg in args:
+        if arg == "--" or not arg.startswith("-"):
+            return None  # the subcommand
+        name, eq, _ = arg.partition("=")
+        actions = {known[name]} if name in known else {
+            a for s, a in known.items() if s.startswith(name)}
+        if len(actions) != 1:
+            return name
+        if not eq and actions.pop().nargs != 0:
+            next(args, None)  # the flag's value
+    return None
+
+
+def _parse(parser, argv) -> argparse.Namespace:
+    """``parser.parse_args`` with an unknown flag raised as
+    ``argparse.ArgumentError``, not printed as usage by argparse."""
+    flag = _unknown_root_flag(parser, argv)
+    if flag is not None:
+        raise argparse.ArgumentError(None, f"unrecognized arguments: {flag}")
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        raise argparse.ArgumentError(
+            None, f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def parse_args(argv) -> argparse.Namespace:
     """Options from argv, with --config values in place of the defaults.
 
@@ -595,13 +633,13 @@ def parse_args(argv) -> argparse.Namespace:
                 if a.required and a.option_strings]
     for action in required:
         action.required = False
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     sub = commands.choices[args.command]
     if args.config:
         _apply_config((parser, sub), args.config)
     for action in required:
         action.required = action.default is None
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     if args.config:
         # argparse checks choices on given values only, not on defaults
         for action in sub._actions:

@@ -1,16 +1,17 @@
 """Dense truncated-Fock brute-force oracle.
 
-Everything here is deliberately unsophisticated: dense matrices, exact
+Everything here is deliberately unsophisticated: exact
 eigendecomposition, explicit commutators.  The point is to provide an
 independent ground truth for the linear phase-space engine and the
 classical-flow correspondence, with truncation as the only error
 source.
 
-Every product-space operator is a Kronecker product of single-mode
-(n_levels x n_levels) factors, mode 0 first, formed by one helper: an
-operator on one mode is its factor there and the identity elsewhere.
-Products of operators on one mode are taken on the factors, so no
-dim x dim product is needed to build them.
+Every product-space operator is a ``KronOperator``: a sum of terms, each
+a coefficient times a Kronecker product of single-mode
+(n_levels x n_levels) factors, mode 0 first, with ``None`` for the
+identity.  Products of operators on one mode are taken on the factors,
+and an operator becomes a dim x dim matrix only where a dense
+eigendecomposition needs one (``KronOperator.dense``).
 
 The Koopman-style Hamiltonian
 
@@ -28,21 +29,22 @@ them commute.  The polynomials are plain term tuples (``poly1``,
 they are built in code and have no file format.
 
 H is complex in general, but a reversible flow makes it real in a
-diagonal gauge, and ``commutator_residual`` then diagonalizes a real
-symmetric matrix, about 5x faster than a complex Hermitian one at
-dim 1024.  In the Fock basis q is real and p imaginary, so complex
-conjugation K maps (q, p) -> (q, -p) on every mode; conjugated by
-u = i^n (n quanta, a quarter turn of each mode), it becomes
-T = u* K u, which maps (q, p) -> (-q, p).  u H u* is real exactly when T
-is a symmetry of H.  For the Koopman Hamiltonian T sends
-(Q, Phi) -> (-Q, -Phi) with P, Pi and the real coefficients fixed, so it
-is a symmetry when the flow is reversible under Q -> -Q: f and h even
-in Q, g odd in Q.  The ``koopman`` command's flow dQ/dt = Pi/m + eps Q^2,
-dPi/dt = -m w^2 Q is one.  K itself is a symmetry when the flow is
-reversible under Pi -> -Pi (f odd and g, h even in Pi), as the linear
-flow is; then H is real as built.  ``real_gauge`` tries the two gauges;
-a flow with neither symmetry, such as one with a damping Q term in f,
-keeps the complex H.
+diagonal gauge, and the oracle then works in real arithmetic.  In the
+Fock basis q is real and p imaginary, so complex conjugation K maps
+(q, p) -> (q, -p) on every mode; conjugated by u = i^n (n quanta, a
+quarter turn of each mode), it becomes T = u* K u, which maps
+(q, p) -> (-q, p).  u H u* is real exactly when T is a symmetry of H.
+For the Koopman Hamiltonian T sends (Q, Phi) -> (-Q, -Phi) with P, Pi
+and the real coefficients fixed, so it is a symmetry when the flow is
+reversible under Q -> -Q: f and h even in Q, g odd in Q.  The
+``koopman`` command's flow dQ/dt = Pi/m + eps Q^2, dPi/dt = -m w^2 Q is
+one.  K itself is a symmetry when the flow is reversible under
+Pi -> -Pi (f odd and g, h even in Pi), as the linear flow is; then H is
+real as built.  u is a product of one phase i^(n_k) per mode, so
+``real_gauge`` decides it on the factors: in the gauge every factor is
+exactly real or exactly imaginary and every term's coefficient, times
+i per imaginary factor, is exactly real.  A flow with neither symmetry,
+such as one with a damping Q term in f, keeps the complex H.
 
 The same reversibility halves the eigenproblem.  The parity
 S_j = (-1)^(n_j) of mode j maps (q_j, p_j) -> (-q_j, -p_j) and fixes
@@ -53,13 +55,20 @@ odd in Q: the Q -> -Q, t -> -t reversibility above (h = 0 in the
 parity, H = [[0, B], [B+, 0]] between the two classes, and S_0 maps an
 eigenvector at E to one at -E, so the spectrum is +-E.  Truncation keeps
 this exactly, since q and p change n by one.  ``chiral_parity`` finds
-the first such mode, mode 0 first, by reading off that H has no entry
-inside either class, and ``HeisenbergPropagator`` then takes the
-eigenpairs from one SVD of the coupling block B, half the size of H.
-The parity of mode M + j flips (Phi_j, Pi_j) instead, and applies to a
-flow odd in Pi through f and even through g (the linear flow has both
-parities).  A damping Q term in f breaks every parity, and such a flow
-keeps the ``eigh``.
+the first such mode, mode 0 first, on the factors: every term's factor
+on that mode couples only levels of opposite parity.
+``HeisenbergPropagator`` then forms only the two coupling blocks
+B = H[even, odd] and C = H[odd, even], each from the terms with that
+mode's factor sliced, and takes the eigenpairs from one SVD of their
+Hermitian part, half the size of H.  The parity of mode M + j flips
+(Phi_j, Pi_j) instead, and applies to a flow odd in Pi through f and
+even through g (the linear flow has both parities).  A damping Q term
+in f breaks every parity, and such a flow forms the dense H and keeps
+the ``eigh``.
+
+Both decisions read the factors, so a zero is exactly zero, but they
+are term by term: terms that cancel only in their sum are not seen, and
+such an H takes the slower path that does not need the symmetry.
 
 Truncation is trusted only on the low-excitation core: the product
 states with fewer than ``core_levels`` quanta in every mode.
@@ -76,6 +85,7 @@ import numpy as np
 
 __all__ = [
     "TruncationSpec",
+    "KronOperator",
     "PolyKoopman",
     "build_quadrature_ops",
     "build_koopman_hamiltonian",
@@ -92,6 +102,8 @@ __all__ = [
 # largest product-space dimension n_levels ** n_modes
 DIM_CAP = 4096
 MAX_DEGREE = 4
+# i^d for d = 0..3, exact
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -129,6 +141,30 @@ class TruncationSpec:
         return self.n_levels**self.n_modes
 
 
+@dataclass(frozen=True, eq=False)
+class KronOperator:
+    """sum_t coef_t kron(F_t0, ..., F_t(n-1)) on the product space of
+    ``spec``.
+
+    ``terms`` holds pairs (coef, factors), one N x N factor per mode,
+    mode 0 first, ``None`` for the identity.
+    """
+
+    spec: TruncationSpec
+    terms: tuple
+
+    @classmethod
+    def on_mode(cls, op: np.ndarray, mode: int,
+                spec: TruncationSpec) -> "KronOperator":
+        """``op`` on ``mode``, the identity on every other mode."""
+        factors = tuple(op if k == mode else None for k in range(spec.n_modes))
+        return cls(spec, ((1.0, factors),))
+
+    def dense(self) -> np.ndarray:
+        """The dim x dim matrix."""
+        return _kron_sum(self.terms, self.spec.n_levels)
+
+
 def _ladder(N: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, N)), 1)
 
@@ -138,25 +174,37 @@ def _kron(factors) -> np.ndarray:
     return functools.reduce(np.kron, factors)
 
 
-def _kron_sum(terms, spec: TruncationSpec) -> np.ndarray:
-    """Complex sum of coef * kron(factors) over ``terms``, pairs of a
-    coefficient and one factor per mode, in one contraction: each mode's
-    factors are stacked over the terms, and one ``einsum`` sums the
-    terms with no dim x dim temporary each."""
-    N, n = spec.n_levels, spec.n_modes
+def _kron_sum(terms, N: int) -> np.ndarray:
+    """sum coef * kron(factors) over ``terms`` (see ``KronOperator``) in
+    one contraction: each mode's factors are stacked over the terms, and
+    one ``einsum`` sums the terms with no dim x dim temporary each.  A
+    factor may be rectangular (a block of rows and columns of that mode);
+    the result is real when every coefficient and factor is."""
+    n = len(terms[0][1])
     # subscripts: 0 for the term, 1 + k (row) and 1 + n + k (column) on mode k
     operands = [np.array([coef for coef, _ in terms]), [0]]
+    rows = cols = 1
     for k in range(n):
-        stack = np.array([factors[k] for _, factors in terms], dtype=complex)
-        operands += [stack.reshape(len(terms), N, N), [0, 1 + k, 1 + n + k]]
+        stack = np.array([np.eye(N) if f[k] is None else f[k]
+                          for _, f in terms])
+        rows, cols = rows * stack.shape[1], cols * stack.shape[2]
+        operands += [stack, [0, 1 + k, 1 + n + k]]
     H = np.einsum(*operands, list(range(1, 2 * n + 1)), optimize=True)
-    return H.reshape(spec.dim, spec.dim)
+    return H.reshape(rows, cols)
 
 
-def _embed(op: np.ndarray, mode: int, spec: TruncationSpec) -> np.ndarray:
-    """Single-mode operator on ``mode``, the identity on every other mode."""
-    eye = np.eye(spec.n_levels)
-    return _kron([op if k == mode else eye for k in range(spec.n_modes)])
+def _frobenius(terms, N: int) -> float:
+    """Frobenius norm of sum coef * kron(factors) from the factors' inner
+    products <X, Y> = tr(X Y+), with no dim x dim matrix."""
+
+    def inner(X, Y):
+        if X is None:
+            return N if Y is None else np.conj(np.trace(Y))
+        return np.trace(X) if Y is None else np.vdot(Y, X)
+
+    total = sum(a * np.conj(b) * np.prod([inner(X, Y) for X, Y in zip(fa, fb)])
+                for a, fa in terms for b, fb in terms)
+    return float(np.sqrt(max(np.real(total), 0.0)))
 
 
 def _quadratures(N: int, hbar: float, ref_scale: float):
@@ -172,7 +220,8 @@ def _quadratures(N: int, hbar: float, ref_scale: float):
 def build_quadrature_ops(
     spec: TruncationSpec, hbar: float = 1.0, ref_scale: float = 1.0
 ):
-    """Quadrature pairs (q_i, p_i) on the full product space.
+    """Quadrature pairs (q_i, p_i) on the full product space, as
+    ``KronOperator``s.
 
     q = sqrt(hbar / 2 w~) (a + a+), p = i sqrt(hbar w~ / 2) (a+ - a) with
     reference scale w~ = ``ref_scale``.  The truncation defect of
@@ -180,7 +229,8 @@ def build_quadrature_ops(
     """
     q1, p1 = _quadratures(spec.n_levels, hbar, ref_scale)
     return [
-        (_embed(q1, k, spec), _embed(p1, k, spec)) for k in range(spec.n_modes)
+        (KronOperator.on_mode(q1, k, spec), KronOperator.on_mode(p1, k, spec))
+        for k in range(spec.n_modes)
     ]
 
 
@@ -225,21 +275,20 @@ def build_koopman_hamiltonian(
     hbar: float = 1.0,
     ref_scale: float = 1.0,
 ):
-    """Dense Hamiltonian H and the commuting observables it is checked on.
+    """Hamiltonian H and the commuting observables it is checked on, all
+    as ``KronOperator``s.
 
     Returns ``(H, {"Q": [Q_j], "Pi": [Pi_j]})`` for j < M; ``spec`` must
     have 2 M modes (layout in the module docstring).  P_j and Phi_j
     enter H only through single-mode factors and are not returned; take
     them from ``build_quadrature_ops`` by mode.
 
-    Every operator in H acts on one mode, so each term is a Kronecker
-    product of single-mode (n_levels x n_levels) factors: a monomial
-    prod_j Q_j^a_j Pi_j^b_j has factor q^a_j on mode j and p^b_j on mode
-    M + j, and P_j (Phi_j) multiplies the factor of mode j (M + j) from
-    the left or from the right.  The P f, f P, Phi g and g Phi sides stay
-    separate terms, so the Hermiticity check below still catches an
-    ordering defect; the terms' factors are stacked per mode and summed
-    in one contraction (``_kron_sum``).
+    A monomial prod_j Q_j^a_j Pi_j^b_j has factor q^a_j on mode j and
+    p^b_j on mode M + j, and P_j (Phi_j) multiplies the factor of mode j
+    (M + j) from the left or from the right.  The P f, f P, Phi g and
+    g Phi sides stay separate terms, so the propagator's Hermiticity
+    check still catches an ordering defect.  No dim x dim matrix is
+    formed here.
     """
     if spec.n_modes != 2 * pk.M:
         raise ValueError(
@@ -262,21 +311,13 @@ def build_koopman_hamiltonian(
                 for side in (op @ inner, inner @ op):
                     sided = list(factors)
                     sided[mode] = side
-                    terms.append((0.5 * coef, sided))
-    terms += monomials(pk.h)
-    H = _kron_sum(terms, spec)
-    defect = np.linalg.norm(H - H.conj().T)
-    scale = max(np.linalg.norm(H), 1.0)
-    if defect > 1e-12 * scale:
-        raise ValueError(
-            f"Hamiltonian not Hermitian (defect {defect:.3g}); ordering bug"
-        )
-    H = (H + H.conj().T) / 2
+                    terms.append((0.5 * coef, tuple(sided)))
+    terms += ((coef, tuple(factors)) for coef, factors in monomials(pk.h))
     observables = {
-        "Q": [_embed(q, j, spec) for j in range(pk.M)],
-        "Pi": [_embed(p, pk.M + j, spec) for j in range(pk.M)],
+        "Q": [KronOperator.on_mode(q, j, spec) for j in range(pk.M)],
+        "Pi": [KronOperator.on_mode(p, pk.M + j, spec) for j in range(pk.M)],
     }
-    return H, observables
+    return KronOperator(spec, tuple(terms)), observables
 
 
 def oscillator_hamiltonian(
@@ -285,15 +326,23 @@ def oscillator_hamiltonian(
     omega: float,
     hbar: float = 1.0,
     mode: int = 0,
-) -> np.ndarray:
-    """H = p^2/2m + m w^2 q^2/2 on one mode (m < 0 inverts the ladder).
-
-    Formed on the single-mode factors, then embedded.
-    """
+) -> KronOperator:
+    """H = p^2/2m + m w^2 q^2/2 on one mode (m < 0 inverts the ladder),
+    formed on the single-mode factors."""
     if m == 0 or omega <= 0:
         raise ValueError("need m != 0 and omega > 0")
     q, p = _quadratures(spec.n_levels, hbar, ref_scale=abs(m) * omega)
-    return _embed(p @ p / (2 * m) + 0.5 * m * omega**2 * (q @ q), mode, spec)
+    h = p @ p / (2 * m) + 0.5 * m * omega**2 * (q @ q)
+    return KronOperator.on_mode(h, mode, spec)
+
+
+def _check_hermitian(defect: float, scale: float) -> None:
+    """Raise unless the Hermiticity defect ||H - H+||_F is at rounding
+    level against ||H||_F = ``scale``."""
+    if defect > 1e-12 * max(scale, 1.0):
+        raise ValueError(
+            f"Hamiltonian not Hermitian (defect {defect:.3g}); ordering bug"
+        )
 
 
 class HeisenbergPropagator:
@@ -301,77 +350,145 @@ class HeisenbergPropagator:
     evaluations at many times: operators O(t), their kept rows, and
     states psi(t).
 
-    With ``phases`` u (a unit-modulus diagonal, see ``real_gauge``) the
-    matrix passed in is the gauged u H u*, whose eigenvectors V~ give
-    V = diag(u*) V~; the phases are applied once, here.
-
-    With ``parity``, the boolean mask of the odd class of a parity S that
-    anticommutes with H (see ``chiral_parity``), H = [[0, B], [B+, 0]]
-    between the even and odd classes and one SVD B = U diag(s) W+ of the
-    coupling block replaces the ``eigh``: each singular triple gives the
-    eigenpairs (u, +w) / sqrt 2 at +s and (u, -w) / sqrt 2 at -s, and
-    the left singular vectors past the odd class's size (the even class
-    is larger at an odd level count) are the E = 0 eigenvectors (u, 0)
-    (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205, 1965).  Without it
-    the propagator runs the plain ``eigh``.
+    ``H`` is a dense Hermitian matrix, diagonalized as given by ``eigh``,
+    or a ``KronOperator``, for which the gauge and the parity are decided
+    on its factors.  With a gauge u (``real_gauge``), ``vectors`` are
+    the real eigenvectors V~ of u H u*, ``phases`` is u, and every
+    method applies u to its input and u* to its output, so V = diag(u*) V~
+    is never formed.  With a mode parity that anticommutes with H
+    (``chiral_parity``), only the coupling blocks B = H[even, odd] and
+    C = H[odd, even] between the mode's even and odd classes are formed.
+    The other two blocks are exactly zero, so ||H - H+||_F is
+    sqrt 2 ||C - B+||_F and ||H||_F is (||B||^2 + ||C||^2)^(1/2): the
+    same Hermiticity check, at 1e-12 relative, as on the dense H.  One
+    SVD (B + C+)/2 = U diag(s) W+ then replaces the ``eigh``: each
+    singular triple gives the eigenpairs (u, +w) / sqrt 2 at +s and
+    (u, -w) / sqrt 2 at -s, and the left singular vectors past the odd
+    class's size (the even class is larger at an odd level count) are
+    the E = 0 eigenvectors (u, 0) (Golub & Kahan, SIAM J. Numer. Anal. B
+    2, 205, 1965).  Without a parity the dense H (real in the gauge) is
+    checked, symmetrized and diagonalized by ``eigh``.
     """
 
-    def __init__(self, H: np.ndarray, hbar: float = 1.0, phases=None,
-                 parity=None):
+    def __init__(self, H, hbar: float = 1.0):
         self.hbar = hbar
-        if parity is None:
+        self.phases = None
+        if isinstance(H, np.ndarray):
             self.energies, self.vectors = np.linalg.eigh(H)
+            return
+        H, self.phases = real_gauge(H)
+        mode = chiral_parity(H)
+        if mode is None:
+            Hd = H.dense()
+            _check_hermitian(np.linalg.norm(Hd - Hd.conj().T),
+                             np.linalg.norm(Hd))
+            Hd = (Hd + Hd.conj().T) / 2
+            self.energies, self.vectors = np.linalg.eigh(Hd)
         else:
-            self.energies, self.vectors = _chiral_eigh(H, parity)
-        if phases is not None:
-            self.vectors = phases.conj()[:, None] * self.vectors
+            self.energies, self.vectors = _chiral_eigh(H, mode)
 
     def _phase(self, t: float) -> np.ndarray:
         return np.exp(1j * self.energies * t / self.hbar)
 
     def evolve(self, O: np.ndarray, t: float) -> np.ndarray:
-        """O(t) = exp(iHt/hbar) O exp(-iHt/hbar)."""
-        V = self.vectors
+        """O(t) = exp(iHt/hbar) O exp(-iHt/hbar) for a dense O."""
+        V, u = self.vectors, self.phases
+        if u is not None:
+            O = u[:, None] * O * u.conj()
         phase = self._phase(t)
         Otil = V.conj().T @ O @ V
-        return V @ (Otil * np.outer(phase, phase.conj())) @ V.conj().T
+        Ot = V @ (Otil * np.outer(phase, phase.conj())) @ V.conj().T
+        return Ot if u is None else u.conj()[:, None] * Ot * u
 
-    def evolve_rows(self, O: np.ndarray, t_grid, keep) -> np.ndarray:
+    def evolve_rows(self, O: KronOperator, t_grid, keep) -> np.ndarray:
         """Rows ``keep`` of O(t) at every t of ``t_grid``, as an array of
         shape (len(t_grid), k, dim), from thin products only.
 
         With A_t = V[keep] phase(t) the rows are
         (((A_t V+) O) V phase(t)*) V+.  The A_t of all times are stacked,
-        so each of the four stages is one (len(t_grid) k) x dim by
-        dim x dim product instead of one per time, and a product X V+ is
-        formed as (V X+)+, so no dim x dim copy of V+ is made.
+        so each V stage is one (len(t_grid) k) x dim by dim x dim
+        product instead of one per time; O is applied term by term on
+        its factors, each contracted on its own mode, so no dim x dim
+        observable exists.  A real V is multiplied by the real and
+        imaginary parts separately, never cast to complex, and a complex
+        V's product X V+ is formed as (V X+)+, so no dim x dim copy of V
+        is made.
         """
-        V = self.vectors
+        V, u = self.vectors, self.phases
+        if u is not None:
+            O = _gauged(O)
         Vk = V[keep, :]
         k, dim = Vk.shape
         phase = np.exp(1j * np.outer(t_grid, self.energies) / self.hbar)
         A = (Vk * phase[:, None, :]).reshape(-1, dim)
-        W = (V @ A.conj().T).conj().T
-        X = ((W @ O) @ V).reshape(-1, k, dim) * phase.conj()[:, None, :]
-        rows = (V @ X.reshape(-1, dim).conj().T).conj().T
-        return rows.reshape(-1, k, dim)
+        W = _times_kron(_times_adjoint(A, V), O)
+        X = _times(W, V).reshape(-1, k, dim) * phase.conj()[:, None, :]
+        rows = _times_adjoint(X.reshape(-1, dim), V).reshape(-1, k, dim)
+        return rows if u is None else u[keep].conj()[:, None] * rows * u
 
     def evolve_state(self, psi: np.ndarray, t: float) -> np.ndarray:
         """psi(t) = exp(-iHt/hbar) psi."""
-        V = self.vectors
+        V, u = self.vectors, self.phases
+        if u is not None:
+            psi = u * psi
         phase = np.exp(-1j * self.energies * t / self.hbar)
-        return V @ (phase * (V.conj().T @ psi))
+        out = V @ (phase * (V.conj().T @ psi))
+        return out if u is None else u.conj() * out
 
 
-def _chiral_eigh(H: np.ndarray, odd: np.ndarray):
-    """Energies and eigenvectors of H = [[0, B], [B+, 0]] between the
-    classes ``~odd`` and ``odd`` from one full SVD of B (see
+def _times(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X @ M for a thin complex X; a real M is never cast to complex."""
+    if np.iscomplexobj(M):
+        return X @ M
+    return X.real @ M + 1j * (X.imag @ M)
+
+
+def _times_adjoint(X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """X @ V+ for a thin X, with no dim x dim copy of V."""
+    if np.iscomplexobj(V):
+        return (V @ X.conj().T).conj().T
+    return _times(X, V.T)
+
+
+def _times_kron(W: np.ndarray, O: KronOperator) -> np.ndarray:
+    """W @ O for a thin W, each factor of each term contracted with W on
+    its own mode."""
+    N, n = O.spec.n_levels, O.spec.n_modes
+    Wt = W.reshape((-1,) + (N,) * n)
+    out = 0
+    for coef, factors in O.terms:
+        Y = Wt
+        for k, F in enumerate(factors):
+            if F is not None:
+                Y = np.moveaxis(np.tensordot(Y, F, axes=(k + 1, 0)), -1, k + 1)
+        out = out + coef * Y
+    return np.reshape(out, W.shape)
+
+
+def _chiral_eigh(H: KronOperator, mode: int):
+    """Energies and eigenvectors of H = [[0, B], [C, 0]] between the
+    classes of even and odd n_mode, from one full SVD of (B + C+)/2 (see
     ``HeisenbergPropagator``)."""
+
+    def block(rows, cols):
+        return _kron_sum([(c, f[:mode] + (f[mode][rows::2, cols::2],)
+                           + f[mode + 1:]) for c, f in H.terms],
+                         H.spec.n_levels)
+
+    B, C = block(0, 1), block(1, 0)
+    Ch = C.conj().T  # a view when C is real
+    _check_hermitian(np.sqrt(2.0) * np.linalg.norm(Ch - B),
+                     np.hypot(np.linalg.norm(B), np.linalg.norm(C)))
+    B += Ch
+    B *= 0.5
+    del C, Ch
+    U, s, Wh = np.linalg.svd(B)
+    del B
+    odd = _parity_mask(H.spec, mode)
     even = ~odd
-    U, s, Wh = np.linalg.svd(H[np.ix_(even, odd)])
     k = s.size  # the odd class's size; U has one column per even state
     half = np.sqrt(0.5)
-    V = np.zeros(H.shape, dtype=U.dtype)
+    V = np.zeros((H.spec.dim,) * 2, dtype=U.dtype)
     V[even, :k] = V[even, k : 2 * k] = half * U[:, :k]
     V[even, 2 * k :] = U[:, k:]
     W = Wh.conj().T
@@ -379,6 +496,14 @@ def _chiral_eigh(H: np.ndarray, odd: np.ndarray):
     V[odd, k : 2 * k] = -half * W
     energies = np.concatenate([s, -s, np.zeros(U.shape[1] - k)])
     return energies, V
+
+
+def _parity_mask(spec: TruncationSpec, mode: int) -> np.ndarray:
+    """Mask of the product states with n_mode odd."""
+    odd_level = np.arange(spec.n_levels) % 2 == 1
+    every_level = np.ones(spec.n_levels, dtype=bool)
+    return _kron([odd_level if k == mode else every_level
+                  for k in range(spec.n_modes)])
 
 
 def core_mask(spec: TruncationSpec) -> np.ndarray:
@@ -393,89 +518,133 @@ def top_level_population(state: np.ndarray, spec: TruncationSpec) -> float:
     return float(np.sum(np.abs(state[~core_mask(spec)]) ** 2))
 
 
-def real_gauge(H: np.ndarray, spec: TruncationSpec):
+def _gauged(O: KronOperator) -> KronOperator:
+    """u O u* for u = i^n, factor by factor, exactly: entry (a, b) of a
+    factor turns by u_a u_b* = i^(a - b)."""
+    levels = np.arange(O.spec.n_levels)
+    phase = _QUARTER_TURNS[(levels[:, None] - levels) % 4]
+    return KronOperator(O.spec, tuple(
+        (coef, tuple(None if F is None else phase * F for F in factors))
+        for coef, factors in O.terms))
+
+
+def _real_terms(terms):
+    """The terms with every factor exactly real and every coefficient
+    exactly real, an imaginary factor's i moved into its coefficient;
+    ``None`` if some term has no such form."""
+    out = []
+    for coef, factors in terms:
+        real = []
+        for F in factors:
+            if F is None or not np.iscomplexobj(F) or not F.imag.any():
+                real.append(None if F is None else np.real(F))
+            elif not F.real.any():
+                real.append(F.imag)
+                coef = coef * 1j
+            else:
+                return None
+        if np.imag(coef) != 0:
+            return None
+        out.append((np.real(coef), tuple(real)))
+    return tuple(out)
+
+
+def real_gauge(H: KronOperator):
     """``(Ht, u)`` with Ht = u H u* exactly real, for the first diagonal
     gauge u that makes it so, else ``(H, None)``.
 
     The gauges tried are u = 1 (returned as ``None``) and u = i^n with n
     the total number of quanta, the one that makes a reversible flow's H
-    real (module docstring).  Both are diagonal in the product basis, so
-    they commute with ``core_mask``.  Ht is read off ``H.real`` and
-    ``H.imag`` entry by entry, so it is exact, no complex copy of H is
-    made, and a zero imaginary part means exactly zero.
+    real (module docstring).  Both are products of one diagonal phase per
+    mode, so the gauge is applied and read on the N x N factors, by sign
+    flips and swaps of their real and imaginary parts only: a zero means
+    exactly zero.  Ht is a ``KronOperator`` with real coefficients and
+    factors.  u is diagonal in the product basis, so it commutes with
+    ``core_mask``.
     """
-    if not H.imag.any():
-        return H.real, None
-    quanta = functools.reduce(
-        np.add.outer, [np.arange(spec.n_levels)] * spec.n_modes
-    ).ravel()
-    turns = (quanta % 4).astype(np.int8)
-    u = 1j**turns
-    d = (turns[:, None] - turns) % 4  # u_m u_n* = i^d
-    # i^d H has real part H.real, -H.imag, -H.real, H.imag for d = 0..3
-    # and imaginary part H.imag, H.real, -H.imag, -H.real
-    even = d % 2 == 0
-    if np.any(H.imag, where=even) or np.any(H.real, where=~even):
+    terms = _real_terms(H.terms)
+    if terms is not None:
+        return KronOperator(H.spec, terms), None
+    terms = _real_terms(_gauged(H).terms)
+    if terms is None:
         return H, None
-    Ht = H.real + H.imag  # one of the two is exactly zero at each entry
-    np.negative(Ht, out=Ht, where=(d == 1) | (d == 2))
-    return Ht, u
+    single = _QUARTER_TURNS[np.arange(H.spec.n_levels) % 4]
+    return KronOperator(H.spec, terms), _kron([single] * H.spec.n_modes)
 
 
-def chiral_parity(H: np.ndarray, spec: TruncationSpec):
-    """Mask of the odd class of the first mode parity S_j = (-1)^(n_j),
-    mode 0 first, that anticommutes with H, else ``None``.
+def chiral_parity(H: KronOperator):
+    """The first mode j, mode 0 first, whose parity S_j = (-1)^(n_j)
+    anticommutes with H, else ``None``.
 
-    S_j anticommutes with H exactly when every entry of H between two
-    states of equal n_j parity is zero; that is read off H itself, so a
-    zero means exactly zero.  The mask selects the states with n_j odd.
+    Decided on the factors: S_j anticommutes with every term whose
+    factor on mode j couples only levels of opposite parity, i.e. has
+    exactly zero entries between two levels of equal parity.  The
+    identity (``None``) never does.
     """
-    odd_level = np.arange(spec.n_levels) % 2 == 1
-    every_level = np.ones(spec.n_levels, dtype=bool)
-    for j in range(spec.n_modes):
-        odd = _kron([odd_level if k == j else every_level
-                     for k in range(spec.n_modes)])
-        if not np.any(H, where=odd[:, None] == odd):
-            return odd
+    for j in range(H.spec.n_modes):
+        if all(f[j] is not None and not f[j][0::2, 0::2].any()
+               and not f[j][1::2, 1::2].any() for _, f in H.terms):
+            return j
     return None
 
 
+def _observable_defect(O: KronOperator):
+    """(||O - O+||_F, ||O||_F) of a sum of single-mode operators.
+
+    The terms on each mode are summed into one factor before it is
+    compared with its adjoint, so a Hermitian O gives exactly 0.
+    """
+    n, N = O.spec.n_modes, O.spec.n_levels
+    identity = (None,) * n
+    const, by_mode = 0.0, {}
+    for coef, factors in O.terms:
+        modes = [k for k, F in enumerate(factors) if F is not None]
+        if len(modes) > 1:
+            raise ValueError("observables must be sums of single-mode "
+                             "operators")
+        if modes:
+            by_mode[modes[0]] = by_mode.get(modes[0], 0) + coef * factors[modes[0]]
+        else:
+            const += coef
+    defect = [(const - np.conj(const), identity)] + [
+        (1.0, identity[:k] + (F - F.conj().T,) + identity[k + 1:])
+        for k, F in by_mode.items()]
+    return _frobenius(defect, N), _frobenius(O.terms, N)
+
+
 def commutator_residual(
-    H: np.ndarray,
+    H: KronOperator,
     O_set,
     t_grid,
-    spec: TruncationSpec,
     hbar: float = 1.0,
 ) -> float:
     """Max spectral norm of [O_j(t), O_k(t')] on the trusted core, over
     all pairs and grid times.
 
-    For Hermitian evolved operators A, B the core block of AB - BA only
-    needs the kept rows R = A[keep, :]: it equals
-    R_A R_B+ - R_B R_A+.  The rows come from
-    ``HeisenbergPropagator.evolve_rows``, once per observable for the
-    whole time grid: thin (kept rows x times) x dim products with the
-    one eigendecomposition of H, never a full dim x dim conjugation of
-    O.  When ``real_gauge`` makes H real, that eigendecomposition is a
-    real one; otherwise it is complex Hermitian.  When ``chiral_parity``
-    finds a mode parity that anticommutes with H, it is one SVD of the
-    coupling block between the parity classes; otherwise an ``eigh``.
-    All agree to rounding, but the residual of a converged oracle is a
-    near-cancellation: it moves by ~1e-7 relative with the eigensolver
-    and the BLAS thread count, so the ``koopman`` command's
-    ``summary.json`` reproduces to 1e-6 relative in ``oracle_residual``,
-    not byte for byte.
+    H and the observables are ``KronOperator``s on one product space;
+    each observable is a sum of single-mode operators, checked to be
+    Hermitian (1e-10 relative, Frobenius) on its factors.  For Hermitian
+    evolved operators A, B the core block of AB - BA only needs the kept
+    rows R = A[keep, :]: it equals R_A R_B+ - R_B R_A+.  The rows come
+    from ``HeisenbergPropagator.evolve_rows``, once per observable for
+    the whole time grid: thin (kept rows x times) x dim products with the
+    one eigendecomposition of H, never a dim x dim observable.  The
+    propagator decides on H's factors whether a gauge makes H real and
+    whether a mode parity halves it (real eigenvectors from one SVD of a
+    coupling block; see ``HeisenbergPropagator``); otherwise it runs an
+    ``eigh`` of the dense H.  All agree to rounding, but the residual of
+    a converged oracle is a near-cancellation: it moves by ~1e-7
+    relative with the eigensolver and the BLAS thread count, so the
+    ``koopman`` command's ``summary.json`` reproduces to 1e-6 relative in
+    ``oracle_residual``, not byte for byte.
     """
-    # checked before the eigendecomposition exists, so the check's
-    # dim x dim temporaries do not add to its memory
+    # checked before the eigendecomposition, on the factors
     for O in O_set:
-        defect = np.linalg.norm(O - O.conj().T)
-        if defect > 1e-10 * max(1.0, np.linalg.norm(O)):
+        defect, norm = _observable_defect(O)
+        if defect > 1e-10 * max(1.0, norm):
             raise ValueError("observables must be Hermitian")
-    Ht, phases = real_gauge(H, spec)
-    prop = HeisenbergPropagator(Ht, hbar, phases, chiral_parity(Ht, spec))
-    del Ht  # the propagator keeps V only; free the gauged copy of H
-    keep = core_mask(spec)
+    prop = HeisenbergPropagator(H, hbar)
+    keep = core_mask(H.spec)
     rows = [R for O in O_set for R in prop.evolve_rows(O, t_grid, keep)]
 
     worst = 0.0

@@ -37,15 +37,6 @@ def read_summary(out_dir):
         return json.load(fh)
 
 
-def exit_code(argv):
-    """main's return value, or the status of argparse's own exit (which
-    it takes for an unrecognized flag)."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 def four_pairs(observables):
     """Model document of four +/- mass pairs, omega in {1, 1.7, 2.4, 3},
     with (Q_k, Pi_k) rows if ``observables`` is "collective", else the
@@ -348,6 +339,31 @@ class TestForce:
         assert "Traceback" not in err
         assert not (out / "force.csv").exists()
         assert not (out / "summary.json").exists()
+
+
+class TestUnknownFlag:
+    @pytest.mark.parametrize("argv", [["--bogus", "2", "check"],
+                                      ["check", "--bogus", "2"],
+                                      ["--bogus=2", "check"],
+                                      ["--n-levels", "32", "koopman"]],
+                             ids=["before", "after", "equals", "sub-flag"])
+    def test_named_on_one_error_line(self, tmp_path, capsys, argv):
+        # before the subcommand argparse would take the flag's value as
+        # the subcommand; after it, print its usage and exit itself
+        out = tmp_path / "run"
+        assert main(["--out", str(out), *argv]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unrecognized arguments: ")
+        assert captured.err.count("\n") == 1
+        assert argv[0 if argv[0] != "check" else 1].split("=")[0] \
+            in captured.err
+        assert not out.exists()
+
+    def test_known_flags_and_prefixes_still_parse(self, tmp_path):
+        out = tmp_path / "run"
+        args = parse_args(["--se", "4", "--out=" + str(out), "check"])
+        assert args.seed == 4 and args.out == str(out)
 
 
 class TestKoopman:
@@ -691,7 +707,7 @@ class TestConfig:
             assert main(["--config", str(cfg), *argv]) == EXIT_BAD_INPUT
         for flagged in (["--tol-scale", "2", *argv],
                         [*argv, "--tol-scale", "2"]):
-            assert exit_code(flagged) == EXIT_BAD_INPUT
+            assert main(flagged) == EXIT_BAD_INPUT
         assert "--tol-scale" not in build_parser().format_help()
 
     def test_other_subcommand_key_rejected(self, tmp_path):
@@ -739,13 +755,39 @@ class TestModelFile:
         from qmfslab.models import oscillator_pair
         from qmfslab.phase_space import model_to_json
 
+        bundle = oscillator_pair(1.0, 1.0)
         fixture = tmp_path / "model.json"
-        fixture.write_text(model_to_json(oscillator_pair(1.0, 1.0).model))
+        fixture.write_text(model_to_json(bundle.model, bundle.qmfs_sets[0]))
         out = tmp_path / "run"
         code = main(
             ["--out", str(out), "check", "--model-file", str(fixture)]
         )
         assert code == EXIT_OK
+        (entry,) = read_summary(out)["sets"]
+        assert entry["verdict"] == "QMFS"
+
+    def test_several_modes_need_observables(self, tmp_path, capsys):
+        # a 2-mode file without observables has nothing to check
+        fixture = tmp_path / "no_observables.json"
+        fixture.write_text(json.dumps(
+            {"n_modes": 2, "hbar": 1.0, "G": np.eye(4).tolist()}))
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "check", "--model-file",
+                     str(fixture)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2 modes and no 'observables'" in err
+        assert not (out / "summary.json").exists()
+
+    def test_one_mode_checks_q_and_p(self, tmp_path):
+        fixture = tmp_path / "one_mode.json"
+        fixture.write_text(json.dumps(self.NO_COUPLING))
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "check", "--model-file",
+                     str(fixture)]) == EXIT_OK
+        (entry,) = read_summary(out)["sets"]
+        assert entry["labels"] == ["q", "p"]
+        assert entry["verdict"] == "NOT_QMFS"
 
     def test_four_pairs_up_to_omega_three(self, tmp_path):
         # the commutator grid horizon follows the model's own spectrum;

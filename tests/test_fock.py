@@ -1,6 +1,8 @@
 """Dense truncated-Fock oracle: quadratures, spectra, the classical-flow
 Hamiltonian, and guarded commutator residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -8,6 +10,7 @@ from scipy.linalg import expm
 from qmfslab import fock
 from qmfslab.fock import (
     HeisenbergPropagator,
+    KronOperator,
     PolyKoopman,
     TruncationSpec,
     build_koopman_hamiltonian,
@@ -53,7 +56,7 @@ def dense_embed(op, mode, spec):
 def dense_quadrature_ops(spec, hbar=1.0, ref_scale=1.0):
     """(q_k, p_k) per mode, embedded by ``dense_embed``."""
     one = TruncationSpec(n_levels=spec.n_levels, n_modes=1)
-    q, p = build_quadrature_ops(one, hbar, ref_scale)[0]
+    q, p = (op.dense() for op in build_quadrature_ops(one, hbar, ref_scale)[0])
     return [(dense_embed(q, k, spec), dense_embed(p, k, spec))
             for k in range(spec.n_modes)]
 
@@ -164,12 +167,13 @@ class TestQuadratures:
         ops = build_quadrature_ops(spec, hbar=0.7, ref_scale=1.3)
         ref = dense_quadrature_ops(spec, hbar=0.7, ref_scale=1.3)
         for (q, p), (q_ref, p_ref) in zip(ops, ref, strict=True):
-            assert np.array_equal(q, q_ref) and np.array_equal(p, p_ref)
+            assert np.array_equal(q.dense(), q_ref)
+            assert np.array_equal(p.dense(), p_ref)
 
     def test_canonical_commutator_defect_at_top(self):
         # [q, p] = i hbar everywhere except the top ladder level
         spec = TruncationSpec(n_levels=12, n_modes=1)
-        q, p = build_quadrature_ops(spec)[0]
+        q, p = (op.dense() for op in build_quadrature_ops(spec)[0])
         C = q @ p - p @ q
         diag = np.diag(C)
         assert np.allclose(diag[:-1], 1j, atol=1e-12)
@@ -177,20 +181,22 @@ class TestQuadratures:
 
     def test_different_modes_commute(self):
         spec = TruncationSpec(n_levels=6, n_modes=2)
-        (q1, p1), (q2, p2) = build_quadrature_ops(spec)
+        (q1, p1), (q2, p2) = [(q.dense(), p.dense())
+                              for q, p in build_quadrature_ops(spec)]
         assert np.linalg.norm(q1 @ p2 - p2 @ q1) < 1e-13
         assert np.linalg.norm(q1 @ q2 - q2 @ q1) < 1e-13
 
     def test_hermitian(self):
         spec = TruncationSpec(n_levels=8, n_modes=1)
-        q, p = build_quadrature_ops(spec)[0]
+        q, p = (op.dense() for op in build_quadrature_ops(spec)[0])
         assert np.linalg.norm(q - q.conj().T) < 1e-13
         assert np.linalg.norm(p - p.conj().T) < 1e-13
 
     def test_ref_scale_sets_vacuum_variances(self):
         spec = TruncationSpec(n_levels=10, n_modes=1)
         w = 2.5
-        q, p = build_quadrature_ops(spec, hbar=1.0, ref_scale=w)[0]
+        q, p = (op.dense()
+                for op in build_quadrature_ops(spec, hbar=1.0, ref_scale=w)[0])
         vac = np.zeros(10)
         vac[0] = 1.0
         assert vac @ np.real(q @ q) @ vac == pytest.approx(1 / (2 * w))
@@ -205,7 +211,7 @@ class TestQuadratures:
 class TestOscillatorSpectrum:
     def test_positive_mass_ladder(self):
         spec = TruncationSpec(n_levels=30, n_modes=1)
-        H = oscillator_hamiltonian(spec, m=1.0, omega=2.0)
+        H = oscillator_hamiltonian(spec, m=1.0, omega=2.0).dense()
         E = np.sort(np.linalg.eigvalsh(H))
         expected = 2.0 * (np.arange(10) + 0.5)
         assert np.allclose(E[:10], expected, atol=1e-10)
@@ -213,7 +219,7 @@ class TestOscillatorSpectrum:
     def test_negative_mass_ladder_descends(self):
         # fully inverted Hamiltonian: E_n = -hbar w (n + 1/2)
         spec = TruncationSpec(n_levels=30, n_modes=1)
-        H = oscillator_hamiltonian(spec, m=-1.0, omega=2.0)
+        H = oscillator_hamiltonian(spec, m=-1.0, omega=2.0).dense()
         E = np.sort(np.linalg.eigvalsh(H))[::-1]
         expected = -2.0 * (np.arange(10) + 0.5)
         assert np.allclose(E[:10], expected, atol=1e-10)
@@ -226,14 +232,14 @@ class TestOscillatorSpectrum:
     ])
     def test_single_mode_build_matches_dense_products(self, spec, m, omega,
                                                       hbar, mode):
-        H = oscillator_hamiltonian(spec, m, omega, hbar, mode)
+        H = oscillator_hamiltonian(spec, m, omega, hbar, mode).dense()
         ref = dense_oscillator_hamiltonian(spec, m, omega, hbar, mode)
         assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_mirror_spectra(self):
         spec = TruncationSpec(n_levels=20, n_modes=1)
-        Hp = oscillator_hamiltonian(spec, m=1.0, omega=1.0)
-        Hm = oscillator_hamiltonian(spec, m=-1.0, omega=1.0)
+        Hp = oscillator_hamiltonian(spec, m=1.0, omega=1.0).dense()
+        Hm = oscillator_hamiltonian(spec, m=-1.0, omega=1.0).dense()
         assert np.allclose(
             np.sort(np.linalg.eigvalsh(Hp)),
             np.sort(-np.linalg.eigvalsh(Hm)),
@@ -283,7 +289,7 @@ class TestKoopmanHamiltonian:
     @pytest.mark.parametrize("pk, spec, hbar, ref_scale", CASES)
     def test_kronecker_build_matches_dense_products(self, pk, spec, hbar,
                                                     ref_scale):
-        H, _ = build_koopman_hamiltonian(pk, spec, hbar, ref_scale)
+        H = build_koopman_hamiltonian(pk, spec, hbar, ref_scale)[0].dense()
         ref = dense_koopman_hamiltonian(pk, spec, hbar, ref_scale)
         assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -294,7 +300,7 @@ class TestKoopmanHamiltonian:
             g=(poly1((1, 0, 1.0)),),
         )
         spec = TruncationSpec(n_levels=10, n_modes=2)
-        H, _ = build_koopman_hamiltonian(pk, spec)
+        H = build_koopman_hamiltonian(pk, spec)[0].dense()
         assert np.linalg.norm(H - H.conj().T) < 1e-12
 
     def test_mode_count_checked(self):
@@ -313,13 +319,13 @@ class TestKoopmanHamiltonian:
         for name in ("Q", "Pi"):
             assert len(ops[name]) == pk.M
             for op, op_ref in zip(ops[name], ref[name]):
-                assert np.array_equal(op, op_ref)
+                assert np.array_equal(op.dense(), op_ref)
 
     def test_q_and_pi_commute_exactly(self):
         pk = PolyKoopman(M=1, f=(poly1((0, 1, 1.0)),), g=(poly1((1, 0, 1.0)),))
         spec = TruncationSpec(n_levels=8, n_modes=2)
         _, ops = build_koopman_hamiltonian(pk, spec)
-        Q, Pi = ops["Q"][0], ops["Pi"][0]
+        Q, Pi = ops["Q"][0].dense(), ops["Pi"][0].dense()
         assert np.linalg.norm(Q @ Pi - Pi @ Q) == 0.0
 
     def test_linear_flow_heisenberg_equations(self):
@@ -330,7 +336,8 @@ class TestKoopmanHamiltonian:
         )
         spec = TruncationSpec(n_levels=14, n_modes=2, core_levels=5)
         H, ops = build_koopman_hamiltonian(pk, spec)
-        Q, Pi = ops["Q"][0], ops["Pi"][0]
+        H = H.dense()
+        Q, Pi = ops["Q"][0].dense(), ops["Pi"][0].dense()
         dQ = 1j * (H @ Q - Q @ H)
         P = dense_guard_projector(spec)
         assert np.linalg.norm(P @ (dQ - Pi) @ P) < 1e-10
@@ -342,7 +349,7 @@ class TestHeisenbergPropagation:
     def test_identity_at_zero(self):
         spec = TruncationSpec(n_levels=10, n_modes=1)
         H = oscillator_hamiltonian(spec, 1.0, 1.0)
-        q, _ = build_quadrature_ops(spec, ref_scale=1.0)[0]
+        q = build_quadrature_ops(spec, ref_scale=1.0)[0][0].dense()
         assert np.allclose(HeisenbergPropagator(H).evolve(q, 0.0), q,
                            atol=1e-12)
 
@@ -351,7 +358,8 @@ class TestHeisenbergPropagation:
         spec = TruncationSpec(n_levels=30, n_modes=1, core_levels=10)
         m, w = 1.0, 1.0
         H = oscillator_hamiltonian(spec, m, w)
-        q, p = build_quadrature_ops(spec, ref_scale=m * w)[0]
+        q, p = (op.dense()
+                for op in build_quadrature_ops(spec, ref_scale=m * w)[0])
         prop = HeisenbergPropagator(H)
         P = dense_guard_projector(spec)
         for t in (0.3, 1.0, 2.5):
@@ -363,8 +371,8 @@ class TestHeisenbergPropagation:
         # one-shot reference: conjugation by U = expm(-iHt/hbar)
         spec = TruncationSpec(n_levels=8, n_modes=1)
         H = oscillator_hamiltonian(spec, 1.0, 1.0)
-        q, _ = build_quadrature_ops(spec)[0]
-        U = expm(-1j * H * 0.7)
+        q = build_quadrature_ops(spec)[0][0].dense()
+        U = expm(-1j * H.dense() * 0.7)
         prop = HeisenbergPropagator(H)
         assert np.allclose(prop.evolve(q, 0.7), U.conj().T @ q @ U,
                            atol=1e-12)
@@ -379,7 +387,9 @@ class TestHeisenbergPropagation:
         keep[[0, 5, 17]] = True
         prop = HeisenbergPropagator(H)
         t_grid = (0.0, 0.4, 3.0)
-        rows = prop.evolve_rows(O, t_grid, keep)
+        one_mode = TruncationSpec(n_levels=24, n_modes=1)
+        rows = prop.evolve_rows(KronOperator.on_mode(O, 0, one_mode), t_grid,
+                                keep)
         assert rows.shape == (3, 3, 24)
         for t, rows_t in zip(t_grid, rows):
             full = prop.evolve(O, t)
@@ -390,7 +400,7 @@ class TestHeisenbergPropagation:
         # <psi(t)| O |psi(t)> = <psi| O(t) |psi>
         spec = TruncationSpec(n_levels=10, n_modes=1)
         H = oscillator_hamiltonian(spec, 1.0, 1.0)
-        q, _ = build_quadrature_ops(spec)[0]
+        q = build_quadrature_ops(spec)[0][0].dense()
         psi = np.zeros(10, dtype=complex)
         psi[[0, 1]] = [0.6, 0.8]
         prop = HeisenbergPropagator(H)
@@ -433,9 +443,7 @@ class TestCommutatorResidual:
         spec = TruncationSpec(n_levels=16, n_modes=2, core_levels=5)
         H, ops = build_koopman_hamiltonian(pk, spec)
         t_grid = np.linspace(0.0, 3.0, 4)
-        res = commutator_residual(
-            H, [ops["Q"][0], ops["Pi"][0]], t_grid, spec
-        )
+        res = commutator_residual(H, [ops["Q"][0], ops["Pi"][0]], t_grid)
         assert res < 1e-10
 
     def test_noncommuting_pair_flagged(self):
@@ -446,15 +454,16 @@ class TestCommutatorResidual:
         spec = TruncationSpec(n_levels=16, n_modes=2, core_levels=5)
         H, ops = build_koopman_hamiltonian(pk, spec)
         P0 = build_quadrature_ops(spec)[0][1]
-        res = commutator_residual(H, [ops["Q"][0], P0], [0.0, 1.0], spec)
+        res = commutator_residual(H, [ops["Q"][0], P0], [0.0, 1.0])
         assert res > 0.5
 
     def test_non_hermitian_rejected(self):
         spec = TruncationSpec(n_levels=4, n_modes=1)
-        H = np.eye(4, dtype=complex)
+        H = KronOperator.on_mode(np.eye(4), 0, spec)
         bad = np.triu(np.ones((4, 4), dtype=complex))
         with pytest.raises(ValueError, match="Hermitian"):
-            commutator_residual(H, [bad], [0.0], spec)
+            commutator_residual(H, [KronOperator.on_mode(bad, 0, spec)],
+                                [0.0])
 
     @staticmethod
     def check_against_full_dense_reference(pk):
@@ -467,13 +476,13 @@ class TestCommutatorResidual:
         O_set = [ops["Q"][0], P0, ops["Pi"][0]]
         t_grid = [0.0, 0.5, 1.5]
         P = dense_guard_projector(spec)
-        prop = HeisenbergPropagator(H)
-        evolved = [prop.evolve(O, t) for O in O_set for t in t_grid]
+        prop = HeisenbergPropagator(H.dense())
+        evolved = [prop.evolve(O.dense(), t) for O in O_set for t in t_grid]
         reference = max(
             np.linalg.norm(P @ (A @ B - B @ A) @ P, 2)
             for A in evolved for B in evolved
         )
-        res = commutator_residual(H, O_set, t_grid, spec)
+        res = commutator_residual(H, O_set, t_grid)
         assert reference > 0.5
         assert res == pytest.approx(reference, rel=1e-12)
 
@@ -487,6 +496,83 @@ class TestCommutatorResidual:
         self.check_against_full_dense_reference(pk)
 
 
+def dense_gauge(H, spec):
+    """Reference gauge, read off the dense H: ``None`` when H is real as
+    built, i^(total quanta) when that makes it real, else "complex"."""
+    for u in (None, quanta_phases(spec)):
+        G = H if u is None else u[:, None] * H * u.conj()
+        if np.max(np.abs(G.imag)) <= 1e-14 * np.max(np.abs(G)):
+            return u
+    return "complex"
+
+
+def dense_parity(H, spec):
+    """Reference parity, read off the dense H: the first mode whose
+    parity anticommutes with H exactly, else ``None``."""
+    for mode in range(spec.n_modes):
+        S = np.where(mode_parity(spec, mode), -1.0, 1.0)
+        if not np.any(S[:, None] * H * S + H):
+            return mode
+    return None
+
+
+def is_real_operator(op):
+    """Every coefficient and every factor of a KronOperator is real."""
+    return all(np.isrealobj(coef) and all(F is None or np.isrealobj(F)
+                                          for F in factors)
+               for coef, factors in op.terms)
+
+
+# the six flows of the factor-level tests: expected gauge and parity mode
+FLOWS = {
+    "eps0": (koopman_flow(0.0), None, 0),
+    "eps0.1": (koopman_flow(0.1), "quanta", 0),
+    "eps0.3": (koopman_flow(0.3), "quanta", 0),
+    "linear": (LINEAR_FLOW, None, 0),
+    "mode1": (MODE1_FLOW, None, 1),
+    "damped": (DAMPED_FLOW, "complex", None),
+}
+
+
+class TestFactorDecisions:
+    """The gauge and the parity decided on the factors against the same
+    decisions read off the dense Hamiltonian built from products."""
+
+    @pytest.mark.parametrize("n_levels", [8, 9])
+    @pytest.mark.parametrize("name", list(FLOWS))
+    def test_gauge_and_parity_match_dense_references(self, name, n_levels):
+        pk, gauge, mode = FLOWS[name]
+        spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
+        H, _ = build_koopman_hamiltonian(pk, spec)
+        ref = dense_koopman_hamiltonian(pk, spec)
+        u_ref = dense_gauge(ref, spec)
+        Ht, u = real_gauge(H)
+        if gauge == "complex":
+            assert isinstance(u_ref, str)
+            assert Ht is H and u is None
+        elif gauge is None:
+            assert u_ref is None and u is None
+        else:
+            assert np.array_equal(u, u_ref)
+        if gauge != "complex":
+            assert is_real_operator(Ht)
+        assert chiral_parity(H) == chiral_parity(Ht) == dense_parity(ref, spec)
+        assert chiral_parity(H) == mode
+
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_one_equal_parity_entry_breaks_the_parity(self, level):
+        # a diagonal entry on an even or on an odd level of mode 0
+        spec = TruncationSpec(n_levels=6, n_modes=2, core_levels=2)
+        H, _ = build_koopman_hamiltonian(koopman_flow(0.1), spec)
+        assert chiral_parity(H) == 0
+        entry = np.zeros((6, 6))
+        entry[level, level] = 1e-3
+        broken = KronOperator(spec, H.terms + ((1.0, (entry, None)),))
+        assert chiral_parity(broken) is None
+        assert dense_parity(broken.dense(), spec) is None
+
+
 class TestRealGauge:
     """The real symmetric eigendecomposition against the complex one."""
 
@@ -498,12 +584,14 @@ class TestRealGauge:
     def test_reversible_flow_is_real_in_the_gauge(self, pk, gauged):
         spec = TruncationSpec(n_levels=9, n_modes=2, core_levels=2)
         H, _ = build_koopman_hamiltonian(pk, spec)
-        Ht, u = real_gauge(H, spec)
-        assert np.isrealobj(Ht)
+        Ht, u = real_gauge(H)
+        assert is_real_operator(Ht)
         ref = dense_koopman_hamiltonian(pk, spec)
         u_ref = quanta_phases(spec) if gauged else np.ones(spec.dim)
         ref = u_ref[:, None] * ref * u_ref.conj()
         assert np.max(np.abs(ref.imag)) <= 1e-14 * np.max(np.abs(ref))
+        Ht = Ht.dense()
+        assert np.isrealobj(Ht)
         assert np.max(np.abs(Ht - ref.real)) <= 1e-14 * np.max(np.abs(ref))
         if gauged:
             assert np.array_equal(u, u_ref)
@@ -513,49 +601,53 @@ class TestRealGauge:
     def test_damped_flow_stays_complex(self):
         spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=3)
         H, _ = build_koopman_hamiltonian(DAMPED_FLOW, spec)
-        Ht, u = real_gauge(H, spec)
+        Ht, u = real_gauge(H)
         assert Ht is H and u is None
 
     @pytest.mark.parametrize("pk", [koopman_flow(0.1), LINEAR_FLOW,
                                     MODE1_FLOW])
-    def test_propagator_matches_complex_eigh(self, pk):
+    def test_propagator_matches_complex_eigh(self, pk, monkeypatch):
         # the real eigh and the chiral SVD, both in the real gauge,
         # against the complex eigh of H as built, at even and odd N
         for n_levels in (8, 9):
-            self.check_propagators(pk, n_levels)
+            spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=3)
+            H, ops = build_koopman_hamiltonian(pk, spec)
+            Ht, u = real_gauge(H)
+            assert is_real_operator(Ht) and np.iscomplexobj(H.dense())
+            assert chiral_parity(Ht) is not None
+            chiral = HeisenbergPropagator(H, 0.8)
+            with monkeypatch.context() as m:
+                m.setattr(fock, "chiral_parity", lambda H: None)
+                real = HeisenbergPropagator(H, 0.8)
+            self.check_propagators(H, ops, spec, (real, chiral))
 
     @staticmethod
-    def check_propagators(pk, n_levels):
-        spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=3)
-        H, ops = build_koopman_hamiltonian(pk, spec)
-        Ht, u = real_gauge(H, spec)
-        parity = chiral_parity(Ht, spec)
-        assert np.isrealobj(Ht) and np.iscomplexobj(H)
-        assert parity is not None
-        ref = HeisenbergPropagator(H, 0.8)
+    def check_propagators(H, ops, spec, props):
+        ref = HeisenbergPropagator(H.dense(), 0.8)
         keep = core_mask(spec)
         rng = np.random.default_rng(5)
         psi = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
         psi /= np.linalg.norm(psi)
         P0 = build_quadrature_ops(spec, hbar=0.8)[0][1]
         t_grid = (0.0, 0.6, 2.3)
-        for prop in (HeisenbergPropagator(Ht, 0.8, u),
-                     HeisenbergPropagator(Ht, 0.8, u, parity)):
+        for prop in props:
+            assert np.isrealobj(prop.vectors)
             for O in (ops["Q"][0], ops["Pi"][0], P0):
-                scale = np.linalg.norm(O)
+                Od = O.dense()
+                scale = np.linalg.norm(Od)
                 rows = prop.evolve_rows(O, t_grid, keep)
                 ref_rows = ref.evolve_rows(O, t_grid, keep)
                 assert np.linalg.norm(rows - ref_rows) < 1e-12 * scale
                 for t, rows_t in zip(t_grid, rows):
-                    full = ref.evolve(O, t)
-                    assert np.linalg.norm(prop.evolve(O, t) - full) \
+                    full = ref.evolve(Od, t)
+                    assert np.linalg.norm(prop.evolve(Od, t) - full) \
                         < 1e-12 * scale
                     assert np.linalg.norm(rows_t - full[keep]) < 1e-12 * scale
             for t in (0.6, 2.3):
                 psit = prop.evolve_state(psi, t)
                 assert np.linalg.norm(psit - ref.evolve_state(psi, t)) < 1e-12
-                assert np.linalg.norm(psit - expm(-1j * H * t / 0.8) @ psi) \
-                    < 1e-12
+                assert np.linalg.norm(
+                    psit - expm(-1j * H.dense() * t / 0.8) @ psi) < 1e-12
 
     def test_real_and_complex_residuals_agree_at_24_levels(self, monkeypatch):
         # the converged residual is a near-cancellation: the two
@@ -564,9 +656,9 @@ class TestRealGauge:
         H, ops = build_koopman_hamiltonian(koopman_flow(0.1), spec)
         O_set = [ops["Q"][0], ops["Pi"][0]]
         t_grid = np.linspace(0.0, 2.0, 5)
-        res = commutator_residual(H, O_set, t_grid, spec)
-        monkeypatch.setattr(fock, "real_gauge", lambda H, spec: (H, None))
-        ref = commutator_residual(H, O_set, t_grid, spec)
+        res = commutator_residual(H, O_set, t_grid)
+        monkeypatch.setattr(fock, "real_gauge", lambda H: (H, None))
+        ref = commutator_residual(H, O_set, t_grid)
         assert 0 < res < 1e-5
         assert res == pytest.approx(ref, rel=1e-6)
 
@@ -584,14 +676,12 @@ class TestChiralSplit:
                                                      n_levels):
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
         H, _ = build_koopman_hamiltonian(pk, spec)
-        for matrix in (H, real_gauge(H, spec)[0]):
-            parity = chiral_parity(matrix, spec)
-            if mode is None:
-                assert parity is None
-            else:
-                assert np.array_equal(parity, mode_parity(spec, mode))
-                S = np.where(parity, -1.0, 1.0)
-                assert not np.any(S[:, None] * H * S + H)
+        for op in (H, real_gauge(H)[0]):
+            assert chiral_parity(op) == mode
+        if mode is not None:
+            S = np.where(mode_parity(spec, mode), -1.0, 1.0)
+            Hd = H.dense()
+            assert not np.any(S[:, None] * Hd * S + Hd)
 
     @pytest.mark.parametrize("n_levels", [8, 9])
     @pytest.mark.parametrize("pk", [koopman_flow(0.1), koopman_flow(0.0),
@@ -602,9 +692,12 @@ class TestChiralSplit:
         # vectors are the E = 0 eigenvectors
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
         H, _ = build_koopman_hamiltonian(pk, spec)
-        Ht, u = real_gauge(H, spec)
-        prop = HeisenbergPropagator(Ht, 1.0, u, chiral_parity(Ht, spec))
+        prop = HeisenbergPropagator(H)
         V, E = prop.vectors, prop.energies
+        assert np.isrealobj(V)
+        if prop.phases is not None:
+            V = prop.phases.conj()[:, None] * V
+        H = H.dense()
         assert V.shape == H.shape and E.shape == (spec.dim,)
         scale = np.linalg.norm(H)
         assert np.linalg.norm(H @ V - V * E) < 1e-13 * scale
@@ -620,8 +713,61 @@ class TestChiralSplit:
         H, ops = build_koopman_hamiltonian(koopman_flow(0.1), spec)
         O_set = [ops["Q"][0], ops["Pi"][0]]
         t_grid = np.linspace(0.0, 2.0, 5)
-        res = commutator_residual(H, O_set, t_grid, spec)
-        monkeypatch.setattr(fock, "chiral_parity", lambda H, spec: None)
-        ref = commutator_residual(H, O_set, t_grid, spec)
+        res = commutator_residual(H, O_set, t_grid)
+        monkeypatch.setattr(fock, "chiral_parity", lambda H: None)
+        ref = commutator_residual(H, O_set, t_grid)
         assert 0 < res < 1e-5
         assert res == pytest.approx(ref, rel=1e-6)
+
+
+class TestGuardsOnTheFactorPath:
+    """What the oracle still checks now that no dense H is built on the
+    chiral path."""
+
+    @pytest.mark.parametrize("pk", [koopman_flow(0.1), DAMPED_FLOW],
+                             ids=["chiral", "dense"])
+    def test_ordering_defect_rejected(self, pk):
+        # one side of the P f pair of f's second monomial (eps Q^2 or the
+        # damping Q, terms 2 and 3: P Q^k and Q^k P) with a changed
+        # coefficient: H is no longer Hermitian, on the block path and on
+        # the dense one
+        spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=2)
+        H, ops = build_koopman_hamiltonian(pk, spec)
+        O_set = [ops["Q"][0], ops["Pi"][0]]
+        assert commutator_residual(H, O_set, [0.0, 1.0]) > 0
+        terms = list(H.terms)
+        coef, factors = terms[2]
+        terms[2] = (1.001 * coef, factors)
+        bad = KronOperator(spec, tuple(terms))
+        with pytest.raises(ValueError, match="Hermitian"):
+            commutator_residual(bad, O_set, [0.0, 1.0])
+
+    def test_observable_hermiticity_read_per_mode(self):
+        # the same Hermitian operator split into non-Hermitian parts on one
+        # mode passes; a non-Hermitian sum on two modes does not
+        spec = TruncationSpec(n_levels=6, n_modes=2, core_levels=2)
+        H, _ = build_koopman_hamiltonian(LINEAR_FLOW, spec)
+        a = np.diag(np.sqrt(np.arange(1.0, 6)), 1)
+        split = KronOperator(spec, ((1.0, (a, None)), (1.0, (a.T, None))))
+        assert commutator_residual(H, [split], [0.0, 1.0]) >= 0
+        bad = KronOperator(spec, ((1.0, (a, None)), (1.0, (None, a.T))))
+        with pytest.raises(ValueError, match="Hermitian"):
+            commutator_residual(H, [bad], [0.0])
+        pair = KronOperator(spec, ((1.0, (a + a.T, a + a.T)),))
+        with pytest.raises(ValueError, match="single-mode"):
+            commutator_residual(H, [pair], [0.0])
+
+    def test_peak_memory_is_a_few_real_blocks(self):
+        # build and residual of the koopman flow at 24 levels: the real
+        # coupling blocks, their SVD and the real V, no dim x dim complex
+        # matrix; bounded by 3 real dim x dim arrays
+        spec = TruncationSpec(n_levels=24, n_modes=2, core_levels=2)
+        tracemalloc.start()
+        try:
+            H, ops = build_koopman_hamiltonian(koopman_flow(0.1), spec)
+            commutator_residual(H, [ops["Q"][0], ops["Pi"][0]],
+                                np.linspace(0.0, 2.0, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * spec.dim**2
