@@ -79,14 +79,19 @@ class ReversibleCircuit:
 
     @staticmethod
     def from_text(text: str) -> "ReversibleCircuit":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("bits "):
+        lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)
+                 if ln.strip()]
+        if not lines or not lines[0][1].startswith("bits "):
             raise ValueError('circuit text must start with "bits N"')
-        n_bits = int(lines[0].split()[1])
-        gates = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            gates.append((parts[0],) + tuple(int(p) for p in parts[1:]))
+        rows = []
+        for n, ln in lines:
+            name, *fields = ln.split()
+            try:
+                rows.append((name, *map(int, fields)))
+            except ValueError:
+                raise ValueError(f"line {n}: {ln!r}: expected integers "
+                                 f"after {name!r}") from None
+        (_, n_bits, *_), *gates = rows
         return ReversibleCircuit(n_bits, tuple(gates))
 
 

@@ -541,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("spin", "finite-J0 sweep")
     p.add_argument("--j0-list", type=_j0_list, default="2,4,8")
-    p.add_argument("--gamma-b0", type=_NONZERO, default=1.0)
+    p.add_argument("--gamma-b0", type=_POSITIVE, default=1.0)
 
     p = command("circuit", "reversible-circuit propagation")
     p.add_argument("--file", required=True)
@@ -582,35 +582,38 @@ def _apply_config(parsers, path) -> None:
         parser.set_defaults(**{key: value})
 
 
-def _unknown_root_flag(parser, argv):
-    """The first flag before the subcommand that the root parser does
-    not define (exactly or as an unambiguous prefix), else ``None``.
+def _root_args(parser, argv):
+    """argv without a lone ``--`` just before the subcommand, which
+    argparse would take as the subcommand's name.
 
-    argparse would take such a flag's value as the subcommand and report
-    that value instead of the flag.
+    Raises ``argparse.ArgumentError`` for the first flag before the
+    subcommand that the root parser does not define (exactly or as an
+    unambiguous prefix): argparse would take such a flag's value as the
+    subcommand and report that value instead of the flag.
     """
     known = parser._option_string_actions
-    args = iter(argv)
-    for arg in args:
-        if arg == "--" or not arg.startswith("-"):
-            return None  # the subcommand
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if arg == "--":
+            return argv[:i] + argv[i + 1:]
+        if not arg.startswith("-"):
+            break  # the subcommand
         name, eq, _ = arg.partition("=")
         actions = {known[name]} if name in known else {
             a for s, a in known.items() if s.startswith(name)}
         if len(actions) != 1:
-            return name
-        if not eq and actions.pop().nargs != 0:
-            next(args, None)  # the flag's value
-    return None
+            raise argparse.ArgumentError(
+                None, f"unrecognized arguments: {name}")
+        # skip the flag's value
+        i += 1 if eq or actions.pop().nargs == 0 else 2
+    return argv
 
 
 def _parse(parser, argv) -> argparse.Namespace:
     """``parser.parse_args`` with an unknown flag raised as
     ``argparse.ArgumentError``, not printed as usage by argparse."""
-    flag = _unknown_root_flag(parser, argv)
-    if flag is not None:
-        raise argparse.ArgumentError(None, f"unrecognized arguments: {flag}")
-    args, extra = parser.parse_known_args(argv)
+    args, extra = parser.parse_known_args(_root_args(parser, argv))
     if extra:
         raise argparse.ArgumentError(
             None, f"unrecognized arguments: {' '.join(extra)}")

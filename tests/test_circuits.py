@@ -41,6 +41,15 @@ class TestReversibleCircuit:
         with pytest.raises(ValueError):
             ReversibleCircuit.from_text("X 0\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("bits 3\n\nX a\n", "line 3: 'X a'"),
+        ("bits x\n", "line 1: 'bits x'"),
+        ("bits 3\nCX 0 1.5\n", "line 2: 'CX 0 1.5'"),
+    ])
+    def test_non_integer_field_names_the_line(self, text, line):
+        with pytest.raises(ValueError, match="^" + line + ": expected integers"):
+            ReversibleCircuit.from_text(text)
+
 
 class TestPermutation:
     def test_x_gate(self):

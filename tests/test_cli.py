@@ -365,6 +365,13 @@ class TestUnknownFlag:
         args = parse_args(["--se", "4", "--out=" + str(out), "check"])
         assert args.seed == 4 and args.out == str(out)
 
+    def test_double_dash_before_the_subcommand(self, tmp_path):
+        # "--" ends the root options; argparse alone would take it as the
+        # subcommand's name
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "--", "check"]) == EXIT_OK
+        assert read_summary(out)["config"]["command"] == "check"
+
 
 class TestKoopman:
     def test_default_run_passes(self, tmp_path):
@@ -417,8 +424,8 @@ class TestRunTimeBadInput:
                              capsys, "zero force coupling")
 
 
-# every command but spin at smoke size, then spin, writing under argv[1];
-# prints, after each, its exit code and whether scipy is loaded
+# every command at smoke size, writing under argv[1]; prints, after
+# each, its exit code and whether scipy is loaded
 IMPORT_PROBE = """
 import json, sys
 from pathlib import Path
@@ -444,10 +451,10 @@ print(json.dumps(report))
 
 
 class TestImportBoundary:
-    """scipy (0.2-0.3 s to import) is loaded by spin's banded eigenvalues
-    only; every other command runs on numpy alone."""
+    """Every command runs on numpy alone: scipy (0.2-0.3 s to import) is
+    a test dependency only."""
 
-    def test_only_spin_loads_scipy(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": str(Path(qmfslab.__file__).parents[1])}
         proc = subprocess.run(
@@ -455,11 +462,9 @@ class TestImportBoundary:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
-        *others, (_, spin_code, spin_scipy) = report
-        for argv, code, scipy_loaded in others:
+        for argv, code, scipy_loaded in report:
             assert code == EXIT_OK, argv
             assert not scipy_loaded, argv
-        assert spin_code == EXIT_OK and spin_scipy
 
 
 class TestSpin:
@@ -557,13 +562,14 @@ class TestBadRealFlags:
             (["koopman", "--m", "0"], "--m"),
             (["force", "--k", "0"], "--k"),
             (["force", "--k", "-1"], "--k"),
+            (["spin", "--gamma-b0", "-1"], "--gamma-b0"),
         ],
     )
     def test_bad_value_is_bad_input(self, tmp_path, argv, flag, capsys):
         out = tmp_path / "run"
         assert main(["--out", str(out), *argv]) == EXIT_BAD_INPUT
         assert f"error: {flag} must be" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        assert not out.exists()  # rejected while parsing, before any run
 
     def test_value_from_config_checked(self, tmp_path):
         cfg = tmp_path / "cfg.json"

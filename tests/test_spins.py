@@ -21,12 +21,12 @@ from qmfslab.spins import (
 
 
 class DensePair:
-    """The dense construction the block path replaced, kept as an oracle
-    for small J0: six kron operators on the product space, a dense H and
-    its eigendecomposition, commutators as dense matrix products.
+    """The dense product-space construction, kept as an oracle for small
+    J0: six kron operators on the product space, a dense H and its
+    eigendecomposition, commutators as dense matrix products.
 
     ``H`` defaults to -gamma B0 (Jz + J'z); pass another diagonal H to
-    check the block path on energies that are not linear in M.
+    check the single-spin path on energies that are not linear in M.
     """
 
     def __init__(self, pair, H=None):
@@ -93,9 +93,10 @@ class DensePair:
         return dev_mean / scale_mean, dev_var / p.hbar
 
 
-def as_dense(pair, parts):
-    """A shift-form operator of the block path as a dense matrix."""
-    return spins._dense_block(parts, np.ones((pair.d, pair.d), dtype=bool))
+def kron_sum(c):
+    """c x 1 + 1 x c on the product space."""
+    eye = np.eye(c.shape[0])
+    return np.kron(c, eye) + np.kron(eye, c)
 
 
 SMALL_J0 = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
@@ -136,7 +137,7 @@ class TestBuildSpinPair:
         assert pair.dim == 25
 
     def test_dim_cap(self):
-        # J0 = 128 (dim 257^2) is the largest the block path takes
+        # J0 = 128 (dim 257^2) is the largest the spin oracles take
         assert build_spin_pair(128.0, 1.0).dim == spins.DIM_CAP
         with pytest.raises(ValueError, match="cap"):
             build_spin_pair(128.5, 1.0)
@@ -148,17 +149,19 @@ class TestBuildSpinPair:
 
     def test_energy_conservation_structure(self):
         # H = -gamma B0 (Jz + J'z) is diagonal in the product basis, and
-        # the block path's energies are its diagonal
+        # the pair's energies are its diagonal
         pair = build_spin_pair(1.0, 2.0)
         H = DensePair(pair).H
         assert np.allclose(H, np.diag(np.diag(H)), atol=1e-13)
         assert np.array_equal(np.diag(H), pair.energies.ravel())
 
     def test_collective_q_hermitian(self):
+        # Q(0) = (Jx x 1 + 1 x Jx)/sqrt(J0) is Hermitian because its
+        # single-spin factor Jx(0) is
         pair = build_spin_pair(2.0, 1.0)
-        dense = as_dense(pair, spins._evolved_q(pair, 0.0))
-        assert np.linalg.norm(dense - dense.conj().T) < 1e-13
-        assert np.array_equal(dense, DensePair(pair).Q)
+        jx0 = spins._evolved_jx(pair, 0.0)
+        assert np.array_equal(jx0, pair.jx)
+        assert np.linalg.norm(jx0 - jx0.conj().T) < 1e-13
 
 
 class TestStretchedState:
@@ -293,15 +296,16 @@ class TestHeisenbergEvolution:
         assert np.linalg.norm(psit) == pytest.approx(1.0)
 
 
-def nonlinear_energies(pair):
-    """Energies quadratic in M: the Delta M = +-2 parts of the
-    commutator no longer cancel, so the residual is macroscopic."""
-    jz = pair.jz_total
-    return -pair.gamma_B0 * jz + 0.37 * jz**2 / pair.hbar
+def nonlinear_spin_energies(pair):
+    """Single-spin energies quadratic in m: H is still a Kronecker sum,
+    but the identity's closed form no longer holds, so the residual is
+    macroscopic."""
+    z = np.diag(pair.jz)
+    return -pair.gamma_B0 * z + 0.37 * z**2 / pair.hbar
 
 
 class TestBlockPathAgainstDense:
-    """The block path reproduces the dense construction at J0 <= 4."""
+    """The single-spin path reproduces the dense construction at J0 <= 4."""
 
     @pytest.mark.parametrize("J0", SMALL_J0)
     def test_commutator_matches_entrywise(self, J0):
@@ -309,36 +313,34 @@ class TestBlockPathAgainstDense:
         dense = DensePair(pair)
         scale = np.linalg.norm(dense.Q, 2) ** 2
         for t, tp in TIME_PAIRS:
-            block = as_dense(pair, spins._two_time_commutator(pair, t, tp))
-            diff = block - dense.commutator(t, tp)
+            c = spins._single_commutator(pair, t, tp)
+            diff = kron_sum(c) - dense.commutator(t, tp)
             assert np.max(np.abs(diff)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("J0", SMALL_J0)
     def test_dense_residual_between_the_bounds(self, J0):
-        # both sides are rounding noise here, so "between" holds up to
-        # the rounding scale eps ||Q||^2
+        # 2 ||R1||_2 is both bound and value of ||R1 x 1 + 1 x R1||_2 for
+        # an anti-Hermitian R1; here both sides are rounding noise, so
+        # they agree up to the rounding scale eps ||Q||^2
         pair = build_spin_pair(J0, 1.3)
         dense = DensePair(pair)
         rounding = 1e-13 * np.linalg.norm(dense.Q, 2) ** 2
         for t, tp in TIME_PAIRS:
-            D, U = spins._identity_residual_blocks(pair, t, tp)
-            residual = dense.identity_residual(t, tp)
-            assert max(D, U) <= residual + rounding
-            assert residual <= D + 2 * U + rounding
-            assert qmfs_commutator_identity(pair, t, tp) == D + 2 * U
+            assert qmfs_commutator_identity(pair, t, tp) == pytest.approx(
+                dense.identity_residual(t, tp), abs=rounding)
 
     @pytest.mark.parametrize("J0", (1.0, 2.0, 3.0))
     def test_bounds_hold_for_a_macroscopic_residual(self, J0, monkeypatch):
         pair = build_spin_pair(J0, 1.3)
-        dense = DensePair(pair, H=np.diag(nonlinear_energies(pair).ravel()))
-        monkeypatch.setattr(spins.SpinPair, "energies",
-                            property(nonlinear_energies))
+        e = nonlinear_spin_energies(pair)
+        dense = DensePair(pair, H=np.diag((e[:, None] + e[None, :]).ravel()))
+        monkeypatch.setattr(spins.SpinPair, "spin_energies",
+                            property(nonlinear_spin_energies))
         for t, tp in [(0.0, 0.7), (1.1, 0.4), (2.5, -1.3)]:
-            D, U = spins._identity_residual_blocks(pair, t, tp)
-            residual = dense.identity_residual(t, tp)
-            assert residual > 0.1 and U > 0.1
-            assert max(D, U) <= residual * (1 + 1e-12)
-            assert residual <= (D + 2 * U) * (1 + 1e-12)
+            residual = qmfs_commutator_identity(pair, t, tp)
+            assert residual > 0.1
+            assert residual == pytest.approx(
+                dense.identity_residual(t, tp), rel=1e-12)
 
     @pytest.mark.parametrize("J0", SMALL_J0)
     def test_excitation_norm_matches(self, J0):
@@ -371,9 +373,15 @@ class TestBlockPathAgainstDense:
 
     def test_stray_delta_m_is_caught(self):
         # a Jx with (non-constant) diagonal entries gives Q a Delta M = 0
-        # part, so the commutator gets Delta M = +-1 parts; those raise
+        # part, so the commutator gets Delta M = +-1 parts: a macroscopic
+        # residual, the same as the dense one
         pair = build_spin_pair(2.0, 1.0)
         stray = np.diag(np.linspace(0.0, 0.3, pair.d))
         bad = dataclasses.replace(pair, jx=pair.jx + stray)
-        with pytest.raises(AssertionError, match="changes M"):
-            spins._identity_residual_blocks(bad, 0.0, 0.7)
+        dense = DensePair(pair)
+        dense.Q = kron_sum(bad.jx) / np.sqrt(pair.J0)
+        for t, tp in [(0.0, 0.7), (1.1, 0.4), (2.5, -1.3)]:
+            residual = qmfs_commutator_identity(bad, t, tp)
+            assert residual > 0.1
+            assert residual == pytest.approx(
+                dense.identity_residual(t, tp), rel=1e-12)
