@@ -34,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, circuits, conditional, fock, koopman, models, spins
+from . import (__version__, circuits, conditional, csvtext, fock, koopman,
+               models, spins)
 from .phase_space import (
     MAX_EXPM_NORM,
     ObservableSet,
@@ -57,26 +58,21 @@ _BUILDER_OPTIONS = {"m": "m", "omega": "omega", "omega_mod": "omega",
                     "hbar": "hbar", "J0": "j0", "gamma_B0": "gamma_b0"}
 
 
-# rows formatted per % pass.  Small blocks keep each pass's floats and
-# text at a few kB, which reuse freed memory: 1024-row blocks left the
-# process about 3 MB larger at the cli-monitor size, at no gain in speed.
-_CSV_BLOCK_ROWS = 64
+# rows formatted per csvtext call.  The kernel's temporaries peak near
+# 480 bytes per value: a 256-row block of a 6-column trajectory file
+# takes 0.74 MB, which left the peak memory of simulate at the
+# cli-monitor size 0.25 MB above the per-value formatter's; 512-row
+# blocks added 0.9 MB for a few percent of speed.
+_CSV_BLOCK_ROWS = 256
 
 
 def _csv_blocks(header, rows):
-    """The CSV text in pieces: the header line, then blocks of rows.
-
-    Each value is written as repr(float(x)): ``%r`` of a Python float is
-    its repr, so one ``%`` pass formats a whole block of rows.
-    """
+    """The CSV text in pieces: the header line, then blocks of rows,
+    each value written as repr(float(x))."""
     yield ",".join(header) + "\n"
     rows = np.asarray(rows, dtype=float)
-    if not len(rows):
-        return
-    line = ",".join(["%r"] * rows.shape[1]) + "\n"
     for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-        block = rows[start:start + _CSV_BLOCK_ROWS]
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+        yield csvtext.rows_text(rows[start:start + _CSV_BLOCK_ROWS])
 
 
 def _write_csv(path: Path, header, rows):
@@ -457,6 +453,7 @@ _POSITIVE = _checked(float, "a finite number > 0",
                      lambda v: math.isfinite(v) and v > 0)
 _NONZERO = _checked(float, "a finite nonzero number",
                     lambda v: math.isfinite(v) and v != 0)
+_EFFICIENCY = _checked(float, "a number in (0, 1]", lambda v: 0 < v <= 1)
 # koopman levels per mode: the check fock.TruncationSpec makes for 2 modes
 _N_LEVELS = _checked(int, f"an integer in [2, {math.isqrt(fock.DIM_CAP)}]",
                      lambda v: fock.TruncationSpec(n_levels=v, n_modes=2))
@@ -482,8 +479,8 @@ def _add_model_args(p):
     p.add_argument("--m", type=_FINITE, default=1.0)
     p.add_argument("--omega", type=_FINITE, default=1.0)
     p.add_argument("--hbar", type=_FINITE, default=1.0)
-    p.add_argument("--j0", type=_FINITE, default=8.0)
-    p.add_argument("--gamma-b0", type=_FINITE, default=1.0)
+    p.add_argument("--j0", type=_POSITIVE, default=8.0)
+    p.add_argument("--gamma-b0", type=_POSITIVE, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,9 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("simulate", "conditional trajectories")
     _add_model_args(p)
     p.add_argument("--k", type=_NONNEGATIVE, default=1.0)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--T", type=float, default=10.0)
+    p.add_argument("--eta", type=_EFFICIENCY, default=1.0)
+    p.add_argument("--dt", type=_POSITIVE, default=1e-3)
+    p.add_argument("--T", type=_POSITIVE, default=10.0)
     p.add_argument("--batch", type=_COUNT, default=1)
     p.add_argument("--parallel", type=_COUNT, default=1)
     p.add_argument("--cov-stride", type=_COUNT, default=100)
@@ -524,9 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("force", "posterior-std force-sensing table")
     _add_model_args(p)
     p.add_argument("--k", type=_POSITIVE, default=10.0)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=2e-3)
-    p.add_argument("--T", type=float, default=20.0)
+    p.add_argument("--eta", type=_EFFICIENCY, default=1.0)
+    p.add_argument("--dt", type=_POSITIVE, default=2e-3)
+    p.add_argument("--T", type=_POSITIVE, default=20.0)
     p.add_argument("--compare-single", action="store_true")
 
     p = command("koopman", "classical flow vs dense oracle")

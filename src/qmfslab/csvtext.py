@@ -1,0 +1,258 @@
+"""CSV text of float64 arrays: every value as ``repr(float(x))``, for a
+whole block of values at once.
+
+``repr`` prints the shortest decimal that reads back as the same double
+and, of those, the one closest to it.  Giulietti's Schubfach algorithm
+("The Schubfach way to render doubles", 2020) finds that decimal with
+integer arithmetic alone, so it runs here on uint64 arrays:
+
+1. digits: per value, three round-to-odd 64 x 128-bit products with a
+   126-bit g(k) ~ 10**-k (one table row per decimal exponent k) give the
+   rounding interval scaled by 10**-k; the shortest decimal inside it,
+   and the closest of two, follow by comparisons;
+2. text: the digits, the exponent and the fixed characters of a value
+   go into one small byte row, and an index table keyed by digit count
+   and layout (positional for decimal-point positions -3..16, else
+   ``e±XX``/``e±XXX``, the switch ``repr`` makes) gathers the output
+   bytes from it; pad bytes are dropped at the end.
+
+Zero, subnormals, inf and nan are formatted by ``repr`` one at a time:
+on subnormals Schubfach's one-digit-shorter step can pick a decimal
+other than ``repr``'s (7.9e-323 for 2**-1070, where ``repr`` prints
+8e-323).
+
+All limb arithmetic is uint64 on uint64, so numpy 1.x, which turns
+uint64 mixed with int64 into float64, computes the same, and the bytes
+are built as uint8, whatever the host's byte order.  The tables are
+built on first use, not at import.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+_U = np.uint64
+_ONE, _TWO, _TEN = _U(1), _U(2), _U(10)
+_S32, _S52, _S63 = _U(32), _U(52), _U(63)
+_M11, _M32, _M52, _M63 = (_U((1 << b) - 1) for b in (11, 32, 52, 63))
+_HIDDEN = _U(1 << 52)
+
+# decimal exponents k of g(k) ~ 10**-k that normal doubles need
+_K_MIN, _K_MAX = -324, 292
+# decimal-point positions p (value = 0.DIGITS * 10**p) of normal doubles
+# lie in [-307, 309]; tables keyed by p start at _P_MIN
+_P_MIN, _P_MAX = -310, 310
+# byte-row columns a value's text is gathered from
+_SIGN, _DIG, _ESIGN, _EDIG, _DOT, _ZERO, _E, _SEP, _PAD = (
+    0, 1, 18, 19, 22, 23, 24, 25, 26)
+_WIDTH = 27
+# output row: sign, 23 body bytes (padded), separator
+_ROW = 25
+# layouts: decimal-point positions -3..16 print positionally, others
+# with a 2- or 3-digit exponent
+_POSITIONAL = range(-3, 17)
+_E2, _E3 = len(_POSITIONAL), len(_POSITIONAL) + 1
+_LAYOUTS = _E3 + 1
+
+
+def _flog10pow2(e):
+    """floor(log10(2**e)) for |e| <= 5456721."""
+    return (e * 661_971_961_083) >> 41
+
+
+def _flog10_three_quarters_pow2(e):
+    """floor(log10(3/4 * 2**e)) for |e| <= 5456721."""
+    return (e * 661_971_961_083 - 274_743_187_321) >> 41
+
+
+def _flog2pow10(e):
+    """floor(log2(10**e)) for |e| <= 6432162."""
+    return (e * 913_124_641_741) >> 38
+
+
+def _body(ndig, layout):
+    """Byte-row columns of a value's text after its sign."""
+    digits = list(range(_DIG, _DIG + ndig))
+    if layout >= _E2:
+        mantissa = digits[:1] + ([_DOT] + digits[1:] if ndig > 1 else [])
+        exponent = list(range(_EDIG + (layout == _E2), _EDIG + 3))
+        return mantissa + [_E, _ESIGN] + exponent
+    point = _POSITIONAL[layout]
+    if point <= 0:
+        return [_ZERO, _DOT] + [_ZERO] * -point + digits
+    if point < ndig:
+        return digits[:point] + [_DOT] + digits[point:]
+    return digits + [_ZERO] * (point - ndig) + [_DOT, _ZERO]
+
+
+def _words(texts):
+    """4-byte ASCII strings as uint32 words; a word keeps its bytes in
+    order through ``view``, whatever the host's byte order."""
+    return np.frombuffer("".join(texts).encode(), dtype=np.uint32)
+
+
+@functools.cache
+def _tables():
+    """Tables built on first use, read-only:
+
+    - limbs: g(k) = floor(10**-k * 2**-r) + 1 for k in [_K_MIN, _K_MAX],
+      r = floor(log2(10**-k)) - 125, so 2**125 <= g(k) < 2**126; as
+      g = g1 * 2**63 + g0, the rows are the low and high 32-bit limbs of
+      g1, then of g0.  Exact, from Python ints;
+    - quads: the 4 ASCII digits of 0..9999 as uint32 words;
+    - pow10: 10**0 .. 10**17;
+    - lengths[j]: significant digits of a 17-digit string (1 leading
+      digit, then four 4-digit groups) through group j, 0 for 0000;
+    - exponents, layouts: per decimal-point position p, the text of the
+      exponent p - 1 (sign, 3 digits) and the layout;
+    - gather: byte-row columns for each digit count and layout.
+    """
+    g = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        r = _flog2pow10(-k) - 125
+        num, den = (10 ** -k, 1) if k <= 0 else (1, 10 ** k)
+        num, den = (num << -r, den) if r < 0 else (num, den << r)
+        g.append(num // den + 1)
+    g1 = [x >> 63 for x in g]
+    g0 = [x & ((1 << 63) - 1) for x in g]
+    limbs = np.array([[x & 0xFFFF_FFFF for x in g1], [x >> 32 for x in g1],
+                      [x & 0xFFFF_FFFF for x in g0], [x >> 32 for x in g0]],
+                     dtype=_U)
+    n = np.arange(10_000)
+    trailing = sum((n % p == 0).astype(np.uint8) for p in (10, 100, 1000))
+    lengths = [np.where(n > 0, 5 + 4 * j - trailing, 0) for j in range(4)]
+    points = range(_P_MIN, _P_MAX + 1)
+    layouts = [p - _POSITIONAL.start if p in _POSITIONAL
+               else _E2 if abs(p - 1) < 100 else _E3 for p in points]
+    gather = np.full((17 * _LAYOUTS, _ROW), _PAD, dtype=np.int32)
+    gather[:, 0] = _SIGN
+    gather[:, -1] = _SEP
+    for ndig in range(1, 18):
+        for layout in range(_LAYOUTS):
+            body = _body(ndig, layout)
+            gather[(ndig - 1) * _LAYOUTS + layout, 1:1 + len(body)] = body
+    tables = (limbs, _words(f"{i:04d}" for i in range(10_000)),
+              np.array([10 ** j for j in range(18)], dtype=_U),
+              np.array(lengths, dtype=np.uint8),
+              _words(f"{p - 1:+04d}" for p in points),
+              np.array(layouts, dtype=np.intp), gather)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _mul128(a0, a1, b0, b1):
+    """(high, low) 64-bit halves of a * b from the 32-bit limbs of a and b."""
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = p00 >> _S32
+    mid += p01 & _M32
+    mid += p10 & _M32
+    high = a1 * b1
+    high += p01 >> _S32
+    high += p10 >> _S32
+    high += mid >> _S32
+    low = mid << _S32
+    low |= p00 & _M32
+    return high, low
+
+
+def _rop(g, cp):
+    """Round-to-odd of g * cp / 2**127, g given by its four limbs."""
+    c0, c1 = cp & _M32, cp >> _S32
+    x1, _ = _mul128(g[2], g[3], c0, c1)
+    y1, y0 = _mul128(g[0], g[1], c0, c1)
+    z = (y0 >> _ONE) + x1
+    return (y1 + (z >> _S63)) | (((z & _M63) + _M63) >> _S63)
+
+
+def _shortest(bits):
+    """(f, k): the decimal f * 10**k that ``repr`` prints for each
+    normal double with these bits, f an integer of at most 17 digits.
+
+    Schubfach, on c * 2**q with c the 53-bit significand: with the
+    interval of reals that round to it scaled by 10**-k, the candidates
+    are 10 s' and 10 s' + 10 (one digit fewer, when exactly one lies in
+    the interval), else s and s + 1 (whichever lies in it; if both, the
+    closer, and of two as close, the even one).
+    """
+    biased = ((bits >> _S52) & _M11).astype(np.int64)
+    fraction = bits & _M52
+    q = biased - 1075
+    # at a power of two the gap below is half the gap above
+    irregular = (fraction == 0) & (biased > 1)
+    k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10pow2(q))
+    h = (q + _flog2pow10(-k) + 2).astype(_U)
+    cb = (fraction | _HIDDEN) << _TWO
+    cbl = cb - np.where(irregular, _ONE, _TWO)
+    g = _tables()[0].take(k - _K_MIN, axis=1)
+    vbl, vb, vbr = _rop(g, np.stack([cbl, cb, cb + _TWO]) << h)
+    # the interval in units of 10**k / 4, closed where c is even
+    odd = bits & _ONE
+    low, high = vbl + odd, vbr - odd
+    s = vb >> _TWO
+    t = s + _ONE
+    sp10 = s // _TEN * _TEN
+    tp10 = sp10 + _TEN
+    upin, wpin = low <= sp10 << _TWO, tp10 << _TWO <= high
+    uin, win = low <= s << _TWO, t << _TWO <= high
+    mid = (s + t) << _ONE
+    pick_s = np.where(uin != win, uin,
+                      (vb < mid) | ((vb == mid) & ((s & _ONE) == 0)))
+    f = np.where(upin != wpin, np.where(upin, sp10, tp10),
+                 np.where(pick_s, s, t))
+    return f, k
+
+
+def rows_text(block) -> str:
+    """CSV lines of a 2-D float64 array: the values of a row as
+    ``repr(float(x))``, joined by ``,``, each row ended by ``\\n``."""
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    n, n_cols = block.size, block.shape[1]
+    bits = block.view(_U).ravel()
+    biased = (bits >> _S52) & _M11
+    special = np.flatnonzero((biased == 0) | (biased == _M11))
+    if special.size:
+        bits = bits.copy()
+        bits[special] = _U(0x3FF0_0000_0000_0000)  # 1.0, replaced below
+    _, quads, pow10, lengths, exponents, layouts, gather = _tables()
+    f, k = _shortest(bits)
+    # f left-aligned to 17 digits: 1 leading digit and four 4-digit groups
+    f_digits = np.searchsorted(pow10, f, side="right")
+    f *= pow10[17 - f_digits]
+    # value = 0.DIGITS * 10**point
+    point = k + f_digits - _P_MIN
+    lead = f // pow10[16]
+    f -= lead * pow10[16]
+    hi, lo = np.divmod(f, pow10[8])
+    groups = (*np.divmod(hi.astype(np.intp), 10_000),
+              *np.divmod(lo.astype(np.intp), 10_000))
+
+    src = np.empty((n, _WIDTH), dtype=np.uint8)
+    src[:, _SIGN] = np.where(bits >> _S63, ord("-"), 0)
+    src[:, _DIG] = lead
+    src[:, _DIG] += ord("0")
+    words = np.empty((n, 4), dtype=np.uint32)
+    ndig = np.ones(n, dtype=np.uint8)
+    for j, group in enumerate(groups):
+        quads.take(group, out=words[:, j])
+        np.maximum(ndig, lengths[j].take(group), out=ndig)
+    src[:, _DIG + 1:_ESIGN] = words.view(np.uint8)
+    src[:, _ESIGN:_DOT] = exponents.take(point).view(np.uint8).reshape(n, 4)
+    src[:, _DOT:_PAD] = np.frombuffer(b".0e,", dtype=np.uint8)
+    src[n_cols - 1::n_cols, _SEP] = ord("\n")
+    src[:, _PAD] = 0
+
+    key = (ndig.astype(np.intp) - 1) * _LAYOUTS + layouts.take(point)
+    # int32: the index is n x 25, and int32 arithmetic on it is faster
+    index = gather.take(key, axis=0)
+    index += np.arange(0, n * _WIDTH, _WIDTH, dtype=np.int32)[:, None]
+    out = src.ravel().take(index)
+    if special.size:
+        texts = b"".join(repr(x).encode().ljust(_ROW - 1, b"\0")
+                         for x in block.ravel()[special].tolist())
+        out[special, :-1] = np.frombuffer(texts, dtype=np.uint8).reshape(
+            special.size, _ROW - 1)
+        out[special, -1] = src[special, _SEP]
+    return out[out != 0].tobytes().decode("ascii")

@@ -466,6 +466,18 @@ class TestImportBoundary:
             assert code == EXIT_OK, argv
             assert not scipy_loaded, argv
 
+    def test_import_builds_no_formatter_table(self):
+        # the CSV formatter's tables are built on its first call
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(qmfslab.__file__).parents[1])}
+        probe = ("import sys; from qmfslab import cli, csvtext; "
+                 "print(csvtext._tables.cache_info().currsize, "
+                 "'scipy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+
 
 class TestSpin:
     def test_sweep(self, tmp_path):
@@ -563,6 +575,20 @@ class TestBadRealFlags:
             (["force", "--k", "0"], "--k"),
             (["force", "--k", "-1"], "--k"),
             (["spin", "--gamma-b0", "-1"], "--gamma-b0"),
+            (["check", "--model", "spin-hp", "--gamma-b0", "-1"], "--gamma-b0"),
+            (["simulate", "--model", "spin-hp", "--gamma-b0", "-1"],
+             "--gamma-b0"),
+            (["force", "--model", "spin-hp", "--gamma-b0", "-1"], "--gamma-b0"),
+            (["check", "--model", "spin-hp", "--j0", "-3"], "--j0"),
+            (["simulate", "--model", "spin-hp", "--j0", "-3"], "--j0"),
+            (["force", "--model", "spin-hp", "--j0", "-3"], "--j0"),
+            (["simulate", "--eta", "1.5"], "--eta"),
+            (["force", "--eta", "0"], "--eta"),
+            (["simulate", "--eta", "nan"], "--eta"),
+            (["simulate", "--dt", "-1"], "--dt"),
+            (["force", "--dt", "0"], "--dt"),
+            (["simulate", "--T", "-2"], "--T"),
+            (["force", "--T", "nan"], "--T"),
         ],
     )
     def test_bad_value_is_bad_input(self, tmp_path, argv, flag, capsys):
@@ -587,10 +613,10 @@ class TestNonFiniteOrNegativeValues:
         ("simulate", "force_amp", "nan", "--force-amp must be"),
         ("simulate", "force_freq", "inf", "--force-freq must be"),
         ("simulate", "force_phase", "nan", "--force-phase must be"),
-        ("simulate", "dt", "nan", "dt and T must be finite"),
-        ("simulate", "T", "inf", "dt and T must be finite"),
-        ("force", "dt", "nan", "dt and T must be finite"),
-        ("force", "T", "inf", "dt and T must be finite"),
+        ("simulate", "dt", "nan", "--dt must be"),
+        ("simulate", "T", "inf", "--T must be"),
+        ("force", "dt", "nan", "--dt must be"),
+        ("force", "T", "inf", "--T must be"),
         ("check", "j0", "nan", "--j0 must be"),
         ("check", "gamma_b0", "inf", "--gamma-b0 must be"),
         ("check", "hbar", "nan", "--hbar must be"),
@@ -862,6 +888,8 @@ class TestModelFile:
 
 # a valid non-default value for each option that takes text
 OTHER_TEXT = {"out": "elsewhere", "model_file": "m.json", "j0_list": "3,5"}
+# ... and for each number option whose default + 1 is out of range
+OTHER_NUMBER = {"eta": 0.5}
 
 
 def other_value(action):
@@ -870,6 +898,8 @@ def other_value(action):
         return True
     if action.choices:
         return next(c for c in action.choices if c != action.default)
+    if action.dest in OTHER_NUMBER:
+        return OTHER_NUMBER[action.dest]
     if isinstance(action.default, (int, float)):
         return action.default + 1
     return OTHER_TEXT[action.dest]

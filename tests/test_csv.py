@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qmfslab.cli import _CSV_BLOCK_ROWS, _write_csv  # noqa: E402
+from qmfslab.cli import _CSV_BLOCK_ROWS, _csv_blocks, _write_csv  # noqa: E402
 
 
 def reference_text(header, rows) -> str:
@@ -78,3 +78,96 @@ def test_no_rows_writes_the_header_only(tmp_path):
     for rows in ([], np.empty((0, 3))):
         _write_csv(path, ["a", "b", "c"], rows)
         assert path.read_bytes() == b"a,b,c\n"
+
+
+def assert_as_reference(rows):
+    """The text _write_csv writes for rows equals the reference text.
+
+    Compared as lists of lines: on a mismatch pytest then reports the
+    first differing line at once, where its diff of two long strings
+    can take minutes.
+    """
+    header = [f"c{j}" for j in range(np.shape(rows)[1])]
+    got = "".join(_csv_blocks(header, rows))
+    assert got.split("\n") == reference_text(header, rows).split("\n")
+
+
+def assert_as_repr(values, n_cols=1):
+    """The kernel's text of values equals the per-row repr formula, with
+    values in one column and in n_cols columns, both signs."""
+    values = np.asarray(values, dtype=float)
+    values = np.concatenate([values, -values])
+    values = np.concatenate([values, values[: (-len(values)) % n_cols]])
+    for rows in (values.reshape(-1, 1), values.reshape(-1, n_cols)):
+        assert_as_reference(rows)
+
+
+def test_powers_of_two_over_the_normal_range():
+    assert_as_repr(np.ldexp(1.0, np.arange(-1022, 1024)), n_cols=5)
+
+
+def test_powers_of_ten():
+    assert_as_repr([float(f"1e{e}") for e in range(-307, 309)], n_cols=3)
+
+
+@pytest.mark.parametrize("switch", [1e-4, 1e16])
+def test_neighbours_of_the_exponent_switch(switch):
+    # repr prints 9.999999999999999e-05 but 0.0001, and 1e+16 but
+    # 9999999999999998.0: the layout changes between these neighbours
+    values = [switch]
+    for direction in (0.0, math.inf):
+        x = switch
+        for _ in range(4):
+            x = np.nextafter(x, direction)
+            values.append(x)
+    values += [switch * 10 ** d for d in (-1, 1)]
+    assert_as_repr(values, n_cols=4)
+
+
+def test_three_digit_exponents_of_both_signs():
+    values = [1e100, 9.999999999999999e99, 1.5e-100, 1e-99, 1e-100,
+              2.5e-101, 1.7976931348623157e308, 2.2250738585072014e-308,
+              1.234567890123456e250, 1.234567890123456e-250, 3e-150]
+    assert_as_repr(values, n_cols=2)
+
+
+def test_subnormals_and_zero_are_exactly_repr():
+    # 2**-1070 is 8e-323 to repr; Schubfach's shortcut gives 7.9e-323
+    values = [0.0, -0.0, 5e-324, 2.0**-1070, 2.0**-1060, 1e-310,
+              2.225073858507201e-308, 9.9e-324, 1.5e-323]
+    assert_as_repr(values, n_cols=3)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.0])
+def test_special_value_in_first_and_last_column(value):
+    # the separator after the value is "," in the first column, "\n" in
+    # the last
+    rows = np.array([[value, 1.5, 2.0], [0.1, 2.5, value], [value, 3.0, value]])
+    assert_as_reference(rows)
+
+
+def test_one_million_random_bit_patterns():
+    raw = np.random.default_rng(20201).bytes(8 * 1_000_000)
+    rows = np.frombuffer(raw, dtype=np.float64).reshape(-1, 20)
+    assert_as_reference(rows)
+
+
+def test_decimal_grid_and_its_neighbours():
+    # short decimals m * 10**e, where the shortest digits are few, and
+    # the doubles beside them, where they are 16 or 17
+    rng = np.random.default_rng(7)
+    grid = np.array([float(f"{m}e{e}") for m, e in zip(
+        rng.integers(1, 10**6, 20_000), rng.integers(-300, 300, 20_000))])
+    for values in (grid, np.nextafter(grid, 0), np.nextafter(grid, math.inf)):
+        assert_as_repr(values, n_cols=4)
+
+
+def test_ties_go_to_the_even_digit():
+    # x + 1/4 in [2**50, 2**51): the two shortest decimals, one digit
+    # after the point, are 0.05 away on either side, and repr takes the
+    # even last digit (1125899906842624.2, 1125899906842624.8); likewise
+    # odd multiples of 1/8 in [2**48, 2**49), two digits after the point
+    rng = np.random.default_rng(3)
+    quarters = (2**52 + 2 * rng.integers(0, 2**51, 500) + 1) / 4
+    eighths = (2**51 + 2 * rng.integers(0, 2**50, 500) + 1) / 8
+    assert_as_repr(np.concatenate([quarters, eighths]), n_cols=5)
