@@ -6,8 +6,8 @@ tolerances, residuals, seeds, pass/fail per invariant).  Exit codes:
 0 success, 1 invariant violation (details in the summary), 2 invalid
 input.
 
-A --config JSON file sets option defaults: its values are checked like
-the flags they name, and a flag given on the command line wins.
+A --config JSON file is read as the flags it names, before the command
+line's own, so a flag given on the command line wins.
 
 Reproducibility: trajectory i of a batch uses noise streams keyed by
 (master_seed, i, channel), so outputs are bit-identical across reruns
@@ -194,7 +194,7 @@ def _grid_horizon(model) -> float:
     return min(10.0 / omega, MAX_EXPM_NORM / norm_A)
 
 
-def cmd_check(args, out_dir: Path, config: dict) -> int:
+def cmd_check(args, out_dir: Path) -> dict:
     bundle = _build_bundle(args)
     model = bundle.model
     tol = 1e-12
@@ -224,12 +224,11 @@ def cmd_check(args, out_dir: Path, config: dict) -> int:
         rows.append((float(verdict.is_qmfs), verdict.max_residual, grid_max))
     _write_csv(out_dir / "check.csv",
                ["is_qmfs", "algebraic_residual", "grid_commutator_max"], rows)
-    _write_summary(out_dir, config, {
+    return {
         "tolerances": {"algebraic": tol, "grid": grid_tol},
         "sets": results,
         "passed": bool(ok),
-    })
-    return EXIT_OK if ok else EXIT_VIOLATION
+    }
 
 
 def _channels_from_args(bundle, args):
@@ -260,7 +259,7 @@ def _force_from_args(bundle, args):
     )
 
 
-def cmd_simulate(args, out_dir: Path, config: dict) -> int:
+def cmd_simulate(args, out_dir: Path) -> dict:
     bundle = _build_bundle(args)
     model = bundle.model
     channels = _channels_from_args(bundle, args) if args.k > 0 else ()
@@ -305,15 +304,14 @@ def cmd_simulate(args, out_dir: Path, config: dict) -> int:
     _write_in_workers(_writer_count(args.parallel, args.batch), args.batch,
                       write, files)
 
-    _write_summary(out_dir, config, {
+    return {
         "seeds": [[args.seed, i] for i in range(args.batch)],
         "n_trajectories": args.batch,
         "passed": True,
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_force(args, out_dir: Path, config: dict) -> int:
+def cmd_force(args, out_dir: Path) -> dict:
     bundle = _build_bundle(args)
     omega = bundle.metadata.get("omega", 1.0)
     if args.compare_single and (bundle.model.n_modes != 2
@@ -347,11 +345,10 @@ def cmd_force(args, out_dir: Path, config: dict) -> int:
         header.append("ratio_pair_over_single")
         ok = std / std_single < 1.0
     _write_csv(out_dir / "force.csv", header, rows)
-    _write_summary(out_dir, config, {"force": result, "passed": bool(ok)})
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return {"force": result, "passed": bool(ok)}
 
 
-def cmd_koopman(args, out_dir: Path, config: dict) -> int:
+def cmd_koopman(args, out_dir: Path) -> dict:
     m, omega, eps = args.m, args.omega, args.epsilon
     f_poly = fock.poly1((0, 1, 1.0 / m), (2, 0, eps))
     g_poly = fock.poly1((1, 0, m * omega**2))
@@ -373,15 +370,14 @@ def cmd_koopman(args, out_dir: Path, config: dict) -> int:
     residual = fock.commutator_residual(H, [ops["Q"][0], ops["Pi"][0]], t_grid)
     tol = 1e-5
     ok = residual < tol
-    _write_summary(out_dir, config, {
+    return {
         "tolerances": {"oracle_residual": tol},
         "oracle_residual": residual,
         "passed": bool(ok),
-    })
-    return EXIT_OK if ok else EXIT_VIOLATION
+    }
 
 
-def cmd_spin(args, out_dir: Path, config: dict) -> int:
+def cmd_spin(args, out_dir: Path) -> dict:
     j0_list = [float(x) for x in args.j0_list.split(",")]
     rows = []
     ok = True
@@ -399,12 +395,10 @@ def cmd_spin(args, out_dir: Path, config: dict) -> int:
     _write_csv(out_dir / "spin_sweep.csv",
                ["J0", "residual_norm", "hp_deviation_mean", "hp_deviation_var"],
                rows)
-    _write_summary(out_dir, config, {
-        "tolerances": {"identity_residual": tol}, "passed": bool(ok)})
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return {"tolerances": {"identity_residual": tol}, "passed": bool(ok)}
 
 
-def cmd_circuit(args, out_dir: Path, config: dict) -> int:
+def cmd_circuit(args, out_dir: Path) -> dict:
     circuit = circuits.ReversibleCircuit.from_text(
         Path(args.file).read_text()
     )
@@ -424,8 +418,7 @@ def cmd_circuit(args, out_dir: Path, config: dict) -> int:
         payload["dense_deviation"] = deviation
         payload["tolerances"] = {"dense_deviation": 0}
         ok = deviation == 0
-    _write_summary(out_dir, config, {**payload, "passed": bool(ok)})
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return {**payload, "passed": bool(ok)}
 
 
 def _checked(convert, requirement, test):
@@ -476,20 +469,31 @@ def _add_model_args(p):
                    choices=list(models.BUILDERS))
     p.add_argument("--model-file", default=None,
                    help="JSON model fixture (overrides --model)")
-    p.add_argument("--m", type=_FINITE, default=1.0)
-    p.add_argument("--omega", type=_FINITE, default=1.0)
-    p.add_argument("--hbar", type=_FINITE, default=1.0)
+    # m < 0 is a valid single oscillator; the pair checks m > 0 itself
+    p.add_argument("--m", type=_NONZERO, default=1.0)
+    p.add_argument("--omega", type=_POSITIVE, default=1.0)
+    p.add_argument("--hbar", type=_POSITIVE, default=1.0)
     p.add_argument("--j0", type=_POSITIVE, default=8.0)
     p.add_argument("--gamma-b0", type=_POSITIVE, default=1.0)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises the errors that argparse reports
+    through ``error`` even with ``exit_on_error=False``: unrecognized
+    arguments and, before Python 3.13, a missing required option.
+    Sub-parsers are made of the same class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The one definition of every option and of the values it allows.
 
-    Parsers do not exit on a bad value: they raise
+    Parsers do not exit on an error: they raise
     ``argparse.ArgumentError``, which ``main`` reports as bad input.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmfslab",
         description="Back-action-evading subsystem experiments",
         exit_on_error=False,
@@ -547,41 +551,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parsers, path) -> None:
-    """Make the values of a JSON config the defaults of the options they
-    name, so that a second parse converts and checks them like flags.
+def _config_flags(path, parsers):
+    """The flags that a JSON config names, one list per parser.
 
-    A typed option takes the value's string form, a flag a JSON boolean;
-    null keeps the default.  ``parsers`` are the root parser and the
-    chosen subcommand's, whose options are the allowed keys.
+    ``parsers`` are the root parser and the chosen subcommand's, whose
+    options are the allowed keys.  A key becomes ``--option=value``: with
+    ``=`` a value that starts with ``-`` stays a value.  ``true`` becomes
+    the bare switch; ``null``, ``false`` and the key ``command`` give no
+    flag.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    options = {a.dest: (p, a) for p in parsers for a in p._actions
+    options = {a.dest: (n, a) for n, p in enumerate(parsers)
+               for a in p._actions
                if a.default is not argparse.SUPPRESS and a.dest != "config"}
     unknown = set(doc) - set(options)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    flags = [[] for _ in parsers]
     for key, value in doc.items():
-        parser, action = options[key]
+        n, action = options[key]
         if value is None or key == "command":
             continue
-        if action.nargs == 0:  # a store_true flag
+        if action.nargs == 0:  # a store_true switch
             if not isinstance(value, bool):
                 raise argparse.ArgumentError(
                     action, f"must be true or false, got {value!r}")
+            if value:
+                flags[n].append(action.option_strings[0])
         elif isinstance(value, (bool, list, dict)):
             raise argparse.ArgumentError(
                 action, f"must be a string or a number, got {value!r}")
         else:
-            value = str(value)
-        parser.set_defaults(**{key: value})
+            flags[n].append(f"{action.option_strings[0]}={value}")
+    return flags
 
 
 def _root_args(parser, argv):
-    """argv without a lone ``--`` just before the subcommand, which
-    argparse would take as the subcommand's name.
+    """(argv, i, config): argv without a lone ``--`` just before the
+    subcommand (argparse would take it as the subcommand's name), the
+    subcommand's index i in it, and the last value given as
+    ``--config P``, ``--config=P`` or a prefix (None if none).
 
     Raises ``argparse.ArgumentError`` for the first flag before the
     subcommand that the root parser does not define (exactly or as an
@@ -589,63 +600,48 @@ def _root_args(parser, argv):
     subcommand and report that value instead of the flag.
     """
     known = parser._option_string_actions
+    config = None
     i = 0
     while i < len(argv):
         arg = argv[i]
         if arg == "--":
-            return argv[:i] + argv[i + 1:]
+            argv = argv[:i] + argv[i + 1:]
+            break
         if not arg.startswith("-"):
             break  # the subcommand
-        name, eq, _ = arg.partition("=")
+        name, eq, value = arg.partition("=")
         actions = {known[name]} if name in known else {
             a for s, a in known.items() if s.startswith(name)}
         if len(actions) != 1:
             raise argparse.ArgumentError(
                 None, f"unrecognized arguments: {name}")
-        # skip the flag's value
-        i += 1 if eq or actions.pop().nargs == 0 else 2
-    return argv
-
-
-def _parse(parser, argv) -> argparse.Namespace:
-    """``parser.parse_args`` with an unknown flag raised as
-    ``argparse.ArgumentError``, not printed as usage by argparse."""
-    args, extra = parser.parse_known_args(_root_args(parser, argv))
-    if extra:
-        raise argparse.ArgumentError(
-            None, f"unrecognized arguments: {' '.join(extra)}")
-    return args
+        (action,) = actions
+        if not eq and action.nargs != 0:
+            i += 1  # the flag's value
+            value = argv[i] if i < len(argv) else None
+        if action.dest == "config":
+            config = value
+        i += 1
+    return argv, i, config
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Options from argv, with --config values in place of the defaults.
+    """Options from argv and the --config file, in one parse.
 
-    The first parse finds the subcommand and the config file without
-    enforcing required options; the second, after the config values have
-    become defaults, enforces those the config did not set.  argparse
-    knows which flags were given (also abbreviated or with ``=``), so
-    those win over the config.
+    The config's flags go before the command line's: those of root
+    options before argv, the subcommand's right after its name.  argparse
+    then converts and checks them as typed flags, and a flag given on the
+    command line (also abbreviated or with ``=``) comes later, so it wins.
     """
     parser = build_parser()
+    argv, at, config = _root_args(parser, argv)
     (commands,) = [a for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction)]
-    required = [a for p in commands.choices.values() for a in p._actions
-                if a.required and a.option_strings]
-    for action in required:
-        action.required = False
-    args = _parse(parser, argv)
-    sub = commands.choices[args.command]
-    if args.config:
-        _apply_config((parser, sub), args.config)
-    for action in required:
-        action.required = action.default is None
-    args = _parse(parser, argv)
-    if args.config:
-        # argparse checks choices on given values only, not on defaults
-        for action in sub._actions:
-            if action.choices is not None:
-                sub._check_value(action, getattr(args, action.dest))
-    return args
+    sub = commands.choices.get(argv[at]) if at < len(argv) else None
+    if config and sub is not None:
+        root_flags, sub_flags = _config_flags(config, (parser, sub))
+        argv = [*root_flags, *argv[:at + 1], *sub_flags, *argv[at + 1:]]
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -657,7 +653,9 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return handlers[args.command](args, out_dir, dict(vars(args)))
+        payload = handlers[args.command](args, out_dir)
+        _write_summary(out_dir, vars(args), payload)
+        return EXIT_OK if payload["passed"] else EXIT_VIOLATION
     except argparse.ArgumentError as exc:
         print("error:", *filter(None, (exc.argument_name, exc.message)),
               file=sys.stderr)

@@ -16,10 +16,10 @@ integer arithmetic alone, so it runs here on uint64 arrays:
    ``e±XX``/``e±XXX``, the switch ``repr`` makes) gathers the output
    bytes from it; pad bytes are dropped at the end.
 
-Zero, subnormals, inf and nan are formatted by ``repr`` one at a time:
-on subnormals Schubfach's one-digit-shorter step can pick a decimal
-other than ``repr``'s (7.9e-323 for 2**-1070, where ``repr`` prints
-8e-323).
+A zero is formatted as ±1.0 with the lead digit 0.  Subnormals, inf
+and nan are formatted by ``repr`` one at a time: on subnormals
+Schubfach's one-digit-shorter step can pick a decimal other than
+``repr``'s (7.9e-323 for 2**-1070, where ``repr`` prints 8e-323).
 
 All limb arithmetic is uint64 on uint64, so numpy 1.x, which turns
 uint64 mixed with int64 into float64, computes the same, and the bytes
@@ -38,6 +38,7 @@ _ONE, _TWO, _TEN = _U(1), _U(2), _U(10)
 _S32, _S52, _S63 = _U(32), _U(52), _U(63)
 _M11, _M32, _M52, _M63 = (_U((1 << b) - 1) for b in (11, 32, 52, 63))
 _HIDDEN = _U(1 << 52)
+_ONE_BITS = _U(0x3FF0_0000_0000_0000)  # the bits of 1.0
 
 # decimal exponents k of g(k) ~ 10**-k that normal doubles need
 _K_MIN, _K_MAX = -324, 292
@@ -212,10 +213,13 @@ def rows_text(block) -> str:
     n, n_cols = block.size, block.shape[1]
     bits = block.view(_U).ravel()
     biased = (bits >> _S52) & _M11
-    special = np.flatnonzero((biased == 0) | (biased == _M11))
-    if special.size:
+    zero = (bits & _M63) == 0
+    special = np.flatnonzero((biased == _M11) | ((biased == 0) & ~zero))
+    zeros = np.flatnonzero(zero)
+    if special.size or zeros.size:
         bits = bits.copy()
-        bits[special] = _U(0x3FF0_0000_0000_0000)  # 1.0, replaced below
+        bits[special] = _ONE_BITS  # replaced below
+        bits[zeros] |= _ONE_BITS  # ±1.0, its digit set to 0 below
     _, quads, pow10, lengths, exponents, layouts, gather = _tables()
     f, k = _shortest(bits)
     # f left-aligned to 17 digits: 1 leading digit and four 4-digit groups
@@ -233,6 +237,7 @@ def rows_text(block) -> str:
     src[:, _SIGN] = np.where(bits >> _S63, ord("-"), 0)
     src[:, _DIG] = lead
     src[:, _DIG] += ord("0")
+    src[zeros, _DIG] = ord("0")
     words = np.empty((n, 4), dtype=np.uint32)
     ndig = np.ones(n, dtype=np.uint8)
     for j, group in enumerate(groups):

@@ -171,3 +171,15 @@ def test_ties_go_to_the_even_digit():
     quarters = (2**52 + 2 * rng.integers(0, 2**51, 500) + 1) / 4
     eighths = (2**51 + 2 * rng.integers(0, 2**50, 500) + 1) / 8
     assert_as_repr(np.concatenate([quarters, eighths]), n_cols=5)
+
+
+def test_zero_one_table_matches_the_reference(tmp_path):
+    # a circuit truth table: about half its values are 0, here of both signs
+    bits = (np.arange(256)[:, None] >> np.arange(9)) & 1
+    rows = np.where(np.arange(9) % 3 == 2, -1.0, 1.0) * bits
+    header = [f"c{j}" for j in range(9)]
+    path = tmp_path / "x.csv"
+    _write_csv(path, header, rows)
+    text = path.read_bytes().decode()
+    assert text == reference_text(header, rows)
+    assert "-0.0," in text and ",0.0," in text
