@@ -55,7 +55,7 @@ _UNHASHED_KEYS = {"out", "parallel", "config"}
 
 # model-builder parameter -> the option that sets it
 _BUILDER_OPTIONS = {"m": "m", "omega": "omega", "omega_mod": "omega",
-                    "hbar": "hbar", "J0": "j0", "gamma_B0": "gamma_b0"}
+                    "hbar": "hbar", "gamma_B0": "gamma_b0"}
 
 
 # rows formatted per csvtext call.  The kernel's temporaries peak near
@@ -131,9 +131,28 @@ def _write_in_workers(n_workers, n_items, write_item, item_files):
                       f"failed; incomplete files: {', '.join(files)}")
 
 
+def _model_options(name: str) -> dict:
+    """Parameter -> option, for each parameter of model ``name``'s builder."""
+    params = inspect.signature(models.BUILDERS[name]).parameters
+    return {p: _BUILDER_OPTIONS[p] for p in params}
+
+
 def _config_hash(config: dict) -> str:
-    """Hash of the keys that determine results: one per experiment."""
+    """Hash of the keys that determine results: one per experiment.
+
+    A model option counts only where the chosen builder takes it; a
+    model file counts by its content, in place of the model and them.
+    """
     keys = {k: v for k, v in config.items() if k not in _UNHASHED_KEYS}
+    if "model" in keys:
+        unused = set(_BUILDER_OPTIONS.values())
+        if keys["model_file"]:
+            unused.add("model")
+            keys["model_file"] = hashlib.sha256(
+                Path(keys["model_file"]).read_bytes()).hexdigest()
+        else:
+            unused -= set(_model_options(keys["model"]).values())
+        keys = {k: v for k, v in keys.items() if k not in unused}
     blob = json.dumps(keys, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -151,25 +170,21 @@ def _write_summary(out_dir: Path, config: dict, payload: dict) -> None:
         fh.write("\n")
 
 
-def _build_bundle(args) -> models.ModelBundle:
-    if getattr(args, "model_file", None):
+def _build_bundle(args):
+    """(bundle, the observable set a model file names or None)."""
+    if args.model_file:
         model, obs = model_from_json(Path(args.model_file).read_text())
-        return models.ModelBundle(
-            model=model,
-            qmfs_sets=(),
-            description=f"model from {args.model_file}",
-            metadata={"observables": obs},
-        )
-    builder = models.BUILDERS[args.model]
-    params = inspect.signature(builder).parameters
-    return builder(**{p: getattr(args, _BUILDER_OPTIONS[p]) for p in params})
+        description = f"model from {args.model_file}"
+        return models.ModelBundle(model, (), description), obs
+    options = _model_options(args.model)
+    return models.BUILDERS[args.model](
+        **{p: getattr(args, o) for p, o in options.items()}), None
 
 
-def _observable_sets(bundle):
+def _observable_sets(bundle, observables):
     sets = list(bundle.qmfs_sets)
-    obs = bundle.metadata.get("observables")
-    if obs is not None:
-        sets.append(obs)
+    if observables is not None:
+        sets.append(observables)
     if not sets:
         if bundle.model.n_modes != 1:
             # nothing to check: the run would pass without a verdict
@@ -195,7 +210,7 @@ def _grid_horizon(model) -> float:
 
 
 def cmd_check(args, out_dir: Path) -> dict:
-    bundle = _build_bundle(args)
+    bundle, observables = _build_bundle(args)
     model = bundle.model
     tol = 1e-12
     grid_tol = 1e-10
@@ -204,7 +219,7 @@ def cmd_check(args, out_dir: Path) -> dict:
     rows = []
     ok = True
     results = []
-    for obs in _observable_sets(bundle):
+    for obs in _observable_sets(bundle, observables):
         verdict = is_qmfs(model, obs, tol=tol)
         K = commutator_from_propagators(model, obs, Phis[:, None], Phis[None])
         grid_max = float(np.max(np.abs(K)))
@@ -260,7 +275,7 @@ def _force_from_args(bundle, args):
 
 
 def cmd_simulate(args, out_dir: Path) -> dict:
-    bundle = _build_bundle(args)
+    bundle, _ = _build_bundle(args)
     model = bundle.model
     channels = _channels_from_args(bundle, args) if args.k > 0 else ()
     batch = conditional.simulate_batch(
@@ -312,10 +327,8 @@ def cmd_simulate(args, out_dir: Path) -> dict:
 
 
 def cmd_force(args, out_dir: Path) -> dict:
-    bundle = _build_bundle(args)
-    omega = bundle.metadata.get("omega", 1.0)
-    if args.compare_single and (bundle.model.n_modes != 2
-                                or "m" not in bundle.metadata):
+    bundle, _ = _build_bundle(args)
+    if args.compare_single and bundle.m is None:
         raise ValueError("--compare-single needs a pair model (pair, "
                          "sideband or spin-hp) to compare with its single "
                          "oscillator")
@@ -324,7 +337,7 @@ def cmd_force(args, out_dir: Path) -> dict:
         model = bundle.model
         channels = _channels_from_args(bundle, args)
         template = conditional.ForceDrive.sinusoid(
-            _force_coupling(model), 1.0, omega
+            _force_coupling(model), 1.0, bundle.omega
         )
         return conditional.force_posterior_std(
             model, channels, template, args.dt, args.T
@@ -338,7 +351,7 @@ def cmd_force(args, out_dir: Path) -> dict:
     if args.compare_single:
         # the positive-mass oscillator of the pair the model maps to
         std_single = posterior_std(models.single_oscillator(
-            bundle.metadata["m"], omega, bundle.model.hbar))
+            bundle.m, bundle.omega, bundle.model.hbar))
         result["posterior_std_single"] = std_single
         result["ratio_pair_over_single"] = std / std_single
         rows[0].append(std / std_single)
@@ -473,7 +486,6 @@ def _add_model_args(p):
     p.add_argument("--m", type=_NONZERO, default=1.0)
     p.add_argument("--omega", type=_POSITIVE, default=1.0)
     p.add_argument("--hbar", type=_POSITIVE, default=1.0)
-    p.add_argument("--j0", type=_POSITIVE, default=8.0)
     p.add_argument("--gamma-b0", type=_POSITIVE, default=1.0)
 
 
@@ -532,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("koopman", "classical flow vs dense oracle")
     p.add_argument("--m", type=_NONZERO, default=1.0)
-    p.add_argument("--omega", type=_NONZERO, default=1.0)
+    p.add_argument("--omega", type=_POSITIVE, default=1.0)
     p.add_argument("--epsilon", type=_FINITE, default=0.1)
     p.add_argument("--q0", type=_FINITE, default=0.3)
     p.add_argument("--pi0", type=_FINITE, default=0.0)

@@ -13,7 +13,7 @@ split the dynamics into two commuting oscillator subsystems {Q, Pi} and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,12 +32,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """A model plus its known-QMFS candidates."""
+    """A model plus its known-QMFS candidates, the frequency ``omega`` a
+    force template is tuned to, and the mass ``m`` of the positive-mass
+    oscillator of the pair the model maps to (None: it maps to none)."""
 
     model: LinearModel
     qmfs_sets: tuple
     description: str
-    metadata: dict = field(default_factory=dict)
+    omega: float = 1.0
+    m: float | None = None
 
     def __post_init__(self):
         for obs in self.qmfs_sets:
@@ -87,7 +90,7 @@ def single_oscillator(m: float, omega: float, hbar: float = 1.0) -> ModelBundle:
         model=model,
         qmfs_sets=(),
         description=f"{sign}-mass oscillator, m={m}, omega={omega}",
-        metadata={"m": m, "omega": omega},
+        omega=omega,
     )
 
 
@@ -132,7 +135,8 @@ def oscillator_pair(m: float, omega: float, hbar: float = 1.0) -> ModelBundle:
         model=model,
         qmfs_sets=qmfs_sets,
         description=f"positive/negative-mass oscillator pair, m={m}, omega={omega}",
-        metadata={"m": m, "omega": omega},
+        omega=omega,
+        m=m,
     )
 
 
@@ -159,8 +163,6 @@ def sideband_model(omega_mod: float, hbar: float = 1.0) -> ModelBundle:
     w = omega_mod
     c1 = 0.5 * np.sqrt(w / hbar)
     c2 = np.sqrt(w / hbar)
-    alpha1_row = c1 * (ROW_Q + 1j * ROW_PI / w)
-    alpha2_row = c2 * (ROW_P / w - 1j * ROW_PHI)
     quad_sets = (
         ObservableSet(
             np.array([c1 * ROW_Q, c1 * ROW_PI / w]),
@@ -171,48 +173,32 @@ def sideband_model(omega_mod: float, hbar: float = 1.0) -> ModelBundle:
             ("alpha2_re", "alpha2_im"),
         ),
     )
-    return ModelBundle(
-        model=base.model,
+    return replace(
+        base,
         qmfs_sets=base.qmfs_sets + quad_sets,
         description=(
             f"two-sideband modulation picture, modulation frequency {omega_mod}"
         ),
-        metadata={
-            "m": 1.0,
-            "omega": omega_mod,
-            "alpha_rows": {"alpha1": alpha1_row, "alpha2": alpha2_row},
-        },
     )
 
 
-def spin_pair_hp(J0: float, gamma_B0: float, hbar: float = 1.0) -> ModelBundle:
+def spin_pair_hp(gamma_B0: float, hbar: float = 1.0) -> ModelBundle:
     """Gaussian (large-spin) model of two oppositely polarized ensembles.
 
     Holstein-Primakoff mapping about the stretched states:
     q = Jx/sqrt(J0), p = Jy/sqrt(J0), q' = J'x/sqrt(J0),
-    p' = -J'y/sqrt(J0), giving H ~ (gamma B0 / 2)(q^2 + p^2 - q'^2 - p'^2).
-    This is the oscillator pair at frequency gamma*B0 with effective
-    mass 1/(gamma*B0), and it is built as that ``oscillator_pair``.
+    p' = -J'y/sqrt(J0), giving H ~ (gamma B0 / 2)(q^2 + p^2 - q'^2 - p'^2),
+    in which J0 drops out.  This is the oscillator pair at frequency
+    gamma*B0 with mass 1/(gamma*B0), and it is built as that
+    ``oscillator_pair``.
     """
-    _check_finite(J0=J0, gamma_B0=gamma_B0, hbar=hbar)
-    if J0 <= 0:
-        raise ValueError("J0 must be positive")
+    _check_finite(gamma_B0=gamma_B0, hbar=hbar)
     if gamma_B0 <= 0:
         raise ValueError("Larmor frequency must be positive")
-    w = gamma_B0
-    base = oscillator_pair(1.0 / w, w, hbar)
-    return ModelBundle(
-        model=base.model,
-        qmfs_sets=base.qmfs_sets,
-        description=(
-            f"Holstein-Primakoff spin pair, J0={J0}, Larmor frequency {gamma_B0}"
-        ),
-        metadata={
-            "J0": J0,
-            "gamma_B0": gamma_B0,
-            "effective_mass": 1.0 / w,
-            **base.metadata,  # m and omega of the pair it maps to
-        },
+    return replace(
+        oscillator_pair(1.0 / gamma_B0, gamma_B0, hbar),
+        description=f"Holstein-Primakoff spin pair, Larmor frequency "
+                    f"{gamma_B0}",
     )
 
 

@@ -125,10 +125,15 @@ def expm(A) -> np.ndarray:
 
 
 def _check_finite(**params):
-    """Reject a non-finite scalar parameter, naming it."""
+    """Reject a non-finite parameter, naming it and, in an array, the
+    index of its first non-finite entry."""
     for name, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        value = np.asarray(value, dtype=float)
+        if not np.isfinite(value).all():
+            bad = np.argwhere(~np.isfinite(value))[0]
+            at = f" at entry {bad.tolist()}" if value.ndim else ""
+            raise ValueError(f"{name} must be finite, got "
+                             f"{float(value[tuple(bad)])!r}{at}")
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -171,18 +176,20 @@ class LinearModel:
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError(
+                f"hbar must be finite and positive, got {float(self.hbar)!r}")
         d = 2 * self.n_modes
         G = np.zeros((d, d)) if self.G is None else np.asarray(self.G, dtype=float)
         if G.shape != (d, d):
             raise ValueError(f"G must be {d}x{d}, got {G.shape}")
-        Omega = symplectic_form(self.n_modes)
-        A = build_drift(G, Omega)
         couplings = tuple(np.asarray(b, dtype=float) for b in self.force_couplings)
         for b in couplings:
             if b.shape != (d,):
                 raise ValueError(f"force coupling must have length {d}")
+        _check_finite(G=G, force_couplings=np.reshape(couplings, (-1, d)))
+        Omega = symplectic_form(self.n_modes)
+        A = build_drift(G, Omega)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "Omega", Omega)
         object.__setattr__(self, "A", A)
@@ -206,6 +213,7 @@ class ObservableSet:
         S = np.atleast_2d(np.asarray(self.S, dtype=float))
         if S.shape[0] < 1:
             raise ValueError("at least one observable row required")
+        _check_finite(observables=S)
         norms = np.linalg.norm(S, axis=1)
         if np.any(norms == 0):
             raise ValueError("observable rows must be nonzero")
@@ -221,8 +229,7 @@ class ObservableSet:
 
 def transfer_matrix(model: LinearModel, t: float) -> np.ndarray:
     """Propagator Phi(t) = expm(A t); exact identity at t = 0."""
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
+    _check_finite(t=t)
     if t == 0.0:
         return np.eye(model.dim)
     norm_At = np.linalg.norm(model.A * t, 2)

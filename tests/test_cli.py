@@ -263,6 +263,52 @@ class TestConfigHash:
     def test_seed_changes_hash(self, tmp_path):
         assert self.run(tmp_path / "a") != self.run(tmp_path / "b", seed="8")
 
+    @staticmethod
+    def check(out, *flags):
+        assert main(["--out", str(out), "check", *flags]) == EXIT_OK
+        return read_summary(out)["config_hash"]
+
+    def test_options_the_model_does_not_take_leave_it(self, tmp_path):
+        # pair takes m, omega and hbar; spin-hp takes gamma_b0 and hbar
+        runs = {name: self.check(tmp_path / name, *flags) for name, flags in [
+            ("pair", ["--model", "pair"]),
+            ("pair-gamma", ["--model", "pair", "--gamma-b0", "3"]),
+            ("pair-m", ["--model", "pair", "--m", "2"]),
+            ("spin", ["--model", "spin-hp"]),
+            ("spin-m", ["--model", "spin-hp", "--m", "2", "--omega", "3"]),
+            ("spin-gamma", ["--model", "spin-hp", "--gamma-b0", "3"]),
+        ]}
+        assert runs["pair"] == runs["pair-gamma"] != runs["pair-m"]
+        assert runs["spin"] == runs["spin-m"] != runs["spin-gamma"]
+        assert ((tmp_path / "pair" / "check.csv").read_bytes()
+                == (tmp_path / "pair-gamma" / "check.csv").read_bytes())
+        # the summary's config keeps every option
+        assert read_summary(tmp_path / "pair-gamma")["config"]["gamma_b0"] == 3
+
+    @staticmethod
+    def one_mode(path, g00):
+        path.write_text(json.dumps({"n_modes": 1, "hbar": 1.0,
+                                    "G": [[g00, 0.0], [0.0, 1.0]]}))
+        return path
+
+    def test_model_file_hashed_by_its_content(self, tmp_path):
+        fixture = tmp_path / "model.json"
+        self.one_mode(fixture, 1.0)
+        first = self.check(tmp_path / "a", "--model-file", str(fixture))
+        self.one_mode(fixture, 4.0)
+        second = self.check(tmp_path / "b", "--model-file", str(fixture))
+        assert ((tmp_path / "a" / "check.csv").read_bytes()
+                != (tmp_path / "b" / "check.csv").read_bytes())
+        assert first != second
+
+    def test_model_file_not_hashed_by_its_path(self, tmp_path):
+        # nor by --model and the model options, which a file overrides
+        a = self.one_mode(tmp_path / "a.json", 4.0)
+        b = self.one_mode(tmp_path / "b.json", 4.0)
+        assert (self.check(tmp_path / "a", "--model-file", str(a))
+                == self.check(tmp_path / "b", "--model-file", str(b),
+                              "--model", "single", "--omega", "2"))
+
 
 class TestCsv:
     def test_values_written_as_repr_of_float(self, tmp_path):
@@ -358,6 +404,22 @@ class TestUnknownFlag:
         assert captured.err.count("\n") == 1
         assert argv[0 if argv[0] != "check" else 1].split("=")[0] \
             in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "simulate", "force"])
+    def test_j0_is_not_a_model_option(self, tmp_path, capsys, command):
+        # no model of check, simulate or force reads J0: spin-hp is the
+        # large-spin limit, in which it drops out
+        out = tmp_path / "run"
+        assert main(["--out", str(out), command, "--model", "spin-hp",
+                     "--j0", "3"]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error: unrecognized arguments: --j0 3\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"j0": 3}))
+        assert main(["--config", str(cfg), "--out", str(out),
+                     command]) == EXIT_BAD_INPUT
+        assert "unknown config keys: ['j0']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_known_flags_and_prefixes_still_parse(self, tmp_path):
@@ -583,9 +645,12 @@ class TestBadRealFlags:
             (["simulate", "--model", "spin-hp", "--gamma-b0", "-1"],
              "--gamma-b0"),
             (["force", "--model", "spin-hp", "--gamma-b0", "-1"], "--gamma-b0"),
-            (["check", "--model", "spin-hp", "--j0", "-3"], "--j0"),
-            (["simulate", "--model", "spin-hp", "--j0", "-3"], "--j0"),
-            (["force", "--model", "spin-hp", "--j0", "-3"], "--j0"),
+            # omega enters the koopman flow only as omega^2, but the
+            # oracle's time grid runs to 2/omega
+            (["koopman", "--omega", "-1"], "--omega"),
+            (["check", "--model", "spin-hp", "--gamma-b0", "nan"],
+             "--gamma-b0"),
+            (["force", "--model", "spin-hp", "--hbar", "-1"], "--hbar"),
             (["simulate", "--eta", "1.5"], "--eta"),
             (["force", "--eta", "0"], "--eta"),
             (["simulate", "--eta", "nan"], "--eta"),
@@ -627,7 +692,6 @@ class TestNonFiniteOrNegativeValues:
         ("simulate", "T", "inf", "--T must be"),
         ("force", "dt", "nan", "--dt must be"),
         ("force", "T", "inf", "--T must be"),
-        ("check", "j0", "nan", "--j0 must be"),
         ("check", "gamma_b0", "inf", "--gamma-b0 must be"),
         ("check", "hbar", "nan", "--hbar must be"),
         ("check", "omega", "nan", "--omega must be"),
@@ -700,20 +764,22 @@ class TestModelChoices:
         "single": lambda a: models.single_oscillator(a.m, a.omega, a.hbar),
         "pair": lambda a: models.oscillator_pair(a.m, a.omega, a.hbar),
         "sideband": lambda a: models.sideband_model(a.omega, a.hbar),
-        "spin-hp": lambda a: models.spin_pair_hp(a.j0, a.gamma_b0, a.hbar),
+        "spin-hp": lambda a: models.spin_pair_hp(a.gamma_b0, a.hbar),
     }
 
     @pytest.mark.parametrize("name", list(models.BUILDERS))
     def test_every_builder_gets_its_options(self, name):
         args = build_parser().parse_args([
             "check", "--model", name, "--m", "2", "--omega", "1.5",
-            "--hbar", "0.5", "--j0", "6", "--gamma-b0", "0.7",
+            "--hbar", "0.5", "--gamma-b0", "0.7",
         ])
-        bundle = _build_bundle(args)
+        bundle, observables = _build_bundle(args)
+        assert observables is None
         expected = self.EXPECTED[name](args)
         assert bundle.description == expected.description
         assert np.array_equal(bundle.model.G, expected.model.G)
         assert bundle.model.hbar == expected.model.hbar
+        assert (bundle.omega, bundle.m) == (expected.omega, expected.m)
 
 
 def subcommand_parsers():
@@ -819,6 +885,26 @@ class TestModelFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "2 modes and no 'observables'" in err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"hbar": math.nan}, "hbar must be finite and positive, got nan"),
+        ({"G": [[math.inf, 0.0], [0.0, 1.0]]},
+         "G must be finite, got inf at entry [0, 0]"),
+        ({"G": [[1.0, math.nan], [math.nan, 1.0]]},
+         "G must be finite, got nan at entry [0, 1]"),
+        ({"observables": [{"label": "a", "s": [1.0, math.nan]}]},
+         "observables must be finite, got nan at entry [0, 1]"),
+    ], ids=["hbar-nan", "G-inf", "G-nan", "row-nan"])
+    def test_non_finite_value_is_bad_input(self, tmp_path, capsys, doc,
+                                           message):
+        # json reads NaN and Infinity; each is named on one error line
+        fixture = tmp_path / "model.json"
+        fixture.write_text(json.dumps({**self.NO_COUPLING, **doc}))
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "check", "--model-file",
+                     str(fixture)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "summary.json").exists()
 
     def test_one_mode_checks_q_and_p(self, tmp_path):

@@ -149,8 +149,9 @@ class TestSidebandModel:
         assert ("alpha2_re", "alpha2_im") in labels
 
     def test_alpha_rows_match_observable_sets(self):
+        # alpha1 = (1/2) sqrt(w/hbar) (Q + i Pi / w), as a complex row
         b = sideband_model(1.5)
-        alpha1 = b.metadata["alpha_rows"]["alpha1"]
+        alpha1 = 0.5 * np.sqrt(1.5) * (ROW_Q + 1j * ROW_PI / 1.5)
         re_set = next(o for o in b.qmfs_sets if o.labels[0] == "alpha1_re")
         assert np.allclose(np.real(alpha1), re_set.S[0])
         assert np.allclose(np.imag(alpha1), re_set.S[1])
@@ -167,27 +168,29 @@ class TestSidebandModel:
 
 class TestSpinPairHp:
     def test_isotropic_hamiltonian(self):
-        b = spin_pair_hp(8.0, 2.0)
+        b = spin_pair_hp(2.0)
         assert np.allclose(b.model.G, 2.0 * np.diag([1.0, 1.0, -1.0, -1.0]))
 
     def test_effective_mass_metadata(self):
-        b = spin_pair_hp(4.0, 2.0)
-        assert b.metadata["effective_mass"] == pytest.approx(0.5)
+        # the pair it maps to has mass 1/gamma_B0 at frequency gamma_B0
+        b = spin_pair_hp(2.0)
+        assert (b.m, b.omega) == (pytest.approx(0.5), 2.0)
 
     def test_metadata_names_the_equivalent_pair(self):
         # m and omega as oscillator_pair records them, for the same G
-        b = spin_pair_hp(4.0, 2.0)
-        pair = oscillator_pair(b.metadata["m"], b.metadata["omega"])
+        b = spin_pair_hp(2.0)
+        pair = oscillator_pair(b.m, b.omega)
+        assert (pair.m, pair.omega) == (b.m, b.omega)
         assert np.array_equal(pair.model.G, b.model.G)
 
     def test_qmfs_sets_present(self):
-        b = spin_pair_hp(8.0, 1.0)
+        b = spin_pair_hp(1.0)
         assert len(b.qmfs_sets) == 2
 
     def test_larmor_rotation(self):
         # each mode precesses at the Larmor frequency
         w = 1.7
-        b = spin_pair_hp(8.0, w)
+        b = spin_pair_hp(w)
         t = 0.6
         Phi_t = transfer_matrix(b.model, t)
         c, s = np.cos(w * t), np.sin(w * t)
@@ -195,9 +198,9 @@ class TestSpinPairHp:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            spin_pair_hp(-1.0, 1.0)
+            spin_pair_hp(-1.0)
         with pytest.raises(ValueError):
-            spin_pair_hp(8.0, 0.0)
+            spin_pair_hp(0.0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -207,9 +210,8 @@ class TestNonFiniteParameters:
     """Each builder names the non-finite parameter it was given."""
 
     @pytest.mark.parametrize("build, name", [
-        (lambda: spin_pair_hp(NAN, 1.0), "J0"),
-        (lambda: spin_pair_hp(8.0, INF), "gamma_B0"),
-        (lambda: spin_pair_hp(8.0, 1.0, hbar=NAN), "hbar"),
+        (lambda: spin_pair_hp(INF), "gamma_B0"),
+        (lambda: spin_pair_hp(1.0, hbar=NAN), "hbar"),
         (lambda: single_oscillator(NAN, 1.0), "m"),
         (lambda: single_oscillator(1.0, -INF), "omega"),
         (lambda: oscillator_pair(1.0, NAN), "omega"),
@@ -233,6 +235,17 @@ class TestModelBundle:
                 qmfs_sets=(not_qmfs,),
                 description="broken",
             )
+
+    @pytest.mark.parametrize("build, omega, m", [
+        (lambda: single_oscillator(-2.0, 3.0), 3.0, None),
+        (lambda: oscillator_pair(2.0, 3.0), 3.0, 2.0),
+        (lambda: sideband_model(3.0), 3.0, 1.0),
+        (lambda: spin_pair_hp(4.0), 4.0, 0.25),
+    ], ids=["single", "pair", "sideband", "spin-hp"])
+    def test_template_frequency_and_pair_mass(self, build, omega, m):
+        # the single oscillator maps to no pair, so it has no pair mass
+        b = build()
+        assert (b.omega, b.m) == (omega, m)
 
     def test_builder_registry(self):
         assert set(models.BUILDERS) == {"single", "pair", "sideband", "spin-hp"}

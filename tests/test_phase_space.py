@@ -2,6 +2,7 @@
 two-time commutators, and the algebraic commuting-set verdict."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -72,8 +73,26 @@ class TestLinearModel:
             LinearModel(n_modes=2, G=np.eye(2))
 
     def test_rejects_bad_hbar(self):
-        with pytest.raises(ValueError):
-            LinearModel(n_modes=1, G=np.eye(2), hbar=0.0)
+        for hbar in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match="^hbar must be finite and positive"):
+                LinearModel(n_modes=1, G=np.eye(2), hbar=hbar)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_g(self, value):
+        # a NaN would otherwise fail as an asymmetric G
+        G = np.eye(2)
+        G[0, 1] = G[1, 0] = value
+        with pytest.raises(ValueError, match=r"^G must be finite, got .* "
+                           r"at entry \[0, 1\]"):
+            LinearModel(n_modes=1, G=G)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_coupling(self, value):
+        with pytest.raises(ValueError, match=r"^force_couplings must be "
+                           r"finite, got .* at entry \[1, 1\]"):
+            LinearModel(n_modes=1, G=np.eye(2),
+                        force_couplings=([0.0, 1.0], [0.0, value]))
 
     def test_force_coupling_length_checked(self):
         with pytest.raises(ValueError):
@@ -282,6 +301,11 @@ class TestObservableSet:
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
             ObservableSet(np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_row_rejected(self, value):
+        with pytest.raises(ValueError, match="^observables must be finite"):
+            ObservableSet(np.array([[1.0, 0.0], [value, 1.0]]))
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):

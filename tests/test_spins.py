@@ -65,7 +65,7 @@ class DensePair:
 
     def hp_agreement(self, displacement, t_grid):
         p = self.pair
-        model = spin_pair_hp(p.J0, p.gamma_B0, p.hbar).model
+        model = spin_pair_hp(p.gamma_B0, p.hbar).model
         theta = displacement / (np.sqrt(p.J0) * p.hbar)
         _, Jy, _ = angular_momentum_ops(p.J0, p.hbar)
         w, U = np.linalg.eigh(Jy)
@@ -265,14 +265,6 @@ class TestHolsteinPrimakoff:
         )
         assert dev_mean < 1e-2
         assert dev_var < 1e-2
-
-    def test_explicit_bundle_accepted(self):
-        pair = build_spin_pair(8.0, 1.5)
-        bundle = spin_pair_hp(8.0, 1.5)
-        dev_mean, dev_var = hp_agreement(
-            pair, 0.2, np.linspace(0.0, 2.0, 5), bundle=bundle
-        )
-        assert dev_mean < 5e-2
 
 
 class TestHeisenbergEvolution:
