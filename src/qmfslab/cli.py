@@ -58,21 +58,22 @@ _BUILDER_OPTIONS = {"m": "m", "omega": "omega", "omega_mod": "omega",
                     "hbar": "hbar", "gamma_B0": "gamma_b0"}
 
 
-# rows formatted per csvtext call.  The kernel's temporaries peak near
-# 480 bytes per value: a 256-row block of a 6-column trajectory file
-# takes 0.74 MB, which left the peak memory of simulate at the
-# cli-monitor size 0.25 MB above the per-value formatter's; 512-row
-# blocks added 0.9 MB for a few percent of speed.
-_CSV_BLOCK_ROWS = 256
+# values formatted per csvtext call.  Each call costs about 0.17 ms
+# besides its values, and its temporaries stay below 200 bytes per value
+# (130-140 in practice): 4608 values, 768 rows of a 6-column trajectory
+# file or 512 of a 9-column truth table, take at most 0.65 MB at once
+# in a few calls per file; blocks of rows would give a wide file more.
+_CSV_BLOCK_VALUES = 4608
 
 
 def _csv_blocks(header, rows):
-    """The CSV text in pieces: the header line, then blocks of rows,
-    each value written as repr(float(x))."""
+    """The CSV text in pieces: the header line, then blocks of about
+    _CSV_BLOCK_VALUES values, each value written as repr(float(x))."""
     yield ",".join(header) + "\n"
     rows = np.asarray(rows, dtype=float)
-    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-        yield csvtext.rows_text(rows[start:start + _CSV_BLOCK_ROWS])
+    step = max(1, _CSV_BLOCK_VALUES // max(1, rows.shape[-1]))
+    for start in range(0, len(rows), step):
+        yield csvtext.rows_text(rows[start:start + step])
 
 
 def _write_csv(path: Path, header, rows):
@@ -175,7 +176,8 @@ def _build_bundle(args):
     if args.model_file:
         model, obs = model_from_json(Path(args.model_file).read_text())
         description = f"model from {args.model_file}"
-        return models.ModelBundle(model, (), description), obs
+        return models.ModelBundle(model, (), description,
+                                  omega=_frequency(model)), obs
     options = _model_options(args.model)
     return models.BUILDERS[args.model](
         **{p: getattr(args, o) for p, o in options.items()}), None
@@ -195,14 +197,18 @@ def _observable_sets(bundle, observables):
     return sets
 
 
-def _grid_horizon(model) -> float:
-    """Horizon 10/omega of the commutator grid.
+def _frequency(model) -> float:
+    """The largest |Im lambda(A)|, or 1 when A has no oscillating mode."""
+    return float(np.max(np.abs(np.linalg.eigvals(model.A).imag))) or 1.0
 
-    omega is the largest |Im lambda(A)| (1 when A has no oscillating
-    mode); the horizon is capped so that ||A t||_2 stays within the
-    trusted expm bound.
+
+def _grid_horizon(model) -> float:
+    """Horizon 10/omega of the commutator grid, omega = _frequency(model).
+
+    The horizon is capped so that ||A t||_2 stays within the trusted
+    expm bound.
     """
-    omega = float(np.max(np.abs(np.linalg.eigvals(model.A).imag))) or 1.0
+    omega = _frequency(model)
     norm_A = np.linalg.norm(model.A, 2)
     if norm_A == 0.0:
         return 10.0 / omega

@@ -25,6 +25,14 @@ All limb arithmetic is uint64 on uint64, so numpy 1.x, which turns
 uint64 mixed with int64 into float64, computes the same, and the bytes
 are built as uint8, whatever the host's byte order.  The tables are
 built on first use, not at import.
+
+Memory: ``rows_text`` keeps its temporaries at or below 200 bytes per
+value (about 130 for random doubles, 140 for a 0/1 table), so the
+caller sizes its blocks by values.  The three products are made one
+after another, in place, and each array is dropped after its last
+use; the peak, 16 uint64 words a value, falls in the third product.
+The gather index, 25 intp words a value, is built _GATHER_VALUES values
+at a time.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ _ROW = 25
 _POSITIONAL = range(-3, 17)
 _E2, _E3 = len(_POSITIONAL), len(_POSITIONAL) + 1
 _LAYOUTS = _E3 + 1
+# values per gather: its index, 25 intp words a value, stays 100 kB
+_GATHER_VALUES = 512
 
 
 def _flog10pow2(e):
@@ -127,7 +137,7 @@ def _tables():
     points = range(_P_MIN, _P_MAX + 1)
     layouts = [p - _POSITIONAL.start if p in _POSITIONAL
                else _E2 if abs(p - 1) < 100 else _E3 for p in points]
-    gather = np.full((17 * _LAYOUTS, _ROW), _PAD, dtype=np.int32)
+    gather = np.full((17 * _LAYOUTS, _ROW), _PAD, dtype=np.intp)
     gather[:, 0] = _SIGN
     gather[:, -1] = _SEP
     for ndig in range(1, 18):
@@ -145,27 +155,50 @@ def _tables():
 
 
 def _mul128(a0, a1, b0, b1):
-    """(high, low) 64-bit halves of a * b from the 32-bit limbs of a and b."""
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = p00 >> _S32
-    mid += p01 & _M32
-    mid += p10 & _M32
-    high = a1 * b1
-    high += p01 >> _S32
-    high += p10 >> _S32
-    high += mid >> _S32
-    low = mid << _S32
-    low |= p00 & _M32
+    """(high, low) 64-bit halves of a * b from the 32-bit limbs of a and b.
+
+    With p_ij = a_i * b_j, mid = (p00 >> 32) + (p01 & M32) + p10 is at
+    most (2**32 - 1) * (2**32 + 1), so it fits 64 bits; four arrays,
+    no temporaries.
+    """
+    low = a0 * b0
+    mid = low >> _S32
+    low &= _M32
+    cross = a0 * b1
+    high = cross >> _S32
+    cross &= _M32
+    mid += cross
+    np.multiply(a1, b0, out=cross)
+    mid += cross
+    np.multiply(a1, b1, out=cross)
+    high += cross
+    np.left_shift(mid, _S32, out=cross)
+    low |= cross
+    mid >>= _S32
+    high += mid
     return high, low
 
 
 def _rop(g, cp):
-    """Round-to-odd of g * cp / 2**127, g given by its four limbs."""
-    c0, c1 = cp & _M32, cp >> _S32
-    x1, _ = _mul128(g[2], g[3], c0, c1)
-    y1, y0 = _mul128(g[0], g[1], c0, c1)
-    z = (y0 >> _ONE) + x1
-    return (y1 + (z >> _S63)) | (((z & _M63) + _M63) >> _S63)
+    """Round-to-odd of g * cp / 2**127, g given by its four limbs; cp is
+    overwritten."""
+    c0 = cp & _M32
+    c1 = cp
+    c1 >>= _S32
+    x1 = _mul128(g[2], g[3], c0, c1)[0]
+    y1, z = _mul128(g[0], g[1], c0, c1)
+    del c0, c1
+    # z = (y0 >> 1) + x1 < 2**64: g's low part g0 < 2**63
+    z >>= _ONE
+    z += x1
+    np.right_shift(z, _S63, out=x1)
+    y1 += x1
+    del x1
+    z &= _M63
+    z += _M63
+    z >>= _S63
+    y1 |= z
+    return y1
 
 
 def _shortest(bits):
@@ -177,33 +210,71 @@ def _shortest(bits):
     are 10 s' and 10 s' + 10 (one digit fewer, when exactly one lies in
     the interval), else s and s + 1 (whichever lies in it; if both, the
     closer, and of two as close, the even one).
+
+    The three round-to-odd products are made one after another and
+    every array is dropped after its last use, so the temporaries peak
+    near 16 uint64 words per value, in the third product.
     """
-    biased = ((bits >> _S52) & _M11).astype(np.int64)
-    fraction = bits & _M52
-    q = biased - 1075
+    q = bits >> _S52
+    q &= _M11
+    q = q.view(np.int64)  # the biased exponent, < 2**11
+    cb = bits & _M52
     # at a power of two the gap below is half the gap above
-    irregular = (fraction == 0) & (biased > 1)
+    irregular = cb == 0
+    irregular &= q > 1
+    q -= 1075
     k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10pow2(q))
-    h = (q + _flog2pow10(-k) + 2).astype(_U)
-    cb = (fraction | _HIDDEN) << _TWO
-    cbl = cb - np.where(irregular, _ONE, _TWO)
+    h = _flog2pow10(-k)
+    h += q
+    h += 2
+    h = h.view(_U)
+    del q
+    cb |= _HIDDEN
+    cb <<= _TWO
     g = _tables()[0].take(k - _K_MIN, axis=1)
-    vbl, vb, vbr = _rop(g, np.stack([cbl, cb, cb + _TWO]) << h)
-    # the interval in units of 10**k / 4, closed where c is even
+    # the interval in units of 10**k / 4, closed where c is even: its
+    # ends from cb - 2 (cb - 1 at a power of two) and cb + 2
+    cp = cb - _TWO
+    cp += irregular
+    del irregular
+    cp <<= h
+    low = _rop(g, cp)
+    np.left_shift(cb, h, out=cp)
+    vb = _rop(g, cp)
+    cb += _TWO
+    cb <<= h
+    high = _rop(g, cb)
+    del g, h, cp, cb
     odd = bits & _ONE
-    low, high = vbl + odd, vbr - odd
+    low += odd
+    high -= odd
+    del odd
     s = vb >> _TWO
-    t = s + _ONE
-    sp10 = s // _TEN * _TEN
-    tp10 = sp10 + _TEN
-    upin, wpin = low <= sp10 << _TWO, tp10 << _TWO <= high
-    uin, win = low <= s << _TWO, t << _TWO <= high
-    mid = (s + t) << _ONE
-    pick_s = np.where(uin != win, uin,
-                      (vb < mid) | ((vb == mid) & ((s & _ONE) == 0)))
-    f = np.where(upin != wpin, np.where(upin, sp10, tp10),
-                 np.where(pick_s, s, t))
-    return f, k
+    s10 = s // _TEN
+    # x4: 4 times a candidate, compared with the interval ends
+    x4 = s10 * _U(40)
+    upin = low <= x4
+    x4 += _U(40)
+    wpin = x4 <= high
+    np.left_shift(s, _TWO, out=x4)
+    uin = low <= x4
+    x4 += _U(4)
+    win = x4 <= high
+    del low, high
+    # s + 1 where it is the one inside, or where both are and s + 1 is
+    # closer to v than s, or as close and even; x4 - 2 is their midpoint
+    x4 -= _TWO
+    farther = vb == x4
+    farther &= (s & _ONE) == _ONE
+    farther |= vb > x4
+    del vb, x4
+    s += np.where(uin != win, win, farther)
+    del uin, win, farther
+    # the one-digit-shorter candidate, where exactly one lies inside
+    s10 += wpin
+    s10 *= _TEN
+    s = np.where(upin != wpin, s10, s)
+    return s, k
 
 
 def rows_text(block) -> str:
@@ -216,6 +287,7 @@ def rows_text(block) -> str:
     zero = (bits & _M63) == 0
     special = np.flatnonzero((biased == _M11) | ((biased == 0) & ~zero))
     zeros = np.flatnonzero(zero)
+    del biased, zero
     if special.size or zeros.size:
         bits = bits.copy()
         bits[special] = _ONE_BITS  # replaced below
@@ -223,41 +295,62 @@ def rows_text(block) -> str:
     _, quads, pow10, lengths, exponents, layouts, gather = _tables()
     f, k = _shortest(bits)
     # f left-aligned to 17 digits: 1 leading digit and four 4-digit groups
-    f_digits = np.searchsorted(pow10, f, side="right")
-    f *= pow10[17 - f_digits]
+    digits = np.searchsorted(pow10, f, side="right")
+    f *= pow10.take(17 - digits)
     # value = 0.DIGITS * 10**point
-    point = k + f_digits - _P_MIN
-    lead = f // pow10[16]
-    f -= lead * pow10[16]
-    hi, lo = np.divmod(f, pow10[8])
-    groups = (*np.divmod(hi.astype(np.intp), 10_000),
-              *np.divmod(lo.astype(np.intp), 10_000))
+    point = k
+    point += digits
+    point -= _P_MIN
+    del digits
+    # group j is f // 10**p - 10**4 * (f // 10**(p + 4)), p = 12 - 4 j
+    quotient = f // pow10[16]  # the leading digit
+    lead = quotient.astype(np.uint8)
+    group = np.empty(n, dtype=_U)
+    words = np.empty((n, 4), dtype=np.uint32)
+    ndig = np.ones(n, dtype=np.uint8)
+    for j, p in enumerate((12, 8, 4, 0)):
+        quotient *= pow10[4]
+        np.floor_divide(f, pow10[p], out=group)
+        group -= quotient
+        quads.take(group.view(np.int64), out=words[:, j])
+        np.maximum(ndig, lengths[j].take(group.view(np.int64)), out=ndig)
+        quotient += group  # f // 10**p
+    del f, quotient, group
 
     src = np.empty((n, _WIDTH), dtype=np.uint8)
     src[:, _SIGN] = np.where(bits >> _S63, ord("-"), 0)
     src[:, _DIG] = lead
     src[:, _DIG] += ord("0")
     src[zeros, _DIG] = ord("0")
-    words = np.empty((n, 4), dtype=np.uint32)
-    ndig = np.ones(n, dtype=np.uint8)
-    for j, group in enumerate(groups):
-        quads.take(group, out=words[:, j])
-        np.maximum(ndig, lengths[j].take(group), out=ndig)
+    del lead
     src[:, _DIG + 1:_ESIGN] = words.view(np.uint8)
+    del words
     src[:, _ESIGN:_DOT] = exponents.take(point).view(np.uint8).reshape(n, 4)
     src[:, _DOT:_PAD] = np.frombuffer(b".0e,", dtype=np.uint8)
     src[n_cols - 1::n_cols, _SEP] = ord("\n")
     src[:, _PAD] = 0
 
     key = (ndig.astype(np.intp) - 1) * _LAYOUTS + layouts.take(point)
-    # int32: the index is n x 25, and int32 arithmetic on it is faster
-    index = gather.take(key, axis=0)
-    index += np.arange(0, n * _WIDTH, _WIDTH, dtype=np.int32)[:, None]
-    out = src.ravel().take(index)
+    del ndig, point
+    # gathered _GATHER_VALUES values at a time: the index of all n
+    # would be 25 intp words per value
+    flat = src.reshape(-1)
+    out = np.empty((n, _ROW), dtype=np.uint8)
+    for start in range(0, n, _GATHER_VALUES):
+        stop = min(start + _GATHER_VALUES, n)
+        index = gather.take(key[start:stop], axis=0)
+        index += np.arange(start * _WIDTH, stop * _WIDTH, _WIDTH)[:, None]
+        # every index is in range; with mode "raise" take would buffer out
+        flat.take(index, out=out[start:stop], mode="clip")
+    del key
     if special.size:
-        texts = b"".join(repr(x).encode().ljust(_ROW - 1, b"\0")
-                         for x in block.ravel()[special].tolist())
+        # appended one by one: a join would hold a bytes object a value
+        texts = bytearray()
+        for x in block.ravel()[special].tolist():
+            texts += repr(x).encode().ljust(_ROW - 1, b"\0")
         out[special, :-1] = np.frombuffer(texts, dtype=np.uint8).reshape(
             special.size, _ROW - 1)
         out[special, -1] = src[special, _SEP]
-    return out[out != 0].tobytes().decode("ascii")
+    del src, flat
+    out = out[out != 0]
+    return str(out.data, "ascii")

@@ -349,6 +349,21 @@ class TestForce:
         assert ((spin / "force.csv").read_text()
                 == (pair / "force.csv").read_text())
 
+    def test_model_file_template_at_the_model_frequency(self, tmp_path):
+        # G = diag(9, 1) with coupling (0, 1) is single at m = 1,
+        # omega = 3: the template of the file's model is tuned to 3 too
+        fixture = tmp_path / "single.json"
+        fixture.write_text(json.dumps(
+            {"n_modes": 1, "hbar": 1.0, "G": [[9.0, 0.0], [0.0, 1.0]],
+             "force_couplings": [[0.0, 1.0]]}))
+        runs = {"file": ["--model-file", str(fixture)],
+                "single": ["--model", "single", "--m", "1", "--omega", "3"]}
+        for name, argv in runs.items():
+            assert main(["--out", str(tmp_path / name), "force", *argv,
+                         "--T", "5"]) == EXIT_OK
+        assert ((tmp_path / "file" / "force.csv").read_bytes()
+                == (tmp_path / "single" / "force.csv").read_bytes())
+
     @pytest.mark.parametrize("model, flags, pair_flags", [
         ("sideband", ["--omega", "1.5"], ["--m", "1", "--omega", "1.5"]),
         ("spin-hp", ["--gamma-b0", "2"], ["--m", "0.5", "--omega", "2"]),

@@ -2,6 +2,7 @@
 formula, header then ``",".join(map(repr, row.tolist()))`` per row."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qmfslab.cli import _CSV_BLOCK_ROWS, _csv_blocks, _write_csv  # noqa: E402
+from qmfslab import csvtext  # noqa: E402
+from qmfslab.cli import _CSV_BLOCK_VALUES, _csv_blocks, _write_csv  # noqa: E402
 
 
 def reference_text(header, rows) -> str:
@@ -29,7 +31,14 @@ SPECIALS = [
     1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16,  # to exponents
     1.7976931348623157e308, 0.1, 1 / 3,
 ]
-BLOCK_EDGES = [_CSV_BLOCK_ROWS + k for k in (-1, 0, 1)] + [2 * _CSV_BLOCK_ROWS + 1]
+
+
+def block_edges(n_cols):
+    """Row counts at the edges of _csv_blocks' blocks of n_cols columns:
+    one row less, one block, one row more, two blocks and a row."""
+    rows = _CSV_BLOCK_VALUES // n_cols
+    return [rows - 1, rows, rows + 1, 2 * rows + 1]
+
 
 CASES = settings(max_examples=40, deadline=None, database=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -37,14 +46,16 @@ CASES = settings(max_examples=40, deadline=None, database=None,
 
 @CASES
 @given(
-    n_rows=st.sampled_from([0, 1] + BLOCK_EDGES) | st.integers(0, 40),
-    n_cols=st.integers(1, 7),
+    shape=st.integers(1, 9).flatmap(lambda n_cols: st.tuples(
+        st.sampled_from([0, 1] + block_edges(n_cols)) | st.integers(0, 40),
+        st.just(n_cols))),
     seed=st.integers(0, 2**32 - 1),
     specials=st.lists(st.sampled_from(SPECIALS), max_size=24),
     as_list=st.booleans(),
 )
-def test_float_rows_match_the_reference(tmp_path, n_rows, n_cols, seed,
-                                        specials, as_list):
+def test_float_rows_match_the_reference(tmp_path, shape, seed, specials,
+                                        as_list):
+    n_rows, n_cols = shape
     # random float64 bit patterns: every sign, exponent and mantissa
     raw = np.random.default_rng(seed).bytes(8 * n_rows * n_cols)
     rows = np.frombuffer(raw, dtype=np.float64).reshape(n_rows, n_cols).copy()
@@ -78,6 +89,35 @@ def test_no_rows_writes_the_header_only(tmp_path):
     for rows in ([], np.empty((0, 3))):
         _write_csv(path, ["a", "b", "c"], rows)
         assert path.read_bytes() == b"a,b,c\n"
+
+
+@pytest.mark.parametrize("n_cols", [1, 6, 9])
+def test_block_edges(n_cols):
+    rng = np.random.default_rng(n_cols)
+    for n_rows in block_edges(n_cols):
+        assert_as_reference(rng.standard_normal((n_rows, n_cols)))
+
+
+def truth_table(n_rows):
+    """n_rows of a 9-column circuit truth table: 0/1 bits, half zeros."""
+    return ((np.arange(n_rows)[:, None] >> np.arange(9)) & 1).astype(float)
+
+
+@pytest.mark.parametrize("rows", [
+    np.random.default_rng(0).standard_normal((_CSV_BLOCK_VALUES // 6, 6)),
+    truth_table(_CSV_BLOCK_VALUES // 9),
+    np.full((_CSV_BLOCK_VALUES // 6, 6), math.nan),  # all through repr
+], ids=["trajectory", "truth-table", "nan"])
+def test_kernel_temporaries_per_value(rows):
+    # one block of the CLI's size: the block size rests on this bound
+    csvtext.rows_text(rows[:1])  # the tables are built on first use
+    tracemalloc.start()
+    try:
+        csvtext.rows_text(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * rows.size
 
 
 def assert_as_reference(rows):
