@@ -24,6 +24,7 @@ threads); the writers call no BLAS.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
@@ -37,12 +38,12 @@ import numpy as np
 from . import (__version__, circuits, conditional, csvtext, fock, koopman,
                models, spins)
 from .phase_space import (
-    MAX_EXPM_NORM,
     ObservableSet,
     commutator_from_propagators,
     is_qmfs,
     model_from_json,
     transfer_matrix,
+    trusted_horizon,
 )
 
 EXIT_OK = 0
@@ -205,14 +206,11 @@ def _frequency(model) -> float:
 def _grid_horizon(model) -> float:
     """Horizon 10/omega of the commutator grid, omega = _frequency(model).
 
-    The horizon is capped so that ||A t||_2 stays within the trusted
-    expm bound.
+    The horizon is capped at ``trusted_horizon``, where
+    ``transfer_matrix``'s bound on ||A t||_2 stops, as a time that the
+    bound accepts.
     """
-    omega = _frequency(model)
-    norm_A = np.linalg.norm(model.A, 2)
-    if norm_A == 0.0:
-        return 10.0 / omega
-    return min(10.0 / omega, MAX_EXPM_NORM / norm_A)
+    return min(10.0 / _frequency(model), trusted_horizon(model))
 
 
 def cmd_check(args, out_dir: Path) -> dict:
@@ -221,7 +219,7 @@ def cmd_check(args, out_dir: Path) -> dict:
     tol = 1e-12
     grid_tol = 1e-10
     ts = np.linspace(0.0, _grid_horizon(model), 20)
-    Phis = np.array([transfer_matrix(model, t) for t in ts])
+    Phis = transfer_matrix(model, ts)
     rows = []
     ok = True
     results = []
@@ -421,6 +419,8 @@ def cmd_circuit(args, out_dir: Path) -> dict:
     circuit = circuits.ReversibleCircuit.from_text(
         Path(args.file).read_text()
     )
+    if args.verify:  # before any table is computed or written
+        circuits.check_dense_size(circuit.n_bits)
     tables = [circuits.propagate_z(circuit, j) for j in range(circuit.n_bits)]
     rows = []
     for x in range(1 << circuit.n_bits):
@@ -505,11 +505,14 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one definition of every option and of the values it allows.
 
     Parsers do not exit on an error: they raise
     ``argparse.ArgumentError``, which ``main`` reports as bad input.
+    The parser is built once per process, at the first call, and shared
+    by every later one: callers must not change it.
     """
     parser = _Parser(
         prog="qmfslab",

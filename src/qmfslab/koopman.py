@@ -39,17 +39,17 @@ class StepSizeError(RuntimeError):
     """Step-halving error estimate exceeded the requested tolerance."""
 
 
-def _make_eval(terms):
-    """(Q, Pi) -> value of M=1 polynomial terms (((a,), (b,)), coef)."""
-    terms = tuple(terms)
+def _flat_terms(terms) -> tuple:
+    """M=1 polynomial terms (((a,), (b,)), coef) as (coef, a, b)."""
+    return tuple((coef, a, b) for ((a,), (b,)), coef in terms)
 
-    def evaluate(Q, Pi):
-        total = 0.0
-        for (a, b), coef in terms:
-            total = total + coef * Q ** a[0] * Pi ** b[0]
-        return total
 
-    return evaluate
+def _value(terms, Q, Pi):
+    """sum coef Q^a Pi^b over flat ``terms``, in order from 0.0."""
+    total = 0.0
+    for coef, a, b in terms:
+        total = total + coef * Q ** a * Pi ** b
+    return total
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,11 @@ class ClassicalFlow:
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
-        object.__setattr__(self, "_f", _make_eval(self.f))
-        object.__setattr__(self, "_g", _make_eval(self.g))
+        object.__setattr__(self, "_f", _flat_terms(self.f))
+        object.__setattr__(self, "_g", _flat_terms(self.g))
 
     def velocity(self, Q, Pi):
-        return self._f(Q, Pi), -self._g(Q, Pi)
+        return _value(self._f, Q, Pi), -_value(self._g, Q, Pi)
 
 
 def _n_steps(T: float, dt: float) -> int:
@@ -81,18 +81,41 @@ def _rk4_sweep(flow: ClassicalFlow, Q, Pi, T: float, n_steps: int,
     h = T / n_steps
     t = 0.0
     scalar = np.ndim(Q) == 0  # one trajectory: guard without a reduction
-    if record:
-        times = np.empty(n_steps + 1)
-        Qs = np.empty((n_steps + 1,) + np.shape(Q))
-        Ps = np.empty_like(Qs)
-        times[0], Qs[0], Ps[0] = 0.0, Q, Pi
-    for k in range(n_steps):
-        k1q, k1p = flow.velocity(Q, Pi)
-        k2q, k2p = flow.velocity(Q + h / 2 * k1q, Pi + h / 2 * k1p)
-        k3q, k3p = flow.velocity(Q + h / 2 * k2q, Pi + h / 2 * k2p)
-        k4q, k4p = flow.velocity(Q + h * k3q, Pi + h * k3p)
-        Q = Q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        Pi = Pi + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+    times, Qs, Ps = [t], [Q], [Pi]
+    f, g = flow._f, flow._g
+    half, sixth = h / 2, h / 6
+    # velocity (f, -g) at the four stages, written out: the operations of
+    # ``ClassicalFlow.velocity`` in its order, without its calls
+    for _ in range(n_steps):
+        k1q = k1p = 0.0
+        for c, a, b in f:
+            k1q = k1q + c * Q ** a * Pi ** b
+        for c, a, b in g:
+            k1p = k1p + c * Q ** a * Pi ** b
+        k1p = -k1p
+        Q2, P2 = Q + half * k1q, Pi + half * k1p
+        k2q = k2p = 0.0
+        for c, a, b in f:
+            k2q = k2q + c * Q2 ** a * P2 ** b
+        for c, a, b in g:
+            k2p = k2p + c * Q2 ** a * P2 ** b
+        k2p = -k2p
+        Q3, P3 = Q + half * k2q, Pi + half * k2p
+        k3q = k3p = 0.0
+        for c, a, b in f:
+            k3q = k3q + c * Q3 ** a * P3 ** b
+        for c, a, b in g:
+            k3p = k3p + c * Q3 ** a * P3 ** b
+        k3p = -k3p
+        Q4, P4 = Q + h * k3q, Pi + h * k3p
+        k4q = k4p = 0.0
+        for c, a, b in f:
+            k4q = k4q + c * Q4 ** a * P4 ** b
+        for c, a, b in g:
+            k4p = k4p + c * Q4 ** a * P4 ** b
+        k4p = -k4p
+        Q = Q + sixth * (k1q + 2 * k2q + 2 * k3q + k4q)
+        Pi = Pi + sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
         t += h
         size = (math.hypot(Q.real, Pi.real) if scalar
                 else np.max(np.hypot(Q.real, Pi.real)))
@@ -101,9 +124,11 @@ def _rk4_sweep(flow: ClassicalFlow, Q, Pi, T: float, n_steps: int,
                 f"trajectory norm exceeded {BLOWUP_NORM:g} at t = {t:.6g}"
             )
         if record:
-            times[k + 1], Qs[k + 1], Ps[k + 1] = t, Q, Pi
+            times.append(t)
+            Qs.append(Q)
+            Ps.append(Pi)
     if record:
-        return times, Qs, Ps
+        return np.array(times), np.array(Qs), np.array(Ps)
     return Q, Pi
 
 

@@ -233,7 +233,8 @@ def hp_agreement(pair: SpinPair, displacement: float, t_grid):
     spin coherently rotated so that <q> = displacement; it evolves by
     phases (``evolve_state``) and Q acts through its Kronecker factors.
     Returns the max deviations (mean, variance) over the grid, scaled by
-    sqrt(J0) (mean) and hbar (variance).
+    sqrt(J0) (mean) and hbar (variance).  The model's propagators on the
+    grid come from one ``transfer_matrix`` call.
     """
     model = spin_pair_hp(pair.gamma_B0, pair.hbar).model
     theta = displacement / (np.sqrt(pair.J0) * pair.hbar)
@@ -247,13 +248,13 @@ def hp_agreement(pair: SpinPair, displacement: float, t_grid):
 
     dev_mean = 0.0
     dev_var = 0.0
-    for t in t_grid:
+    Phis = transfer_matrix(model, t_grid)
+    for t, Phi in zip(t_grid, Phis):
         psit = evolve_state(pair, psi, t)
         # (Jx x 1 + 1 x Jx) psi on the grid: Jx psi + psi Jx^T
         q_psit = (pair.jx @ psit + psit @ pair.jx.T) / np.sqrt(pair.J0)
         exact_mean = float(np.real(np.vdot(psit, q_psit)))
         exact_var = float(np.real(np.vdot(q_psit, q_psit))) - exact_mean**2
-        Phi = transfer_matrix(model, t)
         model_mean = float(ROW_Q @ Phi @ mean0)
         model_var = float(ROW_Q @ Phi @ V0 @ Phi.T @ ROW_Q)
         dev_mean = max(dev_mean, abs(exact_mean - model_mean))

@@ -158,6 +158,38 @@ class TestDenseOracleCatchesDefects:
         assert dense_oracle_check(self.toffoli) > 0
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_deviations_equal_the_whole_matrix_reading(self, seed,
+                                                       monkeypatch):
+        # off-diagonal and commutator deviations read on the image's
+        # nonzero entries equal those read on every entry, also for a U
+        # that is no permutation and for a wrong truth table
+        rng = np.random.default_rng(seed)
+        n = 4
+        perm = rng.integers(0, 1 << n, size=1 << n)
+        if seed == 0:
+            perm = np.arange(1 << n)[::-1].copy()
+        monkeypatch.setattr(circuits, "circuit_permutation",
+                            lambda circuit: perm.copy())
+        circuit = ReversibleCircuit(n, ())
+        dim = 1 << n
+        U = np.zeros((dim, dim))
+        U[perm, np.arange(dim)] = 1.0
+        z = [1.0 - 2.0 * ((np.arange(dim) >> k) & 1) for k in range(n)]
+        off = pred = comm = 0
+        for j in range(n):
+            img = U.T @ np.diag(z[j]) @ U
+            diag = np.diag(img)
+            off = max(off, int(np.max(np.abs(img - np.diag(diag)))))
+            pred = max(pred, int(np.max(np.abs(
+                diag - (1.0 - 2.0 * ((perm >> j) & 1))))))
+            for zk in z:
+                comm = max(comm, int(np.max(np.abs(
+                    img * zk[None, :] - zk[:, None] * img))))
+        assert circuits._dense_deviations(circuit) == (off, pred, comm)
+        assert (off > 0) == (seed != 0)
+
+
 class TestBoolFunc:
     def test_diagonal_signs(self):
         f = BoolFunc(1, np.array([0, 1]))

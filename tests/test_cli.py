@@ -1,6 +1,7 @@
 """Command-line runner: exit codes, output files, config overlay, and
 byte-identical reproducibility."""
 
+import argparse
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import qmfslab
-from qmfslab import models
+from qmfslab import cli, models
 from qmfslab.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
@@ -28,6 +29,8 @@ from qmfslab.cli import (
 from qmfslab.phase_space import (
     model_from_json,
     model_to_json,
+    transfer_matrix,
+    trusted_horizon,
     two_time_commutator,
 )
 
@@ -105,6 +108,40 @@ class TestCheck:
         (entry,) = read_summary(out)["sets"]
         assert entry["grid_commutator_max"] == expected
         assert (entry["verdict"] == "QMFS") == (observables == "collective")
+
+
+class TestCappedGrid:
+    """The grid horizon capped at the expm bound is one the guard takes."""
+
+    # at this omega the capped horizon of single, pair and sideband,
+    # times ||A||_2 again, rounded above the bound: check rejected its
+    # own grid with exit 2
+    OMEGA = "6.007713856928464"
+
+    @pytest.mark.parametrize("model", ["single", "pair", "sideband"])
+    def test_rounded_horizon_accepted(self, tmp_path, capsys, model):
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "check", "--model", model,
+                     "--omega", self.OMEGA]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("model", ["single", "pair", "sideband"])
+    def test_accepted_over_omega(self, model):
+        for omega in np.linspace(5.0, 40.0, 200):
+            bundle, _ = _build_bundle(parse_args(
+                ["check", "--model", model, "--omega", repr(float(omega))]))
+            transfer_matrix(bundle.model,
+                            np.linspace(0.0, _grid_horizon(bundle.model), 20))
+
+    def test_grid_above_the_bound_still_exits_2(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(cli, "_grid_horizon",
+                            lambda model: trusted_horizon(model) * (1 + 1e-12))
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "check", "--model", "pair",
+                     "--omega", self.OMEGA]) == EXIT_BAD_INPUT
+        assert "exceeds the trusted expm bound" in capsys.readouterr().err
+        assert not (out / "check.csv").exists()
 
 
 class TestSimulate:
@@ -642,6 +679,86 @@ class TestCircuit:
             ["--out", str(out), "circuit", "--file", str(tmp_path / "nope")]
         )
         assert code == EXIT_BAD_INPUT
+
+    def test_verify_past_the_dense_limit_writes_nothing(self, tmp_path,
+                                                        capsys):
+        # the dense oracle's limit is checked before any table is made
+        circ = tmp_path / "nine.txt"
+        circ.write_text("bits 9\nCCX 0 1 8\n")
+        out = tmp_path / "run"
+        argv = ["--out", str(out), "circuit", "--file", str(circ)]
+        assert main([*argv, "--verify"]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error: dense oracle limited to 8 bits\n")
+        assert not (out / "truth_tables.csv").exists()
+        assert not (out / "summary.json").exists()
+        assert main(argv) == EXIT_OK
+        assert read_summary(out)["n_bits"] == 9
+
+
+class TestOneParserPerProcess:
+    """``build_parser`` is built once; parses in a row do not share
+    state."""
+
+    def test_parses_in_a_row_equal_fresh_parses(self, tmp_path):
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"seed": 3, "batch": 2, "T": 0.5,
+                                   "model": "sideband"}))
+        circ = tmp_path / "circ.json"
+        circ.write_text(json.dumps({"file": "c.txt", "verify": True}))
+        argvs = [
+            ["check", "--model", "sideband", "--omega", "2"],
+            ["--config", str(sim), "simulate"],
+            ["--config", str(sim), "simulate", "--batch", "4", "--T=0.25"],
+            ["--seed", "9", "simulate"],
+            ["--config", str(circ), "circuit"],
+            ["circuit", "--file", "d.txt"],
+            ["--config", str(sim), "--seed", "5", "simulate", "--model",
+             "pair"],
+            ["koopman", "--n-levels", "24"],
+            ["check"],
+        ]
+        bad = [["check", "--bogus", "1"], ["circuit"],
+               ["--config", str(sim), "check"]]
+        build_parser.cache_clear()
+        assert build_parser() is build_parser()
+        in_a_row = []
+        for argv in argvs + argvs[::-1]:
+            in_a_row.append(vars(parse_args(argv)))
+            for wrong in bad:  # failed parses in between change nothing
+                with pytest.raises((argparse.ArgumentError, ValueError)):
+                    parse_args(wrong)
+        fresh = []
+        for argv in argvs + argvs[::-1]:
+            build_parser.cache_clear()
+            fresh.append(vars(parse_args(argv)))
+        assert in_a_row == fresh
+        # the config's value, a flag over it, and the defaults after both
+        assert fresh[1]["model"] == "sideband" and fresh[6]["model"] == "pair"
+        assert (fresh[1]["batch"], fresh[2]["batch"], fresh[3]["batch"]) \
+            == (2, 4, 1)
+
+    def test_mains_in_a_row_equal_fresh_mains(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "sideband", "omega": 2}))
+        argvs = [["--config", str(cfg), "check"], ["check"],
+                 ["check", "--model", "single"],
+                 ["--config", str(cfg), "check", "--omega", "3"]]
+
+        def configs(tag, fresh):
+            out = []
+            for i, argv in enumerate(argvs):
+                if fresh:
+                    build_parser.cache_clear()
+                run = tmp_path / f"{tag}{i}"
+                assert main(["--out", str(run), *argv]) == EXIT_OK
+                summary = read_summary(run)
+                summary["config"].pop("out")
+                out.append((summary["config"], summary["config_hash"],
+                            (run / "check.csv").read_bytes()))
+            return out
+
+        assert configs("row", False) == configs("fresh", True)
 
 
 class TestBadRealFlags:

@@ -708,6 +708,53 @@ class TestChiralSplit:
         assert np.count_nonzero(E == 0) == (spec.dim // n_levels
                                             if n_levels % 2 else 0)
 
+    @pytest.mark.parametrize("n_levels", [8, 9])
+    @pytest.mark.parametrize("pk", [koopman_flow(0.1), koopman_flow(0.0),
+                                    MODE1_FLOW],
+                             ids=["gauged", "real", "mode1"])
+    def test_factors_match_the_assembled_vectors(self, pk, n_levels):
+        # V and V+ applied through U and W, as evolve_rows does, against
+        # the same products with the assembled V
+        spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
+        H, ops = build_koopman_hamiltonian(pk, spec)
+        prop = HeisenbergPropagator(H, 0.8)
+        basis = prop._basis
+        assert isinstance(basis, fock._ChiralBasis)
+        V = basis.dense()
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(6, spec.dim)) + 1j * rng.normal(size=(6, spec.dim))
+        assert np.linalg.norm(basis.times(X) - X @ V) < 1e-12 * spec.dim
+        assert np.linalg.norm(basis.times_adjoint(X) - X @ V.conj().T) \
+            < 1e-12 * spec.dim
+        keep = core_mask(spec)
+        assert np.array_equal(basis.rows(keep), V[keep])
+        assembled = HeisenbergPropagator(H, 0.8)
+        assembled._basis = fock._DenseBasis(V)
+        t_grid = (0.0, 0.6, 2.3)
+        P0 = build_quadrature_ops(spec, hbar=0.8)[0][1]
+        for O in (ops["Q"][0], ops["Pi"][0], P0):
+            rows = prop.evolve_rows(O, t_grid, keep)
+            ref = assembled.evolve_rows(O, t_grid, keep)
+            assert np.linalg.norm(rows - ref) < 1e-12 * np.linalg.norm(
+                O.dense())
+
+    @pytest.mark.parametrize("n_levels", [8, 9])
+    @pytest.mark.parametrize("pk", [koopman_flow(0.1), koopman_flow(0.0),
+                                    MODE1_FLOW],
+                             ids=["gauged", "real", "mode1"])
+    def test_residual_never_assembles_v(self, pk, n_levels, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dim x dim V assembled")
+
+        spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
+        H, ops = build_koopman_hamiltonian(pk, spec)
+        O_set = [ops["Q"][0], ops["Pi"][0]]
+        ref = commutator_residual(H, O_set, np.linspace(0.0, 2.0, 5))
+        monkeypatch.setattr(fock._ChiralBasis, "dense", refuse)
+        assert commutator_residual(H, O_set, np.linspace(0.0, 2.0, 5)) == ref
+        with pytest.raises(AssertionError, match="assembled"):
+            HeisenbergPropagator(H).vectors
+
     def test_split_and_eigh_residuals_agree_at_24_levels(self, monkeypatch):
         spec = TruncationSpec(n_levels=24, n_modes=2, core_levels=2)
         H, ops = build_koopman_hamiltonian(koopman_flow(0.1), spec)
@@ -757,17 +804,47 @@ class TestGuardsOnTheFactorPath:
         with pytest.raises(ValueError, match="single-mode"):
             commutator_residual(H, [pair], [0.0])
 
-    def test_peak_memory_is_a_few_real_blocks(self):
-        # build and residual of the koopman flow at 24 levels: the real
-        # coupling blocks, their SVD and the real V, no dim x dim complex
-        # matrix; bounded by 3 real dim x dim arrays
-        spec = TruncationSpec(n_levels=24, n_modes=2, core_levels=2)
+    @staticmethod
+    def traced_peak(pk, n_levels):
+        """Traced peak of build and residual, in real dim x dim arrays."""
+        spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
         tracemalloc.start()
         try:
-            H, ops = build_koopman_hamiltonian(koopman_flow(0.1), spec)
+            H, ops = build_koopman_hamiltonian(pk, spec)
             commutator_residual(H, [ops["Q"][0], ops["Pi"][0]],
                                 np.linspace(0.0, 2.0, 5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * spec.dim**2
+        return peak / (8 * spec.dim**2)
+
+    def test_peak_memory_is_a_few_real_blocks(self):
+        # the koopman flow at 24 levels: the real coupling blocks and
+        # their SVD factors, a quarter of dim x dim each, and no dim x dim
+        # V (1.83 arrays when the propagator assembled it)
+        assert self.traced_peak(koopman_flow(0.1), 24) <= 1.2
+
+    def test_peak_memory_without_a_parity(self):
+        # the damped flow at 16 levels: the dense complex H and its
+        # complex eigenvectors, 4 real arrays, and no dim x dim temporary
+        # for the Hermiticity check or the symmetrization (6.3 arrays
+        # when both were taken on the whole H)
+        assert self.traced_peak(DAMPED_FLOW, 16) <= 4.5
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 81])
+    def test_blockwise_symmetrization(self, n):
+        # the lower triangle, which eigh reads, equals (H + H+)/2 bit for
+        # bit; the defect is the Frobenius norm of H - H+
+        rng = np.random.default_rng(n)
+        Hd = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        Hd += Hd.conj().T
+        Hd[0, -1] += 1e-14
+        full = (Hd + Hd.conj().T) / 2
+        sym = fock._symmetrized(Hd.copy())
+        assert np.array_equal(np.tril(sym), np.tril(full))
+        E, V = np.linalg.eigh(sym)
+        E_full, V_full = np.linalg.eigh(full)
+        assert np.array_equal(E, E_full) and np.array_equal(V, V_full)
+        Hd[-1, 0] += 1j
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fock._symmetrized(Hd)

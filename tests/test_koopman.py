@@ -176,3 +176,71 @@ class TestTransport:
             transport_density(flow, np.zeros((3, 3)), 1.0)
         with pytest.raises(ValueError):
             transport_density(flow, np.zeros((0, 2)), 1.0)
+
+
+def reference_rk4(f, g, Q, Pi, T, n_steps, record):
+    """Textbook RK4 for dQ/dt = f, dPi/dt = -g, the polynomials evaluated
+    term by term from 0.0; (times, Qs, Ps) or the end point."""
+
+    def poly(terms, Q, Pi):
+        total = 0.0
+        for (a, b), coef in terms:
+            total = total + coef * Q ** a[0] * Pi ** b[0]
+        return total
+
+    def velocity(Q, Pi):
+        return poly(f, Q, Pi), -poly(g, Q, Pi)
+
+    h = T / n_steps
+    t = 0.0
+    times, Qs, Ps = [t], [Q], [Pi]
+    for _ in range(n_steps):
+        k1q, k1p = velocity(Q, Pi)
+        k2q, k2p = velocity(Q + h / 2 * k1q, Pi + h / 2 * k1p)
+        k3q, k3p = velocity(Q + h / 2 * k2q, Pi + h / 2 * k2p)
+        k4q, k4p = velocity(Q + h * k3q, Pi + h * k3p)
+        Q = Q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
+        Pi = Pi + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        t += h
+        times.append(t)
+        Qs.append(Q)
+        Ps.append(Pi)
+    if record:
+        return np.array(times), np.array(Qs), np.array(Ps)
+    return Q, Pi
+
+
+# degree 4 with powers of Pi up to 4 and mixed monomials
+QUARTIC_FLOW = ClassicalFlow(
+    f=poly1((0, 1, 1.0), (0, 3, -0.05), (1, 2, 0.02), (2, 0, 0.1)),
+    g=poly1((1, 0, 1.0), (3, 0, 0.1), (2, 2, -0.01), (0, 4, 0.003),
+            (0, 0, 0.0)),
+)
+
+
+class TestSweepMatchesTextbookRk4:
+    """The sweep is the textbook RK4, operation for operation: its
+    results equal a plain reference loop bit for bit."""
+
+    @pytest.mark.parametrize("flow", [KOOPMAN_FLOW, QUARTIC_FLOW],
+                             ids=["koopman", "quartic"])
+    def test_trajectory(self, flow):
+        times, Qs, Ps = integrate(flow, 0.3, -0.2, T=2.0, check=False)
+        ref = reference_rk4(flow.f, flow.g, 0.3, -0.2, 2.0, 2000, True)
+        for got, want in zip((times, Qs, Ps), ref):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("flow", [KOOPMAN_FLOW, QUARTIC_FLOW],
+                             ids=["koopman", "quartic"])
+    def test_samples_and_complex_step(self, flow):
+        samples = np.random.default_rng(2).normal(scale=0.4, size=(16, 2))
+        out, _, _ = transport_density(flow, samples, 0.7)
+        Q, Pi = reference_rk4(flow.f, flow.g, samples[:, 0], samples[:, 1],
+                              0.7, 700, False)
+        assert np.array_equal(out, np.column_stack([Q, Pi]))
+        y, J = integrate_with_tangent(flow, 0.3, -0.2, 0.7)
+        step = 1e-30j
+        Q, Pi = reference_rk4(flow.f, flow.g, np.array([0.3 + step, 0.3]),
+                              np.array([-0.2, -0.2 + step]), 0.7, 700, False)
+        assert np.array_equal(y, [Q[0].real, Pi[0].real])
+        assert np.array_equal(J, np.array([Q.imag, Pi.imag]) / 1e-30)

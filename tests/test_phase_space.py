@@ -18,6 +18,7 @@ from qmfslab.phase_space import (
     model_to_json,
     symplectic_form,
     transfer_matrix,
+    trusted_horizon,
     two_time_commutator,
 )
 
@@ -152,6 +153,84 @@ class TestTransferMatrix:
     def test_rejects_nonfinite_time(self):
         with pytest.raises(ValueError):
             transfer_matrix(single_osc(), np.inf)
+        with pytest.raises(ValueError, match="at entry"):
+            transfer_matrix(single_osc(), [0.0, 1.0, np.nan])
+
+
+def grid_models():
+    """A rotation, a free mass, an unstable drift, the zero drift, and a
+    random coupled 3-mode model."""
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((6, 6))
+    return [single_osc(2.0, 3.0),
+            LinearModel(n_modes=1, G=np.diag([0.0, 1.0 / 3.0])),
+            LinearModel(n_modes=1, G=np.diag([-1.0, 1.0])),
+            LinearModel(n_modes=2),
+            LinearModel(n_modes=3, G=X + X.T)]
+
+
+class TestTransferMatrixGrid:
+    """``transfer_matrix`` on an array of times: one expm call."""
+
+    @pytest.mark.parametrize("model", grid_models(),
+                             ids=["osc", "free", "unstable", "zero", "random"])
+    def test_equals_the_per_time_stack(self, model):
+        horizon = min(trusted_horizon(model), 10.0)
+        ts = np.concatenate([np.linspace(0.0, horizon, 20),
+                             -np.linspace(0.0, horizon, 7)[1:], [1e-9]])
+        stack = transfer_matrix(model, ts)
+        assert stack.shape == ts.shape + (model.dim, model.dim)
+        expected = [np.eye(model.dim) if t == 0.0 else expm(model.A * t)
+                    for t in ts]
+        assert np.array_equal(stack, expected)
+        assert np.array_equal(stack, [transfer_matrix(model, t) for t in ts])
+        grid = ts[:24].reshape(2, 3, 4)
+        assert np.array_equal(transfer_matrix(model, grid),
+                              stack[:24].reshape(2, 3, 4, *stack.shape[1:]))
+
+    def test_exact_identity_at_zero(self):
+        model = grid_models()[-1]
+        stack = transfer_matrix(model, [0.3, 0.0, -0.0, 1.2])
+        for k in (1, 2):
+            assert np.array_equal(stack[k], np.eye(model.dim))
+        assert np.array_equal(transfer_matrix(model, 0.0), np.eye(model.dim))
+        assert transfer_matrix(model, []).shape == (0, model.dim, model.dim)
+
+    def test_guard_on_the_largest_abs_time(self):
+        model = LinearModel(n_modes=1, G=np.diag([-1.0, 1.0]))  # ||A|| = 1
+        horizon = trusted_horizon(model)
+        assert horizon == MAX_EXPM_NORM
+        transfer_matrix(model, [0.0, -horizon, horizon / 2])
+        beyond = horizon * (1 + 1e-12)
+        for ts in ([0.0, 1.0, -beyond], [beyond, 0.0], [[0.0], [beyond]]):
+            with pytest.raises(ValueError, match="trusted expm bound"):
+                transfer_matrix(model, ts)
+
+
+class TestTrustedHorizon:
+    def test_zero_drift_has_no_horizon(self):
+        assert trusted_horizon(LinearModel(n_modes=2)) == math.inf
+
+    def test_guard_accepts_the_horizon(self):
+        # the quotient MAX_EXPM_NORM / ||A|| times ||A|| rounds above the
+        # bound for a few percent of norms; the horizon must not, and a
+        # time really above it is still rejected
+        rng = np.random.default_rng(3)
+        rounded_above = 0
+        for omega in rng.uniform(5.0, 40.0, 300):
+            model = single_osc(1.0, omega)
+            norm = np.linalg.norm(model.A, 2)
+            quotient = MAX_EXPM_NORM / norm
+            horizon = trusted_horizon(model)
+            if norm * quotient > MAX_EXPM_NORM:
+                rounded_above += 1
+                assert 0 < quotient - horizon <= 4 * math.ulp(horizon)
+            else:
+                assert horizon == quotient
+            transfer_matrix(model, np.linspace(0.0, horizon, 20))
+            with pytest.raises(ValueError, match="trusted expm bound"):
+                transfer_matrix(model, [0.0, horizon * (1 + 1e-12)])
+        assert rounded_above > 0
 
 
 def random_matrix(rng, n, norm, complex_):
