@@ -5,7 +5,8 @@ Subpackages:
 - ``phase_space``: symplectic linear models, transfer matrices, exact
   two-time commutators, the algebraic QMFS verdict.
 - ``models``: the concrete model zoo (single oscillator, positive/
-  negative-mass pair, sideband picture, large-spin pair).
+  negative-mass pair, sideband picture, large-spin pair) and the
+  model-file format, each read as a ``ModelBundle``.
 - ``conditional``: continuous Gaussian measurement, Riccati covariance
   flow, stochastic conditional means, waveform estimation.
 - ``fock``: truncated-Fock brute-force oracle on Kronecker factors.

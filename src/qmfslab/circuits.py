@@ -139,16 +139,16 @@ def circuit_permutation(circuit: ReversibleCircuit) -> np.ndarray:
     return x
 
 
-def propagate_z(circuit: ReversibleCircuit, j: int) -> BoolFunc:
-    """Heisenberg image of Z_j: f_j(x) = bit j of the permuted input.
+def propagate_z(circuit: ReversibleCircuit) -> tuple:
+    """Heisenberg images of Z_0, ..., Z_{n-1}: f_j(x) = bit j of the
+    permuted input, all from one ``circuit_permutation``.
 
     With U|x> = |pi(x)>, U+ Z_j U is diagonal with entries
     (-1)^(pi(x)_j).
     """
-    if not 0 <= j < circuit.n_bits:
-        raise ValueError(f"bit index {j} out of range")
     perm = circuit_permutation(circuit)
-    return BoolFunc(circuit.n_bits, (perm >> j) & 1)
+    return tuple(BoolFunc(circuit.n_bits, (perm >> j) & 1)
+                 for j in range(circuit.n_bits))
 
 
 def check_dense_size(n_bits: int) -> None:
@@ -157,14 +157,15 @@ def check_dense_size(n_bits: int) -> None:
         raise ValueError(f"dense oracle limited to {MAX_DENSE_BITS} bits")
 
 
-def dense_oracle_check(circuit: ReversibleCircuit) -> int:
+def dense_oracle_check(circuit: ReversibleCircuit, tables=None) -> int:
     """Brute-force unitary conjugation check; returns the max deviation.
 
     Builds the 2^n x 2^n permutation unitary, conjugates every Z_j, and
     asserts that each image (a) is diagonal, (b) matches the truth-table
-    prediction, and (c) commutes with every input Z_k.  The image is
-    built from ``circuit_permutation`` alone, never from ``propagate_z``,
-    so it is an independent check of the truth tables.
+    prediction ``tables[j]`` (``propagate_z(circuit)`` when not given),
+    and (c) commutes with every input Z_k.  The image is built from
+    ``circuit_permutation`` alone, never from the truth tables, so it is
+    an independent check of them.
 
     The arithmetic is float64 BLAS, one product (U^T Z_j) U per bit with
     the diagonal Z_j applied as a column scaling, and it is exact: U has
@@ -176,11 +177,14 @@ def dense_oracle_check(circuit: ReversibleCircuit) -> int:
     elsewhere.  Any nonzero deviation is therefore a real bug.  Circuits of more than
     ``MAX_DENSE_BITS`` bits are refused (``check_dense_size``).
     """
-    return max(_dense_deviations(circuit))
+    if tables is None:
+        tables = propagate_z(circuit)
+    return max(_dense_deviations(circuit, tables))
 
 
-def _dense_deviations(circuit: ReversibleCircuit) -> tuple:
-    """(off-diagonal, prediction, commutator) deviations of the dense check."""
+def _dense_deviations(circuit: ReversibleCircuit, tables) -> tuple:
+    """(off-diagonal, prediction, commutator) deviations of the dense
+    check of the truth tables ``tables``, one per bit."""
     n = circuit.n_bits
     check_dense_size(n)
     dim = 1 << n
@@ -192,7 +196,7 @@ def _dense_deviations(circuit: ReversibleCircuit) -> tuple:
     for j in range(n):
         img = (U.T * z[j]) @ U  # U^T Z_j U, Z_j = diag(z[j])
         diag = np.diag(img)
-        predicted = propagate_z(circuit, j).diagonal()
+        predicted = tables[j].diagonal()
         pred_dev = max(pred_dev, int(np.max(np.abs(diag - predicted))))
         # the off-diagonal part and [img, Z_k] are exactly 0 wherever img
         # is, so both are read on img's nonzero entries only

@@ -38,10 +38,8 @@ import numpy as np
 from . import (__version__, circuits, conditional, csvtext, fock, koopman,
                models, spins)
 from .phase_space import (
-    ObservableSet,
     commutator_from_propagators,
     is_qmfs,
-    model_from_json,
     transfer_matrix,
     trusted_horizon,
 )
@@ -172,50 +170,36 @@ def _write_summary(out_dir: Path, config: dict, payload: dict) -> None:
         fh.write("\n")
 
 
-def _build_bundle(args):
-    """(bundle, the observable set a model file names or None)."""
+def _build_bundle(args) -> models.ModelBundle:
+    """The bundle of --model-file, else of --model with its options."""
     if args.model_file:
-        model, obs = model_from_json(Path(args.model_file).read_text())
-        description = f"model from {args.model_file}"
-        return models.ModelBundle(model, (), description,
-                                  omega=_frequency(model)), obs
+        return models.model_from_json(Path(args.model_file).read_text(),
+                                      f"model from {args.model_file}")
     options = _model_options(args.model)
     return models.BUILDERS[args.model](
-        **{p: getattr(args, o) for p, o in options.items()}), None
-
-
-def _observable_sets(bundle, observables):
-    sets = list(bundle.qmfs_sets)
-    if observables is not None:
-        sets.append(observables)
-    if not sets:
-        if bundle.model.n_modes != 1:
-            # nothing to check: the run would pass without a verdict
-            raise ValueError(f"{bundle.description} has "
-                             f"{bundle.model.n_modes} modes and no "
-                             "'observables' to check")
-        sets.append(ObservableSet(np.eye(2), ("q", "p")))
-    return sets
-
-
-def _frequency(model) -> float:
-    """The largest |Im lambda(A)|, or 1 when A has no oscillating mode."""
-    return float(np.max(np.abs(np.linalg.eigvals(model.A).imag))) or 1.0
+        **{p: getattr(args, o) for p, o in options.items()})
 
 
 def _grid_horizon(model) -> float:
-    """Horizon 10/omega of the commutator grid, omega = _frequency(model).
+    """Horizon 10/omega of the commutator grid, omega =
+    ``models.frequency(model)`` (for a builder this can differ from the
+    bundle's omega by rounding).
 
     The horizon is capped at ``trusted_horizon``, where
     ``transfer_matrix``'s bound on ||A t||_2 stops, as a time that the
     bound accepts.
     """
-    return min(10.0 / _frequency(model), trusted_horizon(model))
+    return min(10.0 / models.frequency(model), trusted_horizon(model))
 
 
 def cmd_check(args, out_dir: Path) -> dict:
-    bundle, observables = _build_bundle(args)
+    bundle = _build_bundle(args)
     model = bundle.model
+    sets = bundle.qmfs_sets + bundle.observables
+    if not sets:
+        # nothing to check: the run would pass without a verdict
+        raise ValueError(f"{bundle.description} has {model.n_modes} modes "
+                         "and no 'observables' to check")
     tol = 1e-12
     grid_tol = 1e-10
     ts = np.linspace(0.0, _grid_horizon(model), 20)
@@ -223,7 +207,7 @@ def cmd_check(args, out_dir: Path) -> dict:
     rows = []
     ok = True
     results = []
-    for obs in _observable_sets(bundle, observables):
+    for obs in sets:
         verdict = is_qmfs(model, obs, tol=tol)
         K = commutator_from_propagators(model, obs, Phis[:, None], Phis[None])
         grid_max = float(np.max(np.abs(K)))
@@ -251,14 +235,11 @@ def cmd_check(args, out_dir: Path) -> dict:
 
 
 def _channels_from_args(bundle, args):
-    """Monitor q of a 1-mode model or Q = q + q' of a 2-mode model."""
-    n_modes = bundle.model.n_modes
-    if n_modes > 2:
-        raise ValueError(
-            f"the model has {n_modes} modes; the monitor measures q of a "
-            "1-mode model or Q = q + q' of a 2-mode model only")
-    s = models.ROW_Q if n_modes == 2 else np.array([1.0, 0.0])
-    return (conditional.MeasurementChannel(s, args.k, args.eta),)
+    """One channel on the bundle's monitor row, at --k and --eta."""
+    if bundle.monitor is None:
+        raise ValueError(f"{bundle.description} names no row to measure; "
+                         "a model file gives it under \"monitor\"")
+    return (conditional.MeasurementChannel(bundle.monitor, args.k, args.eta),)
 
 
 def _force_coupling(model):
@@ -279,7 +260,7 @@ def _force_from_args(bundle, args):
 
 
 def cmd_simulate(args, out_dir: Path) -> dict:
-    bundle, _ = _build_bundle(args)
+    bundle = _build_bundle(args)
     model = bundle.model
     channels = _channels_from_args(bundle, args) if args.k > 0 else ()
     batch = conditional.simulate_batch(
@@ -331,7 +312,7 @@ def cmd_simulate(args, out_dir: Path) -> dict:
 
 
 def cmd_force(args, out_dir: Path) -> dict:
-    bundle, _ = _build_bundle(args)
+    bundle = _build_bundle(args)
     if args.compare_single and bundle.m is None:
         raise ValueError("--compare-single needs a pair model (pair, "
                          "sideband or spin-hp) to compare with its single "
@@ -348,7 +329,7 @@ def cmd_force(args, out_dir: Path) -> dict:
         )
 
     std = posterior_std(bundle)
-    result = {"model": args.model, "posterior_std": std}
+    result = {"model": bundle.description, "posterior_std": std}
     rows = [[args.k, args.eta, std]]
     header = ["k", "eta", "posterior_std"]
     ok = True
@@ -421,7 +402,7 @@ def cmd_circuit(args, out_dir: Path) -> dict:
     )
     if args.verify:  # before any table is computed or written
         circuits.check_dense_size(circuit.n_bits)
-    tables = [circuits.propagate_z(circuit, j) for j in range(circuit.n_bits)]
+    tables = circuits.propagate_z(circuit)
     rows = []
     for x in range(1 << circuit.n_bits):
         rows.append([x] + [t(x) for t in tables])
@@ -433,7 +414,7 @@ def cmd_circuit(args, out_dir: Path) -> dict:
     payload = {"n_bits": circuit.n_bits, "n_gates": len(circuit.gates)}
     ok = True
     if args.verify:
-        deviation = circuits.dense_oracle_check(circuit)
+        deviation = circuits.dense_oracle_check(circuit, tables)
         payload["dense_deviation"] = deviation
         payload["tolerances"] = {"dense_deviation": 0}
         ok = deviation == 0

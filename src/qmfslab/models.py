@@ -1,8 +1,10 @@
 """Constructors for the concrete back-action-evading model zoo.
 
 Every builder returns a :class:`ModelBundle`: the linear model in the
-physical basis and the observable sets that are known to form
-quantum-mechanics-free subsystems.  The central instance is the
+physical basis, the observable sets that are known to form
+quantum-mechanics-free subsystems, and the other facts a run reads of a
+model.  A model file (``model_to_json``/``model_from_json``) is read as
+a bundle too.  The central instance is the
 positive/negative-mass oscillator pair, where the collective variables
 
     Q = q + q',   P = (p + p')/2,   Phi = (q - q')/2,   Pi = p - p'
@@ -13,6 +15,7 @@ split the dynamics into two commuting oscillator subsystems {Q, Pi} and
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +24,9 @@ from .phase_space import LinearModel, ObservableSet, _check_finite, is_qmfs
 
 __all__ = [
     "ModelBundle",
+    "frequency",
+    "model_to_json",
+    "model_from_json",
     "single_oscillator",
     "oscillator_pair",
     "sideband_model",
@@ -32,15 +38,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """A model plus its known-QMFS candidates, the frequency ``omega`` a
-    force template is tuned to, and the mass ``m`` of the positive-mass
-    oscillator of the pair the model maps to (None: it maps to none)."""
+    """A model and every fact a run reads of it.
+
+    - ``qmfs_sets``: observable sets declared to be QMFS, each checked
+      here with ``is_qmfs``.
+    - ``omega``: the frequency a force template is tuned to.
+    - ``m``: the mass of the positive-mass oscillator of the pair the
+      model maps to (None: it maps to none).
+    - ``monitor``: the row s whose s.x ``simulate --k`` and ``force``
+      measure (None: the model names none, and a monitored run is bad
+      input).  It has 2 n_modes finite entries, not all zero.
+    - ``observables``: sets ``check`` reports on beside ``qmfs_sets``,
+      with no QMFS claim.
+    """
 
     model: LinearModel
     qmfs_sets: tuple
     description: str
     omega: float = 1.0
     m: float | None = None
+    monitor: np.ndarray | None = None
+    observables: tuple = ()
 
     def __post_init__(self):
         for obs in self.qmfs_sets:
@@ -50,6 +68,34 @@ class ModelBundle:
                     f"declared QMFS set {obs.labels} fails the commutation "
                     f"test (residual {verdict.max_residual:.3g})"
                 )
+        if self.monitor is not None:
+            object.__setattr__(self, "monitor",
+                               _monitor_row(self.monitor, self.model.dim))
+
+
+def _monitor_row(row, dim: int) -> np.ndarray:
+    """``row`` as a read-only float array, or ValueError naming monitor."""
+    try:
+        s = np.array(row, dtype=float)
+    except (TypeError, ValueError):
+        s = None
+    if s is None or s.shape != (dim,):
+        raise ValueError(f"monitor must be a list of {dim} numbers, "
+                         f"got {row!r}")
+    _check_finite(monitor=s)
+    if not s.any():
+        raise ValueError("monitor must be nonzero")
+    s.setflags(write=False)
+    return s
+
+
+def _q_and_p() -> ObservableSet:
+    return ObservableSet(np.eye(2), ("q", "p"))
+
+
+def frequency(model: LinearModel) -> float:
+    """The largest |Im lambda(A)|, or 1 when A has no oscillating mode."""
+    return float(np.max(np.abs(np.linalg.eigvals(model.A).imag))) or 1.0
 
 
 def rebased_model(model: LinearModel, T: np.ndarray) -> LinearModel:
@@ -91,6 +137,8 @@ def single_oscillator(m: float, omega: float, hbar: float = 1.0) -> ModelBundle:
         qmfs_sets=(),
         description=f"{sign}-mass oscillator, m={m}, omega={omega}",
         omega=omega,
+        monitor=np.array([1.0, 0.0]),
+        observables=(_q_and_p(),),
     )
 
 
@@ -118,7 +166,7 @@ def oscillator_pair(m: float, omega: float, hbar: float = 1.0) -> ModelBundle:
     - p'^2/2m - m w^2 q'^2/2.  The basis (Q, P, Phi, Pi) = PAIR_TRANSFORM x
     turns H into P Pi / m + m w^2 Phi Q, so {Q, Pi} and {Phi, P} are each
     a closed harmonic-oscillator subsystem.  The force port drives p of
-    the positive-mass oscillator.
+    the positive-mass oscillator, and the monitor measures Q.
     """
     _check_oscillator_params(m, omega, hbar)
     if m <= 0:
@@ -137,6 +185,7 @@ def oscillator_pair(m: float, omega: float, hbar: float = 1.0) -> ModelBundle:
         description=f"positive/negative-mass oscillator pair, m={m}, omega={omega}",
         omega=omega,
         m=m,
+        monitor=ROW_Q,
     )
 
 
@@ -200,6 +249,59 @@ def spin_pair_hp(gamma_B0: float, hbar: float = 1.0) -> ModelBundle:
         description=f"Holstein-Primakoff spin pair, Larmor frequency "
                     f"{gamma_B0}",
     )
+
+
+def model_to_json(model: LinearModel, observables: ObservableSet = None,
+                  monitor=None) -> str:
+    """A model file: the model, and the observable set and monitor row
+    when given.  ``model_from_json`` reads it back."""
+    doc = {
+        "n_modes": model.n_modes,
+        "hbar": model.hbar,
+        "G": model.G.tolist(),
+        "force_couplings": [b.tolist() for b in model.force_couplings],
+    }
+    if observables is not None:
+        doc["observables"] = [
+            {"label": lab, "s": row.tolist()}
+            for lab, row in zip(observables.labels, observables.S)
+        ]
+    if monitor is not None:
+        doc["monitor"] = np.asarray(monitor, dtype=float).tolist()
+    return json.dumps(doc, indent=2)
+
+
+def model_from_json(text: str, description: str = "model file") -> ModelBundle:
+    """The bundle of a model file.
+
+    Keys: ``n_modes``, ``G`` (the 2n x 2n Hamiltonian matrix), and
+    optionally ``hbar`` (1), ``force_couplings`` (none), ``observables``
+    (a list of {"label", "s"} rows, one set) and ``monitor`` (2n
+    numbers).  A file declares no QMFS set and maps to no pair; its
+    ``omega`` is ``frequency(model)``.  A 1-mode file without
+    ``monitor`` measures q, and one without ``observables`` checks
+    (q, p); a larger file has neither default.
+    """
+    doc = json.loads(text)
+    model = LinearModel(
+        n_modes=int(doc["n_modes"]),
+        hbar=float(doc.get("hbar", 1.0)),
+        G=np.asarray(doc["G"], dtype=float),
+        force_couplings=tuple(doc.get("force_couplings", [])),
+    )
+    one_mode = model.n_modes == 1
+    monitor = doc.get("monitor")
+    if monitor is None and one_mode:
+        monitor = [1.0, 0.0]
+    observables = ()
+    if doc.get("observables"):
+        rows = [entry["s"] for entry in doc["observables"]]
+        labels = tuple(entry["label"] for entry in doc["observables"])
+        observables = (ObservableSet(np.asarray(rows, dtype=float), labels),)
+    elif one_mode:
+        observables = (_q_and_p(),)
+    return ModelBundle(model, (), description, omega=frequency(model),
+                       monitor=monitor, observables=observables)
 
 
 BUILDERS = {

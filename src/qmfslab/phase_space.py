@@ -20,7 +20,6 @@ S A^i Omega (A^T)^j S^T = 0 for 0 <= i, j <= 2n-1, which is what
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -38,8 +37,6 @@ __all__ = [
     "two_time_commutator",
     "commutator_from_propagators",
     "is_qmfs",
-    "model_to_json",
-    "model_from_json",
 ]
 
 # expm(A t) is trusted (rel err <= 1e-12) only up to this norm; larger
@@ -342,39 +339,3 @@ def is_qmfs(model: LinearModel, obs: ObservableSet, tol: float = 1e-12) -> QmfsV
     if worst < tol:
         return QmfsVerdict(True, worst, None)
     return QmfsVerdict(False, worst, witness)
-
-
-def model_to_json(model: LinearModel, observables: ObservableSet = None) -> str:
-    """Serialize a model (and optional observable set) as a JSON document."""
-    doc = {
-        "n_modes": model.n_modes,
-        "hbar": model.hbar,
-        "G": model.G.tolist(),
-        "force_couplings": [b.tolist() for b in model.force_couplings],
-    }
-    if observables is not None:
-        doc["observables"] = [
-            {"label": lab, "s": row.tolist()}
-            for lab, row in zip(observables.labels, observables.S)
-        ]
-    return json.dumps(doc, indent=2)
-
-
-def model_from_json(text: str):
-    """Inverse of :func:`model_to_json`.
-
-    Returns (model, observables); observables is None when absent.
-    """
-    doc = json.loads(text)
-    model = LinearModel(
-        n_modes=int(doc["n_modes"]),
-        hbar=float(doc.get("hbar", 1.0)),
-        G=np.asarray(doc["G"], dtype=float),
-        force_couplings=tuple(doc.get("force_couplings", [])),
-    )
-    obs = None
-    if "observables" in doc and doc["observables"]:
-        rows = [entry["s"] for entry in doc["observables"]]
-        labels = tuple(entry["label"] for entry in doc["observables"])
-        obs = ObservableSet(np.asarray(rows, dtype=float), labels)
-    return model, obs

@@ -26,9 +26,8 @@ from qmfslab.cli import (
     main,
     parse_args,
 )
+from qmfslab.models import model_from_json, model_to_json
 from qmfslab.phase_space import (
-    model_from_json,
-    model_to_json,
     transfer_matrix,
     trusted_horizon,
     two_time_commutator,
@@ -100,7 +99,8 @@ class TestCheck:
         out = tmp_path / "run"
         assert main(["--out", str(out), "check", "--model-file",
                      str(fixture)]) == EXIT_OK
-        model, obs = model_from_json(fixture.read_text())
+        bundle = model_from_json(fixture.read_text())
+        model, (obs,) = bundle.model, bundle.observables
         ts = np.linspace(0.0, _grid_horizon(model), 20)
         expected = max(
             float(np.max(np.abs(two_time_commutator(model, obs, t, tp))))
@@ -128,7 +128,7 @@ class TestCappedGrid:
     @pytest.mark.parametrize("model", ["single", "pair", "sideband"])
     def test_accepted_over_omega(self, model):
         for omega in np.linspace(5.0, 40.0, 200):
-            bundle, _ = _build_bundle(parse_args(
+            bundle = _build_bundle(parse_args(
                 ["check", "--model", model, "--omega", repr(float(omega))]))
             transfer_matrix(bundle.model,
                             np.linspace(0.0, _grid_horizon(bundle.model), 20))
@@ -400,6 +400,23 @@ class TestForce:
                          "--T", "5"]) == EXIT_OK
         assert ((tmp_path / "file" / "force.csv").read_bytes()
                 == (tmp_path / "single" / "force.csv").read_bytes())
+
+    def test_summary_names_the_model_that_ran(self, tmp_path):
+        # a model file is named as the file, not as the default --model
+        fixture = tmp_path / "single.json"
+        fixture.write_text(json.dumps(
+            {"n_modes": 1, "hbar": 1.0, "G": [[9.0, 0.0], [0.0, 1.0]],
+             "force_couplings": [[0.0, 1.0]]}))
+        runs = {f"model from {fixture}": ["--model-file", str(fixture)],
+                "positive-mass oscillator, m=1.0, omega=3.0":
+                    ["--model", "single", "--omega", "3"],
+                "positive/negative-mass oscillator pair, m=1.0, omega=1.0":
+                    ["--model", "pair"]}
+        for i, (name, argv) in enumerate(runs.items()):
+            out = tmp_path / f"run{i}"
+            assert main(["--out", str(out), "force", *argv,
+                         "--T", "2"]) == EXIT_OK
+            assert read_summary(out)["force"]["model"] == name
 
     @pytest.mark.parametrize("model, flags, pair_flags", [
         ("sideband", ["--omega", "1.5"], ["--m", "1", "--omega", "1.5"]),
@@ -673,6 +690,35 @@ class TestCircuit:
         lines = (out / "truth_tables.csv").read_text().strip().splitlines()
         assert len(lines) == 9
 
+    def test_one_permutation_per_table_and_per_oracle(self, tmp_path,
+                                                      monkeypatch):
+        # the truth tables of every bit come from one permutation, and
+        # the dense oracle builds its U from one more
+        from qmfslab import circuits
+
+        circuit = circuits.random_circuit(8, 64, np.random.default_rng(7))
+        circ = tmp_path / "eight.txt"
+        circ.write_text(circuit.to_text())
+        calls = []
+        honest = circuits.circuit_permutation
+
+        def counted(c):
+            calls.append(c)
+            return honest(c)
+
+        monkeypatch.setattr(circuits, "circuit_permutation", counted)
+        argv = ["--out", str(tmp_path / "run"), "circuit", "--file", str(circ)]
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 1
+        tables = circuits.propagate_z(circuit)
+        calls.clear()
+        assert circuits._dense_deviations(circuit, tables) == (0, 0, 0)
+        assert len(calls) == 1
+        calls.clear()
+        assert main([*argv, "--verify"]) == EXIT_OK
+        assert read_summary(tmp_path / "run")["dense_deviation"] == 0
+        assert len(calls) == 2
+
     def test_missing_file_is_bad_input(self, tmp_path):
         out = tmp_path / "run"
         code = main(
@@ -905,8 +951,7 @@ class TestModelChoices:
             "check", "--model", name, "--m", "2", "--omega", "1.5",
             "--hbar", "0.5", "--gamma-b0", "0.7",
         ])
-        bundle, observables = _build_bundle(args)
-        assert observables is None
+        bundle = _build_bundle(args)
         expected = self.EXPECTED[name](args)
         assert bundle.description == expected.description
         assert np.array_equal(bundle.model.G, expected.model.G)
@@ -992,10 +1037,7 @@ class TestConfig:
 
 class TestModelFile:
     def test_model_fixture_round_trip(self, tmp_path):
-        from qmfslab.models import oscillator_pair
-        from qmfslab.phase_space import model_to_json
-
-        bundle = oscillator_pair(1.0, 1.0)
+        bundle = models.oscillator_pair(1.0, 1.0)
         fixture = tmp_path / "model.json"
         fixture.write_text(model_to_json(bundle.model, bundle.qmfs_sets[0]))
         out = tmp_path / "run"
@@ -1071,23 +1113,106 @@ class TestModelFile:
 
     @pytest.mark.parametrize("command", ["simulate", "force"])
     def test_monitor_needs_one_or_two_modes(self, tmp_path, capsys, command):
-        # the monitor measures q or Q = q + q'; a 4-pair model has neither
-        G = np.kron(np.eye(4), np.diag([1.0, 1.0, -1.0, -1.0]))
-        force_b = np.zeros(16)
-        force_b[1] = 1.0
+        # only a 1-mode file has a default monitor row (q): a 2-mode
+        # file (once measured as Q = q + q') and a 4-pair file need the
+        # "monitor" key, and without it exit 2 on one line naming it
+        for n_pairs in (1, 4):
+            d = 4 * n_pairs
+            G = np.kron(np.eye(n_pairs), np.diag([1.0, 1.0, -1.0, -1.0]))
+            fixture = tmp_path / f"pairs_{n_pairs}.json"
+            fixture.write_text(json.dumps(
+                {"n_modes": 2 * n_pairs, "hbar": 1.0, "G": G.tolist(),
+                 "force_couplings": [np.eye(d)[1].tolist()]}))
+            out = tmp_path / f"run_{n_pairs}"
+            assert main(["--out", str(out), command, "--model-file",
+                         str(fixture), "--T", "0.1"]) == EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert err == (f"error: model from {fixture} names no row to "
+                           "measure; a model file gives it under "
+                           "\"monitor\"\n")
+            assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "force"])
+    def test_pair_file_with_monitor_writes_the_pair_bytes(self, tmp_path,
+                                                          command):
+        # the pair builder's model and monitor row, read from a file,
+        # give the builder's CSVs byte for byte
+        bundle = models.oscillator_pair(1.0, 1.0)
+        fixture = tmp_path / "pair.json"
+        fixture.write_text(model_to_json(bundle.model, monitor=models.ROW_Q))
+        argv = {"simulate": ["simulate", "--k", "2", "--T", "0.5",
+                             "--batch", "2", "--force-amp", "1"],
+                "force": ["force", "--T", "2"]}[command]
+        runs = {"file": ["--model-file", str(fixture)],
+                "pair": ["--model", "pair"]}
+        for name, model in runs.items():
+            assert main(["--out", str(tmp_path / name), "--seed", "3",
+                         *argv, *model]) == EXIT_OK
+        names = sorted(f.name for f in (tmp_path / "pair").glob("*.csv"))
+        assert names == sorted(f.name for f in (tmp_path / "file").glob("*.csv"))
+        assert len(names) == (4 if command == "simulate" else 1)
+        for name in names:
+            assert ((tmp_path / "file" / name).read_bytes()
+                    == (tmp_path / "pair" / name).read_bytes())
+
+    def test_four_pairs_simulated_with_a_monitor_row(self, tmp_path):
+        # monitoring pair 0's Q squeezes its (Q, Pi) block below the
+        # Heisenberg product, as for the 2-mode pair
+        doc = four_pairs("collective")
+        d = 4 * 4
+        q, pi = np.zeros(d), np.zeros(d)
+        q[[0, 2]] = 1.0
+        pi[[1, 3]] = [1.0, -1.0]
+        doc["monitor"] = q.tolist()
         fixture = tmp_path / "four_pairs.json"
-        fixture.write_text(json.dumps(
-            {"n_modes": 8, "hbar": 1.0, "G": G.tolist(),
-             "force_couplings": [force_b.tolist()]}))
+        fixture.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "simulate", "--model-file",
+                     str(fixture), "--k", "2", "--T", "2"]) == EXIT_OK
+        header, *rows = (out / "covariance_0000.csv").read_text().splitlines()
+        time_, *values = (float(x) for x in rows[-1].split(","))
+        assert time_ == 2.0
+        V = np.zeros((d, d))
+        V[np.triu_indices(d)] = values
+        V = V + np.triu(V, 1).T
+        S = np.array([q, pi])
+        assert np.linalg.det(S @ V @ S.T) < 0.25  # (hbar / 2)^2
+        trajectory = (out / "trajectory_0000.csv").read_text()
+        assert trajectory.splitlines()[0].endswith(",mean_15,yrecord_0")
+
+    def test_unmonitored_run_needs_no_monitor_row(self, tmp_path):
+        fixture = tmp_path / "four_pairs.json"
+        fixture.write_text(json.dumps(four_pairs("collective")))
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "simulate", "--model-file",
+                     str(fixture), "--k", "0", "--T", "0.1"]) == EXIT_OK
+        assert (out / "trajectory_0000.csv").exists()
+
+    @pytest.mark.parametrize("monitor, message", [
+        ([1.0, 0.0], "monitor must be a list of 4 numbers, got [1.0, 0.0]"),
+        ([[1.0, 0.0, 1.0, 0.0]],
+         "monitor must be a list of 4 numbers, got [[1.0, 0.0, 1.0, 0.0]]"),
+        (1.0, "monitor must be a list of 4 numbers, got 1.0"),
+        (["q", 0.0, 1.0, 0.0],
+         "monitor must be a list of 4 numbers, got ['q', 0.0, 1.0, 0.0]"),
+        ([0.0, 0.0, 0.0, 0.0], "monitor must be nonzero"),
+        ([1.0, 0.0, math.nan, 0.0],
+         "monitor must be finite, got nan at entry [2]"),
+        ([1.0, math.inf, 1.0, 0.0],
+         "monitor must be finite, got inf at entry [1]"),
+    ], ids=["short", "nested", "number", "text", "zero", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["check", "simulate", "force"])
+    def test_bad_monitor_is_bad_input(self, tmp_path, capsys, monitor,
+                                      message, command):
+        doc = json.loads(model_to_json(models.oscillator_pair(1, 1).model))
+        fixture = tmp_path / "pair.json"
+        fixture.write_text(json.dumps({**doc, "monitor": monitor}))
+        # the file is rejected as it is read, before any run
         out = tmp_path / "run"
         assert main(["--out", str(out), command, "--model-file",
-                     str(fixture), "--T", "0.1"]) == EXIT_BAD_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith("error: the model has 8 modes;")
-        assert "1-mode" in err and "2-mode" in err
-        assert "Traceback" not in err
+                     str(fixture)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "summary.json").exists()
-
 
     # a 1-mode model with no force port
     NO_COUPLING = {"n_modes": 1, "hbar": 1.0, "G": [[1.0, 0.0], [0.0, 1.0]]}

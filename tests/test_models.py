@@ -18,6 +18,7 @@ from qmfslab.models import (
     spin_pair_hp,
 )
 from qmfslab.phase_space import (
+    LinearModel,
     ObservableSet,
     is_qmfs,
     symplectic_form,
@@ -249,3 +250,77 @@ class TestModelBundle:
 
     def test_builder_registry(self):
         assert set(models.BUILDERS) == {"single", "pair", "sideband", "spin-hp"}
+
+    @pytest.mark.parametrize("build, monitor, observables", [
+        (lambda: single_oscillator(-2.0, 3.0), [1.0, 0.0], ("q", "p")),
+        (lambda: oscillator_pair(2.0, 3.0), ROW_Q, None),
+        (lambda: sideband_model(3.0), ROW_Q, None),
+        (lambda: spin_pair_hp(4.0), ROW_Q, None),
+    ], ids=["single", "pair", "sideband", "spin-hp"])
+    def test_monitor_row_and_checked_sets(self, build, monitor, observables):
+        # the rows the CLI once picked by mode count: q for one mode,
+        # Q = q + q' for the pairs; check adds (q, p) for one mode only
+        b = build()
+        assert np.array_equal(b.monitor, monitor)
+        assert not b.monitor.flags.writeable
+        if observables is None:
+            assert b.observables == ()
+        else:
+            (obs,) = b.observables
+            assert obs.labels == observables
+            assert np.array_equal(obs.S, np.eye(2))
+
+    @pytest.mark.parametrize("monitor, message", [
+        ([1.0, 0.0], "monitor must be a list of 4 numbers"),
+        (np.zeros(4), "monitor must be nonzero"),
+        ([1.0, 0.0, NAN, 0.0], "monitor must be finite, got nan at entry"),
+    ])
+    def test_bad_monitor_rejected(self, monitor, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ModelBundle(oscillator_pair(1.0, 1.0).model, (), "pair",
+                        monitor=monitor)
+
+    def test_no_monitor_by_default(self):
+        b = ModelBundle(oscillator_pair(1.0, 1.0).model, (), "pair")
+        assert b.monitor is None and b.observables == ()
+
+
+class TestModelFile:
+    def test_monitor_round_trip(self):
+        model = oscillator_pair(1.0, 2.0).model
+        back = models.model_from_json(
+            models.model_to_json(model, monitor=ROW_PI), "pair file")
+        assert np.array_equal(back.monitor, ROW_PI)
+        assert back.description == "pair file"
+        assert back.observables == back.qmfs_sets == ()
+        assert back.m is None
+
+    def test_no_monitor_key_written_without_a_row(self):
+        assert "monitor" not in models.model_to_json(single_oscillator(
+            1.0, 1.0).model)
+
+    def test_defaults_of_a_one_mode_file(self):
+        # q is measured and (q, p) checked, as for the single oscillator
+        text = models.model_to_json(single_oscillator(1.0, 3.0).model)
+        back = models.model_from_json(text)
+        single = single_oscillator(1.0, 3.0)
+        assert np.array_equal(back.monitor, single.monitor)
+        ((obs,), (expected,)) = back.observables, single.observables
+        assert obs.labels == expected.labels
+        assert np.array_equal(obs.S, expected.S)
+
+    def test_no_defaults_past_one_mode(self):
+        back = models.model_from_json(
+            models.model_to_json(oscillator_pair(1.0, 1.0).model))
+        assert back.monitor is None and back.observables == ()
+
+    @pytest.mark.parametrize("G, omega", [
+        (np.diag([9.0, 1.0]), 3.0),
+        (np.diag([1.0, 0.0]), 1.0),  # no oscillating mode: omega = 1
+        (np.kron(np.eye(2), np.diag([4.0, 1.0])), 2.0),
+    ])
+    def test_omega_is_the_largest_frequency(self, G, omega):
+        model = LinearModel(len(G) // 2, 1.0, G)
+        back = models.model_from_json(models.model_to_json(model))
+        assert back.omega == pytest.approx(omega, rel=1e-15)
+        assert back.omega == models.frequency(model)

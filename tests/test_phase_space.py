@@ -14,13 +14,12 @@ from qmfslab.phase_space import (
     build_drift,
     expm,
     is_qmfs,
-    model_from_json,
-    model_to_json,
     symplectic_form,
     transfer_matrix,
     trusted_horizon,
     two_time_commutator,
 )
+from qmfslab.models import model_from_json, model_to_json
 
 
 def single_osc(m=1.0, omega=1.0, hbar=1.0):
@@ -438,15 +437,16 @@ class TestIsQmfs:
 class TestJsonRoundTrip:
     def test_round_trip(self):
         model = single_osc(2.0, 0.7, hbar=0.5)
-        back, obs = model_from_json(model_to_json(model))
-        assert np.allclose(back.G, model.G)
-        assert back.hbar == model.hbar
-        assert obs is None
+        back = model_from_json(model_to_json(model))
+        assert np.allclose(back.model.G, model.G)
+        assert back.model.hbar == model.hbar
+        # a 1-mode file without observables checks (q, p)
+        assert [obs.labels for obs in back.observables] == [("q", "p")]
 
     def test_observables_round_trip(self):
         model = single_osc()
         obs = ObservableSet(np.array([[1.0, 0.0]]), ("q",))
-        back_model, back_obs = model_from_json(model_to_json(model, obs))
+        (back_obs,) = model_from_json(model_to_json(model, obs)).observables
         assert back_obs.labels == ("q",)
         assert np.array_equal(back_obs.S, obs.S)
 
@@ -456,7 +456,7 @@ class TestJsonRoundTrip:
             G=np.diag([1.0, 1.0]),
             force_couplings=(np.array([0.0, 1.0]),),
         )
-        back, _ = model_from_json(model_to_json(model))
+        back = model_from_json(model_to_json(model)).model
         assert len(back.force_couplings) == 1
         assert np.array_equal(back.force_couplings[0], [0.0, 1.0])
 
