@@ -403,13 +403,11 @@ def cmd_circuit(args, out_dir: Path) -> dict:
     if args.verify:  # before any table is computed or written
         circuits.check_dense_size(circuit.n_bits)
     tables = circuits.propagate_z(circuit)
-    rows = []
-    for x in range(1 << circuit.n_bits):
-        rows.append([x] + [t(x) for t in tables])
     _write_csv(
         out_dir / "truth_tables.csv",
         ["input"] + [f"f_{j}" for j in range(circuit.n_bits)],
-        rows,
+        np.column_stack([np.arange(1 << circuit.n_bits),
+                         *(t.table for t in tables)]),
     )
     payload = {"n_bits": circuit.n_bits, "n_gates": len(circuit.gates)}
     ok = True

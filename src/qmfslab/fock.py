@@ -69,6 +69,8 @@ the ``eigh``.
 Both decisions read the factors, so a zero is exactly zero, but they
 are term by term: terms that cancel only in their sum are not seen, and
 such an H takes the slower path that does not need the symmetry.
+The propagator's one product, ``evolve_rows``, is what
+``commutator_residual`` reads: kept rows of the evolved observables.
 
 Truncation is trusted only on the low-excitation core: the product
 states with fewer than ``core_levels`` quanta in every mode.
@@ -346,31 +348,28 @@ def _check_hermitian(defect: float, scale: float) -> None:
 
 
 class HeisenbergPropagator:
-    """Caches the eigendecomposition H = V diag(E) V+ for repeated
-    evaluations at many times: operators O(t), their kept rows, and
-    states psi(t).
+    """H = V diag(E) V+ of a ``KronOperator`` H, kept for ``evolve_rows``.
 
-    ``H`` is a dense Hermitian matrix, diagonalized as given by ``eigh``,
-    or a ``KronOperator``, for which the gauge and the parity are decided
-    on its factors.  With a gauge u (``real_gauge``), ``vectors`` are
-    the real eigenvectors V~ of u H u*, ``phases`` is u, and every
-    method applies u to its input and u* to its output, so V = diag(u*) V~
-    is never formed.  With a mode parity that anticommutes with H
-    (``chiral_parity``), only the coupling blocks B = H[even, odd] and
-    C = H[odd, even] between the mode's even and odd classes are formed.
-    The other two blocks are exactly zero, so ||H - H+||_F is
-    sqrt 2 ||C - B+||_F and ||H||_F is (||B||^2 + ||C||^2)^(1/2): the
-    same Hermiticity check, at 1e-12 relative, as on the dense H.  One
-    SVD (B + C+)/2 = U diag(s) W+ then replaces the ``eigh``: each
-    singular triple gives the eigenpairs (u, +w) / sqrt 2 at +s and
-    (u, -w) / sqrt 2 at -s, and the left singular vectors past the odd
-    class's size (the even class is larger at an odd level count) are
-    the E = 0 eigenvectors (u, 0) (Golub & Kahan, SIAM J. Numer. Anal. B
-    2, 205, 1965).  The propagator keeps U, s and W, and ``evolve_rows``
-    applies V and V+ through them (``_ChiralBasis``): two products of
-    half the width each, about half the work of one product with V.  The
-    dim x dim V is assembled only when ``vectors``, ``evolve`` or
-    ``evolve_state`` is used.
+    The gauge and the parity are decided on H's factors; a dense H is a
+    one-mode operator, ``KronOperator.on_mode(H, 0, TruncationSpec(n, 1))``.
+    With a gauge u (``real_gauge``) the eigenvectors are the real V~ of
+    u H u*, ``phases`` is u, and ``evolve_rows`` applies u to each
+    observable's factors and u* to the rows it returns, so
+    V = diag(u*) V~ is never formed.  With a mode parity that
+    anticommutes with H (``chiral_parity``), only the coupling blocks
+    B = H[even, odd] and C = H[odd, even] between the mode's even and odd
+    classes are formed.  The other two blocks are exactly zero, so
+    ||H - H+||_F is sqrt 2 ||C - B+||_F and ||H||_F is
+    (||B||^2 + ||C||^2)^(1/2): the same Hermiticity check, at 1e-12
+    relative, as on the dense H.  One SVD (B + C+)/2 = U diag(s) W+ then
+    replaces the ``eigh``: each singular triple gives the eigenpairs
+    (u, +w) / sqrt 2 at +s and (u, -w) / sqrt 2 at -s, and the left
+    singular vectors past the odd class's size (the even class is larger
+    at an odd level count) are the E = 0 eigenvectors (u, 0) (Golub &
+    Kahan, SIAM J. Numer. Anal. B 2, 205, 1965).  The propagator keeps
+    U, s and W, and ``evolve_rows`` applies V and V+ through them
+    (``_ChiralBasis``): two products of half the width each, about half
+    the work of one product with V, and no dim x dim V.
 
     Without a parity the dense H (real in the gauge) is checked,
     symmetrized and diagonalized by ``eigh``.  The check and the
@@ -378,13 +377,8 @@ class HeisenbergPropagator:
     dim x dim temporary to H and its eigenvectors.
     """
 
-    def __init__(self, H, hbar: float = 1.0):
+    def __init__(self, H: KronOperator, hbar: float = 1.0):
         self.hbar = hbar
-        self.phases = None
-        if isinstance(H, np.ndarray):
-            self.energies, V = np.linalg.eigh(H)
-            self._basis = _DenseBasis(V)
-            return
         H, self.phases = real_gauge(H)
         mode = chiral_parity(H)
         if mode is None:
@@ -393,59 +387,35 @@ class HeisenbergPropagator:
         else:
             self.energies, self._basis = _chiral_eigh(H, mode)
 
-    @functools.cached_property
-    def vectors(self) -> np.ndarray:
-        """The eigenvectors V, one column per entry of ``energies``;
-        assembled at the first use on the chiral path."""
-        return self._basis.dense()
-
-    def _phase(self, t: float) -> np.ndarray:
-        return np.exp(1j * self.energies * t / self.hbar)
-
-    def evolve(self, O: np.ndarray, t: float) -> np.ndarray:
-        """O(t) = exp(iHt/hbar) O exp(-iHt/hbar) for a dense O."""
-        V, u = self.vectors, self.phases
-        if u is not None:
-            O = u[:, None] * O * u.conj()
-        phase = self._phase(t)
-        Otil = V.conj().T @ O @ V
-        Ot = V @ (Otil * np.outer(phase, phase.conj())) @ V.conj().T
-        return Ot if u is None else u.conj()[:, None] * Ot * u
-
-    def evolve_rows(self, O: KronOperator, t_grid, keep) -> np.ndarray:
-        """Rows ``keep`` of O(t) at every t of ``t_grid``, as an array of
-        shape (len(t_grid), k, dim), from thin products only.
+    def evolve_rows(self, observables, t_grid, keep) -> list:
+        """Rows ``keep`` of O(t) = exp(iHt/hbar) O exp(-iHt/hbar) for each
+        O of ``observables`` at every t of ``t_grid``: one array of shape
+        (len(t_grid), k, dim) per observable, from thin products only.
 
         With A_t = V[keep] phase(t) the rows are
-        (((A_t V+) O) V phase(t)*) V+.  The A_t of all times are stacked,
-        so each V stage is one (len(t_grid) k) x dim by dim x dim
-        product instead of one per time (two of half the width on the
-        chiral path); O is applied term by term on its factors, each
-        contracted on its own mode, so no dim x dim observable exists.
-        A real V is multiplied by the real and imaginary parts
-        separately, never cast to complex, and a complex V's product
-        X V+ is formed as (V X+)+, so no dim x dim copy of V is made.
+        (((A_t V+) O) V phase(t)*) V+.  The first stage A_t V+ does not
+        depend on O and is formed once for all observables.  The A_t of
+        all times are stacked, so each V stage is one
+        (len(t_grid) k) x dim by dim x dim product instead of one per time
+        (two of half the width on the chiral path); O is applied term by
+        term on its factors, each contracted on its own mode, so no
+        dim x dim observable exists.  A real V is multiplied by the real
+        and imaginary parts separately, never cast to complex, and a
+        complex V's product X V+ is formed as (V X+)+, so no dim x dim
+        copy of V is made.
         """
         basis, u = self._basis, self.phases
-        if u is not None:
-            O = _gauged(O)
         Vk = basis.rows(keep)
         k, dim = Vk.shape
         phase = np.exp(1j * np.outer(t_grid, self.energies) / self.hbar)
-        A = (Vk * phase[:, None, :]).reshape(-1, dim)
-        W = _times_kron(basis.times_adjoint(A), O)
-        X = basis.times(W).reshape(-1, k, dim) * phase.conj()[:, None, :]
-        rows = basis.times_adjoint(X.reshape(-1, dim)).reshape(-1, k, dim)
-        return rows if u is None else u[keep].conj()[:, None] * rows * u
-
-    def evolve_state(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """psi(t) = exp(-iHt/hbar) psi."""
-        V, u = self.vectors, self.phases
-        if u is not None:
-            psi = u * psi
-        phase = np.exp(-1j * self.energies * t / self.hbar)
-        out = V @ (phase * (V.conj().T @ psi))
-        return out if u is None else u.conj() * out
+        AV = basis.times_adjoint((Vk * phase[:, None, :]).reshape(-1, dim))
+        out = []
+        for O in observables:
+            W = _times_kron(AV, O if u is None else _gauged(O))
+            X = basis.times(W).reshape(-1, k, dim) * phase.conj()[:, None, :]
+            rows = basis.times_adjoint(X.reshape(-1, dim)).reshape(-1, k, dim)
+            out.append(rows if u is None else u[keep].conj()[:, None] * rows * u)
+        return out
 
 
 def _symmetrized(Hd: np.ndarray) -> np.ndarray:
@@ -471,9 +441,6 @@ class _DenseBasis:
 
     def __init__(self, V: np.ndarray):
         self._V = V
-
-    def dense(self) -> np.ndarray:
-        return self._V
 
     def rows(self, keep) -> np.ndarray:
         """V[keep, :]."""
@@ -502,17 +469,6 @@ class _ChiralBasis:
         self.U, self.W, self.odd = U, W, odd
         self.even = ~odd
         self.k = W.shape[1]
-
-    def dense(self) -> np.ndarray:
-        """The dim x dim V."""
-        U, W, k = self.U, self.W, self.k
-        half = np.sqrt(0.5)
-        V = np.zeros((self.odd.size,) * 2, dtype=np.result_type(U, W))
-        V[self.even, :k] = V[self.even, k:2 * k] = half * U[:, :k]
-        V[self.even, 2 * k:] = U[:, k:]
-        V[self.odd, :k] = half * W
-        V[self.odd, k:2 * k] = -half * W
-        return V
 
     def rows(self, keep) -> np.ndarray:
         """V[keep, :], as the kept rows of the identity times V: exact,
@@ -728,9 +684,11 @@ def commutator_residual(
     Hermitian (1e-10 relative, Frobenius) on its factors.  For Hermitian
     evolved operators A, B the core block of AB - BA only needs the kept
     rows R = A[keep, :]: it equals R_A R_B+ - R_B R_A+.  The rows come
-    from ``HeisenbergPropagator.evolve_rows``, once per observable for
-    the whole time grid: thin (kept rows x times) x dim products with the
-    one eigendecomposition of H, never a dim x dim observable.  The
+    from one ``HeisenbergPropagator.evolve_rows`` call for all
+    observables and the whole time grid, which forms the
+    observable-independent first stage once: thin (kept rows x times) x
+    dim products with the one eigendecomposition of H, never a dim x dim
+    observable.  The
     propagator decides on H's factors whether a gauge makes H real and
     whether a mode parity halves it (real eigenvectors from one SVD of a
     coupling block, applied through its factors, so no dim x dim V is
@@ -750,7 +708,7 @@ def commutator_residual(
             raise ValueError("observables must be Hermitian")
     prop = HeisenbergPropagator(H, hbar)
     keep = core_mask(H.spec)
-    rows = [R for O in O_set for R in prop.evolve_rows(O, t_grid, keep)]
+    rows = [R for R_O in prop.evolve_rows(O_set, t_grid, keep) for R in R_O]
     C = [RA @ RB.conj().T - RB @ RA.conj().T
          for i, RA in enumerate(rows) for RB in rows[i:]]
     return float(np.max(np.linalg.norm(np.array(C), 2, axis=(1, 2))))

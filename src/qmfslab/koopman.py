@@ -44,14 +44,6 @@ def _flat_terms(terms) -> tuple:
     return tuple((coef, a, b) for ((a,), (b,)), coef in terms)
 
 
-def _value(terms, Q, Pi):
-    """sum coef Q^a Pi^b over flat ``terms``, in order from 0.0."""
-    total = 0.0
-    for coef, a, b in terms:
-        total = total + coef * Q ** a * Pi ** b
-    return total
-
-
 @dataclass(frozen=True)
 class ClassicalFlow:
     """Velocity field (f, -g); f and g are M=1 polynomial term tuples
@@ -67,9 +59,6 @@ class ClassicalFlow:
         object.__setattr__(self, "_f", _flat_terms(self.f))
         object.__setattr__(self, "_g", _flat_terms(self.g))
 
-    def velocity(self, Q, Pi):
-        return _value(self._f, Q, Pi), -_value(self._g, Q, Pi)
-
 
 def _n_steps(T: float, dt: float) -> int:
     """Number of equal RK4 steps over [0, T] nearest to step size dt."""
@@ -84,8 +73,8 @@ def _rk4_sweep(flow: ClassicalFlow, Q, Pi, T: float, n_steps: int,
     times, Qs, Ps = [t], [Q], [Pi]
     f, g = flow._f, flow._g
     half, sixth = h / 2, h / 6
-    # velocity (f, -g) at the four stages, written out: the operations of
-    # ``ClassicalFlow.velocity`` in its order, without its calls
+    # velocity (f, -g) at the four stages, written out: each a sum of
+    # coef Q^a Pi^b over the flat terms, in order from 0.0
     for _ in range(n_steps):
         k1q = k1p = 0.0
         for c, a, b in f:

@@ -280,13 +280,27 @@ def model_from_json(text: str, description: str = "model file") -> ModelBundle:
     numbers).  A file declares no QMFS set and maps to no pair; its
     ``omega`` is ``frequency(model)``.  A 1-mode file without
     ``monitor`` measures q, and one without ``observables`` checks
-    (q, p); a larger file has neither default.
+    (q, p); a larger file has neither default.  A missing required key,
+    or an ``n_modes`` that is not an integer >= 1, raises a ValueError
+    naming ``description`` and the key.
     """
     doc = json.loads(text)
+
+    def need(entry, key, where=""):
+        """``entry[key]``, else a ValueError naming the file and the key."""
+        if not isinstance(entry, dict) or key not in entry:
+            raise ValueError(f"{description}{where} has no {key!r}")
+        return entry[key]
+
+    n_modes = need(doc, "n_modes")
+    # type, not isinstance: json reads true as a bool, an int subclass
+    if type(n_modes) is not int or n_modes < 1:
+        raise ValueError(f"{description}: 'n_modes' must be an integer "
+                         f">= 1, got {n_modes!r}")
     model = LinearModel(
-        n_modes=int(doc["n_modes"]),
+        n_modes=n_modes,
         hbar=float(doc.get("hbar", 1.0)),
-        G=np.asarray(doc["G"], dtype=float),
+        G=np.asarray(need(doc, "G"), dtype=float),
         force_couplings=tuple(doc.get("force_couplings", [])),
     )
     one_mode = model.n_modes == 1
@@ -295,8 +309,10 @@ def model_from_json(text: str, description: str = "model file") -> ModelBundle:
         monitor = [1.0, 0.0]
     observables = ()
     if doc.get("observables"):
-        rows = [entry["s"] for entry in doc["observables"]]
-        labels = tuple(entry["label"] for entry in doc["observables"])
+        entries = list(enumerate(doc["observables"]))
+        rows = [need(entry, "s", f": observable {i}") for i, entry in entries]
+        labels = tuple(need(entry, "label", f": observable {i}")
+                       for i, entry in entries)
         observables = (ObservableSet(np.asarray(rows, dtype=float), labels),)
     elif one_mode:
         observables = (_q_and_p(),)

@@ -15,6 +15,7 @@ One test per headline claim, each asserting the stated tolerance:
 
 import numpy as np
 import pytest
+from dense_reference import DenseEvolution
 
 from qmfslab import circuits, fock, koopman, models, spins
 from qmfslab.cli import EXIT_OK, main as cli_main
@@ -105,12 +106,12 @@ class TestCriterion2TwoTimeCommutators:
     def test_fock_oracle_q_p_cosine(self):
         # [Q(t), P(t')] = i hbar cos(t - t') on the trusted core
         spec, H, obs = pair_fock_setup(n_levels=20, core_levels=6)
-        prop = fock.HeisenbergPropagator(H)
+        ref = DenseEvolution(H.dense())
         keep = fock.core_mask(spec)
         ts = np.linspace(0.0, 10.0, 8)
         Q, P = obs["Q"].dense(), obs["P"].dense()
-        Qt = {t: prop.evolve(Q, t) for t in ts}
-        Pt = {t: prop.evolve(P, t) for t in ts}
+        Qt = {t: ref.evolve(Q, t) for t in ts}
+        Pt = {t: ref.evolve(P, t) for t in ts}
         eye = np.eye(spec.dim)
         worst = 0.0
         for t in ts:
@@ -262,9 +263,7 @@ class TestCriterion6NonlinearKoopman:
         pi0 = expval(Pi, psi)
         var_pi = expval(Pi @ Pi, psi) - pi0**2
 
-        prop = fock.HeisenbergPropagator(H)
-        V, E = prop.vectors, prop.energies
-        c = V.conj().T @ psi
+        ref = DenseEvolution(H)
 
         nodes, w = np.polynomial.hermite_e.hermegauss(11)
         Qg, Pg = np.meshgrid(
@@ -277,7 +276,7 @@ class TestCriterion6NonlinearKoopman:
         flow = koopman.ClassicalFlow(self.F_POLY, self.G_POLY, dt=1e-3)
 
         for t in (0.5, 1.0, 1.5, 2.0):
-            psit = V @ (np.exp(-1j * E * t) * c)
+            psit = ref.evolve_state(psi, t)
             exact = expval(Q, psit)
             _, mean, _ = koopman.transport_density(
                 flow, samples, t, weights=weights

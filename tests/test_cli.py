@@ -1081,6 +1081,43 @@ class TestModelFile:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"n_modes": 1.5}, ": 'n_modes' must be an integer >= 1, got 1.5"),
+        ({"n_modes": "2"}, ": 'n_modes' must be an integer >= 1, got '2'"),
+        ({"n_modes": True}, ": 'n_modes' must be an integer >= 1, got True"),
+        ({"n_modes": 0}, ": 'n_modes' must be an integer >= 1, got 0"),
+        ({"n_modes": None}, " has no 'n_modes'"),
+        ({"G": None}, " has no 'G'"),
+        ({"observables": [{"s": [1.0, 0.0]}]},
+         ": observable 0 has no 'label'"),
+        ({"observables": [{"label": "q", "s": [1.0, 0.0]}, {"label": "p"}]},
+         ": observable 1 has no 's'"),
+        ({"observables": [5]}, ": observable 0 has no 's'"),
+    ], ids=["n_modes-float", "n_modes-str", "n_modes-bool", "n_modes-zero",
+            "no-n_modes", "no-G", "no-label", "no-s", "number-row"])
+    def test_bad_or_missing_key_is_bad_input(self, tmp_path, capsys, doc,
+                                             message):
+        # one error line naming the file and the key; a None drops the key
+        merged = {**self.NO_COUPLING, **doc}
+        fixture = tmp_path / "model.json"
+        fixture.write_text(json.dumps(
+            {key: value for key, value in merged.items() if value is not None}))
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "check", "--model-file",
+                     str(fixture)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            f"error: model from {fixture}{message}\n")
+        assert not (out / "summary.json").exists()
+
+    def test_file_that_is_no_object_is_bad_input(self, tmp_path, capsys):
+        fixture = tmp_path / "model.json"
+        fixture.write_text("[1, 2]")
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "check", "--model-file",
+                     str(fixture)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            f"error: model from {fixture} has no 'n_modes'\n")
+
     def test_one_mode_checks_q_and_p(self, tmp_path):
         fixture = tmp_path / "one_mode.json"
         fixture.write_text(json.dumps(self.NO_COUPLING))

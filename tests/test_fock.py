@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense_reference import DenseEvolution
 from scipy.linalg import expm
 
 from qmfslab import fock
@@ -103,6 +104,11 @@ def dense_guard_projector(spec):
     for _ in range(spec.n_modes):
         keep = np.kron(keep, keep_single)
     return np.diag(keep)
+
+
+def every_row(spec):
+    """``keep`` for all rows: ``evolve_rows`` gives the whole O(t)."""
+    return np.ones(spec.dim, dtype=bool)
 
 
 def koopman_flow(eps, m=1.0, omega=1.0):
@@ -349,35 +355,38 @@ class TestHeisenbergPropagation:
     def test_identity_at_zero(self):
         spec = TruncationSpec(n_levels=10, n_modes=1)
         H = oscillator_hamiltonian(spec, 1.0, 1.0)
-        q = build_quadrature_ops(spec, ref_scale=1.0)[0][0].dense()
-        assert np.allclose(HeisenbergPropagator(H).evolve(q, 0.0), q,
-                           atol=1e-12)
+        q = build_quadrature_ops(spec, ref_scale=1.0)[0][0]
+        (qt,) = HeisenbergPropagator(H).evolve_rows([q], [0.0],
+                                                    every_row(spec))
+        assert np.allclose(qt[0], q.dense(), atol=1e-12)
 
     def test_oscillator_quadrature_rotation(self):
         # q(t) = q cos wt + p sin wt / (m w), away from the truncation edge
         spec = TruncationSpec(n_levels=30, n_modes=1, core_levels=10)
         m, w = 1.0, 1.0
         H = oscillator_hamiltonian(spec, m, w)
-        q, p = (op.dense()
-                for op in build_quadrature_ops(spec, ref_scale=m * w)[0])
-        prop = HeisenbergPropagator(H)
-        P = dense_guard_projector(spec)
-        for t in (0.3, 1.0, 2.5):
-            qt = prop.evolve(q, t)
-            expected = q * np.cos(w * t) + p * np.sin(w * t) / (m * w)
-            assert np.linalg.norm(P @ (qt - expected) @ P) < 1e-10
+        q, p = build_quadrature_ops(spec, ref_scale=m * w)[0]
+        keep = core_mask(spec)
+        t_grid = (0.3, 1.0, 2.5)
+        (rows,) = HeisenbergPropagator(H).evolve_rows([q], t_grid, keep)
+        for t, qt in zip(t_grid, rows):
+            expected = (q.dense() * np.cos(w * t)
+                        + p.dense() * np.sin(w * t) / (m * w))
+            assert np.linalg.norm((qt - expected[keep])[:, keep]) < 1e-10
 
     def test_propagator_matches_one_shot(self):
         # one-shot reference: conjugation by U = expm(-iHt/hbar)
         spec = TruncationSpec(n_levels=8, n_modes=1)
         H = oscillator_hamiltonian(spec, 1.0, 1.0)
-        q = build_quadrature_ops(spec)[0][0].dense()
+        q = build_quadrature_ops(spec)[0][0]
         U = expm(-1j * H.dense() * 0.7)
-        prop = HeisenbergPropagator(H)
-        assert np.allclose(prop.evolve(q, 0.7), U.conj().T @ q @ U,
-                           atol=1e-12)
+        (qt,) = HeisenbergPropagator(H).evolve_rows([q], [0.7],
+                                                    every_row(spec))
+        assert np.allclose(qt[0], U.conj().T @ q.dense() @ U, atol=1e-12)
 
     def test_kept_rows_match_full_conjugation(self):
+        # a dense complex H with no gauge and no parity, as a one-mode
+        # operator
         rng = np.random.default_rng(3)
         X = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
         H = (X + X.conj().T) / 2
@@ -385,29 +394,31 @@ class TestHeisenbergPropagation:
         O = (Y + Y.conj().T) / 2
         keep = np.zeros(24, dtype=bool)
         keep[[0, 5, 17]] = True
-        prop = HeisenbergPropagator(H)
-        t_grid = (0.0, 0.4, 3.0)
         one_mode = TruncationSpec(n_levels=24, n_modes=1)
-        rows = prop.evolve_rows(KronOperator.on_mode(O, 0, one_mode), t_grid,
-                                keep)
+        prop = HeisenbergPropagator(KronOperator.on_mode(H, 0, one_mode))
+        ref = DenseEvolution(H)
+        t_grid = (0.0, 0.4, 3.0)
+        (rows,) = prop.evolve_rows([KronOperator.on_mode(O, 0, one_mode)],
+                                   t_grid, keep)
         assert rows.shape == (3, 3, 24)
         for t, rows_t in zip(t_grid, rows):
-            full = prop.evolve(O, t)
-            assert np.linalg.norm(rows_t - full[keep]) \
+            assert np.linalg.norm(rows_t - ref.evolve(O, t)[keep]) \
                 < 1e-12 * np.linalg.norm(O)
 
     def test_state_evolution_matches_operator_evolution(self):
-        # <psi(t)| O |psi(t)> = <psi| O(t) |psi>
+        # <psi(t)| q |psi(t)> = <psi| q(t) |psi>, psi(t) from the dense
+        # reference and q(t) from the propagator
         spec = TruncationSpec(n_levels=10, n_modes=1)
         H = oscillator_hamiltonian(spec, 1.0, 1.0)
-        q = build_quadrature_ops(spec)[0][0].dense()
+        q = build_quadrature_ops(spec)[0][0]
         psi = np.zeros(10, dtype=complex)
         psi[[0, 1]] = [0.6, 0.8]
-        prop = HeisenbergPropagator(H)
-        psit = prop.evolve_state(psi, 1.3)
+        psit = DenseEvolution(H.dense()).evolve_state(psi, 1.3)
+        (qt,) = HeisenbergPropagator(H).evolve_rows([q], [1.3],
+                                                    every_row(spec))
         assert np.linalg.norm(psit) == pytest.approx(1.0)
-        assert psit.conj() @ q @ psit == pytest.approx(
-            psi.conj() @ prop.evolve(q, 1.3) @ psi, abs=1e-12
+        assert psit.conj() @ q.dense() @ psit == pytest.approx(
+            psi.conj() @ qt[0] @ psi, abs=1e-12
         )
 
 
@@ -467,17 +478,16 @@ class TestCommutatorResidual:
 
     @staticmethod
     def check_against_full_dense_reference(pk):
-        # reference: full O(t) per time from the complex eigendecomposition,
-        # projected commutators, as before the kept-row products and the
-        # real gauge
+        # reference: full O(t) per time from the complex eigendecomposition
+        # of the dense H, projected commutators
         spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=3)
         H, ops = build_koopman_hamiltonian(pk, spec)
         P0 = build_quadrature_ops(spec)[0][1]
         O_set = [ops["Q"][0], P0, ops["Pi"][0]]
         t_grid = [0.0, 0.5, 1.5]
         P = dense_guard_projector(spec)
-        prop = HeisenbergPropagator(H.dense())
-        evolved = [prop.evolve(O.dense(), t) for O in O_set for t in t_grid]
+        ref = DenseEvolution(H.dense())
+        evolved = [ref.evolve(O.dense(), t) for O in O_set for t in t_grid]
         reference = max(
             np.linalg.norm(P @ (A @ B - B @ A) @ P, 2)
             for A in evolved for B in evolved
@@ -494,6 +504,26 @@ class TestCommutatorResidual:
                              ids=["koopman-eps0.3", "damped"])
     def test_matches_full_dense_reference_other_flows(self, pk):
         self.check_against_full_dense_reference(pk)
+
+    @pytest.mark.parametrize("pk", [koopman_flow(0.1), DAMPED_FLOW],
+                             ids=["chiral", "dense"])
+    def test_first_stage_formed_once_per_call(self, pk, monkeypatch):
+        # A_t V+ does not depend on the observable: one product for all
+        # of them, then one V+ product per observable (2 per observable
+        # when each formed its own first stage)
+        spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=2)
+        H, ops = build_koopman_hamiltonian(pk, spec)
+        O_set = [ops["Q"][0], build_quadrature_ops(spec)[0][1], ops["Pi"][0]]
+        ref = commutator_residual(H, O_set, [0.0, 1.0])
+        calls = {"rows": 0, "times_adjoint": 0}
+        for cls in (fock._DenseBasis, fock._ChiralBasis):
+            for name in calls:
+                def counted(self, X, _method=getattr(cls, name), _name=name):
+                    calls[_name] += 1
+                    return _method(self, X)
+                monkeypatch.setattr(cls, name, counted)
+        assert commutator_residual(H, O_set, [0.0, 1.0]) == ref
+        assert calls == {"rows": 1, "times_adjoint": 1 + len(O_set)}
 
 
 def dense_gauge(H, spec):
@@ -623,31 +653,23 @@ class TestRealGauge:
 
     @staticmethod
     def check_propagators(H, ops, spec, props):
-        ref = HeisenbergPropagator(H.dense(), 0.8)
+        # every row and the kept rows, against the dense reference
+        ref = DenseEvolution(H.dense(), 0.8)
         keep = core_mask(spec)
-        rng = np.random.default_rng(5)
-        psi = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
-        psi /= np.linalg.norm(psi)
         P0 = build_quadrature_ops(spec, hbar=0.8)[0][1]
+        O_set = (ops["Q"][0], ops["Pi"][0], P0)
         t_grid = (0.0, 0.6, 2.3)
         for prop in props:
-            assert np.isrealobj(prop.vectors)
-            for O in (ops["Q"][0], ops["Pi"][0], P0):
+            assert not prop._basis.rows(every_row(spec)).imag.any()
+            kept = prop.evolve_rows(O_set, t_grid, keep)
+            every = prop.evolve_rows(O_set, t_grid, every_row(spec))
+            for O, rows, full_rows in zip(O_set, kept, every, strict=True):
                 Od = O.dense()
                 scale = np.linalg.norm(Od)
-                rows = prop.evolve_rows(O, t_grid, keep)
-                ref_rows = ref.evolve_rows(O, t_grid, keep)
-                assert np.linalg.norm(rows - ref_rows) < 1e-12 * scale
-                for t, rows_t in zip(t_grid, rows):
+                for t, rows_t, full_t in zip(t_grid, rows, full_rows):
                     full = ref.evolve(Od, t)
-                    assert np.linalg.norm(prop.evolve(Od, t) - full) \
-                        < 1e-12 * scale
+                    assert np.linalg.norm(full_t - full) < 1e-12 * scale
                     assert np.linalg.norm(rows_t - full[keep]) < 1e-12 * scale
-            for t in (0.6, 2.3):
-                psit = prop.evolve_state(psi, t)
-                assert np.linalg.norm(psit - ref.evolve_state(psi, t)) < 1e-12
-                assert np.linalg.norm(
-                    psit - expm(-1j * H.dense() * t / 0.8) @ psi) < 1e-12
 
     def test_real_and_complex_residuals_agree_at_24_levels(self, monkeypatch):
         # the converged residual is a near-cancellation: the two
@@ -693,8 +715,10 @@ class TestChiralSplit:
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
         H, _ = build_koopman_hamiltonian(pk, spec)
         prop = HeisenbergPropagator(H)
-        V, E = prop.vectors, prop.energies
-        assert np.isrealobj(V)
+        assert isinstance(prop._basis, fock._ChiralBasis)
+        V, E = prop._basis.rows(every_row(spec)), prop.energies
+        assert not V.imag.any()
+        V = V.real
         if prop.phases is not None:
             V = prop.phases.conj()[:, None] * V
         H = H.dense()
@@ -714,13 +738,14 @@ class TestChiralSplit:
                              ids=["gauged", "real", "mode1"])
     def test_factors_match_the_assembled_vectors(self, pk, n_levels):
         # V and V+ applied through U and W, as evolve_rows does, against
-        # the same products with the assembled V
+        # the same products with V assembled as the rows of the identity;
+        # the rows against the dense reference
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
         H, ops = build_koopman_hamiltonian(pk, spec)
         prop = HeisenbergPropagator(H, 0.8)
         basis = prop._basis
         assert isinstance(basis, fock._ChiralBasis)
-        V = basis.dense()
+        V = basis.rows(every_row(spec))
         rng = np.random.default_rng(7)
         X = rng.normal(size=(6, spec.dim)) + 1j * rng.normal(size=(6, spec.dim))
         assert np.linalg.norm(basis.times(X) - X @ V) < 1e-12 * spec.dim
@@ -728,32 +753,15 @@ class TestChiralSplit:
             < 1e-12 * spec.dim
         keep = core_mask(spec)
         assert np.array_equal(basis.rows(keep), V[keep])
-        assembled = HeisenbergPropagator(H, 0.8)
-        assembled._basis = fock._DenseBasis(V)
+        ref = DenseEvolution(H.dense(), 0.8)
         t_grid = (0.0, 0.6, 2.3)
-        P0 = build_quadrature_ops(spec, hbar=0.8)[0][1]
-        for O in (ops["Q"][0], ops["Pi"][0], P0):
-            rows = prop.evolve_rows(O, t_grid, keep)
-            ref = assembled.evolve_rows(O, t_grid, keep)
-            assert np.linalg.norm(rows - ref) < 1e-12 * np.linalg.norm(
-                O.dense())
-
-    @pytest.mark.parametrize("n_levels", [8, 9])
-    @pytest.mark.parametrize("pk", [koopman_flow(0.1), koopman_flow(0.0),
-                                    MODE1_FLOW],
-                             ids=["gauged", "real", "mode1"])
-    def test_residual_never_assembles_v(self, pk, n_levels, monkeypatch):
-        def refuse(self):
-            raise AssertionError("dim x dim V assembled")
-
-        spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
-        H, ops = build_koopman_hamiltonian(pk, spec)
-        O_set = [ops["Q"][0], ops["Pi"][0]]
-        ref = commutator_residual(H, O_set, np.linspace(0.0, 2.0, 5))
-        monkeypatch.setattr(fock._ChiralBasis, "dense", refuse)
-        assert commutator_residual(H, O_set, np.linspace(0.0, 2.0, 5)) == ref
-        with pytest.raises(AssertionError, match="assembled"):
-            HeisenbergPropagator(H).vectors
+        O_set = (ops["Q"][0], ops["Pi"][0],
+                 build_quadrature_ops(spec, hbar=0.8)[0][1])
+        for O, rows in zip(O_set, prop.evolve_rows(O_set, t_grid, keep)):
+            Od = O.dense()
+            for t, rows_t in zip(t_grid, rows):
+                assert np.linalg.norm(rows_t - ref.evolve(Od, t)[keep]) \
+                    < 1e-12 * np.linalg.norm(Od)
 
     def test_split_and_eigh_residuals_agree_at_24_levels(self, monkeypatch):
         spec = TruncationSpec(n_levels=24, n_modes=2, core_levels=2)

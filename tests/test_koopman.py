@@ -33,11 +33,16 @@ DUFFING_FLOW = ClassicalFlow(
 
 class TestClassicalFlow:
     def test_velocity_sign_convention(self):
-        # dQ/dt = f, dPi/dt = -g
-        flow = harmonic_flow()
-        vq, vp = flow.velocity(2.0, 3.0)
-        assert vq == pytest.approx(3.0)
-        assert vp == pytest.approx(-2.0)
+        # dQ/dt = f = Pi, dPi/dt = -g = -Q: one step of the harmonic flow
+        # from (2, 3) against the rotation Q + i Pi -> (Q + i Pi) e^(-it);
+        # a flipped sign is off by ~4 h
+        h = 1e-3
+        _, Qs, Ps = integrate(harmonic_flow(), 2.0, 3.0, T=h, dt=h)
+        assert len(Qs) == 2
+        assert Qs[-1] == pytest.approx(2.0 * np.cos(h) + 3.0 * np.sin(h),
+                                       abs=1e-14)
+        assert Ps[-1] == pytest.approx(3.0 * np.cos(h) - 2.0 * np.sin(h),
+                                       abs=1e-14)
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):

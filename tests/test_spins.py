@@ -4,9 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from dense_reference import DenseEvolution
 
 from qmfslab import spins
-from qmfslab.fock import HeisenbergPropagator
 from qmfslab.models import spin_pair_hp
 from qmfslab.phase_space import transfer_matrix
 from qmfslab.spins import (
@@ -23,7 +23,8 @@ from qmfslab.spins import (
 class DensePair:
     """The dense product-space construction, kept as an oracle for small
     J0: six kron operators on the product space, a dense H and its
-    eigendecomposition, commutators as dense matrix products.
+    eigendecomposition (``DenseEvolution``), commutators as dense matrix
+    products.
 
     ``H`` defaults to -gamma B0 (Jz + J'z); pass another diagonal H to
     check the single-spin path on energies that are not linear in M.
@@ -42,7 +43,7 @@ class DensePair:
             H = -pair.gamma_B0 * (self.ops["Jz"] + self.ops["Jz2"])
         self.H = H
         self.Q = (self.ops["Jx"] + self.ops["Jx2"]) / np.sqrt(pair.J0)
-        self.propagator = HeisenbergPropagator(H, pair.hbar)
+        self.propagator = DenseEvolution(H, pair.hbar)
 
     def commutator(self, t, t_prime):
         Qt = self.propagator.evolve(self.Q, t)
