@@ -25,6 +25,17 @@ Kenney & Leipnik, IEEE TAC 30, 962, 1985).  Each V thus comes from an
 exact propagator over at most K steps, so rounding does not build up
 step by step.
 
+The conditional means take Euler-Maruyama steps
+mu_{n+1} = (I + A dt) mu_n + c_n, c_n the force push and the channels'
+kicks.  Within one block of the covariance grid that recursion is affine
+with one constant matrix, so the sweep runs it as a prefix scan: a block
+of k steps takes ceil(log2(k + 1)) rounds of one product each, for all
+trajectories at once (Hillis & Steele, CACM 29, 1170, 1986; Blelloch,
+"Prefix sums and their applications", 1990).  The scan's matrices are
+the powers of I + A dt less I, each of 2-norm at most e - 1 since
+K dt ||A||_2 <= 1, and its means lie as close to the exact recursion as
+a step-by-step loop's.
+
 A force F(t) = c.z(t) is the output of a linear generator z' = W z, so
 waveform estimation appends z, scaled by the unknown amplitude, to the
 state and runs the Kalman filter over that time-invariant model; this
@@ -402,10 +413,32 @@ def _conditional_sweep(model, state0, channels, force, dt, T, seeds, cov_stride)
 
     The covariance flow and the force samples are seed-independent, so
     one covariance grid (_covariance_grid) serves every trajectory.  It
-    comes in blocks of K steps; within a block the gains V s, the noise
-    kicks and the force pushes are formed for all steps at once, the
-    means, a (dim, n_traj) matrix, take their Euler-Maruyama steps one
-    by one, and the block's records come from its means in one product.
+    comes in blocks of K steps.  Within a block the Euler-Maruyama step
+    of the means is affine with one matrix P = I + A dt,
+
+        mu_{j+1} = P mu_j + c_j,
+        c_j = b F_j dt + sum_c sqrt(4 k eta) (V_j s) dW_j,
+
+    so the block is a Hillis-Steele prefix scan.  Its buffer holds
+    x[0] = mu at the block's start and x[j + 1] = c_j, the force push
+    and then each channel's kick summed in that order, for every
+    trajectory at once.  The round of shift s adds P^s x[j - s] to every
+    x[j], j >= s, in one product, x[s:] += x[:-s] + N_s x[:-s] with
+    N_s = P^s - I; the rounds s = 1, 2, 4, ... while s <= k (s = k
+    included: k = 1 and k = 2 need it) leave x[j] = mu_j,
+    ceil(log2(k + 1)) rounds for k steps.
+
+    The powers are kept as increments, N_1 = A dt and
+    N_2s = 2 N_s + N_s N_s, never as I + N_s: rounding 1 + delta on the
+    diagonal drops delta's low bits, an error every block would repeat.
+    They are bounded: K dt ||H||_2 <= 1 for the flow's Hamiltonian
+    matrix H, and A is a block of H, so s dt ||A||_2 <= 1 for s <= K
+    (when dt ||H||_2 > 1, K = 1 and dt ||A||_2 <= MAX_STEP_NORM), and
+    ||N_s||_2 <= (1 + dt ||A||_2)^s - 1 <= e - 1.  The means lie within
+    a few 1e-15 of max |mu| of the exact recursion, as close as the
+    step-by-step loop.  The block's records come from its means in one
+    product.
+
     Trajectory i draws its noise from the streams keyed by seeds[i].
     Returns (times, means, records, cov_times, covs) with means
     (n_traj, n_steps + 1, dim), records (n_traj, n_steps, n_channels)
@@ -426,6 +459,12 @@ def _conditional_sweep(model, state0, channels, force, dt, T, seeds, cov_stride)
     d = model.dim
     A = model.A
     K, blocks = _covariance_grid(A, *_flow_terms(model, channels), dt, n_steps)
+    # N_T[r] = N_s^T for the round of shift s = 2^r, every s <= K
+    N = A * dt
+    N_T = [N.T]
+    while 2 ** len(N_T) <= K:
+        N = 2 * N + N @ N
+        N_T.append(N.T)
 
     # (n_steps, n_ch, n_traj): one contiguous row of increments per step
     dW = np.stack(
@@ -443,30 +482,29 @@ def _conditional_sweep(model, state0, channels, force, dt, T, seeds, cov_stride)
     covs = [state0.cov[None]]
     if force is not None:
         F = force.samples(dt, n_steps, K)
-    mus = np.empty((K + 1, d, n_traj))  # the means over one block
-    mus[0] = state0.mean[:, None]
+    x = np.empty((K + 1, n_traj, d))  # the scan buffer of one block
+    x[0] = state0.mean
     V = state0.cov
     for n0, Vs in blocks(V):
         k = len(Vs)
         steps = slice(n0, n0 + k)
         # step n's gain uses V_n: the block's start, then all rows but its last
         V_n = np.concatenate([V[None], Vs[:-1]])
-        # what each step adds to (A mu) dt, in order: the force push,
-        # then the kick of each channel
-        terms = [(scales[c] * (V_n @ ch.s))[:, :, None] * dW[steps, c, None]
-                 for c, ch in enumerate(channels)]
+        c = x[1:k + 1]
+        c[...] = 0.0
         if force is not None:
-            terms.insert(0, force.b[:, None] * (F[steps] * dt)[:, None, None])
-        for j in range(k):
-            dmu = A @ mus[j]
-            dmu *= dt
-            for term in terms:
-                dmu += term[j]
-            np.add(mus[j], dmu, out=mus[j + 1])
-        means[:, n0 + 1:n0 + k + 1] = mus[1:k + 1].transpose(2, 0, 1)
+            c += (F[steps] * dt)[:, None, None] * force.b
+        for i, ch in enumerate(channels):
+            c += (scales[i] * (V_n @ ch.s))[:, None, :] * dW[steps, i, :, None]
+        s = 1
+        for NT in N_T[:k.bit_length()]:  # the shifts s <= k
+            head = x[:k + 1 - s]
+            x[s:k + 1] += head + (head.reshape(-1, d) @ NT).reshape(head.shape)
+            s *= 2
+        means[:, n0 + 1:n0 + k + 1] = c.transpose(1, 0, 2)
         records[:, steps] = (means[:, steps] @ S.T) * dt
         records[:, steps] += dW[steps].transpose(2, 0, 1) / scales
-        mus[0] = mus[k]
+        x[0] = x[k]
         covs.append(Vs[is_cov[n0 + 1:n0 + k + 1]])
         V = Vs[-1]
 
@@ -521,10 +559,11 @@ def simulate_batch(
     """Monte Carlo ensemble of conditional trajectories.
 
     Trajectory i uses noise streams keyed by (master_seed, i, channel),
-    identical to evolve_conditional with seed = (master_seed, i).  Means
-    are propagated as one matrix per step and one covariance sweep
-    serves every seed, which is what makes hundred-seed ensembles
-    cheap.  Per-step means take n_traj x (n_steps + 1) x dim x 8 bytes.
+    identical to evolve_conditional with seed = (master_seed, i), bit
+    for bit.  The means of all seeds advance together, a block of steps
+    per scan, and one covariance sweep serves every seed, which is what
+    makes hundred-seed ensembles cheap.  Per-step means take
+    n_traj x (n_steps + 1) x dim x 8 bytes.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

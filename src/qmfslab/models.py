@@ -73,15 +73,21 @@ class ModelBundle:
                                _monitor_row(self.monitor, self.model.dim))
 
 
-def _monitor_row(row, dim: int) -> np.ndarray:
-    """``row`` as a read-only float array, or ValueError naming monitor."""
+def _row(row, dim: int, name: str) -> np.ndarray:
+    """``row`` as a float array of ``dim`` entries, or ValueError naming it."""
     try:
         s = np.array(row, dtype=float)
     except (TypeError, ValueError):
         s = None
     if s is None or s.shape != (dim,):
-        raise ValueError(f"monitor must be a list of {dim} numbers, "
+        raise ValueError(f"{name} must be a list of {dim} numbers, "
                          f"got {row!r}")
+    return s
+
+
+def _monitor_row(row, dim: int) -> np.ndarray:
+    """``row`` as a read-only float array, or ValueError naming monitor."""
+    s = _row(row, dim, "monitor")
     _check_finite(monitor=s)
     if not s.any():
         raise ValueError("monitor must be nonzero")
@@ -281,8 +287,9 @@ def model_from_json(text: str, description: str = "model file") -> ModelBundle:
     ``omega`` is ``frequency(model)``.  A 1-mode file without
     ``monitor`` measures q, and one without ``observables`` checks
     (q, p); a larger file has neither default.  A missing required key,
-    or an ``n_modes`` that is not an integer >= 1, raises a ValueError
-    naming ``description`` and the key.
+    an ``n_modes`` that is not an integer >= 1, or a ``force_couplings``,
+    ``observables`` or ``monitor`` row that is not 2n numbers raises a
+    ValueError naming ``description`` and the key (and the row's index).
     """
     doc = json.loads(text)
 
@@ -297,23 +304,45 @@ def model_from_json(text: str, description: str = "model file") -> ModelBundle:
     if type(n_modes) is not int or n_modes < 1:
         raise ValueError(f"{description}: 'n_modes' must be an integer "
                          f">= 1, got {n_modes!r}")
+    dim = 2 * n_modes
+
+    def listed(key):
+        """``doc[key]``, [] when absent, else a ValueError if no list."""
+        entries = doc.get(key)
+        if entries is None:
+            return []
+        if not isinstance(entries, list):
+            raise ValueError(f"{description}: {key} must be a list, "
+                             f"got {entries!r}")
+        return entries
+
+    def rows(key, entries):
+        """Each entry as 2 n_modes floats, else a ValueError naming the
+        file, ``key`` and the entry's index."""
+        return [_row(entry, dim, f"{description}: {key} row {i}")
+                for i, entry in enumerate(entries)]
+
     model = LinearModel(
         n_modes=n_modes,
         hbar=float(doc.get("hbar", 1.0)),
         G=np.asarray(need(doc, "G"), dtype=float),
-        force_couplings=tuple(doc.get("force_couplings", [])),
+        force_couplings=tuple(
+            rows("force_couplings", listed("force_couplings"))),
     )
     one_mode = model.n_modes == 1
     monitor = doc.get("monitor")
     if monitor is None and one_mode:
         monitor = [1.0, 0.0]
+    elif monitor is not None:
+        monitor = _row(monitor, dim, f"{description}: monitor")
     observables = ()
-    if doc.get("observables"):
-        entries = list(enumerate(doc["observables"]))
-        rows = [need(entry, "s", f": observable {i}") for i, entry in entries]
+    entries = list(enumerate(listed("observables")))
+    if entries:
+        S = rows("observables", [need(entry, "s", f": observable {i}")
+                                 for i, entry in entries])
         labels = tuple(need(entry, "label", f": observable {i}")
                        for i, entry in entries)
-        observables = (ObservableSet(np.asarray(rows, dtype=float), labels),)
+        observables = (ObservableSet(np.array(S), labels),)
     elif one_mode:
         observables = (_q_and_p(),)
     return ModelBundle(model, (), description, omega=frequency(model),

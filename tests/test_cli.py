@@ -1093,8 +1093,24 @@ class TestModelFile:
         ({"observables": [{"label": "q", "s": [1.0, 0.0]}, {"label": "p"}]},
          ": observable 1 has no 's'"),
         ({"observables": [5]}, ": observable 0 has no 's'"),
+        # a row of the wrong length names the key, the row and 2 n_modes
+        ({"observables": [{"label": "q", "s": [1.0, 0.0]},
+                          {"label": "p", "s": [1.0]}]},
+         ": observables row 1 must be a list of 2 numbers, got [1.0]"),
+        ({"observables": [{"label": "q", "s": [1.0, 0.0, 0.0]}]},
+         ": observables row 0 must be a list of 2 numbers, got [1.0, 0.0, 0.0]"),
+        ({"observables": [{"label": "q", "s": [[1.0, 0.0]]}]},
+         ": observables row 0 must be a list of 2 numbers, got [[1.0, 0.0]]"),
+        ({"force_couplings": [[0.0, 1.0], [1.0]]},
+         ": force_couplings row 1 must be a list of 2 numbers, got [1.0]"),
+        ({"monitor": [1.0]}, ": monitor must be a list of 2 numbers, got [1.0]"),
+        ({"observables": 5}, ": observables must be a list, got 5"),
+        ({"force_couplings": 5}, ": force_couplings must be a list, got 5"),
     ], ids=["n_modes-float", "n_modes-str", "n_modes-bool", "n_modes-zero",
-            "no-n_modes", "no-G", "no-label", "no-s", "number-row"])
+            "no-n_modes", "no-G", "no-label", "no-s", "number-row",
+            "observable-short", "observable-long", "observable-nested",
+            "coupling-short", "monitor-short", "observables-number",
+            "couplings-number"])
     def test_bad_or_missing_key_is_bad_input(self, tmp_path, capsys, doc,
                                              message):
         # one error line naming the file and the key; a None drops the key
@@ -1226,12 +1242,13 @@ class TestModelFile:
         assert (out / "trajectory_0000.csv").exists()
 
     @pytest.mark.parametrize("monitor, message", [
-        ([1.0, 0.0], "monitor must be a list of 4 numbers, got [1.0, 0.0]"),
-        ([[1.0, 0.0, 1.0, 0.0]],
-         "monitor must be a list of 4 numbers, got [[1.0, 0.0, 1.0, 0.0]]"),
-        (1.0, "monitor must be a list of 4 numbers, got 1.0"),
-        (["q", 0.0, 1.0, 0.0],
-         "monitor must be a list of 4 numbers, got ['q', 0.0, 1.0, 0.0]"),
+        ([1.0, 0.0],
+         "{file}: monitor must be a list of 4 numbers, got [1.0, 0.0]"),
+        ([[1.0, 0.0, 1.0, 0.0]], "{file}: monitor must be a list of 4 "
+                                 "numbers, got [[1.0, 0.0, 1.0, 0.0]]"),
+        (1.0, "{file}: monitor must be a list of 4 numbers, got 1.0"),
+        (["q", 0.0, 1.0, 0.0], "{file}: monitor must be a list of 4 numbers, "
+                               "got ['q', 0.0, 1.0, 0.0]"),
         ([0.0, 0.0, 0.0, 0.0], "monitor must be nonzero"),
         ([1.0, 0.0, math.nan, 0.0],
          "monitor must be finite, got nan at entry [2]"),
@@ -1248,6 +1265,7 @@ class TestModelFile:
         out = tmp_path / "run"
         assert main(["--out", str(out), command, "--model-file",
                      str(fixture)]) == EXIT_BAD_INPUT
+        message = message.format(file=f"model from {fixture}")
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "summary.json").exists()
 

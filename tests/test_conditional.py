@@ -271,8 +271,8 @@ class TestSimulateBatch:
             traj = evolve_conditional(
                 model, st, ch, force=drive, dt=1e-3, T=0.3, seed=(9, i)
             )
-            assert np.allclose(batch.records[i], traj.records, atol=1e-12)
-            assert np.allclose(batch.means[i, -1], traj.means[-1], atol=1e-10)
+            assert np.array_equal(batch.records[i], traj.records)
+            assert np.array_equal(batch.means[i], traj.means)
 
     def test_covariance_is_seed_independent(self):
         model = free_mass()
@@ -300,7 +300,8 @@ def reference_trajectory(model, state0, channels, force, dt, T, seed,
                          cov_stride):
     """One trajectory at a time, as a plain loop over steps.
 
-    The reference the batched sweep must match bit for bit.  V_n and the
+    The step-by-step Euler-Maruyama loop the sweep once ran, held to the
+    same distance from the exact recursion as the sweep.  V_n and the
     force blocks come from the engine's covariance grid.  Returns
     (means, records, cov_times, covs).
     """
@@ -347,6 +348,46 @@ def reference_trajectory(model, state0, channels, force, dt, T, seed,
     return means, records, times[np.array(cov_idx)], covs
 
 
+def exact_trajectory(model, state0, channels, force, dt, T, seed):
+    """The Euler-Maruyama recursion of one trajectory in 50-digit arithmetic.
+
+    Its inputs are the engine's floats: V_n from the covariance grid,
+    dW from the noise streams, F from the force samples.  From there on
+    every sum and product carries 50 digits, so this is the recursion
+    itself, not one rounding of it.  Returns (means, records) as floats.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    n_steps = int(round(T / dt))
+    K, blocks = _covariance_grid(model.A, *_flow_terms(model, channels), dt,
+                                 n_steps)
+    grid = [state0.cov] + [V for _, Vs in blocks(state0.cov) for V in Vs]
+    dW = _noise_increments(seed, len(channels), n_steps, dt)
+    F = force.samples(dt, n_steps, K) if force is not None else None
+    with mpmath.workdps(50):
+        mp = np.vectorize(mpmath.mpf, otypes=[object])
+        h = mpmath.mpf(dt)
+        A = mp(model.A) * h
+        S = [mp(ch.s) for ch in channels]
+        scales = [mpmath.sqrt(4 * mpmath.mpf(ch.k) * mpmath.mpf(ch.eta))
+                  for ch in channels]
+        mu = mp(state0.mean)
+        means, records = [mu], []
+        for n in range(n_steps):
+            V = mp(grid[n])
+            w = mp(dW[n])
+            mu_next = mu + A.dot(mu)
+            if force is not None:
+                mu_next += mp(force.b) * (mpmath.mpf(F[n]) * h)
+            for s, scale, w_c in zip(S, scales, w):
+                mu_next += V.dot(s) * (scale * w_c)
+            records.append([s.dot(mu) * h + w_c / scale
+                            for s, scale, w_c in zip(S, scales, w)])
+            mu = mu_next
+            means.append(mu)
+        to_float = np.vectorize(float, otypes=[float])
+        return to_float(np.array(means)), to_float(np.array(records))
+
+
 def driven_pair():
     model = models.oscillator_pair(1.0, 1.0).model
     ch = (MeasurementChannel(models.ROW_Q, 2.0, 1.0),)
@@ -358,44 +399,91 @@ def undriven_free_mass():
     return free_mass(), (pos_channel(3.0, 0.7),), None
 
 
-class TestSweepMatchesReferenceLoop:
-    CASES = [
-        pytest.param(driven_pair, id="pair-sinusoid"),
-        pytest.param(undriven_free_mass, id="free-mass-no-force"),
-    ]
+def pair_at(k):
+    model, _, drive = driven_pair()
+    return lambda: (model, (MeasurementChannel(models.ROW_Q, k, 1.0),), drive)
 
-    @pytest.mark.parametrize("case", CASES)
+
+def driven_single_oscillator():
+    model = models.single_oscillator(1.0, 1.0).model
+    drive = ForceDrive.constant(model.force_couplings[0], 0.5)
+    return model, (pos_channel(3.0, 0.7),), drive
+
+
+class TestSweepMatchesReferenceLoop:
+    # (case, T, block size K).  The scan runs ceil(log2(k + 1)) rounds
+    # over a block of k steps; a block whose k is a power of two (every
+    # block at K = 1 and K = 2, the last block of 2 steps at K = 999)
+    # needs the round of shift k itself.  Every T but the K = 1 case's
+    # ends on a partial block.
+    CASES = [
+        pytest.param(driven_pair, 0.3, 62, id="pair-sinusoid"),
+        pytest.param(undriven_free_mass, 0.3, 119, id="free-mass-no-force"),
+        pytest.param(pair_at(1e4), 0.3, 1, id="pair-K1"),
+        pytest.param(pair_at(45.0), 0.301, 2, id="pair-K2"),
+        pytest.param(driven_single_oscillator, 0.3, 117, id="single-K117"),
+        pytest.param(pair_at(1e-4), 2.0, 999, id="pair-K999"),
+    ]
+    # Distance to the exact recursion, relative to the largest |mu| (or
+    # |dy|) of the trajectory, set from float64 rounding over a few
+    # thousand steps.  Measured over these cases: the means 2.4e-16 to
+    # 2.0e-15 for the scan and 3.5e-16 to 2.3e-15 for the plain loop,
+    # the records at most 1.3e-15 and 1.7e-15.  A scan that skips the
+    # round of shift s = k misses whole steps on a block of k = 1 or 2.
+    BOUND = 1e-14
+
+    def assert_near_exact(self, means, records, exact):
+        exact_means, exact_records = exact
+        for got, ref in ((means, exact_means), (records, exact_records)):
+            assert np.max(np.abs(got - ref)) <= self.BOUND * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case, T, K", CASES)
+    def test_block_size(self, case, T, K):
+        model, ch, _ = case()
+        n_steps = int(round(T / 1e-3))
+        assert _covariance_grid(model.A, *_flow_terms(model, ch), 1e-3,
+                                n_steps)[0] == K
+        assert K == 1 or n_steps % K
+
+    @pytest.mark.parametrize("case, T, K", CASES)
     @pytest.mark.parametrize("cov_stride", [1, 7])
-    def test_evolve_conditional(self, case, cov_stride):
+    def test_evolve_conditional(self, case, T, K, cov_stride):
         model, ch, drive = case()
         st = vacuum_state(model)
         traj = evolve_conditional(model, st, ch, force=drive, dt=1e-3,
-                                  T=0.3, seed=(5, 1), cov_stride=cov_stride)
+                                  T=T, seed=(5, 1), cov_stride=cov_stride)
         means, records, cov_times, covs = reference_trajectory(
-            model, st, ch, drive, 1e-3, 0.3, (5, 1), cov_stride
+            model, st, ch, drive, 1e-3, T, (5, 1), cov_stride
         )
-        assert np.array_equal(traj.means, means)
-        assert np.array_equal(traj.records, records)
+        exact = exact_trajectory(model, st, ch, drive, 1e-3, T, (5, 1))
+        self.assert_near_exact(traj.means, traj.records, exact)
+        self.assert_near_exact(means, records, exact)
+        assert np.array_equal(traj.times, np.arange(traj.times.size) * 1e-3)
         assert np.array_equal(traj.cov_times, cov_times)
         assert np.array_equal(traj.covs, covs)
 
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("case, T, K", CASES)
     @pytest.mark.parametrize("cov_stride", [1, 7])
-    def test_every_batch_row(self, case, cov_stride):
+    def test_every_batch_row(self, case, T, K, cov_stride):
         model, ch, drive = case()
         st = vacuum_state(model)
-        batch = simulate_batch(model, st, ch, drive, dt=1e-3, T=0.3,
+        batch = simulate_batch(model, st, ch, drive, dt=1e-3, T=T,
                                master_seed=9, n_traj=5, cov_stride=cov_stride)
+        assert np.array_equal(batch.times, np.arange(batch.times.size) * 1e-3)
         for i in range(5):
             means, records, cov_times, covs = reference_trajectory(
-                model, st, ch, drive, 1e-3, 0.3, (9, i), cov_stride
+                model, st, ch, drive, 1e-3, T, (9, i), cov_stride
             )
-            assert np.array_equal(batch.means[i], means)
-            assert np.array_equal(batch.means[i, -1], means[-1])
-            assert np.array_equal(batch.records[i], records)
+            exact = exact_trajectory(model, st, ch, drive, 1e-3, T, (9, i))
+            self.assert_near_exact(batch.means[i], batch.records[i], exact)
+            self.assert_near_exact(means, records, exact)
             assert np.array_equal(batch.cov_times, cov_times)
             assert np.array_equal(batch.covs, covs)
-            assert np.array_equal(batch.covs[-1], covs[-1])
+            # a batch of one is row i, bit for bit
+            traj = evolve_conditional(model, st, ch, force=drive, dt=1e-3,
+                                      T=T, seed=(9, i), cov_stride=cov_stride)
+            assert np.array_equal(batch.means[i], traj.means)
+            assert np.array_equal(batch.records[i], traj.records)
 
 
 def rk4_riccati_rhs(model, channels):
