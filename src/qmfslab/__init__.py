@@ -41,7 +41,6 @@ from .conditional import (
     Trajectory,
     backaction_diffusion,
     evolve_conditional,
-    steady_covariance,
 )
 from .circuits import BoolFunc, ReversibleCircuit
 

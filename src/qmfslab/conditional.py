@@ -13,10 +13,10 @@ measured observable; when s belongs to a commuting closed subsystem,
 the conjugate never feeds back and the projected back-action vanishes
 identically.
 
-Every covariance flow (trajectories, fixed horizons, the steady state,
-the force filter) advances through one engine that is exact at any step
-size, the restarted linear-fractional (Davison-Maki) propagator.  On a
-grid of steps h it works in blocks of K steps, K the largest with
+Every covariance flow (trajectories, fixed horizons, the force filter)
+advances through one engine that is exact at any step size, the
+restarted linear-fractional (Davison-Maki) propagator.  On a grid of
+steps h it works in blocks of K steps, K the largest with
 K h ||H||_2 <= 1 for the Hamiltonian matrix H of the flow (and at most
 MAX_BLOCK_STEPS): one stacked expm gives expm(k h H) for k = 1..K, each
 block applies them all to its start in one batched solve, and the next
@@ -63,12 +63,9 @@ __all__ = [
     "Trajectory",
     "BatchResult",
     "ForceEstimate",
-    "RiccatiDivergenceError",
     "EstimationError",
     "backaction_diffusion",
-    "riccati_rhs",
     "riccati_evolve",
-    "steady_covariance",
     "evolve_conditional",
     "simulate_batch",
     "estimate_force_batch",
@@ -81,14 +78,7 @@ __all__ = [
 
 MAX_STEP_NORM = 0.1  # reject Euler steps with ||A|| dt above this
 MAX_BLOCK_STEPS = 1000  # bounds the stacked propagators and block temporaries
-
-
-class RiccatiDivergenceError(RuntimeError):
-    """Covariance flow failed to reach stationarity; carries .last_V."""
-
-    def __init__(self, message, last_V):
-        super().__init__(message)
-        self.last_V = last_V
+PRIOR_VAR = 1e4  # amplitude prior variance of both force estimators
 
 
 class EstimationError(RuntimeError):
@@ -123,13 +113,11 @@ def vacuum_state(model: LinearModel) -> GaussianState:
     return GaussianState(np.zeros(d), (model.hbar / 2) * np.eye(d))
 
 
-def is_physical_cov(
-    cov: np.ndarray, Omega: np.ndarray, hbar: float, tol: float = 1e-10
-) -> bool:
-    """Uncertainty-principle check: cov + i(hbar/2) Omega >= 0."""
+def is_physical_cov(cov: np.ndarray, Omega: np.ndarray, hbar: float) -> bool:
+    """Uncertainty-principle check: cov + i(hbar/2) Omega >= -1e-10 hbar."""
     M = cov + 0.5j * hbar * Omega
     eigs = np.linalg.eigvalsh((M + M.conj().T) / 2)
-    return bool(eigs.min() >= -tol * hbar)
+    return bool(eigs.min() >= -1e-10 * hbar)
 
 
 def partial_transpose_cov(cov: np.ndarray, mode: int) -> np.ndarray:
@@ -261,13 +249,6 @@ def _flow_terms(model: LinearModel, channels):
     return D, M
 
 
-def riccati_rhs(model: LinearModel, channels):
-    """Right-hand side V -> dV/dt of the conditional covariance flow."""
-    A = model.A
-    D, M = _flow_terms(model, channels)
-    return lambda V: A @ V + V @ A.T + D - V @ M @ V
-
-
 def _covariance_grid(A, D, M, h, n_steps):
     """The Davison-Maki engine: V at every step of n_steps steps of size h.
 
@@ -343,41 +324,10 @@ def _exact_step(A, D, M, h):
 
 
 def riccati_evolve(model: LinearModel, channels, V0, T: float) -> np.ndarray:
-    """Covariance after a fixed horizon T, exact up to rounding."""
+    """Covariance after a fixed horizon T, exact up to rounding; a T long
+    past the flow's relaxation gives its steady state."""
     step = _exact_step(model.A, *_flow_terms(model, channels), T)
     return step(np.asarray(V0, dtype=float))
-
-
-def steady_covariance(model: LinearModel, channels,
-                      horizon: float = 1000.0) -> np.ndarray:
-    """Stationary conditional covariance.
-
-    Steps the flow from the vacuum in exact unit-time steps until
-    ||dV/dt|| / ||V|| < 1e-12; raises :class:`RiccatiDivergenceError`
-    (with the last V attached) when the flow keeps growing or the
-    horizon runs out.
-    """
-    if not any(ch.k > 0 for ch in channels):
-        if not np.all(np.real(np.linalg.eigvals(model.A)) < 0):
-            raise ValueError("need a measurement channel or a stable drift")
-    step = _exact_step(model.A, *_flow_terms(model, channels), 1.0)
-    rhs = riccati_rhs(model, channels)
-    V = vacuum_state(model).cov
-    init_scale = max(np.linalg.norm(V), 1.0)
-    for t in range(1, math.ceil(horizon) + 1):
-        V = step(V)
-        norm_V = np.linalg.norm(V)
-        if not np.isfinite(norm_V) or norm_V > 1e12 * init_scale:
-            raise RiccatiDivergenceError(
-                f"covariance flow diverging at t = {t}", V
-            )
-        if np.linalg.norm(rhs(V)) < 1e-12 * max(norm_V, 1e-300):
-            return V
-    raise RiccatiDivergenceError(
-        f"no stationary covariance within horizon {horizon:g} "
-        f"(residual {np.linalg.norm(rhs(V)) / np.linalg.norm(V):.3g})",
-        V,
-    )
 
 
 def _validate_step(model, dt, T):
@@ -596,19 +546,18 @@ def _augmented_drift(model: LinearModel, force: ForceDrive) -> np.ndarray:
     return np.block([[model.A, np.outer(force.b, force.c)], [zeros, force.W]])
 
 
-def _augmented_filter(model: LinearModel, channels, template: ForceDrive,
-                      V0: np.ndarray, prior_var: float):
+def _augmented_filter(model: LinearModel, channels, template: ForceDrive):
     """(A, D, M) of the [x; z] covariance flow and its prior covariance.
 
-    The prior on z is prior_var z0 z0^T: an unknown amplitude times the
-    template's z0.
+    x starts in the vacuum; the prior on z is PRIOR_VAR z0 z0^T: an
+    unknown amplitude times the template's z0.
     """
     if np.linalg.norm(template.b) == 0:
         raise EstimationError("zero force coupling: no information")
     pad = (0, template.z0.size)
     D, M = _flow_terms(model, channels)
-    Va = np.pad(np.asarray(V0, dtype=float), pad)
-    Va[model.dim:, model.dim:] = prior_var * np.outer(template.z0, template.z0)
+    Va = np.pad(vacuum_state(model).cov, pad)
+    Va[model.dim:, model.dim:] = PRIOR_VAR * np.outer(template.z0, template.z0)
     return _augmented_drift(model, template), np.pad(D, pad), np.pad(M, pad), Va
 
 
@@ -620,8 +569,8 @@ def _amplitude_readout(template: ForceDrive, T: float) -> np.ndarray:
     return v / (v @ v)
 
 
-def _ml_from_posterior(mu_F: float, V_FF: float, prior_var: float):
-    information = 1.0 / V_FF - 1.0 / prior_var
+def _ml_from_posterior(mu_F: float, V_FF: float):
+    information = 1.0 / V_FF - 1.0 / PRIOR_VAR
     if information <= 0 or not np.isfinite(information):
         raise EstimationError("no likelihood information about the amplitude")
     amplitude = mu_F * (1.0 / V_FF) / information
@@ -634,19 +583,16 @@ def force_posterior_std(
     template: ForceDrive,
     dt: float,
     T: float,
-    V0: np.ndarray = None,
-    prior_var: float = 1e4,
 ) -> float:
-    """Analytic posterior std of the amplitude (no record needed)."""
+    """Analytic posterior std of the amplitude from the vacuum (no record
+    needed)."""
     _validate_step(model, dt, T)
     T = int(round(T / dt)) * dt
-    if V0 is None:
-        V0 = vacuum_state(model).cov
-    A, D, M, Va = _augmented_filter(model, channels, template, V0, prior_var)
+    A, D, M, Va = _augmented_filter(model, channels, template)
     Va = _exact_step(A, D, M, T)(Va)
     u = _amplitude_readout(template, T)
     d = model.dim
-    est = _ml_from_posterior(1.0, u @ Va[d:, d:] @ u, prior_var)
+    est = _ml_from_posterior(1.0, u @ Va[d:, d:] @ u)
     return est.posterior_std
 
 
@@ -656,19 +602,15 @@ def estimate_force_batch(
     channels,
     template: ForceDrive,
     dt: float,
-    state0: GaussianState = None,
-    prior_var: float = 1e4,
 ):
-    """Vectorized amplitude estimation over an ensemble of records."""
+    """Vectorized amplitude estimation over an ensemble of records that
+    start from the vacuum."""
     records = np.asarray(records, dtype=float)
     n_traj, n_steps, n_ch = records.shape
     if n_ch != len(channels):
         raise ValueError("record/channel count mismatch")
-    if state0 is None:
-        state0 = vacuum_state(model)
     d = model.dim
-    A, D, M, Va = _augmented_filter(model, channels, template, state0.cov,
-                                    prior_var)
+    A, D, M, Va = _augmented_filter(model, channels, template)
     _, blocks = _covariance_grid(A, D, M, dt, n_steps)
     # means step in the frame where the amplitude is constant: Euler for
     # x, as in the simulator, the exact rotation R for z, and each gain
@@ -680,7 +622,6 @@ def estimate_force_batch(
     P[d:, d:] = R
     s_aug = [np.pad(ch.s, (0, R.shape[0])) for ch in channels]
     mu = np.zeros((A.shape[0], n_traj))
-    mu[:d] = state0.mean[:, None]
     for n0, Vs in blocks(Va):
         # step n's gain uses Va_n: the block's start, then all rows but its last
         Va_n = np.concatenate([Va[None], Vs[:-1]])
@@ -695,5 +636,5 @@ def estimate_force_batch(
         Va = Vs[-1]
     u = _amplitude_readout(template, n_steps * dt)
     V_FF = u @ Va[d:, d:] @ u
-    return [_ml_from_posterior(float(u @ mu[d:, i]), V_FF, prior_var)
+    return [_ml_from_posterior(float(u @ mu[d:, i]), V_FF)
             for i in range(n_traj)]

@@ -155,25 +155,23 @@ def integrate(
     return times, Qs, Ps
 
 
-def integrate_with_tangent(
-    flow: ClassicalFlow, Q0: float, Pi0: float, T: float, dt: float = None
-):
+def integrate_with_tangent(flow: ClassicalFlow, Q0: float, Pi0: float,
+                           T: float):
     """End point y(T) = (Q, Pi) and the tangent map J(T) = dy(T)/dy(0).
 
-    One RK4 sweep on two complex copies of the initial point, copy j
-    displaced by i * COMPLEX_STEP along direction j: Re gives y, and
-    Im / COMPLEX_STEP gives column j of J, the derivative of the RK4 map
-    to rounding (no difference quotient, so no cancellation).  The
-    polynomial f and g are analytic, which the complex step needs.
+    One RK4 sweep at the flow's dt on two complex copies of the initial
+    point, copy j displaced by i * COMPLEX_STEP along direction j: Re
+    gives y, and Im / COMPLEX_STEP gives column j of J, the derivative of
+    the RK4 map to rounding (no difference quotient, so no cancellation).
+    The polynomial f and g are analytic, which the complex step needs.
 
     det J measures phase-space area change: 1 for Hamiltonian flows,
     exp(-integrated divergence) otherwise.
     """
-    dt = flow.dt if dt is None else dt
     step = 1j * COMPLEX_STEP
     Q = np.array([float(Q0) + step, float(Q0)])
     Pi = np.array([float(Pi0), float(Pi0) + step])
-    Q, Pi = _rk4_sweep(flow, Q, Pi, T, _n_steps(T, dt), record=False)
+    Q, Pi = _rk4_sweep(flow, Q, Pi, T, _n_steps(T, flow.dt), record=False)
     y = np.array([Q[0].real, Pi[0].real])
     J = np.array([Q.imag, Pi.imag]) / COMPLEX_STEP
     return y, J
@@ -184,9 +182,9 @@ def transport_density(
     samples: np.ndarray,
     T: float,
     weights: np.ndarray = None,
-    dt: float = None,
 ):
-    """Push weighted phase-space samples along characteristics.
+    """Push weighted phase-space samples along characteristics, in RK4
+    steps of the flow's dt.
 
     ``samples`` is (n, 2) with columns (Q, Pi).  Returns the transported
     samples and their weighted (mean, covariance).
@@ -196,9 +194,8 @@ def transport_density(
         raise ValueError("samples must have shape (n, 2)")
     if samples.shape[0] < 1:
         raise ValueError("need at least one sample")
-    dt = flow.dt if dt is None else dt
     Q, Pi = _rk4_sweep(flow, samples[:, 0].copy(), samples[:, 1].copy(), T,
-                       _n_steps(T, dt), record=False)
+                       _n_steps(T, flow.dt), record=False)
     out = np.column_stack([Q, Pi])
     mean, cov = ensemble_moments(out, weights)
     return out, mean, cov

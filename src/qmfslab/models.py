@@ -73,21 +73,22 @@ class ModelBundle:
                                _monitor_row(self.monitor, self.model.dim))
 
 
-def _row(row, dim: int, name: str) -> np.ndarray:
-    """``row`` as a float array of ``dim`` entries, or ValueError naming it."""
+def _numbers(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` as a float array of ``shape``, or ValueError naming it."""
     try:
-        s = np.array(row, dtype=float)
+        s = np.array(value, dtype=float)
     except (TypeError, ValueError):
         s = None
-    if s is None or s.shape != (dim,):
-        raise ValueError(f"{name} must be a list of {dim} numbers, "
-                         f"got {row!r}")
+    if s is None or s.shape != shape:
+        kind = (f"a list of {shape[0]} numbers" if len(shape) == 1
+                else f"a {shape[0]} x {shape[1]} list of numbers")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
     return s
 
 
 def _monitor_row(row, dim: int) -> np.ndarray:
     """``row`` as a read-only float array, or ValueError naming monitor."""
-    s = _row(row, dim, "monitor")
+    s = _numbers(row, (dim,), "monitor")
     _check_finite(monitor=s)
     if not s.any():
         raise ValueError("monitor must be nonzero")
@@ -287,9 +288,11 @@ def model_from_json(text: str, description: str = "model file") -> ModelBundle:
     ``omega`` is ``frequency(model)``.  A 1-mode file without
     ``monitor`` measures q, and one without ``observables`` checks
     (q, p); a larger file has neither default.  A missing required key,
-    an ``n_modes`` that is not an integer >= 1, or a ``force_couplings``,
-    ``observables`` or ``monitor`` row that is not 2n numbers raises a
-    ValueError naming ``description`` and the key (and the row's index).
+    an ``n_modes`` that is not an integer >= 1, an ``hbar`` that is not a
+    number > 0, a ``G`` that is not 2n x 2n numbers, or a
+    ``force_couplings``, ``observables`` or ``monitor`` row that is not 2n
+    numbers raises a ValueError naming ``description`` and the key (and
+    the row's index).
     """
     doc = json.loads(text)
 
@@ -305,6 +308,11 @@ def model_from_json(text: str, description: str = "model file") -> ModelBundle:
         raise ValueError(f"{description}: 'n_modes' must be an integer "
                          f">= 1, got {n_modes!r}")
     dim = 2 * n_modes
+    hbar = doc.get("hbar", 1.0)
+    # nan and inf pass here and are named by LinearModel's finiteness check
+    if type(hbar) not in (int, float) or hbar <= 0:
+        raise ValueError(f"{description}: 'hbar' must be a number > 0, "
+                         f"got {hbar!r}")
 
     def listed(key):
         """``doc[key]``, [] when absent, else a ValueError if no list."""
@@ -319,13 +327,13 @@ def model_from_json(text: str, description: str = "model file") -> ModelBundle:
     def rows(key, entries):
         """Each entry as 2 n_modes floats, else a ValueError naming the
         file, ``key`` and the entry's index."""
-        return [_row(entry, dim, f"{description}: {key} row {i}")
+        return [_numbers(entry, (dim,), f"{description}: {key} row {i}")
                 for i, entry in enumerate(entries)]
 
     model = LinearModel(
         n_modes=n_modes,
-        hbar=float(doc.get("hbar", 1.0)),
-        G=np.asarray(need(doc, "G"), dtype=float),
+        hbar=float(hbar),
+        G=_numbers(need(doc, "G"), (dim, dim), f"{description}: G"),
         force_couplings=tuple(
             rows("force_couplings", listed("force_couplings"))),
     )
@@ -334,7 +342,7 @@ def model_from_json(text: str, description: str = "model file") -> ModelBundle:
     if monitor is None and one_mode:
         monitor = [1.0, 0.0]
     elif monitor is not None:
-        monitor = _row(monitor, dim, f"{description}: monitor")
+        monitor = _numbers(monitor, (dim,), f"{description}: monitor")
     observables = ()
     entries = list(enumerate(listed("observables")))
     if entries:

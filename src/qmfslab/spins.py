@@ -37,7 +37,6 @@ __all__ = [
     "build_spin_pair",
     "angular_momentum_ops",
     "qmfs_commutator_identity",
-    "excitation_restricted_norm",
     "hp_agreement",
     "stretched_state",
     "evolve_state",
@@ -47,10 +46,6 @@ __all__ = [
 # one core, one identity residual (on 257 x 257 factors) takes about
 # 0.03 s and hp_agreement (on 257 x 257 states) about 0.2 s.
 DIM_CAP = 257**2
-# excitation_restricted_norm forms its kept block densely and takes its
-# exact spectral norm, cubic in the kept count: 4096 kept states make a
-# 268 MB complex block, the most one call may allocate
-KEPT_CAP = 4096
 
 
 def _single_dim(J0: float) -> int:
@@ -197,33 +192,6 @@ def qmfs_commutator_identity(pair: SpinPair, t: float, t_prime: float) -> float:
         1j * pair.hbar * np.sin(pair.gamma_B0 * (t_prime - t))
         * pair.jz / pair.J0)
     return 2 * float(np.linalg.norm(R1, 2))
-
-
-def excitation_restricted_norm(
-    pair: SpinPair, t: float, t_prime: float, n_max: int
-) -> float:
-    """Norm of [Q(t), Q(t')] restricted to <= n_max collective excitations.
-
-    Excitation number counts deviation from the oppositely stretched
-    state: (J0 - Jz)/hbar for the aligned spin plus (J0 + J'z)/hbar for
-    the anti-aligned one.  The kept block, entry
-    c[i, j] [i' = j'] + [i = j] c[i', j'] between kept states (i, i') and
-    (j, j'), is formed densely and its norm taken exactly, so it may hold
-    at most ``KEPT_CAP`` states.
-    """
-    hbar = pair.hbar
-    z = np.diag(pair.jz)
-    n_op = ((pair.J0 * hbar - z)[:, None] + (pair.J0 * hbar + z)[None, :]) / hbar
-    keep = np.real(n_op) <= n_max + 1e-9
-    if np.count_nonzero(keep) > KEPT_CAP:
-        raise ValueError(
-            f"n_max = {n_max} keeps {np.count_nonzero(keep)} states; the "
-            f"dense kept block takes at most {KEPT_CAP}")
-    c = _single_commutator(pair, t, t_prime)
-    i, ip = np.nonzero(keep)
-    block = (c[np.ix_(i, i)] * (ip[:, None] == ip[None, :])
-             + (i[:, None] == i[None, :]) * c[np.ix_(ip, ip)])
-    return float(np.linalg.norm(block, 2))
 
 
 def hp_agreement(pair: SpinPair, displacement: float, t_grid):

@@ -33,6 +33,9 @@ from qmfslab.phase_space import (
     two_time_commutator,
 )
 
+# a model-file key with this value is left out of the file
+ABSENT = object()
+
 
 def read_summary(out_dir):
     with open(Path(out_dir) / "summary.json") as fh:
@@ -1086,8 +1089,8 @@ class TestModelFile:
         ({"n_modes": "2"}, ": 'n_modes' must be an integer >= 1, got '2'"),
         ({"n_modes": True}, ": 'n_modes' must be an integer >= 1, got True"),
         ({"n_modes": 0}, ": 'n_modes' must be an integer >= 1, got 0"),
-        ({"n_modes": None}, " has no 'n_modes'"),
-        ({"G": None}, " has no 'G'"),
+        ({"n_modes": ABSENT}, " has no 'n_modes'"),
+        ({"G": ABSENT}, " has no 'G'"),
         ({"observables": [{"s": [1.0, 0.0]}]},
          ": observable 0 has no 'label'"),
         ({"observables": [{"label": "q", "s": [1.0, 0.0]}, {"label": "p"}]},
@@ -1106,18 +1109,31 @@ class TestModelFile:
         ({"monitor": [1.0]}, ": monitor must be a list of 2 numbers, got [1.0]"),
         ({"observables": 5}, ": observables must be a list, got 5"),
         ({"force_couplings": 5}, ": force_couplings must be a list, got 5"),
+        ({"hbar": [1]}, ": 'hbar' must be a number > 0, got [1]"),
+        ({"hbar": None}, ": 'hbar' must be a number > 0, got None"),
+        ({"hbar": "2"}, ": 'hbar' must be a number > 0, got '2'"),
+        ({"hbar": True}, ": 'hbar' must be a number > 0, got True"),
+        ({"hbar": 0}, ": 'hbar' must be a number > 0, got 0"),
+        ({"G": [[1, 0], [0]]},
+         ": G must be a 2 x 2 list of numbers, got [[1, 0], [0]]"),
+        ({"G": [[1, 0], [0, "a"]]},
+         ": G must be a 2 x 2 list of numbers, got [[1, 0], [0, 'a']]"),
+        ({"G": 5}, ": G must be a 2 x 2 list of numbers, got 5"),
+        ({"G": [[1]]}, ": G must be a 2 x 2 list of numbers, got [[1]]"),
     ], ids=["n_modes-float", "n_modes-str", "n_modes-bool", "n_modes-zero",
             "no-n_modes", "no-G", "no-label", "no-s", "number-row",
             "observable-short", "observable-long", "observable-nested",
             "coupling-short", "monitor-short", "observables-number",
-            "couplings-number"])
+            "couplings-number", "hbar-list", "hbar-null", "hbar-str",
+            "hbar-bool", "hbar-zero", "G-ragged", "G-text", "G-number",
+            "G-small"])
     def test_bad_or_missing_key_is_bad_input(self, tmp_path, capsys, doc,
                                              message):
-        # one error line naming the file and the key; a None drops the key
+        # one error line naming the file and the key; ABSENT drops the key
         merged = {**self.NO_COUPLING, **doc}
         fixture = tmp_path / "model.json"
         fixture.write_text(json.dumps(
-            {key: value for key, value in merged.items() if value is not None}))
+            {key: value for key, value in merged.items() if value is not ABSENT}))
         out = tmp_path / "run"
         assert main(["--out", str(out), "check", "--model-file",
                      str(fixture)]) == EXIT_BAD_INPUT

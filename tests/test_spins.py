@@ -13,7 +13,6 @@ from qmfslab.spins import (
     angular_momentum_ops,
     build_spin_pair,
     evolve_state,
-    excitation_restricted_norm,
     hp_agreement,
     qmfs_commutator_identity,
     stretched_state,
@@ -92,6 +91,20 @@ class DensePair:
                 var - float(row_Q @ Phi @ V0 @ Phi.T @ row_Q)))
         scale_mean = max(abs(displacement), np.sqrt(p.hbar))
         return dev_mean / scale_mean, dev_var / p.hbar
+
+
+def low_excitation_norm(pair, t, t_prime, n_max):
+    """Closed form of ||[Q(t), Q(t')]||_2 on <= n_max excitations.
+
+    By the identity the kept block is diagonal, i hbar sin(gamma B0
+    (t' - t)) (Jz + J'z)/J0, so its norm is its largest entry on the kept
+    (m, m') grid, whose excitations are i + (d - 1 - i') for m = J0 - i,
+    m' = J0 - i': hbar^2 |sin(gamma B0 (t' - t))| min(n_max, 2 J0)/J0.
+    """
+    i = np.arange(pair.d)
+    kept = pair.jz_total[i[:, None] + (pair.d - 1 - i)[None, :] <= n_max]
+    return (pair.hbar * abs(np.sin(pair.gamma_B0 * (t_prime - t)))
+            * np.max(np.abs(kept)) / pair.J0)
 
 
 def kron_sum(c):
@@ -224,26 +237,22 @@ class TestCommutatorIdentity:
 class TestExcitationRestriction:
     def test_norm_decays_with_j0(self):
         # within a fixed low-excitation subspace the commutator norm
-        # scales like 1/J0
+        # scales like 1/J0: the dense oracle's norms halve as J0 doubles
         norms = []
         for J0 in (2.0, 4.0, 8.0):
-            pair = build_spin_pair(J0, 1.0)
-            norms.append(excitation_restricted_norm(pair, 0.0, 0.7, n_max=2))
+            dense = DensePair(build_spin_pair(J0, 1.0))
+            norms.append(dense.excitation_restricted_norm(0.0, 0.7, n_max=2))
         assert norms[0] > norms[1] > norms[2]
-        # rough 1/J0 scaling
-        assert norms[0] / norms[1] == pytest.approx(2.0, rel=0.3)
+        assert norms[0] / norms[1] == pytest.approx(2.0, rel=1e-12)
+        assert norms[1] / norms[2] == pytest.approx(2.0, rel=1e-12)
 
     def test_full_space_norm_larger(self):
-        pair = build_spin_pair(4.0, 1.0)
-        low = excitation_restricted_norm(pair, 0.0, 0.7, n_max=1)
-        high = excitation_restricted_norm(pair, 0.0, 0.7, n_max=16)
+        dense = DensePair(build_spin_pair(4.0, 1.0))
+        low = dense.excitation_restricted_norm(0.0, 0.7, n_max=1)
+        high = dense.excitation_restricted_norm(0.0, 0.7, n_max=16)
         assert high > low
-
-    def test_kept_block_is_capped(self):
-        # n_max = 4 J0 keeps all 65^2 = 4225 states of J0 = 32
-        pair = build_spin_pair(32.0, 1.0)
-        with pytest.raises(ValueError, match="kept block"):
-            excitation_restricted_norm(pair, 0.0, 0.7, n_max=128)
+        # n_max = 16 keeps every state; the full norm is at m = m' = +-J0
+        assert high == pytest.approx(2 * abs(np.sin(0.7)), rel=1e-12)
 
 
 class TestHolsteinPrimakoff:
@@ -337,12 +346,14 @@ class TestBlockPathAgainstDense:
 
     @pytest.mark.parametrize("J0", SMALL_J0)
     def test_excitation_norm_matches(self, J0):
+        # the dense oracle's restricted norm is the identity's closed
+        # form, for n_max below, at and above 2 J0 (all states kept)
         pair = build_spin_pair(J0, 1.3)
         dense = DensePair(pair)
         scale = np.linalg.norm(dense.Q, 2) ** 2
-        for n_max in (0, 1, 2, 5):
+        for n_max in sorted({0, 1, 2, 5, int(2 * J0), int(4 * J0)}):
             for t, tp in TIME_PAIRS:
-                assert excitation_restricted_norm(pair, t, tp, n_max) == (
+                assert low_excitation_norm(pair, t, tp, n_max) == (
                     pytest.approx(dense.excitation_restricted_norm(
                         t, tp, n_max), abs=1e-13 * scale))
 
