@@ -348,9 +348,9 @@ def cmd_force(args, out_dir: Path) -> dict:
 
 def cmd_koopman(args, out_dir: Path) -> dict:
     m, omega, eps = args.m, args.omega, args.epsilon
-    f_poly = fock.poly1((0, 1, 1.0 / m), (2, 0, eps))
-    g_poly = fock.poly1((1, 0, m * omega**2))
-    flow = koopman.ClassicalFlow(f_poly, g_poly, dt=args.dt)
+    # dQ/dt = Pi/m + eps Q^2, dPi/dt = -m w^2 Q, terms (a, b, coef)
+    f, g = ((0, 1, 1.0 / m), (2, 0, eps)), ((1, 0, m * omega**2),)
+    flow = koopman.ClassicalFlow(f, g, dt=args.dt)
     times, Qs, Ps = koopman.integrate(flow, args.q0, args.pi0, args.T)
     _write_csv(out_dir / "classical.csv", ["time", "Q", "Pi"],
                np.column_stack([times, Qs, Ps]))
@@ -362,10 +362,9 @@ def cmd_koopman(args, out_dir: Path) -> dict:
     spec = fock.TruncationSpec(
         n_levels=args.n_levels, n_modes=2, core_levels=min(2, args.n_levels - 1)
     )
-    pk = fock.PolyKoopman(M=1, f=(f_poly,), g=(g_poly,))
-    H, ops = fock.build_koopman_hamiltonian(pk, spec)
+    H, Q, Pi = fock.build_koopman_hamiltonian(f, g, spec)
     t_grid = np.linspace(0.0, min(args.T, 2.0 / omega), 5)
-    residual = fock.commutator_residual(H, [ops["Q"][0], ops["Pi"][0]], t_grid)
+    residual = fock.commutator_residual(H, [Q, Pi], t_grid)
     tol = 1e-5
     ok = residual < tol
     return {

@@ -15,18 +15,18 @@ eigendecomposition needs one (``KronOperator.dense``).
 
 The Koopman-style Hamiltonian
 
-    H = (1/2) sum_j (P_j f_j + f_j P_j + Phi_j g_j + g_j Phi_j) + h
+    H = (1/2) (P f + f P + Phi g + g Phi)
 
-with f, g, h polynomials in the mutually commuting set (Q, Pi) drives
-dQ_j/dt = f_j(Q, Pi), dPi_j/dt = -g_j(Q, Pi): the (Q, Pi) observables
-evolve under any chosen classical dynamics while commuting with each
-other at all times.  Mode layout for M pairs on 2 M modes: mode j
-carries (Q_j, P_j) and mode M + j carries (Phi_j, Pi_j), so
-``build_quadrature_ops(spec)[j]`` is (Q_j, P_j) and ``[M + j]`` is
-(Phi_j, Pi_j).  Q and Pi live on different modes, which is what makes
-them commute.  The polynomials are plain term tuples (``poly1``,
-``PolyKoopman``), the same ones ``koopman.ClassicalFlow`` integrates;
-they are built in code and have no file format.
+with f, g polynomials in the commuting pair (Q, Pi) drives
+dQ/dt = f(Q, Pi), dPi/dt = -g(Q, Pi): the (Q, Pi) observables evolve
+under any chosen classical dynamics while commuting with each other at
+all times.  One pair lives on 2 modes: mode 0 carries (Q, P) and mode 1
+carries (Phi, Pi), so ``build_quadrature_ops(spec)`` is
+[(Q, P), (Phi, Pi)].  Q and Pi live on different modes, which is what
+makes them commute.  A polynomial is a tuple of terms (a, b, coef),
+each the monomial coef Q^a Pi^b, the same tuples
+``koopman.ClassicalFlow`` integrates; they are built in code and have
+no file format.
 
 H is complex in general, but a reversible flow makes it real in a
 diagonal gauge, and the oracle then works in real arithmetic.  In the
@@ -36,32 +36,31 @@ quarter turn of each mode), it becomes T = u* K u, which maps
 (q, p) -> (-q, p).  u H u* is real exactly when T is a symmetry of H.
 For the Koopman Hamiltonian T sends (Q, Phi) -> (-Q, -Phi) with P, Pi
 and the real coefficients fixed, so it is a symmetry when the flow is
-reversible under Q -> -Q: f and h even in Q, g odd in Q.  The
-``koopman`` command's flow dQ/dt = Pi/m + eps Q^2, dPi/dt = -m w^2 Q is
-one.  K itself is a symmetry when the flow is reversible under
-Pi -> -Pi (f odd and g, h even in Pi), as the linear flow is; then H is
-real as built.  u is a product of one phase i^(n_k) per mode, so
-``real_gauge`` decides it on the factors: in the gauge every factor is
-exactly real or exactly imaginary and every term's coefficient, times
-i per imaginary factor, is exactly real.  A flow with neither symmetry,
+reversible under Q -> -Q: f even in Q, g odd in Q.  The ``koopman``
+command's flow dQ/dt = Pi/m + eps Q^2, dPi/dt = -m w^2 Q is one.  K
+itself is a symmetry when the flow is reversible under Pi -> -Pi (f odd
+and g even in Pi), as the linear flow is; then H is real as built.  u
+is a product of one phase i^(n_k) per mode, so ``real_gauge`` decides
+it on the factors: in the gauge every factor is exactly real or exactly
+imaginary and every term's coefficient, times i per imaginary factor,
+is exactly real.  A flow with neither symmetry,
 such as one with a damping Q term in f, keeps the complex H.
 
 The same reversibility halves the eigenproblem.  The parity
 S_j = (-1)^(n_j) of mode j maps (q_j, p_j) -> (-q_j, -p_j) and fixes
-every other mode.  For the Koopman Hamiltonian of one pair, S_0 flips
-(Q, P), so S_0 H S_0 = -H exactly when f is even in Q and g and h are
-odd in Q: the Q -> -Q, t -> -t reversibility above (h = 0 in the
-``koopman`` command).  Then H only couples states of opposite n_0
-parity, H = [[0, B], [B+, 0]] between the two classes, and S_0 maps an
-eigenvector at E to one at -E, so the spectrum is +-E.  Truncation keeps
-this exactly, since q and p change n by one.  ``chiral_parity`` finds
+every other mode.  For the Koopman Hamiltonian, S_0 flips (Q, P), so
+S_0 H S_0 = -H exactly when f is even in Q and g is odd in Q: the
+Q -> -Q, t -> -t reversibility above.  Then H only couples states of
+opposite n_0 parity, H = [[0, B], [B+, 0]] between the two classes,
+and S_0 maps an eigenvector at E to one at -E, so the spectrum is +-E.
+Truncation keeps this exactly, since q and p change n by one.  ``chiral_parity`` finds
 the first such mode, mode 0 first, on the factors: every term's factor
 on that mode couples only levels of opposite parity.
 ``HeisenbergPropagator`` then forms only the two coupling blocks
 B = H[even, odd] and C = H[odd, even], each from the terms with that
 mode's factor sliced, and takes the eigenpairs from one SVD of their
-Hermitian part, half the size of H.  The parity of mode M + j flips
-(Phi_j, Pi_j) instead, and applies to a flow odd in Pi through f and
+Hermitian part, half the size of H.  The parity of mode 1 flips
+(Phi, Pi) instead, and applies to a flow odd in Pi through f and
 even through g (the linear flow has both parities).  A damping Q term
 in f breaks every parity, and such a flow forms the dense H and keeps
 the ``eigh``.
@@ -88,7 +87,6 @@ import numpy as np
 __all__ = [
     "TruncationSpec",
     "KronOperator",
-    "PolyKoopman",
     "build_quadrature_ops",
     "build_koopman_hamiltonian",
     "oscillator_hamiltonian",
@@ -98,7 +96,6 @@ __all__ = [
     "chiral_parity",
     "core_mask",
     "top_level_population",
-    "poly1",
 ]
 
 # largest product-space dimension n_levels ** n_modes
@@ -236,90 +233,43 @@ def build_quadrature_ops(
     ]
 
 
-@dataclass(frozen=True)
-class PolyKoopman:
-    """Polynomial classical dynamics for M (Q, Pi) pairs.
+def build_koopman_hamiltonian(f, g, spec: TruncationSpec,
+                              hbar: float = 1.0, ref_scale: float = 1.0):
+    """H of the flow dQ/dt = f, dPi/dt = -g and the commuting pair it is
+    checked on: ``(H, Q, Pi)``, all ``KronOperator``s on the 2 modes of
+    ``spec`` (layout in the module docstring).
 
-    Each polynomial is a tuple of terms ((a, b), coef) with exponent
-    tuples a, b of length M: the monomial prod_j Q_j^a_j Pi_j^b_j.
-    ``f`` and ``g`` hold one polynomial per pair; ``h`` is a single
-    polynomial.  Total degree is capped at ``MAX_DEGREE``.
+    ``f`` and ``g`` are tuples of terms (a, b, coef); total degree is
+    capped at ``MAX_DEGREE``.  P and Phi enter H only through
+    single-mode factors; take them from ``build_quadrature_ops``.  A
+    monomial coef Q^a Pi^b has factor q^a on mode 0 and p^b on mode 1,
+    and P (Phi) multiplies the factor of mode 0 (1) from the left or from
+    the right.  The P f, f P, Phi g and g Phi sides stay separate terms,
+    so the propagator's Hermiticity check still catches an ordering
+    defect.  No dim x dim matrix is formed here.
     """
-
-    M: int
-    f: tuple
-    g: tuple
-    h: tuple = ()
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
-        if len(self.f) != self.M or len(self.g) != self.M:
-            raise ValueError("need one f and one g polynomial per pair")
-        for poly in tuple(self.f) + tuple(self.g) + (self.h,):
-            for (a, b), coef in poly:
-                if len(a) != self.M or len(b) != self.M:
-                    raise ValueError("exponent tuples must have length M")
-                if sum(a) + sum(b) > MAX_DEGREE:
-                    raise ValueError("polynomial degree exceeds cap")
-                if not np.isfinite(coef):
-                    raise ValueError("coefficients must be finite")
-
-
-def poly1(*terms) -> tuple:
-    """Convenience constructor for an M = 1 polynomial: poly1((a, b, coef), ...)."""
-    return tuple((((int(a),), (int(b),)), float(c)) for a, b, c in terms)
-
-
-def build_koopman_hamiltonian(
-    pk: PolyKoopman,
-    spec: TruncationSpec,
-    hbar: float = 1.0,
-    ref_scale: float = 1.0,
-):
-    """Hamiltonian H and the commuting observables it is checked on, all
-    as ``KronOperator``s.
-
-    Returns ``(H, {"Q": [Q_j], "Pi": [Pi_j]})`` for j < M; ``spec`` must
-    have 2 M modes (layout in the module docstring).  P_j and Phi_j
-    enter H only through single-mode factors and are not returned; take
-    them from ``build_quadrature_ops`` by mode.
-
-    A monomial prod_j Q_j^a_j Pi_j^b_j has factor q^a_j on mode j and
-    p^b_j on mode M + j, and P_j (Phi_j) multiplies the factor of mode j
-    (M + j) from the left or from the right.  The P f, f P, Phi g and
-    g Phi sides stay separate terms, so the propagator's Hermiticity
-    check still catches an ordering defect.  No dim x dim matrix is
-    formed here.
-    """
-    if spec.n_modes != 2 * pk.M:
-        raise ValueError(
-            f"need {2 * pk.M} modes for M={pk.M} pairs, spec has {spec.n_modes}"
-        )
+    if spec.n_modes != 2:
+        raise ValueError(f"need 2 modes for one (Q, Pi) pair, spec has "
+                         f"{spec.n_modes}")
+    for a, b, coef in (*f, *g):
+        if a + b > MAX_DEGREE:
+            raise ValueError("polynomial degree exceeds cap")
+        if not np.isfinite(coef):
+            raise ValueError("coefficients must be finite")
     q, p = _quadratures(spec.n_levels, hbar, ref_scale)
     power = np.linalg.matrix_power
-
-    def monomials(poly):
-        """(coef, one factor per mode) for each monomial of ``poly``."""
-        for (ea, eb), coef in poly:
-            yield coef, [power(q, k) for k in ea] + [power(p, k) for k in eb]
-
     terms = []
-    for j in range(pk.M):
-        # P_j f_j + f_j P_j on mode j, Phi_j g_j + g_j Phi_j on mode M + j
-        for poly, mode, op in ((pk.f[j], j, p), (pk.g[j], pk.M + j, q)):
-            for coef, factors in monomials(poly):
-                inner = factors[mode]
-                for side in (op @ inner, inner @ op):
-                    sided = list(factors)
-                    sided[mode] = side
-                    terms.append((0.5 * coef, tuple(sided)))
-    terms += ((coef, tuple(factors)) for coef, factors in monomials(pk.h))
-    observables = {
-        "Q": [KronOperator.on_mode(q, j, spec) for j in range(pk.M)],
-        "Pi": [KronOperator.on_mode(p, pk.M + j, spec) for j in range(pk.M)],
-    }
-    return KronOperator(spec, tuple(terms)), observables
+    # P f + f P on mode 0, Phi g + g Phi on mode 1
+    for poly, mode, op in ((f, 0, p), (g, 1, q)):
+        for a, b, coef in poly:
+            factors = [power(q, a), power(p, b)]
+            inner = factors[mode]
+            for side in (op @ inner, inner @ op):
+                sided = list(factors)
+                sided[mode] = side
+                terms.append((0.5 * coef, tuple(sided)))
+    return (KronOperator(spec, tuple(terms)), KronOperator.on_mode(q, 0, spec),
+            KronOperator.on_mode(p, 1, spec))
 
 
 def oscillator_hamiltonian(

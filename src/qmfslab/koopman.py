@@ -2,7 +2,10 @@
 
 The subsystem obeys dQ/dt = f(Q, Pi), dPi/dt = -g(Q, Pi) for whatever
 f and g were built into the coupled quantum model, so its
-trajectories and Liouville densities are plain classical objects.  This
+trajectories and Liouville densities are plain classical objects.  A
+polynomial is a tuple of terms (a, b, coef), each the monomial
+coef Q^a Pi^b; the same tuples build the dense Fock oracle's
+Hamiltonian (``fock.build_koopman_hamiltonian``).  This
 module integrates them with one RK4 sweep: trajectories (with a
 step-halving error estimate), semi-Lagrangian transport along
 characteristics for sampled densities (exact along trajectories, no
@@ -39,25 +42,22 @@ class StepSizeError(RuntimeError):
     """Step-halving error estimate exceeded the requested tolerance."""
 
 
-def _flat_terms(terms) -> tuple:
-    """M=1 polynomial terms (((a,), (b,)), coef) as (coef, a, b)."""
-    return tuple((coef, a, b) for ((a,), (b,)), coef in terms)
-
-
 @dataclass(frozen=True)
 class ClassicalFlow:
-    """Velocity field (f, -g); f and g are M=1 polynomial term tuples
-    (``fock.poly1``), the representation the dense oracle shares."""
+    """Velocity field (f, -g), integrated in RK4 steps of ``dt``.
 
-    f: object
-    g: object
+    f and g are tuples of terms (a, b, coef), each the monomial
+    coef Q^a Pi^b: the polynomials ``fock.build_koopman_hamiltonian``
+    builds the dense oracle's H from, read as they are.
+    """
+
+    f: tuple
+    g: tuple
     dt: float = 1e-3
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
-        object.__setattr__(self, "_f", _flat_terms(self.f))
-        object.__setattr__(self, "_g", _flat_terms(self.g))
 
 
 def _n_steps(T: float, dt: float) -> int:
@@ -71,36 +71,36 @@ def _rk4_sweep(flow: ClassicalFlow, Q, Pi, T: float, n_steps: int,
     t = 0.0
     scalar = np.ndim(Q) == 0  # one trajectory: guard without a reduction
     times, Qs, Ps = [t], [Q], [Pi]
-    f, g = flow._f, flow._g
+    f, g = flow.f, flow.g
     half, sixth = h / 2, h / 6
     # velocity (f, -g) at the four stages, written out: each a sum of
-    # coef Q^a Pi^b over the flat terms, in order from 0.0
+    # coef Q^a Pi^b over the terms, in order from 0.0
     for _ in range(n_steps):
         k1q = k1p = 0.0
-        for c, a, b in f:
+        for a, b, c in f:
             k1q = k1q + c * Q ** a * Pi ** b
-        for c, a, b in g:
+        for a, b, c in g:
             k1p = k1p + c * Q ** a * Pi ** b
         k1p = -k1p
         Q2, P2 = Q + half * k1q, Pi + half * k1p
         k2q = k2p = 0.0
-        for c, a, b in f:
+        for a, b, c in f:
             k2q = k2q + c * Q2 ** a * P2 ** b
-        for c, a, b in g:
+        for a, b, c in g:
             k2p = k2p + c * Q2 ** a * P2 ** b
         k2p = -k2p
         Q3, P3 = Q + half * k2q, Pi + half * k2p
         k3q = k3p = 0.0
-        for c, a, b in f:
+        for a, b, c in f:
             k3q = k3q + c * Q3 ** a * P3 ** b
-        for c, a, b in g:
+        for a, b, c in g:
             k3p = k3p + c * Q3 ** a * P3 ** b
         k3p = -k3p
         Q4, P4 = Q + h * k3q, Pi + h * k3p
         k4q = k4p = 0.0
-        for c, a, b in f:
+        for a, b, c in f:
             k4q = k4q + c * Q4 ** a * P4 ** b
-        for c, a, b in g:
+        for a, b, c in g:
             k4p = k4p + c * Q4 ** a * P4 ** b
         k4p = -k4p
         Q = Q + sixth * (k1q + 2 * k2q + 2 * k3q + k4q)

@@ -73,12 +73,28 @@ class ModelBundle:
                                _monitor_row(self.monitor, self.model.dim))
 
 
+def _json_numbers(value) -> bool:
+    """Every entry of ``value``, a number or nested lists, is a JSON number:
+    an int or a float, never a string, a bool or null."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_json_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _numbers(value, shape: tuple, name: str) -> np.ndarray:
-    """``value`` as a float array of ``shape``, or ValueError naming it."""
-    try:
-        s = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        s = None
+    """``value`` (JSON numbers or an array) as a float array of ``shape``,
+    or ValueError naming it."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    s = None
+    if _json_numbers(value):
+        try:
+            s = np.array(value, dtype=float)
+        except OverflowError:
+            raise ValueError(f"{name} has a number too large for a float"
+                             ) from None
+        except ValueError:  # ragged
+            pass
     if s is None or s.shape != shape:
         kind = (f"a list of {shape[0]} numbers" if len(shape) == 1
                 else f"a {shape[0]} x {shape[1]} list of numbers")
@@ -278,6 +294,10 @@ def model_to_json(model: LinearModel, observables: ObservableSet = None,
     return json.dumps(doc, indent=2)
 
 
+_MODEL_KEYS = ("n_modes", "hbar", "G", "force_couplings", "observables",
+               "monitor")
+
+
 def model_from_json(text: str, description: str = "model file") -> ModelBundle:
     """The bundle of a model file.
 
@@ -287,14 +307,21 @@ def model_from_json(text: str, description: str = "model file") -> ModelBundle:
     numbers).  A file declares no QMFS set and maps to no pair; its
     ``omega`` is ``frequency(model)``.  A 1-mode file without
     ``monitor`` measures q, and one without ``observables`` checks
-    (q, p); a larger file has neither default.  A missing required key,
-    an ``n_modes`` that is not an integer >= 1, an ``hbar`` that is not a
-    number > 0, a ``G`` that is not 2n x 2n numbers, or a
-    ``force_couplings``, ``observables`` or ``monitor`` row that is not 2n
-    numbers raises a ValueError naming ``description`` and the key (and
-    the row's index).
+    (q, p); a larger file has neither default.  Every number is a JSON
+    int or float, never a string, a bool or null.  An unknown key, a
+    missing required key, an ``n_modes`` that is not an integer >= 1, an
+    ``hbar`` that is not a number > 0, a ``G`` that is not 2n x 2n
+    numbers, a ``force_couplings``, ``observables`` or ``monitor`` row
+    that is not 2n numbers, a label that is no string, or a number too
+    large for a float raises a ValueError naming ``description`` and the
+    key (and the row's index).  So does every check of the model, its
+    observables and its monitor (finite, symmetric, nonzero), and text
+    that is no JSON.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{description}: {exc}") from None
 
     def need(entry, key, where=""):
         """``entry[key]``, else a ValueError naming the file and the key."""
@@ -307,12 +334,16 @@ def model_from_json(text: str, description: str = "model file") -> ModelBundle:
     if type(n_modes) is not int or n_modes < 1:
         raise ValueError(f"{description}: 'n_modes' must be an integer "
                          f">= 1, got {n_modes!r}")
+    unknown = sorted(set(doc) - set(_MODEL_KEYS))
+    if unknown:
+        raise ValueError(f"{description}: unknown keys {unknown}")
     dim = 2 * n_modes
     hbar = doc.get("hbar", 1.0)
     # nan and inf pass here and are named by LinearModel's finiteness check
     if type(hbar) not in (int, float) or hbar <= 0:
         raise ValueError(f"{description}: 'hbar' must be a number > 0, "
                          f"got {hbar!r}")
+    hbar = float(_numbers(hbar, (), f"{description}: 'hbar'"))
 
     def listed(key):
         """``doc[key]``, [] when absent, else a ValueError if no list."""
@@ -330,31 +361,32 @@ def model_from_json(text: str, description: str = "model file") -> ModelBundle:
         return [_numbers(entry, (dim,), f"{description}: {key} row {i}")
                 for i, entry in enumerate(entries)]
 
-    model = LinearModel(
-        n_modes=n_modes,
-        hbar=float(hbar),
-        G=_numbers(need(doc, "G"), (dim, dim), f"{description}: G"),
-        force_couplings=tuple(
-            rows("force_couplings", listed("force_couplings"))),
-    )
-    one_mode = model.n_modes == 1
+    G = _numbers(need(doc, "G"), (dim, dim), f"{description}: G")
+    couplings = tuple(rows("force_couplings", listed("force_couplings")))
     monitor = doc.get("monitor")
-    if monitor is None and one_mode:
+    if monitor is None and n_modes == 1:
         monitor = [1.0, 0.0]
     elif monitor is not None:
         monitor = _numbers(monitor, (dim,), f"{description}: monitor")
-    observables = ()
     entries = list(enumerate(listed("observables")))
-    if entries:
-        S = rows("observables", [need(entry, "s", f": observable {i}")
-                                 for i, entry in entries])
-        labels = tuple(need(entry, "label", f": observable {i}")
-                       for i, entry in entries)
-        observables = (ObservableSet(np.array(S), labels),)
-    elif one_mode:
-        observables = (_q_and_p(),)
-    return ModelBundle(model, (), description, omega=frequency(model),
-                       monitor=monitor, observables=observables)
+    S = rows("observables", [need(entry, "s", f": observable {i}")
+                             for i, entry in entries])
+    labels = tuple(need(entry, "label", f": observable {i}")
+                   for i, entry in entries)
+    for i, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise ValueError(f"{description}: observable {i}'s label must "
+                             f"be a string, got {label!r}")
+    try:
+        model = LinearModel(n_modes, hbar, G, couplings)
+        if S:
+            observables = (ObservableSet(np.array(S), labels),)
+        else:
+            observables = (_q_and_p(),) if n_modes == 1 else ()
+        return ModelBundle(model, (), description, omega=frequency(model),
+                           monitor=monitor, observables=observables)
+    except ValueError as exc:
+        raise ValueError(f"{description}: {exc}") from None
 
 
 BUILDERS = {

@@ -222,17 +222,17 @@ class TestCriterion5ForceResponseAndEstimation:
 
 
 class TestCriterion6NonlinearKoopman:
-    F_POLY = fock.poly1((0, 1, 1.0), (2, 0, 0.1))  # f = Pi/m + 0.1 Q^2
-    G_POLY = fock.poly1((1, 0, 1.0))  # g = m w^2 Q
+    F_POLY = ((0, 1, 1.0), (2, 0, 0.1))  # f = Pi/m + 0.1 Q^2
+    G_POLY = ((1, 0, 1.0),)  # g = m w^2 Q
 
     def _residual(self, n_levels):
-        pk = fock.PolyKoopman(M=1, f=(self.F_POLY,), g=(self.G_POLY,))
         spec = fock.TruncationSpec(
             n_levels=n_levels, n_modes=2, core_levels=2
         )
-        H, ops = fock.build_koopman_hamiltonian(pk, spec)
+        H, Q, Pi = fock.build_koopman_hamiltonian(self.F_POLY, self.G_POLY,
+                                                  spec)
         t_grid = np.linspace(0.0, 2.0, 5)
-        return fock.commutator_residual(H, [ops["Q"][0], ops["Pi"][0]], t_grid)
+        return fock.commutator_residual(H, [Q, Pi], t_grid)
 
     def test_oracle_residual_converges(self):
         residuals = [self._residual(n) for n in (10, 15, 20, 25)]
@@ -243,10 +243,9 @@ class TestCriterion6NonlinearKoopman:
         # exact <Q(t)> for a coherent x vacuum initial state vs Liouville
         # transport of the matching (Q, Pi) Gaussian, deterministic
         # Gauss-Hermite quadrature; tolerance scaled by the Q spread
-        pk = fock.PolyKoopman(M=1, f=(self.F_POLY,), g=(self.G_POLY,))
         spec = fock.TruncationSpec(n_levels=25, n_modes=2, core_levels=4)
-        H, ops = fock.build_koopman_hamiltonian(pk, spec)
-        H, Q, Pi = H.dense(), ops["Q"][0].dense(), ops["Pi"][0].dense()
+        H, Q, Pi = (op.dense() for op in fock.build_koopman_hamiltonian(
+            self.F_POLY, self.G_POLY, spec))
 
         N = spec.n_levels
         alpha = 0.8

@@ -1076,12 +1076,14 @@ class TestModelFile:
     def test_non_finite_value_is_bad_input(self, tmp_path, capsys, doc,
                                            message):
         # json reads NaN and Infinity; each is named on one error line
+        # with the file
         fixture = tmp_path / "model.json"
         fixture.write_text(json.dumps({**self.NO_COUPLING, **doc}))
         out = tmp_path / "run"
         assert main(["--out", str(out), "check", "--model-file",
                      str(fixture)]) == EXIT_BAD_INPUT
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == (
+            f"error: model from {fixture}: {message}\n")
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("doc, message", [
@@ -1120,13 +1122,33 @@ class TestModelFile:
          ": G must be a 2 x 2 list of numbers, got [[1, 0], [0, 'a']]"),
         ({"G": 5}, ": G must be a 2 x 2 list of numbers, got 5"),
         ({"G": [[1]]}, ": G must be a 2 x 2 list of numbers, got [[1]]"),
+        # a number is a JSON int or float: no numeric text, bool or null
+        ({"G": [["1", 0], [0, "2"]], "monitor": ["1", "0"]},
+         ": G must be a 2 x 2 list of numbers, got [['1', 0], [0, '2']]"),
+        ({"monitor": ["1", "0"]},
+         ": monitor must be a list of 2 numbers, got ['1', '0']"),
+        ({"G": [[True, 0], [0, 1]]},
+         ": G must be a 2 x 2 list of numbers, got [[True, 0], [0, 1]]"),
+        ({"G": [[1, None], [None, 1]]},
+         ": G must be a 2 x 2 list of numbers, got [[1, None], [None, 1]]"),
+        ({"observables": [{"label": "a", "s": [True, False]}]},
+         ": observables row 0 must be a list of 2 numbers, got [True, False]"),
+        ({"observables": [{"label": 3, "s": [1, 0]}]},
+         ": observable 0's label must be a string, got 3"),
+        ({"hbar": 10**400}, ": 'hbar' has a number too large for a float"),
+        ({"G": [[10**400, 0], [0, 1]]},
+         ": G has a number too large for a float"),
+        ({"monitr": [0, 1]}, ": unknown keys ['monitr']"),
+        ({"G": [[1, 2], [0, 1]]}, ": G must be exactly symmetric"),
     ], ids=["n_modes-float", "n_modes-str", "n_modes-bool", "n_modes-zero",
             "no-n_modes", "no-G", "no-label", "no-s", "number-row",
             "observable-short", "observable-long", "observable-nested",
             "coupling-short", "monitor-short", "observables-number",
             "couplings-number", "hbar-list", "hbar-null", "hbar-str",
             "hbar-bool", "hbar-zero", "G-ragged", "G-text", "G-number",
-            "G-small"])
+            "G-small", "G-numeric-text", "monitor-numeric-text", "G-bool",
+            "G-null", "row-bool", "label-number", "hbar-huge", "G-huge",
+            "unknown-key", "G-asymmetric"])
     def test_bad_or_missing_key_is_bad_input(self, tmp_path, capsys, doc,
                                              message):
         # one error line naming the file and the key; ABSENT drops the key
@@ -1149,6 +1171,17 @@ class TestModelFile:
                      str(fixture)]) == EXIT_BAD_INPUT
         assert capsys.readouterr().err == (
             f"error: model from {fixture} has no 'n_modes'\n")
+
+    def test_file_that_is_no_json_is_bad_input(self, tmp_path, capsys):
+        fixture = tmp_path / "model.json"
+        fixture.write_text('{"n_modes": 1,}')
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "check", "--model-file",
+                     str(fixture)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            f"error: model from {fixture}: Expecting property name enclosed "
+            "in double quotes: line 1 column 15 (char 14)\n")
+        assert not (out / "summary.json").exists()
 
     def test_one_mode_checks_q_and_p(self, tmp_path):
         fixture = tmp_path / "one_mode.json"
@@ -1265,11 +1298,11 @@ class TestModelFile:
         (1.0, "{file}: monitor must be a list of 4 numbers, got 1.0"),
         (["q", 0.0, 1.0, 0.0], "{file}: monitor must be a list of 4 numbers, "
                                "got ['q', 0.0, 1.0, 0.0]"),
-        ([0.0, 0.0, 0.0, 0.0], "monitor must be nonzero"),
+        ([0.0, 0.0, 0.0, 0.0], "{file}: monitor must be nonzero"),
         ([1.0, 0.0, math.nan, 0.0],
-         "monitor must be finite, got nan at entry [2]"),
+         "{file}: monitor must be finite, got nan at entry [2]"),
         ([1.0, math.inf, 1.0, 0.0],
-         "monitor must be finite, got inf at entry [1]"),
+         "{file}: monitor must be finite, got inf at entry [1]"),
     ], ids=["short", "nested", "number", "text", "zero", "nan", "inf"])
     @pytest.mark.parametrize("command", ["check", "simulate", "force"])
     def test_bad_monitor_is_bad_input(self, tmp_path, capsys, monitor,

@@ -12,7 +12,6 @@ from qmfslab import fock
 from qmfslab.fock import (
     HeisenbergPropagator,
     KronOperator,
-    PolyKoopman,
     TruncationSpec,
     build_koopman_hamiltonian,
     build_quadrature_ops,
@@ -20,23 +19,19 @@ from qmfslab.fock import (
     commutator_residual,
     core_mask,
     oscillator_hamiltonian,
-    poly1,
     real_gauge,
     top_level_population,
 )
 
 
-def poly_op(poly, Q_ops, Pi_ops) -> np.ndarray:
-    """Dense operator value of a polynomial in the commuting set (Q, Pi),
-    as dense matrix products in a fixed canonical order."""
-    dim = Q_ops[0].shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    for (a, b), coef in poly:
-        factors = []
-        for j, (aj, bj) in enumerate(zip(a, b)):
-            factors += [Q_ops[j]] * aj + [Pi_ops[j]] * bj
+def poly_op(poly, Q, Pi) -> np.ndarray:
+    """Dense operator value of a polynomial, terms (a, b, coef), in the
+    commuting pair (Q, Pi), as dense matrix products in a fixed order."""
+    out = np.zeros(Q.shape, dtype=complex)
+    for a, b, coef in poly:
+        factors = [Q] * a + [Pi] * b
         if not factors:
-            out += coef * np.eye(dim)
+            out += coef * np.eye(len(Q))
             continue
         term = coef * factors[0]
         for factor in factors[1:]:
@@ -62,31 +57,23 @@ def dense_quadrature_ops(spec, hbar=1.0, ref_scale=1.0):
             for k in range(spec.n_modes)]
 
 
-def koopman_ops(M, spec, hbar=1.0, ref_scale=1.0):
-    """{Q, P, Phi, Pi}, lists of length M, from the quadratures by mode:
-    mode j carries (Q_j, P_j), mode M + j carries (Phi_j, Pi_j)."""
-    pairs = dense_quadrature_ops(spec, hbar, ref_scale)
-    return {
-        "Q": [pairs[j][0] for j in range(M)],
-        "P": [pairs[j][1] for j in range(M)],
-        "Phi": [pairs[M + j][0] for j in range(M)],
-        "Pi": [pairs[M + j][1] for j in range(M)],
-    }
+def koopman_ops(spec, hbar=1.0, ref_scale=1.0):
+    """{Q, P, Phi, Pi} from the quadratures by mode: mode 0 carries
+    (Q, P), mode 1 carries (Phi, Pi)."""
+    (Q, P), (Phi, Pi) = dense_quadrature_ops(spec, hbar, ref_scale)
+    return {"Q": Q, "P": P, "Phi": Phi, "Pi": Pi}
 
 
 def dense_koopman_hamiltonian(pk, spec, hbar=1.0, ref_scale=1.0):
-    """H from dense products of the embedded operators: the construction
-    the Kronecker-factor build replaced, kept as its oracle."""
-    ops = koopman_ops(pk.M, spec, hbar, ref_scale)
-    H = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for j in range(pk.M):
-        F = poly_op(pk.f[j], ops["Q"], ops["Pi"])
-        Gm = poly_op(pk.g[j], ops["Q"], ops["Pi"])
-        P, Phi = ops["P"][j], ops["Phi"][j]
-        H += 0.5 * (P @ F + F @ P + Phi @ Gm + Gm @ Phi)
-    if pk.h:
-        H += poly_op(pk.h, ops["Q"], ops["Pi"])
-    return H
+    """H of the flow ``pk`` = (f, g) from dense products of the embedded
+    operators: the construction the Kronecker-factor build replaced, kept
+    as its oracle."""
+    f, g = pk
+    ops = koopman_ops(spec, hbar, ref_scale)
+    F = poly_op(f, ops["Q"], ops["Pi"])
+    Gm = poly_op(g, ops["Q"], ops["Pi"])
+    P, Phi = ops["P"], ops["Phi"]
+    return 0.5 * (P @ F + F @ P + Phi @ Gm + Gm @ Phi)
 
 
 def dense_oscillator_hamiltonian(spec, m, omega, hbar=1.0, mode=0):
@@ -136,20 +123,17 @@ def chiral_vectors(basis):
 
 
 def koopman_flow(eps, m=1.0, omega=1.0):
-    """The ``koopman`` command's flow: dQ/dt = Pi/m + eps Q^2,
+    """The ``koopman`` command's flow (f, g): dQ/dt = Pi/m + eps Q^2,
     dPi/dt = -m w^2 Q.  Reversible under Q -> -Q."""
-    return PolyKoopman(M=1, f=(poly1((0, 1, 1.0 / m), (2, 0, eps)),),
-                       g=(poly1((1, 0, m * omega**2)),))
+    return ((0, 1, 1.0 / m), (2, 0, eps)), ((1, 0, m * omega**2),)
 
 
-LINEAR_FLOW = PolyKoopman(M=1, f=(poly1((0, 1, 1.0)),), g=(poly1((1, 0, 1.0)),))
+LINEAR_FLOW = (((0, 1, 1.0),), ((1, 0, 1.0),))
 # odd in Pi through f, even in Pi through g, but g is not odd in Q: only
 # the parity of mode 1 (Phi, Pi) anticommutes with H
-MODE1_FLOW = PolyKoopman(M=1, f=(poly1((0, 1, 1.0)),),
-                         g=(poly1((1, 0, 1.0), (0, 2, 0.1)),))
+MODE1_FLOW = (((0, 1, 1.0),), ((1, 0, 1.0), (0, 2, 0.1)))
 # a damping Q term in f: reversible under neither Q -> -Q nor Pi -> -Pi
-DAMPED_FLOW = PolyKoopman(M=1, f=(poly1((0, 1, 1.0), (1, 0, -0.5)),),
-                          g=(poly1((1, 0, 1.0)),))
+DAMPED_FLOW = (((0, 1, 1.0), (1, 0, -0.5)), ((1, 0, 1.0),))
 
 
 def mode_parity(spec, mode):
@@ -279,16 +263,18 @@ class TestOscillatorSpectrum:
 
 class TestPolyKoopman:
     def test_degree_cap(self):
+        spec = TruncationSpec(n_levels=4, n_modes=2)
         with pytest.raises(ValueError, match="degree"):
-            PolyKoopman(M=1, f=(poly1((5, 1, 1.0)),), g=(poly1((1, 0, 1.0)),))
+            build_koopman_hamiltonian(((5, 1, 1.0),), ((1, 0, 1.0),), spec)
+        with pytest.raises(ValueError, match="finite"):
+            build_koopman_hamiltonian(((0, 1, 1.0),), ((1, 0, np.nan),), spec)
 
     def test_poly_op_matches_pointwise_on_diagonals(self):
         # diagonal (commuting) operators: operator polynomial equals the
         # scalar polynomial applied entrywise
         Q = np.diag([0.0, 1.0, 2.0]).astype(complex)
         Pi = np.diag([3.0, 4.0, 5.0]).astype(complex)
-        poly = poly1((2, 1, 0.5), (0, 0, 1.0))
-        Op = poly_op(poly, [Q], [Pi])
+        Op = poly_op(((2, 1, 0.5), (0, 0, 1.0)), Q, Pi)
         expected = np.diag(
             [0.5 * q**2 * p + 1.0 for q, p in [(0, 3), (1, 4), (2, 5)]]
         )
@@ -298,76 +284,53 @@ class TestPolyKoopman:
 class TestKoopmanHamiltonian:
     CASES = [
         # the koopman command's default flow
-        (PolyKoopman(M=1, f=(poly1((0, 1, 1.0), (2, 0, 0.1)),),
-                     g=(poly1((1, 0, 1.0)),)),
+        (koopman_flow(0.1),
          TruncationSpec(n_levels=20, n_modes=2, core_levels=2), 1.0, 1.0),
-        # cubic and mixed terms, constants, h, other hbar and scale
-        (PolyKoopman(M=1, f=(poly1((0, 1, 0.7), (3, 0, -0.2), (1, 2, 0.3)),),
-                     g=(poly1((1, 0, 1.3), (0, 0, 0.5)),),
-                     h=poly1((2, 1, 0.4), (0, 0, 1.0))),
+        # cubic and mixed terms, constants, other hbar and scale
+        ((((0, 1, 0.7), (3, 0, -0.2), (1, 2, 0.3)),
+          ((1, 0, 1.3), (0, 0, 0.5))),
          TruncationSpec(n_levels=12, n_modes=2), 0.7, 1.9),
-        # two pairs: factors on four modes
-        (PolyKoopman(M=2,
-                     f=(((((0, 0), (1, 0)), 1.0), (((1, 0), (0, 1)), 0.2)),
-                        ((((0, 0), (0, 1)), 1.0),)),
-                     g=(((((1, 0), (0, 0)), 1.0),),
-                        ((((0, 1), (0, 0)), 2.0), (((1, 1), (0, 0)), 0.1))),
-                     h=((((1, 0), (0, 1)), 0.3),)),
-         TruncationSpec(n_levels=5, n_modes=4), 1.0, 1.0),
     ]
 
     @pytest.mark.parametrize("pk, spec, hbar, ref_scale", CASES)
     def test_kronecker_build_matches_dense_products(self, pk, spec, hbar,
                                                     ref_scale):
-        H = build_koopman_hamiltonian(pk, spec, hbar, ref_scale)[0].dense()
+        H = build_koopman_hamiltonian(*pk, spec, hbar, ref_scale)[0].dense()
         ref = dense_koopman_hamiltonian(pk, spec, hbar, ref_scale)
         assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_hermitian(self):
-        pk = PolyKoopman(
-            M=1,
-            f=(poly1((0, 1, 1.0), (2, 0, 0.1)),),
-            g=(poly1((1, 0, 1.0)),),
-        )
         spec = TruncationSpec(n_levels=10, n_modes=2)
-        H = build_koopman_hamiltonian(pk, spec)[0].dense()
+        H = build_koopman_hamiltonian(*koopman_flow(0.1), spec)[0].dense()
         assert np.linalg.norm(H - H.conj().T) < 1e-12
 
     def test_mode_count_checked(self):
-        pk = PolyKoopman(M=1, f=(poly1((0, 1, 1.0)),), g=(poly1((1, 0, 1.0)),))
         for n_modes in (1, 3):
             with pytest.raises(ValueError, match="modes"):
                 build_koopman_hamiltonian(
-                    pk, TruncationSpec(n_levels=8, n_modes=n_modes))
+                    *LINEAR_FLOW, TruncationSpec(n_levels=8, n_modes=n_modes))
 
     @pytest.mark.parametrize("pk, spec, hbar, ref_scale", CASES)
     def test_returns_q_and_pi_by_mode(self, pk, spec, hbar, ref_scale):
         # only the commuting observables, on the modes of the layout
-        _, ops = build_koopman_hamiltonian(pk, spec, hbar, ref_scale)
-        assert sorted(ops) == ["Pi", "Q"]
-        ref = koopman_ops(pk.M, spec, hbar, ref_scale)
-        for name in ("Q", "Pi"):
-            assert len(ops[name]) == pk.M
-            for op, op_ref in zip(ops[name], ref[name]):
-                assert np.array_equal(op.dense(), op_ref)
+        _, Q, Pi = build_koopman_hamiltonian(*pk, spec, hbar, ref_scale)
+        ref = koopman_ops(spec, hbar, ref_scale)
+        assert np.array_equal(Q.dense(), ref["Q"])
+        assert np.array_equal(Pi.dense(), ref["Pi"])
 
     def test_q_and_pi_commute_exactly(self):
-        pk = PolyKoopman(M=1, f=(poly1((0, 1, 1.0)),), g=(poly1((1, 0, 1.0)),))
         spec = TruncationSpec(n_levels=8, n_modes=2)
-        _, ops = build_koopman_hamiltonian(pk, spec)
-        Q, Pi = ops["Q"][0].dense(), ops["Pi"][0].dense()
+        _, Q, Pi = build_koopman_hamiltonian(*LINEAR_FLOW, spec)
+        Q, Pi = Q.dense(), Pi.dense()
         assert np.linalg.norm(Q @ Pi - Pi @ Q) == 0.0
 
     def test_linear_flow_heisenberg_equations(self):
         # f = Pi, g = w^2 Q: dQ/dt = i[H, Q] should equal f at t = 0
         w = 1.0
-        pk = PolyKoopman(
-            M=1, f=(poly1((0, 1, 1.0)),), g=(poly1((1, 0, w**2)),)
-        )
         spec = TruncationSpec(n_levels=14, n_modes=2, core_levels=5)
-        H, ops = build_koopman_hamiltonian(pk, spec)
-        H = H.dense()
-        Q, Pi = ops["Q"][0].dense(), ops["Pi"][0].dense()
+        H, Q, Pi = build_koopman_hamiltonian(((0, 1, 1.0),), ((1, 0, w**2),),
+                                             spec)
+        H, Q, Pi = H.dense(), Q.dense(), Pi.dense()
         dQ = 1j * (H @ Q - Q @ H)
         P = dense_guard_projector(spec)
         assert np.linalg.norm(P @ (dQ - Pi) @ P) < 1e-10
@@ -472,24 +435,18 @@ class TestGuard:
 class TestCommutatorResidual:
     def test_linear_koopman_pair_commutes(self):
         # {Q, Pi} under the linear flow: residual at truncation-noise level
-        pk = PolyKoopman(
-            M=1, f=(poly1((0, 1, 1.0)),), g=(poly1((1, 0, 1.0)),)
-        )
         spec = TruncationSpec(n_levels=16, n_modes=2, core_levels=5)
-        H, ops = build_koopman_hamiltonian(pk, spec)
+        H, Q, Pi = build_koopman_hamiltonian(*LINEAR_FLOW, spec)
         t_grid = np.linspace(0.0, 3.0, 4)
-        res = commutator_residual(H, [ops["Q"][0], ops["Pi"][0]], t_grid)
+        res = commutator_residual(H, [Q, Pi], t_grid)
         assert res < 1e-10
 
     def test_noncommuting_pair_flagged(self):
         # {Q, P} of the same mode must show an order-hbar residual
-        pk = PolyKoopman(
-            M=1, f=(poly1((0, 1, 1.0)),), g=(poly1((1, 0, 1.0)),)
-        )
         spec = TruncationSpec(n_levels=16, n_modes=2, core_levels=5)
-        H, ops = build_koopman_hamiltonian(pk, spec)
+        H, Q, _ = build_koopman_hamiltonian(*LINEAR_FLOW, spec)
         P0 = build_quadrature_ops(spec)[0][1]
-        res = commutator_residual(H, [ops["Q"][0], P0], [0.0, 1.0])
+        res = commutator_residual(H, [Q, P0], [0.0, 1.0])
         assert res > 0.5
 
     def test_non_hermitian_rejected(self):
@@ -505,9 +462,9 @@ class TestCommutatorResidual:
         # reference: full O(t) per time from the complex eigendecomposition
         # of the dense H, projected commutators
         spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=3)
-        H, ops = build_koopman_hamiltonian(pk, spec)
+        H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
         P0 = build_quadrature_ops(spec)[0][1]
-        O_set = [ops["Q"][0], P0, ops["Pi"][0]]
+        O_set = [Q, P0, Pi]
         t_grid = [0.0, 0.5, 1.5]
         P = dense_guard_projector(spec)
         ref = DenseEvolution(H.dense())
@@ -536,8 +493,8 @@ class TestCommutatorResidual:
         # of them, then one V+ product per observable (2 per observable
         # when each formed its own first stage)
         spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=2)
-        H, ops = build_koopman_hamiltonian(pk, spec)
-        O_set = [ops["Q"][0], build_quadrature_ops(spec)[0][1], ops["Pi"][0]]
+        H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
+        O_set = [Q, build_quadrature_ops(spec)[0][1], Pi]
         ref = commutator_residual(H, O_set, [0.0, 1.0])
         calls = {"rows": 0, "times_adjoint": 0}
         for cls in (fock._DenseBasis, fock._ChiralBasis):
@@ -597,7 +554,7 @@ class TestFactorDecisions:
     def test_gauge_and_parity_match_dense_references(self, name, n_levels):
         pk, gauge, mode = FLOWS[name]
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
-        H, _ = build_koopman_hamiltonian(pk, spec)
+        H = build_koopman_hamiltonian(*pk, spec)[0]
         ref = dense_koopman_hamiltonian(pk, spec)
         u_ref = dense_gauge(ref, spec)
         Ht, u = real_gauge(H)
@@ -618,7 +575,7 @@ class TestFactorDecisions:
     def test_one_equal_parity_entry_breaks_the_parity(self, level):
         # a diagonal entry on an even or on an odd level of mode 0
         spec = TruncationSpec(n_levels=6, n_modes=2, core_levels=2)
-        H, _ = build_koopman_hamiltonian(koopman_flow(0.1), spec)
+        H = build_koopman_hamiltonian(*koopman_flow(0.1), spec)[0]
         assert chiral_parity(H) == 0
         entry = np.zeros((6, 6))
         entry[level, level] = 1e-3
@@ -637,7 +594,7 @@ class TestRealGauge:
     ])
     def test_reversible_flow_is_real_in_the_gauge(self, pk, gauged):
         spec = TruncationSpec(n_levels=9, n_modes=2, core_levels=2)
-        H, _ = build_koopman_hamiltonian(pk, spec)
+        H = build_koopman_hamiltonian(*pk, spec)[0]
         Ht, u = real_gauge(H)
         assert is_real_operator(Ht)
         ref = dense_koopman_hamiltonian(pk, spec)
@@ -654,7 +611,7 @@ class TestRealGauge:
 
     def test_damped_flow_stays_complex(self):
         spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=3)
-        H, _ = build_koopman_hamiltonian(DAMPED_FLOW, spec)
+        H = build_koopman_hamiltonian(*DAMPED_FLOW, spec)[0]
         Ht, u = real_gauge(H)
         assert Ht is H and u is None
 
@@ -665,7 +622,7 @@ class TestRealGauge:
         # against the complex eigh of H as built, at even and odd N
         for n_levels in (8, 9):
             spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=3)
-            H, ops = build_koopman_hamiltonian(pk, spec)
+            H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
             Ht, u = real_gauge(H)
             assert is_real_operator(Ht) and np.iscomplexobj(H.dense())
             assert chiral_parity(Ht) is not None
@@ -673,15 +630,15 @@ class TestRealGauge:
             with monkeypatch.context() as m:
                 m.setattr(fock, "chiral_parity", lambda H: None)
                 real = HeisenbergPropagator(H, 0.8)
-            self.check_propagators(H, ops, spec, (real, chiral))
+            self.check_propagators(H, (Q, Pi), spec, (real, chiral))
 
     @staticmethod
-    def check_propagators(H, ops, spec, props):
+    def check_propagators(H, pair, spec, props):
         # every row and the kept rows, against the dense reference
         ref = DenseEvolution(H.dense(), 0.8)
         keep = core_mask(spec)
         P0 = build_quadrature_ops(spec, hbar=0.8)[0][1]
-        O_set = (ops["Q"][0], ops["Pi"][0], P0)
+        O_set = (*pair, P0)
         t_grid = (0.0, 0.6, 2.3)
         for prop in props:
             assert all(np.isrealobj(M) for M in stored_factors(prop._basis))
@@ -699,8 +656,8 @@ class TestRealGauge:
         # the converged residual is a near-cancellation: the two
         # eigensolvers agree to 1e-6 relative, not to the last digit
         spec = TruncationSpec(n_levels=24, n_modes=2, core_levels=2)
-        H, ops = build_koopman_hamiltonian(koopman_flow(0.1), spec)
-        O_set = [ops["Q"][0], ops["Pi"][0]]
+        H, Q, Pi = build_koopman_hamiltonian(*koopman_flow(0.1), spec)
+        O_set = [Q, Pi]
         t_grid = np.linspace(0.0, 2.0, 5)
         res = commutator_residual(H, O_set, t_grid)
         monkeypatch.setattr(fock, "real_gauge", lambda H: (H, None))
@@ -721,7 +678,7 @@ class TestChiralSplit:
     def test_split_on_the_first_anticommuting_parity(self, pk, mode,
                                                      n_levels):
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
-        H, _ = build_koopman_hamiltonian(pk, spec)
+        H = build_koopman_hamiltonian(*pk, spec)[0]
         for op in (H, real_gauge(H)[0]):
             assert chiral_parity(op) == mode
         if mode is not None:
@@ -737,7 +694,7 @@ class TestChiralSplit:
         # at 9 levels the even class is larger: its extra left singular
         # vectors are the E = 0 eigenvectors
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
-        H, _ = build_koopman_hamiltonian(pk, spec)
+        H = build_koopman_hamiltonian(*pk, spec)[0]
         prop = HeisenbergPropagator(H)
         assert isinstance(prop._basis, fock._ChiralBasis)
         assert np.isrealobj(prop._basis.U) and np.isrealobj(prop._basis.W)
@@ -765,7 +722,7 @@ class TestChiralSplit:
         # the same products with V assembled from U and W in the test;
         # the rows against the dense reference
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
-        H, ops = build_koopman_hamiltonian(pk, spec)
+        H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
         prop = HeisenbergPropagator(H, 0.8)
         basis = prop._basis
         assert isinstance(basis, fock._ChiralBasis)
@@ -779,7 +736,7 @@ class TestChiralSplit:
         assert np.array_equal(basis.rows(keep), V[keep])
         ref = DenseEvolution(H.dense(), 0.8)
         t_grid = (0.0, 0.6, 2.3)
-        O_set = (ops["Q"][0], ops["Pi"][0],
+        O_set = (Q, Pi,
                  build_quadrature_ops(spec, hbar=0.8)[0][1])
         for O, rows in zip(O_set, prop.evolve_rows(O_set, t_grid, keep)):
             Od = O.dense()
@@ -789,8 +746,8 @@ class TestChiralSplit:
 
     def test_split_and_eigh_residuals_agree_at_24_levels(self, monkeypatch):
         spec = TruncationSpec(n_levels=24, n_modes=2, core_levels=2)
-        H, ops = build_koopman_hamiltonian(koopman_flow(0.1), spec)
-        O_set = [ops["Q"][0], ops["Pi"][0]]
+        H, Q, Pi = build_koopman_hamiltonian(*koopman_flow(0.1), spec)
+        O_set = [Q, Pi]
         t_grid = np.linspace(0.0, 2.0, 5)
         res = commutator_residual(H, O_set, t_grid)
         monkeypatch.setattr(fock, "chiral_parity", lambda H: None)
@@ -811,8 +768,8 @@ class TestGuardsOnTheFactorPath:
         # coefficient: H is no longer Hermitian, on the block path and on
         # the dense one
         spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=2)
-        H, ops = build_koopman_hamiltonian(pk, spec)
-        O_set = [ops["Q"][0], ops["Pi"][0]]
+        H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
+        O_set = [Q, Pi]
         assert commutator_residual(H, O_set, [0.0, 1.0]) > 0
         terms = list(H.terms)
         coef, factors = terms[2]
@@ -825,7 +782,7 @@ class TestGuardsOnTheFactorPath:
         # the same Hermitian operator split into non-Hermitian parts on one
         # mode passes; a non-Hermitian sum on two modes does not
         spec = TruncationSpec(n_levels=6, n_modes=2, core_levels=2)
-        H, _ = build_koopman_hamiltonian(LINEAR_FLOW, spec)
+        H = build_koopman_hamiltonian(*LINEAR_FLOW, spec)[0]
         a = np.diag(np.sqrt(np.arange(1.0, 6)), 1)
         split = KronOperator(spec, ((1.0, (a, None)), (1.0, (a.T, None))))
         assert commutator_residual(H, [split], [0.0, 1.0]) >= 0
@@ -842,9 +799,8 @@ class TestGuardsOnTheFactorPath:
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
         tracemalloc.start()
         try:
-            H, ops = build_koopman_hamiltonian(pk, spec)
-            commutator_residual(H, [ops["Q"][0], ops["Pi"][0]],
-                                np.linspace(0.0, 2.0, 5))
+            H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
+            commutator_residual(H, [Q, Pi], np.linspace(0.0, 2.0, 5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

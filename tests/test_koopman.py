@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from qmfslab.fock import poly1
 from qmfslab.koopman import (
     ClassicalFlow,
     FlowDivergenceError,
@@ -17,17 +16,17 @@ from qmfslab.koopman import (
 
 def harmonic_flow(m=1.0, omega=1.0, dt=1e-3):
     return ClassicalFlow(
-        f=poly1((0, 1, 1.0 / m)), g=poly1((1, 0, m * omega**2)), dt=dt
+        f=((0, 1, 1.0 / m),), g=((1, 0, m * omega**2),), dt=dt
     )
 
 
 # the flow of the koopman command (m = omega = 1, epsilon = 0.1) and a
 # Duffing oscillator
 KOOPMAN_FLOW = ClassicalFlow(
-    f=poly1((0, 1, 1.0), (2, 0, 0.1)), g=poly1((1, 0, 1.0))
+    f=((0, 1, 1.0), (2, 0, 0.1)), g=((1, 0, 1.0),)
 )
 DUFFING_FLOW = ClassicalFlow(
-    f=poly1((0, 1, 1.0)), g=poly1((1, 0, 1.0), (3, 0, 0.3))
+    f=((0, 1, 1.0),), g=((1, 0, 1.0), (3, 0, 0.3))
 )
 
 
@@ -46,7 +45,7 @@ class TestClassicalFlow:
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
-            ClassicalFlow(f=poly1((0, 1, 1.0)), g=poly1((1, 0, 1.0)), dt=0.0)
+            ClassicalFlow(f=((0, 1, 1.0),), g=((1, 0, 1.0),), dt=0.0)
 
 
 class TestIntegrate:
@@ -68,7 +67,7 @@ class TestIntegrate:
 
     def test_step_halving_guard(self):
         flow = ClassicalFlow(
-            f=poly1((0, 1, 1.0), (2, 0, 0.3)), g=poly1((1, 0, 1.0)), dt=0.25
+            f=((0, 1, 1.0), (2, 0, 0.3)), g=((1, 0, 1.0),), dt=0.25
         )
         with pytest.raises(StepSizeError):
             integrate(flow, 1.5, 0.0, T=5.0, rtol=1e-12)
@@ -76,22 +75,21 @@ class TestIntegrate:
     def test_step_halving_check_when_dt_exceeds_T(self):
         # one RK4 step of h = 2 against two of h = 1; a check sweep that
         # rounded T / (dt / 2) would repeat the single step
-        flow = ClassicalFlow(f=poly1((0, 1, 1.0), (2, 0, 0.1)),
-                             g=poly1((1, 0, 1.0)), dt=3.0)
+        flow = ClassicalFlow(f=((0, 1, 1.0), (2, 0, 0.1)),
+                             g=((1, 0, 1.0),), dt=3.0)
         with pytest.raises(StepSizeError):
             integrate(flow, 0.3, 0.0, T=2.0)
 
     def test_divergence_guard(self):
         # dQ/dt = Q^2 blows up in finite time
-        flow = ClassicalFlow(f=poly1((2, 0, 1.0)), g=poly1((1, 0, 0.0), (0, 0, 0.0)), dt=1e-3)
+        flow = ClassicalFlow(f=((2, 0, 1.0),), g=((1, 0, 0.0), (0, 0, 0.0)), dt=1e-3)
         with pytest.raises((FlowDivergenceError, OverflowError)):
             integrate(flow, 5.0, 0.0, T=10.0, check=False)
 
     def test_divergence_guard_on_every_path(self):
         # the scalar sweep of integrate, the complex length-2 sweep of the
         # tangent map and the array sweep of transport stop at one step
-        flow = ClassicalFlow(f=poly1((2, 0, 1.0)), g=poly1((1, 0, 0.0)),
-                             dt=1e-3)
+        flow = ClassicalFlow(f=((2, 0, 1.0),), g=((1, 0, 0.0),), dt=1e-3)
         messages = []
         for run in (lambda: integrate(flow, 5.0, 0.0, T=1.0, check=False),
                     lambda: integrate_with_tangent(flow, 5.0, 0.0, T=1.0),
@@ -121,7 +119,7 @@ class TestTangent:
     def test_dissipative_flow_contracts(self):
         # f = Pi - 0.5 Q gives divergence -0.5: area shrinks as exp(-t/2)
         flow = ClassicalFlow(
-            f=poly1((0, 1, 1.0), (1, 0, -0.5)), g=poly1((1, 0, 1.0)), dt=1e-3
+            f=((0, 1, 1.0), (1, 0, -0.5)), g=((1, 0, 1.0),), dt=1e-3
         )
         _, J = integrate_with_tangent(flow, 1.0, 0.0, T=2.0)
         assert np.linalg.det(J) == pytest.approx(np.exp(-1.0), rel=1e-5)
@@ -189,8 +187,8 @@ def reference_rk4(f, g, Q, Pi, T, n_steps, record):
 
     def poly(terms, Q, Pi):
         total = 0.0
-        for (a, b), coef in terms:
-            total = total + coef * Q ** a[0] * Pi ** b[0]
+        for a, b, coef in terms:
+            total = total + coef * Q ** a * Pi ** b
         return total
 
     def velocity(Q, Pi):
@@ -217,9 +215,8 @@ def reference_rk4(f, g, Q, Pi, T, n_steps, record):
 
 # degree 4 with powers of Pi up to 4 and mixed monomials
 QUARTIC_FLOW = ClassicalFlow(
-    f=poly1((0, 1, 1.0), (0, 3, -0.05), (1, 2, 0.02), (2, 0, 0.1)),
-    g=poly1((1, 0, 1.0), (3, 0, 0.1), (2, 2, -0.01), (0, 4, 0.003),
-            (0, 0, 0.0)),
+    f=((0, 1, 1.0), (0, 3, -0.05), (1, 2, 0.02), (2, 0, 0.1)),
+    g=((1, 0, 1.0), (3, 0, 0.1), (2, 2, -0.01), (0, 4, 0.003), (0, 0, 0.0)),
 )
 
 
