@@ -1,6 +1,7 @@
 """Desk-scale laboratory for back-action-evading subsystems.
 
-Subpackages:
+Subpackages, each imported by its own path (the package root exports
+only ``__version__``):
 
 - ``phase_space``: symplectic linear models, transfer matrices, exact
   two-time commutators, the algebraic QMFS verdict.
@@ -16,32 +17,5 @@ Subpackages:
 - ``circuits``: stroboscopic (reversible-circuit) Pauli-Z propagation.
 - ``cli``: batch experiment runner.
 """
-
-from .phase_space import (
-    LinearModel,
-    ObservableSet,
-    QmfsVerdict,
-    build_drift,
-    is_qmfs,
-    symplectic_form,
-    transfer_matrix,
-    two_time_commutator,
-)
-from .models import (
-    ModelBundle,
-    oscillator_pair,
-    sideband_model,
-    single_oscillator,
-    spin_pair_hp,
-)
-from .conditional import (
-    ForceDrive,
-    GaussianState,
-    MeasurementChannel,
-    Trajectory,
-    backaction_diffusion,
-    evolve_conditional,
-)
-from .circuits import BoolFunc, ReversibleCircuit
 
 __version__ = "0.1.0"

@@ -92,8 +92,11 @@ class ReversibleCircuit:
             except ValueError:
                 raise ValueError(f"line {n}: {ln!r}: expected integers "
                                  f"after {name!r}") from None
-        (_, n_bits, *_), *gates = rows
-        return ReversibleCircuit(n_bits, tuple(gates))
+        (_, *n_bits), *gates = rows
+        if len(n_bits) != 1:
+            n, ln = lines[0]
+            raise ValueError(f'line {n}: {ln!r}: expected "bits N"')
+        return ReversibleCircuit(n_bits[0], tuple(gates))
 
 
 @dataclass(frozen=True)

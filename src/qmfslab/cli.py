@@ -38,6 +38,7 @@ import numpy as np
 from . import (__version__, circuits, conditional, csvtext, fock, koopman,
                models, spins)
 from .phase_space import (
+    _check_square,
     commutator_from_propagators,
     is_qmfs,
     transfer_matrix,
@@ -170,11 +171,20 @@ def _write_summary(out_dir: Path, config: dict, payload: dict) -> None:
         fh.write("\n")
 
 
+def _parse_file(path, what, parse):
+    """parse(text) of the UTF-8 file at path; a ValueError of either is
+    raised again with the prefix "<what> from <path>: "."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{what} from {path}: {exc}") from None
+
+
 def _build_bundle(args) -> models.ModelBundle:
     """The bundle of --model-file, else of --model with its options."""
     if args.model_file:
-        return models.model_from_json(Path(args.model_file).read_text(),
-                                      f"model from {args.model_file}")
+        text = _parse_file(args.model_file, "model", str)
+        return models.model_from_json(text, f"model from {args.model_file}")
     options = _model_options(args.model)
     return models.BUILDERS[args.model](
         **{p: getattr(args, o) for p, o in options.items()})
@@ -348,6 +358,7 @@ def cmd_force(args, out_dir: Path) -> dict:
 
 def cmd_koopman(args, out_dir: Path) -> dict:
     m, omega, eps = args.m, args.omega, args.epsilon
+    _check_square(omega=omega)
     # dQ/dt = Pi/m + eps Q^2, dPi/dt = -m w^2 Q, terms (a, b, coef)
     f, g = ((0, 1, 1.0 / m), (2, 0, eps)), ((1, 0, m * omega**2),)
     flow = koopman.ClassicalFlow(f, g, dt=args.dt)
@@ -396,9 +407,8 @@ def cmd_spin(args, out_dir: Path) -> dict:
 
 
 def cmd_circuit(args, out_dir: Path) -> dict:
-    circuit = circuits.ReversibleCircuit.from_text(
-        Path(args.file).read_text()
-    )
+    circuit = _parse_file(args.file, "circuit",
+                          circuits.ReversibleCircuit.from_text)
     if args.verify:  # before any table is computed or written
         circuits.check_dense_size(circuit.n_bits)
     tables = circuits.propagate_z(circuit)
@@ -559,15 +569,20 @@ def _config_flags(path, parsers):
     the bare switch; ``null``, ``false`` and the key ``command`` give no
     flag.
     """
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
     options = {a.dest: (n, a) for n, p in enumerate(parsers)
                for a in p._actions
                if a.default is not argparse.SUPPRESS and a.dest != "config"}
-    unknown = set(doc) - set(options)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+
+    def parse(text):
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(doc) - set(options)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        return doc
+
+    doc = _parse_file(path, "config", parse)
     flags = [[] for _ in parsers]
     for key, value in doc.items():
         n, action = options[key]

@@ -40,6 +40,10 @@ A force F(t) = c.z(t) is the output of a linear generator z' = W z, so
 waveform estimation appends z, scaled by the unknown amplitude, to the
 state and runs the Kalman filter over that time-invariant model; this
 yields the maximum-likelihood amplitude and its posterior spread.
+
+The batch is the one unit: a sweep returns one BatchResult (a single
+trajectory is a batch of one), and the filter one ForceEstimate per
+batch of records.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .phase_space import (
     MAX_EXPM_NORM,
     LinearModel,
     _check_finite,
+    _check_square,
     expm,
 )
 
@@ -60,7 +65,6 @@ __all__ = [
     "GaussianState",
     "MeasurementChannel",
     "ForceDrive",
-    "Trajectory",
     "BatchResult",
     "ForceEstimate",
     "EstimationError",
@@ -213,28 +217,22 @@ class ForceDrive:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Conditional trajectory: means per step, thinned covariances, records."""
+class BatchResult:
+    """Conditional trajectories of one sweep: row i of means and records
+    draws its noise from seeds[i]; the covariances serve every row."""
 
-    times: np.ndarray
-    means: np.ndarray  # (n_steps + 1, dim)
+    times: np.ndarray  # (n_steps + 1,)
+    means: np.ndarray  # (n_traj, n_steps + 1, dim)
+    records: np.ndarray  # (n_traj, n_steps, n_channels) of dy increments
     cov_times: np.ndarray
     covs: np.ndarray  # (len(cov_times), dim, dim)
-    records: np.ndarray  # (n_steps, n_channels) of dy increments
-    seed: object
+    seeds: list
     dt: float
-
-    def __post_init__(self):
-        if self.means.shape[0] != self.times.size:
-            raise ValueError("means and times length mismatch")
-        if self.covs.shape[0] != self.cov_times.size:
-            raise ValueError("covs and cov_times length mismatch")
-        if self.records.shape[0] != self.times.size - 1:
-            raise ValueError("records must have one row per step")
 
 
 def backaction_diffusion(model: LinearModel, channel: MeasurementChannel):
     """D = hbar^2 k (Omega s)(Omega s)^T: diffusion on the conjugate."""
+    _check_square(hbar=model.hbar)
     v = model.Omega @ channel.s
     return model.hbar**2 * channel.k * np.outer(v, v)
 
@@ -390,8 +388,8 @@ def _conditional_sweep(model, state0, channels, force, dt, T, seeds, cov_stride)
     product.
 
     Trajectory i draws its noise from the streams keyed by seeds[i].
-    Returns (times, means, records, cov_times, covs) with means
-    (n_traj, n_steps + 1, dim), records (n_traj, n_steps, n_channels)
+    Returns the one result type, a BatchResult: means
+    (n_traj, n_steps + 1, dim), records (n_traj, n_steps, n_channels),
     and covs (n_cov, dim, dim) at the steps 0, cov_stride,
     2 cov_stride, ... and always the last one.
     """
@@ -458,7 +456,8 @@ def _conditional_sweep(model, state0, channels, force, dt, T, seeds, cov_stride)
         covs.append(Vs[is_cov[n0 + 1:n0 + k + 1]])
         V = Vs[-1]
 
-    return times, means, records, times[is_cov], np.concatenate(covs)
+    return BatchResult(times, means, records, times[is_cov],
+                       np.concatenate(covs), seeds, dt)
 
 
 def evolve_conditional(
@@ -470,29 +469,12 @@ def evolve_conditional(
     T: float = 1.0,
     seed=0,
     cov_stride: int = 1,
-) -> Trajectory:
-    """Euler-Maruyama conditional mean with the exact covariance step alongside.
-
-    Deterministic given (model, channels, force, dt, T, seed); a batch
-    of one of :func:`simulate_batch`'s sweep.
-    """
-    times, means, records, cov_times, covs = _conditional_sweep(
-        model, state0, channels, force, dt, T, [seed], cov_stride
-    )
-    return Trajectory(times=times, means=means[0], cov_times=cov_times,
-                      covs=covs, records=records[0], seed=seed, dt=dt)
-
-
-@dataclass(frozen=True)
-class BatchResult:
-    """Vectorized ensemble run sharing one covariance sweep."""
-
-    times: np.ndarray
-    records: np.ndarray  # (n_traj, n_steps, n_channels)
-    master_seed: int
-    means: np.ndarray  # (n_traj, n_steps + 1, dim)
-    cov_times: np.ndarray
-    covs: np.ndarray  # (len(cov_times), dim, dim), shared by all seeds
+) -> BatchResult:
+    """One conditional trajectory, deterministic given (model, channels,
+    force, dt, T, seed): the sweep's batch of one, means of shape
+    (1, n_steps + 1, dim)."""
+    return _conditional_sweep(model, state0, channels, force, dt, T, [seed],
+                              cov_stride)
 
 
 def simulate_batch(
@@ -508,34 +490,27 @@ def simulate_batch(
 ) -> BatchResult:
     """Monte Carlo ensemble of conditional trajectories.
 
-    Trajectory i uses noise streams keyed by (master_seed, i, channel),
-    identical to evolve_conditional with seed = (master_seed, i), bit
-    for bit.  The means of all seeds advance together, a block of steps
-    per scan, and one covariance sweep serves every seed, which is what
-    makes hundred-seed ensembles cheap.  Per-step means take
-    n_traj x (n_steps + 1) x dim x 8 bytes.
+    Trajectory i uses noise streams keyed by (master_seed, i, channel):
+    row i is evolve_conditional's batch of one at seed = (master_seed, i),
+    bit for bit, and seeds[i] of the result is that seed.  The means of
+    all seeds advance together, a block of steps per scan, and one
+    covariance sweep serves every seed, which is what makes hundred-seed
+    ensembles cheap.  Per-step means take n_traj x (n_steps + 1) x dim x
+    8 bytes.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     seeds = [(master_seed, i) for i in range(n_traj)]
-    times, means, records, cov_times, covs = _conditional_sweep(
-        model, state0, channels, force, dt, T, seeds, cov_stride
-    )
-    return BatchResult(
-        times=times,
-        records=records,
-        master_seed=master_seed,
-        means=means,
-        cov_times=cov_times,
-        covs=covs,
-    )
+    return _conditional_sweep(model, state0, channels, force, dt, T, seeds,
+                              cov_stride)
 
 
 @dataclass(frozen=True)
 class ForceEstimate:
-    """Maximum-likelihood amplitude with its analytic posterior spread."""
+    """Maximum-likelihood amplitude of each record of a batch, and the
+    analytic posterior spread and information they all share."""
 
-    amplitude: float
+    amplitude: np.ndarray  # (n_traj,)
     posterior_std: float
     information: float
 
@@ -569,12 +544,12 @@ def _amplitude_readout(template: ForceDrive, T: float) -> np.ndarray:
     return v / (v @ v)
 
 
-def _ml_from_posterior(mu_F: float, V_FF: float):
+def _information(V_FF: float) -> float:
+    """The record's information 1/V_FF - 1/PRIOR_VAR about the amplitude."""
     information = 1.0 / V_FF - 1.0 / PRIOR_VAR
     if information <= 0 or not np.isfinite(information):
         raise EstimationError("no likelihood information about the amplitude")
-    amplitude = mu_F * (1.0 / V_FF) / information
-    return ForceEstimate(amplitude, 1.0 / math.sqrt(information), information)
+    return information
 
 
 def force_posterior_std(
@@ -592,8 +567,7 @@ def force_posterior_std(
     Va = _exact_step(A, D, M, T)(Va)
     u = _amplitude_readout(template, T)
     d = model.dim
-    est = _ml_from_posterior(1.0, u @ Va[d:, d:] @ u)
-    return est.posterior_std
+    return 1.0 / math.sqrt(_information(u @ Va[d:, d:] @ u))
 
 
 def estimate_force_batch(
@@ -602,9 +576,10 @@ def estimate_force_batch(
     channels,
     template: ForceDrive,
     dt: float,
-):
-    """Vectorized amplitude estimation over an ensemble of records that
-    start from the vacuum."""
+) -> ForceEstimate:
+    """Amplitude estimates of a batch of records (n_traj, n_steps,
+    n_channels) from runs that start in the vacuum, from one filter
+    covariance sweep: amplitude has shape (n_traj,)."""
     records = np.asarray(records, dtype=float)
     n_traj, n_steps, n_ch = records.shape
     if n_ch != len(channels):
@@ -636,5 +611,6 @@ def estimate_force_batch(
         Va = Vs[-1]
     u = _amplitude_readout(template, n_steps * dt)
     V_FF = u @ Va[d:, d:] @ u
-    return [_ml_from_posterior(float(u @ mu[d:, i]), V_FF)
-            for i in range(n_traj)]
+    information = _information(V_FF)
+    amplitude = (u @ mu[d:]) * (1.0 / V_FF) / information
+    return ForceEstimate(amplitude, 1.0 / math.sqrt(information), information)

@@ -58,6 +58,8 @@ class ClassicalFlow:
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        if not all(math.isfinite(c) for _, _, c in (*self.f, *self.g)):
+            raise ValueError("coefficients must be finite")
 
 
 def _n_steps(T: float, dt: float) -> int:
@@ -76,39 +78,43 @@ def _rk4_sweep(flow: ClassicalFlow, Q, Pi, T: float, n_steps: int,
     # velocity (f, -g) at the four stages, written out: each a sum of
     # coef Q^a Pi^b over the terms, in order from 0.0
     for _ in range(n_steps):
-        k1q = k1p = 0.0
-        for a, b, c in f:
-            k1q = k1q + c * Q ** a * Pi ** b
-        for a, b, c in g:
-            k1p = k1p + c * Q ** a * Pi ** b
-        k1p = -k1p
-        Q2, P2 = Q + half * k1q, Pi + half * k1p
-        k2q = k2p = 0.0
-        for a, b, c in f:
-            k2q = k2q + c * Q2 ** a * P2 ** b
-        for a, b, c in g:
-            k2p = k2p + c * Q2 ** a * P2 ** b
-        k2p = -k2p
-        Q3, P3 = Q + half * k2q, Pi + half * k2p
-        k3q = k3p = 0.0
-        for a, b, c in f:
-            k3q = k3q + c * Q3 ** a * P3 ** b
-        for a, b, c in g:
-            k3p = k3p + c * Q3 ** a * P3 ** b
-        k3p = -k3p
-        Q4, P4 = Q + h * k3q, Pi + h * k3p
-        k4q = k4p = 0.0
-        for a, b, c in f:
-            k4q = k4q + c * Q4 ** a * P4 ** b
-        for a, b, c in g:
-            k4p = k4p + c * Q4 ** a * P4 ** b
-        k4p = -k4p
-        Q = Q + sixth * (k1q + 2 * k2q + 2 * k3q + k4q)
-        Pi = Pi + sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
         t += h
-        size = (math.hypot(Q.real, Pi.real) if scalar
-                else np.max(np.hypot(Q.real, Pi.real)))
-        if size > BLOWUP_NORM:
+        try:
+            k1q = k1p = 0.0
+            for a, b, c in f:
+                k1q = k1q + c * Q ** a * Pi ** b
+            for a, b, c in g:
+                k1p = k1p + c * Q ** a * Pi ** b
+            k1p = -k1p
+            Q2, P2 = Q + half * k1q, Pi + half * k1p
+            k2q = k2p = 0.0
+            for a, b, c in f:
+                k2q = k2q + c * Q2 ** a * P2 ** b
+            for a, b, c in g:
+                k2p = k2p + c * Q2 ** a * P2 ** b
+            k2p = -k2p
+            Q3, P3 = Q + half * k2q, Pi + half * k2p
+            k3q = k3p = 0.0
+            for a, b, c in f:
+                k3q = k3q + c * Q3 ** a * P3 ** b
+            for a, b, c in g:
+                k3p = k3p + c * Q3 ** a * P3 ** b
+            k3p = -k3p
+            Q4, P4 = Q + h * k3q, Pi + h * k3p
+            k4q = k4p = 0.0
+            for a, b, c in f:
+                k4q = k4q + c * Q4 ** a * P4 ** b
+            for a, b, c in g:
+                k4p = k4p + c * Q4 ** a * P4 ** b
+            k4p = -k4p
+            Q = Q + sixth * (k1q + 2 * k2q + 2 * k3q + k4q)
+            Pi = Pi + sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
+            size = (math.hypot(Q.real, Pi.real) if scalar
+                    else np.max(np.hypot(Q.real, Pi.real)))
+        except OverflowError:  # a stage of one trajectory left the floats
+            size = math.inf
+        # a NaN size compares false: it is a divergence too
+        if not size <= BLOWUP_NORM:
             raise FlowDivergenceError(
                 f"trajectory norm exceeded {BLOWUP_NORM:g} at t = {t:.6g}"
             )

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .phase_space import LinearModel, ObservableSet, _check_finite, is_qmfs
+from .phase_space import (LinearModel, ObservableSet, _check_finite,
+                          _check_square, is_qmfs)
 
 __all__ = [
     "ModelBundle",
@@ -139,6 +140,7 @@ def rebased_model(model: LinearModel, T: np.ndarray) -> LinearModel:
 
 def _check_oscillator_params(m: float, omega: float, hbar: float):
     _check_finite(m=m, omega=omega, hbar=hbar)
+    _check_square(omega=omega)
     if m == 0:
         raise ValueError("mass must be nonzero")
     if omega <= 0:
@@ -265,6 +267,7 @@ def spin_pair_hp(gamma_B0: float, hbar: float = 1.0) -> ModelBundle:
     ``oscillator_pair``.
     """
     _check_finite(gamma_B0=gamma_B0, hbar=hbar)
+    _check_square(gamma_B0=gamma_B0)
     if gamma_B0 <= 0:
         raise ValueError("Larmor frequency must be positive")
     return replace(

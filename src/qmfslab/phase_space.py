@@ -134,6 +134,15 @@ def _check_finite(**params):
                              f"{float(value[tuple(bad)])!r}{at}")
 
 
+def _check_square(**params):
+    """Reject a parameter whose square overflows a float (x**2 would
+    raise OverflowError), naming it."""
+    for name, value in params.items():
+        if not math.isfinite(float(value) * float(value)):
+            raise ValueError(f"{name} is too large: {name}**2 overflows a "
+                             f"float, got {float(value)!r}")
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form for ordering (q1, p1, q2, p2, ...)."""
     if n_modes < 1:

@@ -214,9 +214,8 @@ class TestCriterion5ForceResponseAndEstimation:
             model, vacuum_state(model), ch, drive,
             dt=2e-3, T=10.0, master_seed=42, n_traj=n,
         )
-        ests = estimate_force_batch(batch.records, model, ch, drive, 2e-3)
-        amps = np.array([e.amplitude for e in ests])
-        sigma = ests[0].posterior_std
+        est = estimate_force_batch(batch.records, model, ch, drive, 2e-3)
+        amps, sigma = est.amplitude, est.posterior_std
         assert abs(amps.mean() - 1.0) < 3 * sigma / np.sqrt(n)
         assert abs(amps.std(ddof=1) - sigma) < 3 * sigma / np.sqrt(2 * (n - 1))
 

@@ -50,6 +50,15 @@ class TestReversibleCircuit:
         with pytest.raises(ValueError, match="^" + line + ": expected integers"):
             ReversibleCircuit.from_text(text)
 
+    @pytest.mark.parametrize("header", ["bits 3 4", "bits 3 0", "bits"])
+    def test_header_is_exactly_bits_n(self, header):
+        with pytest.raises(ValueError, match='"bits N"'):
+            ReversibleCircuit.from_text(header + "\nCCX 0 1 2\n")
+        # blank lines before the header count in its line number
+        if header != "bits":
+            with pytest.raises(ValueError, match=f"^line 3: '{header}': "):
+                ReversibleCircuit.from_text("\n\n" + header + "\nX 0\n")
+
 
 class TestPermutation:
     def test_x_gate(self):

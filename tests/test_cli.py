@@ -548,6 +548,43 @@ class TestRunTimeBadInput:
         self.check_bad_input(tmp_path / "run", argv, capsys, "h ||H||_2 = ")
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["check", "--omega", "1e300"], id="check-omega"),
+        pytest.param(["check", "--model", "single", "--omega", "1e160"],
+                     id="check-single-omega"),
+        pytest.param(["check", "--model", "sideband", "--omega", "1e200"],
+                     id="check-sideband-omega"),
+        pytest.param(["simulate", "--T", "0.01", "--omega", "1e160"],
+                     id="simulate-omega"),
+        pytest.param(["force", "--omega", "1e160"], id="force-omega"),
+        pytest.param(["spin", "--gamma-b0", "1e160"], id="spin-gamma-b0"),
+        pytest.param(["simulate", "--T", "0.01", "--hbar", "1e300"],
+                     id="simulate-hbar"),
+        pytest.param(["force", "--hbar", "1e300"], id="force-hbar"),
+        pytest.param(["koopman", "--omega", "1e160"], id="koopman-omega"),
+    ])
+    def test_square_overflows_a_float(self, tmp_path, capsys, argv):
+        # x**2 of a finite float raised OverflowError: a traceback, exit 1
+        flag, value = argv[-2:]
+        name = {"--gamma-b0": "gamma_B0"}.get(flag, flag[2:])
+        assert main(["--out", str(tmp_path / "run"), *argv]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {name} is too large: {name}**2 overflows a float, got "
+            f"{float(value)!r}\n")
+        assert not (tmp_path / "run" / "summary.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # a stage's Q**2 overflowed: a traceback, exit 1
+        (["--epsilon", "1e300"], "trajectory norm exceeded 1e+12 at t = 0.001"),
+        # m omega^2 = inf: a classical.csv of nan, then exit 2 from the
+        # Fock build
+        (["--m", "1e300", "--omega", "1e10"], "coefficients must be finite"),
+    ])
+    def test_overflowing_flow_writes_nothing(self, tmp_path, capsys, argv,
+                                             message):
+        self.check_bad_input(tmp_path / "run", ["koopman", *argv], capsys,
+                             message)
+
     def test_zero_force_coupling(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({
@@ -728,6 +765,26 @@ class TestCircuit:
             ["--out", str(out), "circuit", "--file", str(tmp_path / "nope")]
         )
         assert code == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("data, message", [
+        (b"bits 3 4\nCCX 0 1 2\n", "line 1: 'bits 3 4': expected \"bits N\""),
+        (b"CCX 0 1 2\n", 'circuit text must start with "bits N"'),
+        (b"bits 3\nCX 0 x\n", "line 2: 'CX 0 x': expected integers"),
+        (b"bits 3\nCCX 0 1 7\n", "out of range for 3 bits"),
+        (b"bits 3\nCCX 0 1 \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_bad_file_names_itself(self, tmp_path, capsys, data, message):
+        circ = tmp_path / "circ.txt"
+        circ.write_bytes(data)
+        out = tmp_path / "run"
+        for verify in ([], ["--verify"]):
+            argv = ["--out", str(out), "circuit", "--file", str(circ), *verify]
+            assert main(argv) == EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: circuit from {circ}: ")
+            assert message in err and err.count("\n") == 1
+            assert not (out / "truth_tables.csv").exists()
+            assert not (out / "summary.json").exists()
 
     def test_verify_past_the_dense_limit_writes_nothing(self, tmp_path,
                                                         capsys):
@@ -1030,12 +1087,32 @@ class TestConfig:
         code = main(["--config", str(cfg), "--out", str(out), "check"])
         assert code == EXIT_BAD_INPUT
 
-    def test_malformed_json_rejected(self, tmp_path):
+    def test_malformed_json_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")
         out = tmp_path / "run"
         code = main(["--config", str(cfg), "--out", str(out), "check"])
         assert code == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            f"error: config from {cfg}: Expecting property name enclosed in "
+            "double quotes: line 1 column 2 (char 1)\n")
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"seed": 3,}', "Expecting property name enclosed in double quotes"),
+        (b'{"seed": 3\xff}', "'utf-8' codec can't decode byte 0xff"),
+        (b"[3]", "config must be a JSON object"),
+        (b'{"sed": 3}', "unknown config keys: ['sed']"),
+    ])
+    def test_bad_file_names_itself(self, tmp_path, capsys, data, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        out = tmp_path / "run"
+        code = main(["--config", str(cfg), "--out", str(out), "check"])
+        assert code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config from {cfg}: {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestModelFile:
@@ -1181,6 +1258,17 @@ class TestModelFile:
         assert capsys.readouterr().err == (
             f"error: model from {fixture}: Expecting property name enclosed "
             "in double quotes: line 1 column 15 (char 14)\n")
+        assert not (out / "summary.json").exists()
+
+    def test_file_that_is_no_utf8_is_bad_input(self, tmp_path, capsys):
+        fixture = tmp_path / "model.json"
+        fixture.write_bytes(b'{"n_modes": 1,\xff}')
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "check", "--model-file",
+                     str(fixture)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            f"error: model from {fixture}: 'utf-8' codec can't decode byte "
+            "0xff in position 14: invalid start byte\n")
         assert not (out / "summary.json").exists()
 
     def test_one_mode_checks_q_and_p(self, tmp_path):

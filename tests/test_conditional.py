@@ -212,7 +212,7 @@ class TestEvolveConditional:
         traj = evolve_conditional(model, st, (), dt=1e-4, T=1.0, seed=0)
         expected = transfer_matrix(model, 1.0) @ st.mean
         # Euler error only
-        assert np.max(np.abs(traj.means[-1] - expected)) < 2e-4
+        assert np.max(np.abs(traj.means[0, -1] - expected)) < 2e-4
 
     def test_zero_strength_channel_rejected(self):
         model = free_mass()
@@ -262,7 +262,7 @@ class TestEvolveConditional:
         st = GaussianState(np.array([2.0, 0.0]), vacuum_state(model).cov)
         ch = (pos_channel(k=50.0),)
         traj = evolve_conditional(model, st, ch, dt=1e-3, T=0.2, seed=5)
-        avg = traj.records[:50, 0].mean() / 1e-3
+        avg = traj.records[0, :50, 0].mean() / 1e-3
         assert abs(avg - 2.0) < 0.5
 
 
@@ -275,12 +275,15 @@ class TestSimulateBatch:
         batch = simulate_batch(
             model, st, ch, drive, dt=1e-3, T=0.3, master_seed=9, n_traj=3
         )
+        assert batch.seeds == [(9, 0), (9, 1), (9, 2)]
         for i in range(3):
             traj = evolve_conditional(
                 model, st, ch, force=drive, dt=1e-3, T=0.3, seed=(9, i)
             )
-            assert np.array_equal(batch.records[i], traj.records)
-            assert np.array_equal(batch.means[i], traj.means)
+            assert traj.seeds == [(9, i)]
+            assert traj.means.shape == (1, 301, 4)
+            assert np.array_equal(batch.records[i], traj.records[0])
+            assert np.array_equal(batch.means[i], traj.means[0])
 
     def test_covariance_is_seed_independent(self):
         model = free_mass()
@@ -464,7 +467,7 @@ class TestSweepMatchesReferenceLoop:
             model, st, ch, drive, 1e-3, T, (5, 1), cov_stride
         )
         exact = exact_trajectory(model, st, ch, drive, 1e-3, T, (5, 1))
-        self.assert_near_exact(traj.means, traj.records, exact)
+        self.assert_near_exact(traj.means[0], traj.records[0], exact)
         self.assert_near_exact(means, records, exact)
         assert np.array_equal(traj.times, np.arange(traj.times.size) * 1e-3)
         assert np.array_equal(traj.cov_times, cov_times)
@@ -490,8 +493,8 @@ class TestSweepMatchesReferenceLoop:
             # a batch of one is row i, bit for bit
             traj = evolve_conditional(model, st, ch, force=drive, dt=1e-3,
                                       T=T, seed=(9, i), cov_stride=cov_stride)
-            assert np.array_equal(batch.means[i], traj.means)
-            assert np.array_equal(batch.records[i], traj.records)
+            assert np.array_equal(batch.means[i], traj.means[0])
+            assert np.array_equal(batch.records[i], traj.records[0])
 
 
 def rk4_riccati_rhs(model, channels):
@@ -746,16 +749,18 @@ class TestForceFilterMatchesRK4:
         batch = simulate_batch(model, vacuum_state(model), ch, make(b, 1.3),
                                dt, T, master_seed=4, n_traj=3)
         template = make(b, 1.0)
-        ests = estimate_force_batch(batch.records, model, ch, template, dt)
+        est = estimate_force_batch(batch.records, model, ch, template, dt)
         amps, std_ref = rk4_force_filter(model, ch, b, waveform,
                                          batch.records, dt)
         std = force_posterior_std(model, ch, template, dt, T)
         assert abs(std / std_ref - 1) <= 1e-7
-        for est, amp in zip(ests, amps):
-            assert abs(est.posterior_std / std_ref - 1) <= 1e-7
+        # one spread for the whole batch
+        assert abs(est.posterior_std / std_ref - 1) <= 1e-7
+        assert est.amplitude.shape == (3,)
+        for got, amp in zip(est.amplitude, amps):
             # relative to the estimate, or to its spread when it is near 0
             scale = max(abs(amp), std_ref)
-            assert abs(est.amplitude - amp) <= 1e-7 * scale
+            assert abs(got - amp) <= 1e-7 * scale
 
 
 class TestForceDrive:
@@ -810,9 +815,10 @@ class TestForceEstimation:
             t = i * dt
             recs[i, 0] = float(ch[0].s @ mu) * dt
             mu = mu + model.A @ mu * dt + model.force_couplings[0] * np.sin(t) * dt
-        est = estimate_force_batch(recs[None], model, ch, drive, dt)[0]
+        est = estimate_force_batch(recs[None], model, ch, drive, dt)
         # first-order filter discretization leaves an O(dt) bias
-        assert est.amplitude == pytest.approx(1.0, abs=1e-4)
+        assert est.amplitude.shape == (1,)
+        assert est.amplitude[0] == pytest.approx(1.0, abs=1e-4)
         assert est.posterior_std > 0
         assert est.information > 0
 
@@ -833,9 +839,8 @@ class TestForceEstimation:
             model, st, ch, force=drive, dt=1e-3, T=10.0, seed=21
         )
         template = ForceDrive.sinusoid(model.force_couplings[0], 1.0, 1.0)
-        est = estimate_force_batch(traj.records[None], model, ch, template,
-                                   traj.dt)[0]
-        assert abs(est.amplitude - 1.3) < 4 * est.posterior_std
+        est = estimate_force_batch(traj.records, model, ch, template, traj.dt)
+        assert abs(est.amplitude[0] - 1.3) < 4 * est.posterior_std
 
     def test_zero_coupling_rejected(self):
         model = models.oscillator_pair(1.0, 1.0).model
@@ -843,3 +848,17 @@ class TestForceEstimation:
         drive = ForceDrive.sinusoid(np.zeros(4), 1.0, 1.0)
         with pytest.raises(EstimationError):
             force_posterior_std(model, ch, drive, dt=2e-3, T=2.0)
+
+    def test_unobserved_force_rejected(self):
+        # H = p^2/2: the force pushes q, and the monitored p never sees q,
+        # so the record adds nothing to the prior (information 0)
+        model = LinearModel(1, 1.0, np.diag([0.0, 1.0]),
+                            force_couplings=(np.array([1.0, 0.0]),))
+        ch = (MeasurementChannel(np.array([0.0, 1.0]), 2.0),)
+        drive = ForceDrive.constant(model.force_couplings[0], 1.0)
+        with pytest.raises(EstimationError, match="no likelihood"):
+            force_posterior_std(model, ch, drive, dt=1e-3, T=2.0)
+        batch = simulate_batch(model, vacuum_state(model), ch, drive, 1e-3,
+                               2.0, 1, 2)
+        with pytest.raises(EstimationError, match="no likelihood"):
+            estimate_force_batch(batch.records, model, ch, drive, 1e-3)

@@ -47,6 +47,12 @@ class TestClassicalFlow:
         with pytest.raises(ValueError):
             ClassicalFlow(f=((0, 1, 1.0),), g=((1, 0, 1.0),), dt=0.0)
 
+    @pytest.mark.parametrize("coef", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coefficient_rejected(self, coef):
+        # before any sweep: the koopman command writes no classical.csv
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            ClassicalFlow(f=((0, 1, 1e-300),), g=((1, 0, coef),))
+
 
 class TestIntegrate:
     def test_harmonic_closed_form(self):
@@ -83,8 +89,25 @@ class TestIntegrate:
     def test_divergence_guard(self):
         # dQ/dt = Q^2 blows up in finite time
         flow = ClassicalFlow(f=((2, 0, 1.0),), g=((1, 0, 0.0), (0, 0, 0.0)), dt=1e-3)
-        with pytest.raises((FlowDivergenceError, OverflowError)):
+        with pytest.raises(FlowDivergenceError):
             integrate(flow, 5.0, 0.0, T=10.0, check=False)
+
+    def test_overflow_in_a_stage_is_a_divergence(self):
+        # Q^2 of a stage overflows a Python float (OverflowError) before
+        # the step's end point is formed
+        flow = ClassicalFlow(f=((0, 1, 1.0), (2, 0, 1e300)), g=((1, 0, 1.0),))
+        with pytest.raises(FlowDivergenceError,
+                           match="exceeded 1e\\+12 at t = 0.001$"):
+            integrate(flow, 0.0, 1.0, T=1.0)
+
+    def test_nan_is_a_divergence(self):
+        # 2 Q - 2 Q at Q = 1e308 is inf - inf: the end point is NaN, whose
+        # size compares false against any bound
+        flow = ClassicalFlow(f=((1, 0, 2.0), (1, 0, -2.0)), g=())
+        with pytest.raises(FlowDivergenceError, match="at t = 0.001$"):
+            integrate(flow, 1e308, 0.0, T=0.01)
+        with np.errstate(all="ignore"), pytest.raises(FlowDivergenceError):
+            transport_density(flow, np.array([[1e308, 0.0]]), T=0.01)
 
     def test_divergence_guard_on_every_path(self):
         # the scalar sweep of integrate, the complex length-2 sweep of the
