@@ -11,7 +11,7 @@ only ``__version__``):
 - ``conditional``: continuous Gaussian measurement, Riccati covariance
   flow, stochastic conditional means, waveform estimation.
 - ``fock``: truncated-Fock brute-force oracle on Kronecker factors.
-- ``koopman``: classical flows and Liouville transport for the
+- ``koopman``: classical flows and their tangent maps for the
   commuting subsystem.
 - ``spins``: exact finite-J0 two-ensemble simulation.
 - ``circuits``: stroboscopic (reversible-circuit) Pauli-Z propagation.

@@ -17,7 +17,6 @@ Bit j of basis state x is (x >> j) & 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,24 +24,14 @@ import numpy as np
 __all__ = [
     "ReversibleCircuit",
     "BoolFunc",
-    "SynthesisResult",
-    "SynthesisBudgetError",
     "circuit_permutation",
     "propagate_z",
     "dense_oracle_check",
     "check_dense_size",
-    "build_classical_function",
-    "truth_table_from_function",
-    "anf_monomials",
-    "restricted_table",
 ]
 
 MAX_BITS = 16
 MAX_DENSE_BITS = 8
-
-
-class SynthesisBudgetError(RuntimeError):
-    """Synthesis would exceed the bit budget."""
 
 
 def _check_gate(gate, n_bits: int):
@@ -114,9 +103,6 @@ class BoolFunc:
             )
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
-
-    def __call__(self, x: int) -> int:
-        return int(self.table[x])
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of the corresponding +-1 operator, (-1)^f(x)."""
@@ -210,132 +196,3 @@ def _dense_deviations(circuit: ReversibleCircuit, tables) -> tuple:
             comm = v * zk[b] - zk[a] * v  # [img, Z_k] at (a, b)
             comm_dev = max(comm_dev, int(np.max(np.abs(comm), initial=0)))
     return off_dev, pred_dev, comm_dev
-
-
-def truth_table_from_function(n_bits: int, fn) -> BoolFunc:
-    """BoolFunc from a python predicate over bit tuples (lsb first)."""
-    table = [
-        fn(*[(x >> j) & 1 for j in range(n_bits)]) & 1
-        for x in range(1 << n_bits)
-    ]
-    return BoolFunc(n_bits, np.array(table, dtype=np.uint8))
-
-
-def anf_monomials(func: BoolFunc):
-    """Algebraic normal form: the set of AND-monomials (as bitmasks)
-    whose XOR equals the function (Moebius transform over GF(2))."""
-    coeffs = func.table.astype(np.uint8).copy()
-    n = func.n_bits
-    for j in range(n):
-        bit = 1 << j
-        for x in range(1 << n):
-            if x & bit:
-                coeffs[x] ^= coeffs[x ^ bit]
-    return [x for x in range(1 << n) if coeffs[x]]
-
-
-@dataclass(frozen=True)
-class SynthesisResult:
-    """Synthesized circuit plus its bit bookkeeping."""
-
-    circuit: ReversibleCircuit
-    input_bits: tuple
-    output_bits: tuple
-    ancilla_bits: tuple
-
-
-def build_classical_function(targets, n_inputs: int) -> SynthesisResult:
-    """Toffoli/CNOT/X circuit computing each target on its own output bit.
-
-    Naive exclusive-sum-of-products construction from the ANF: degree-0
-    terms become X, degree-1 CX, degree-2 CCX; higher-degree monomials
-    are accumulated through AND-chain ancillas (one CCX per extra
-    factor, no uncomputation, no optimality).  Inputs occupy bits
-    0..n_inputs-1 and are left untouched; outputs assume their ancilla
-    bits start at 0.
-    """
-    targets = list(targets)
-    for tgt in targets:
-        if tgt.n_bits != n_inputs:
-            raise ValueError("all targets must be functions of the inputs")
-
-    monomial_lists = [anf_monomials(t) for t in targets]
-    n_outputs = len(targets)
-    n_chain = sum(
-        max(0, bin(m).count("1") - 2)
-        for mons in monomial_lists
-        for m in mons
-    )
-    n_total = n_inputs + n_outputs + n_chain
-    if n_total > MAX_BITS:
-        raise SynthesisBudgetError(
-            f"need {n_total} bits (inputs {n_inputs}, outputs {n_outputs}, "
-            f"chain ancillas {n_chain}), budget is {MAX_BITS}"
-        )
-
-    gates = []
-    output_bits = tuple(range(n_inputs, n_inputs + n_outputs))
-    next_ancilla = n_inputs + n_outputs
-    for out_bit, mons in zip(output_bits, monomial_lists):
-        for mask in mons:
-            factors = [j for j in range(n_inputs) if mask & (1 << j)]
-            if not factors:
-                gates.append(("X", out_bit))
-            elif len(factors) == 1:
-                gates.append(("CX", factors[0], out_bit))
-            elif len(factors) == 2:
-                gates.append(("CCX", factors[0], factors[1], out_bit))
-            else:
-                # chain: acc = f0 AND f1, then AND in one factor at a time
-                acc = next_ancilla
-                next_ancilla += 1
-                gates.append(("CCX", factors[0], factors[1], acc))
-                for fac in factors[2:-1]:
-                    nxt = next_ancilla
-                    next_ancilla += 1
-                    gates.append(("CCX", acc, fac, nxt))
-                    acc = nxt
-                gates.append(("CCX", acc, factors[-1], out_bit))
-    circuit = ReversibleCircuit(n_total, tuple(gates))
-    return SynthesisResult(
-        circuit=circuit,
-        input_bits=tuple(range(n_inputs)),
-        output_bits=output_bits,
-        ancilla_bits=tuple(range(n_inputs + n_outputs, n_total)),
-    )
-
-
-def restricted_table(func: BoolFunc, n_inputs: int) -> BoolFunc:
-    """Restrict a full-width truth table to ancillas-initialized-to-zero
-    inputs: keep entries where all bits >= n_inputs are 0."""
-    table = [func(x) for x in range(1 << n_inputs)]
-    return BoolFunc(n_inputs, np.array(table, dtype=np.uint8))
-
-
-def random_circuit(n_bits: int, n_gates: int, rng) -> ReversibleCircuit:
-    """Uniformly random gate list; used by the randomized oracle checks."""
-    gates = []
-    kinds = ["X", "CX", "CCX"] if n_bits >= 3 else (
-        ["X", "CX"] if n_bits == 2 else ["X"]
-    )
-    for _ in range(n_gates):
-        kind = kinds[rng.integers(len(kinds))]
-        arity = {"X": 1, "CX": 2, "CCX": 3}[kind]
-        idx = rng.choice(n_bits, size=arity, replace=False)
-        gates.append((kind,) + tuple(int(i) for i in idx))
-    return ReversibleCircuit(n_bits, tuple(gates))
-
-
-def all_circuits_exhaustive(n_bits: int, max_gates: int):
-    """Every circuit up to max_gates gates (for small n); a generator."""
-    single = []
-    for t in range(n_bits):
-        single.append(("X", t))
-    for c, t in itertools.permutations(range(n_bits), 2):
-        single.append(("CX", c, t))
-    for c1, c2, t in itertools.permutations(range(n_bits), 3):
-        if c1 < c2:
-            single.append(("CCX", c1, c2, t))
-    for length in range(max_gates + 1):
-        for combo in itertools.product(single, repeat=length):
-            yield ReversibleCircuit(n_bits, combo)

@@ -58,27 +58,9 @@ _BUILDER_OPTIONS = {"m": "m", "omega": "omega", "omega_mod": "omega",
                     "hbar": "hbar", "gamma_B0": "gamma_b0"}
 
 
-# values formatted per csvtext call.  Each call costs about 0.17 ms
-# besides its values, and its temporaries stay below 200 bytes per value
-# (130-140 in practice): 4608 values, 768 rows of a 6-column trajectory
-# file or 512 of a 9-column truth table, take at most 0.65 MB at once
-# in a few calls per file; blocks of rows would give a wide file more.
-_CSV_BLOCK_VALUES = 4608
-
-
-def _csv_blocks(header, rows):
-    """The CSV text in pieces: the header line, then blocks of about
-    _CSV_BLOCK_VALUES values, each value written as repr(float(x))."""
-    yield ",".join(header) + "\n"
-    rows = np.asarray(rows, dtype=float)
-    step = max(1, _CSV_BLOCK_VALUES // max(1, rows.shape[-1]))
-    for start in range(0, len(rows), step):
-        yield csvtext.rows_text(rows[start:start + step])
-
-
 def _write_csv(path: Path, header, rows):
     with open(path, "w") as fh:
-        fh.writelines(_csv_blocks(header, rows))
+        fh.writelines(csvtext.csv_blocks(header, rows))
 
 
 def _writer_count(parallel: int, n_items: int) -> int:
@@ -293,7 +275,7 @@ def cmd_simulate(args, out_dir: Path) -> dict:
         + [f"yrecord_{c}" for c in range(n_ch)]
     )
     iu = np.triu_indices(d)
-    cov_text = "".join(_csv_blocks(
+    cov_text = "".join(csvtext.csv_blocks(
         ["time"] + [f"cov_{a}_{b}" for a, b in zip(*iu)],
         np.column_stack([batch.cov_times, batch.covs[:, iu[0], iu[1]]]),
     ))
@@ -362,6 +344,8 @@ def cmd_koopman(args, out_dir: Path) -> dict:
     # dQ/dt = Pi/m + eps Q^2, dPi/dt = -m w^2 Q, terms (a, b, coef)
     f, g = ((0, 1, 1.0 / m), (2, 0, eps)), ((1, 0, m * omega**2),)
     flow = koopman.ClassicalFlow(f, g, dt=args.dt)
+    # the Fock oracle's norms of H square the harmonic coefficients
+    _check_square(**{"(1/m)": 1.0 / m, "(m*omega**2)": m * omega**2})
     times, Qs, Ps = koopman.integrate(flow, args.q0, args.pi0, args.T)
     _write_csv(out_dir / "classical.csv", ["time", "Q", "Pi"],
                np.column_stack([times, Qs, Ps]))
@@ -387,6 +371,9 @@ def cmd_koopman(args, out_dir: Path) -> dict:
 
 def cmd_spin(args, out_dir: Path) -> dict:
     j0_list = [float(x) for x in args.j0_list.split(",")]
+    if not math.isfinite(2 * math.pi / args.gamma_b0):
+        raise ValueError("gamma_b0 is too small: the period 2 pi / gamma_b0 "
+                         f"overflows a float, got {args.gamma_b0!r}")
     rows = []
     ok = True
     tol = 1e-10

@@ -282,7 +282,7 @@ def _covariance_grid(A, D, M, h, n_steps):
     if n > 1 and n * n_steps > max_restarts:
         raise ValueError(
             f"h ||H||_2 = {hH:.3g} splits each of {n_steps} covariance "
-            f"step(s) into {n} restarts, more than {max_restarts} in all; "
+            f"step(s) into {n:.3g} restarts, more than {max_restarts} in all; "
             "lower the measurement strength (--k) or the horizon (--T), or "
             f"take a step (--dt) with h ||H||_2 <= {MAX_EXPM_NORM:g}"
         )

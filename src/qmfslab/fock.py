@@ -21,12 +21,11 @@ with f, g polynomials in the commuting pair (Q, Pi) drives
 dQ/dt = f(Q, Pi), dPi/dt = -g(Q, Pi): the (Q, Pi) observables evolve
 under any chosen classical dynamics while commuting with each other at
 all times.  One pair lives on 2 modes: mode 0 carries (Q, P) and mode 1
-carries (Phi, Pi), so ``build_quadrature_ops(spec)`` is
-[(Q, P), (Phi, Pi)].  Q and Pi live on different modes, which is what
-makes them commute.  A polynomial is a tuple of terms (a, b, coef),
-each the monomial coef Q^a Pi^b, the same tuples
-``koopman.ClassicalFlow`` integrates; they are built in code and have
-no file format.
+carries (Phi, Pi), each pair the single-mode quadratures (q, p) of that
+mode.  Q and Pi live on different modes, which is what makes them
+commute.  A polynomial is a tuple of terms (a, b, coef), each the
+monomial coef Q^a Pi^b, the same tuples ``koopman.ClassicalFlow``
+integrates; they are built in code and have no file format.
 
 H is complex in general, but a reversible flow makes it real in a
 diagonal gauge, and the oracle then works in real arithmetic.  In the
@@ -87,9 +86,7 @@ import numpy as np
 __all__ = [
     "TruncationSpec",
     "KronOperator",
-    "build_quadrature_ops",
     "build_koopman_hamiltonian",
-    "oscillator_hamiltonian",
     "HeisenbergPropagator",
     "commutator_residual",
     "real_gauge",
@@ -207,30 +204,18 @@ def _frobenius(terms, N: int) -> float:
 
 
 def _quadratures(N: int, hbar: float, ref_scale: float):
-    """Single-mode (q, p), N x N, at reference scale ``ref_scale``."""
+    """Single-mode (q, p), N x N, at reference scale w~ = ``ref_scale``:
+    q = sqrt(hbar / 2 w~) (a + a+), p = i sqrt(hbar w~ / 2) (a+ - a).
+
+    The truncation defect of [q, p] = i hbar is confined to the top
+    level of the ladder.
+    """
     if ref_scale <= 0:
         raise ValueError("ref_scale must be positive")
     a = _ladder(N)
     q = np.sqrt(hbar / (2 * ref_scale)) * (a + a.T)
     p = 1j * np.sqrt(hbar * ref_scale / 2) * (a.T - a)
     return q, p
-
-
-def build_quadrature_ops(
-    spec: TruncationSpec, hbar: float = 1.0, ref_scale: float = 1.0
-):
-    """Quadrature pairs (q_i, p_i) on the full product space, as
-    ``KronOperator``s.
-
-    q = sqrt(hbar / 2 w~) (a + a+), p = i sqrt(hbar w~ / 2) (a+ - a) with
-    reference scale w~ = ``ref_scale``.  The truncation defect of
-    [q, p] = i hbar is confined to the top level of each ladder.
-    """
-    q1, p1 = _quadratures(spec.n_levels, hbar, ref_scale)
-    return [
-        (KronOperator.on_mode(q1, k, spec), KronOperator.on_mode(p1, k, spec))
-        for k in range(spec.n_modes)
-    ]
 
 
 def build_koopman_hamiltonian(f, g, spec: TruncationSpec,
@@ -241,7 +226,7 @@ def build_koopman_hamiltonian(f, g, spec: TruncationSpec,
 
     ``f`` and ``g`` are tuples of terms (a, b, coef); total degree is
     capped at ``MAX_DEGREE``.  P and Phi enter H only through
-    single-mode factors; take them from ``build_quadrature_ops``.  A
+    single-mode factors, the quadratures of ``_quadratures``.  A
     monomial coef Q^a Pi^b has factor q^a on mode 0 and p^b on mode 1,
     and P (Phi) multiplies the factor of mode 0 (1) from the left or from
     the right.  The P f, f P, Phi g and g Phi sides stay separate terms,
@@ -270,22 +255,6 @@ def build_koopman_hamiltonian(f, g, spec: TruncationSpec,
                 terms.append((0.5 * coef, tuple(sided)))
     return (KronOperator(spec, tuple(terms)), KronOperator.on_mode(q, 0, spec),
             KronOperator.on_mode(p, 1, spec))
-
-
-def oscillator_hamiltonian(
-    spec: TruncationSpec,
-    m: float,
-    omega: float,
-    hbar: float = 1.0,
-    mode: int = 0,
-) -> KronOperator:
-    """H = p^2/2m + m w^2 q^2/2 on one mode (m < 0 inverts the ladder),
-    formed on the single-mode factors."""
-    if m == 0 or omega <= 0:
-        raise ValueError("need m != 0 and omega > 0")
-    q, p = _quadratures(spec.n_levels, hbar, ref_scale=abs(m) * omega)
-    h = p @ p / (2 * m) + 0.5 * m * omega**2 * (q @ q)
-    return KronOperator.on_mode(h, mode, spec)
 
 
 def _check_hermitian(defect: float, scale: float) -> None:

@@ -7,10 +7,9 @@ polynomial is a tuple of terms (a, b, coef), each the monomial
 coef Q^a Pi^b; the same tuples build the dense Fock oracle's
 Hamiltonian (``fock.build_koopman_hamiltonian``).  This
 module integrates them with one RK4 sweep: trajectories (with a
-step-halving error estimate), semi-Lagrangian transport along
-characteristics for sampled densities (exact along trajectories, no
-numerical diffusion), and tangent maps as the complex-step derivative of
-that sweep (Martins, Sturdza & Alonso, ACM TOMS 29:245, 2003).
+step-halving error estimate) and tangent maps as the complex-step
+derivative of that sweep (Martins, Sturdza & Alonso, ACM TOMS 29:245,
+2003).  The sweep steps an array of points at once as readily as one.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ __all__ = [
     "StepSizeError",
     "integrate",
     "integrate_with_tangent",
-    "transport_density",
-    "ensemble_moments",
 ]
 
 BLOWUP_NORM = 1e12  # arbitrary but documented; nonlinear flows may escape
@@ -181,41 +178,3 @@ def integrate_with_tangent(flow: ClassicalFlow, Q0: float, Pi0: float,
     y = np.array([Q[0].real, Pi[0].real])
     J = np.array([Q.imag, Pi.imag]) / COMPLEX_STEP
     return y, J
-
-
-def transport_density(
-    flow: ClassicalFlow,
-    samples: np.ndarray,
-    T: float,
-    weights: np.ndarray = None,
-):
-    """Push weighted phase-space samples along characteristics, in RK4
-    steps of the flow's dt.
-
-    ``samples`` is (n, 2) with columns (Q, Pi).  Returns the transported
-    samples and their weighted (mean, covariance).
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != 2:
-        raise ValueError("samples must have shape (n, 2)")
-    if samples.shape[0] < 1:
-        raise ValueError("need at least one sample")
-    Q, Pi = _rk4_sweep(flow, samples[:, 0].copy(), samples[:, 1].copy(), T,
-                       _n_steps(T, flow.dt), record=False)
-    out = np.column_stack([Q, Pi])
-    mean, cov = ensemble_moments(out, weights)
-    return out, mean, cov
-
-
-def ensemble_moments(samples: np.ndarray, weights: np.ndarray = None):
-    """Weighted mean and covariance of an (n, 2) sample cloud."""
-    samples = np.asarray(samples, dtype=float)
-    if weights is None:
-        weights = np.full(samples.shape[0], 1.0 / samples.shape[0])
-    else:
-        weights = np.asarray(weights, dtype=float)
-        weights = weights / np.sum(weights)
-    mean = weights @ samples
-    centered = samples - mean
-    cov = (centered * weights[:, None]).T @ centered
-    return mean, cov

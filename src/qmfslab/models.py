@@ -32,7 +32,6 @@ __all__ = [
     "oscillator_pair",
     "sideband_model",
     "spin_pair_hp",
-    "rebased_model",
     "BUILDERS",
 ]
 
@@ -120,22 +119,6 @@ def _q_and_p() -> ObservableSet:
 def frequency(model: LinearModel) -> float:
     """The largest |Im lambda(A)|, or 1 when A has no oscillating mode."""
     return float(np.max(np.abs(np.linalg.eigvals(model.A).imag))) or 1.0
-
-
-def rebased_model(model: LinearModel, T: np.ndarray) -> LinearModel:
-    """Model in new canonical coordinates x' = T x (T symplectic).
-
-    The Hamiltonian is invariant, so G' = T^{-T} G T^{-1}.
-    """
-    T = np.asarray(T, dtype=float)
-    Omega = model.Omega
-    if np.max(np.abs(T @ Omega @ T.T - Omega)) > 1e-12:
-        raise ValueError("T is not symplectic")
-    Tinv = np.linalg.inv(T)
-    Gp = Tinv.T @ model.G @ Tinv
-    Gp = (Gp + Gp.T) / 2
-    couplings = tuple(T @ b for b in model.force_couplings)
-    return LinearModel(model.n_modes, model.hbar, Gp, couplings)
 
 
 def _check_oscillator_params(m: float, omega: float, hbar: float):

@@ -1,11 +1,22 @@
 """Dense Heisenberg and Schroedinger evolution from numpy alone: the
 reference the Fock and spin oracles are compared against.
 
-It shares no code with ``qmfslab``: one ``np.linalg.eigh`` of a dense
-Hermitian H, then conjugation by the eigenvectors.
+It shares no code with ``qmfslab``: single-mode quadratures from a
+numpy ladder, one ``np.linalg.eigh`` of a dense Hermitian H, then
+conjugation by the eigenvectors.
 """
 
 import numpy as np
+
+
+def quadratures(N: int, hbar: float = 1.0, ref_scale: float = 1.0):
+    """Single-mode (q, p), N x N, at reference scale w~ = ``ref_scale``:
+    q = sqrt(hbar / 2 w~) (a + a+), p = i sqrt(hbar w~ / 2) (a+ - a), with
+    the lowering operator a = sum_n sqrt(n) |n - 1><n|."""
+    a = np.diag(np.sqrt(np.arange(1.0, N)), 1)
+    q = np.sqrt(hbar / (2 * ref_scale)) * (a + a.T)
+    p = 1j * np.sqrt(hbar * ref_scale / 2) * (a.T - a)
+    return q, p
 
 
 class DenseEvolution:

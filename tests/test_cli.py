@@ -2,16 +2,21 @@
 byte-identical reproducibility."""
 
 import argparse
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from circuit_reference import random_circuit
 
 import qmfslab
 from qmfslab import cli, models
@@ -574,6 +579,39 @@ class TestRunTimeBadInput:
         assert not (tmp_path / "run" / "summary.json").exists()
 
     @pytest.mark.parametrize("argv, message", [
+        # 0.7 / gamma_b0 was inf: two RuntimeWarnings, then "SVD did not
+        # converge"
+        pytest.param(["spin", "--gamma-b0", "1e-320"],
+                     "gamma_b0 is too small: the period 2 pi / gamma_b0 "
+                     "overflows a float, got 1e-320", id="spin-gamma-b0"),
+        # a harmonic flow whose H has an overflowing norm: an overflow
+        # warning, then exit 1 with oracle_residual 5.13
+        pytest.param(["koopman", "--m", "1e-200", "--epsilon", "0"],
+                     "(1/m) is too large: (1/m)**2 overflows a float, got "
+                     "1e+200", id="koopman-small-m"),
+        # named before the flow runs, where Pi passed the divergence guard
+        pytest.param(["koopman", "--m", "1e200", "--epsilon", "0"],
+                     "(m*omega**2) is too large: (m*omega**2)**2 overflows a "
+                     "float, got 1e+200", id="koopman-large-m"),
+    ])
+    def test_derived_value_overflows_a_float(self, tmp_path, capsys, argv,
+                                             message):
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--out", str(out), *argv]) == EXIT_BAD_INPUT
+        assert not caught
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "summary.json").exists()
+        assert not (out / "classical.csv").exists()
+
+    def test_restart_count_is_short(self, tmp_path, capsys):
+        # the count was printed as a 297-digit integer
+        self.check_bad_input(tmp_path / "run",
+                             ["simulate", "--k", "1e300", "--T", "0.01"],
+                             capsys, " into 1.6e+296 restarts, ")
+
+    @pytest.mark.parametrize("argv, message", [
         # a stage's Q**2 overflowed: a traceback, exit 1
         (["--epsilon", "1e300"], "trajectory norm exceeded 1e+12 at t = 0.001"),
         # m omega^2 = inf: a classical.csv of nan, then exit 2 from the
@@ -648,6 +686,67 @@ class TestImportBoundary:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
+
+
+# public functions that no command runs, each with what plans its caller
+NOT_RUN_BY_A_COMMAND = {
+    "conditional.riccati_evolve": "ROADMAP items 3 and 14",
+    "conditional.estimate_force_batch": "ROADMAP item 4",
+    "conditional.symplectic_eigenvalues": "ROADMAP item 6",
+    "conditional.partial_transpose_cov": "ROADMAP item 6",
+    "conditional.evolve_conditional": "a layer benchmarks/harness.py binds",
+    "fock.top_level_population": "ROADMAP item 7",
+    "koopman.integrate_with_tangent": "ROADMAP item 7",
+    "models.model_to_json": "the model-file writer the README and CI use",
+    "phase_space.two_time_commutator":
+        "BENCHMARK.json's per-layer metrics name it (ROADMAP item 10)",
+}
+
+
+class TestLibraryIsWhatCommandsRun:
+    """Every function a module of ``src/`` exports in ``__all__`` runs
+    in some command, or is kept for the caller that NOT_RUN_BY_A_COMMAND
+    names."""
+
+    def test_every_public_function_runs(self, tmp_path):
+        (tmp_path / "toffoli.txt").write_text("bits 3\nCCX 0 1 2\n")
+        pair = models.oscillator_pair(1.0, 1.0)
+        (tmp_path / "pair.json").write_text(models.model_to_json(
+            pair.model, pair.qmfs_sets[0], monitor=models.ROW_Q))
+        runs = [
+            ["check", "--model", "sideband"],
+            ["check", "--model-file", str(tmp_path / "pair.json")],
+            ["--seed", "3", "simulate", "--model", "pair", "--k", "2",
+             "--T", "0.5", "--batch", "2", "--force-amp", "1",
+             "--parallel", "1"],
+            ["force", "--model", "pair", "--compare-single", "--T", "2"],
+            ["koopman"],
+            ["spin", "--j0-list", "2,4"],
+            ["circuit", "--file", str(tmp_path / "toffoli.txt"), "--verify"],
+        ]
+        ran = set()
+
+        def record(frame, event, arg):
+            if event == "call":
+                ran.add(frame.f_code)
+
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            codes = [main(["--out", str(tmp_path / str(i)), *argv])
+                     for i, argv in enumerate(runs)]
+        finally:
+            sys.setprofile(previous)
+        assert codes == [EXIT_OK] * len(runs)
+        not_run = set()
+        for info in pkgutil.iter_modules(qmfslab.__path__):
+            module = importlib.import_module(f"qmfslab.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                obj = getattr(module, name)
+                if (isinstance(obj, types.FunctionType)
+                        and obj.__code__ not in ran):
+                    not_run.add(f"{info.name}.{name}")
+        assert not_run == set(NOT_RUN_BY_A_COMMAND)
 
 
 class TestSpin:
@@ -736,7 +835,7 @@ class TestCircuit:
         # the dense oracle builds its U from one more
         from qmfslab import circuits
 
-        circuit = circuits.random_circuit(8, 64, np.random.default_rng(7))
+        circuit = random_circuit(8, 64, np.random.default_rng(7))
         circ = tmp_path / "eight.txt"
         circ.write_text(circuit.to_text())
         calls = []

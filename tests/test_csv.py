@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qmfslab import csvtext  # noqa: E402
-from qmfslab.cli import _CSV_BLOCK_VALUES, _csv_blocks, _write_csv  # noqa: E402
+from qmfslab.cli import _write_csv  # noqa: E402
+from qmfslab.csvtext import BLOCK_VALUES, csv_blocks  # noqa: E402
 
 
 def reference_text(header, rows) -> str:
@@ -34,9 +35,9 @@ SPECIALS = [
 
 
 def block_edges(n_cols):
-    """Row counts at the edges of _csv_blocks' blocks of n_cols columns:
+    """Row counts at the edges of csv_blocks' blocks of n_cols columns:
     one row less, one block, one row more, two blocks and a row."""
-    rows = _CSV_BLOCK_VALUES // n_cols
+    rows = BLOCK_VALUES // n_cols
     return [rows - 1, rows, rows + 1, 2 * rows + 1]
 
 
@@ -104,9 +105,9 @@ def truth_table(n_rows):
 
 
 @pytest.mark.parametrize("rows", [
-    np.random.default_rng(0).standard_normal((_CSV_BLOCK_VALUES // 6, 6)),
-    truth_table(_CSV_BLOCK_VALUES // 9),
-    np.full((_CSV_BLOCK_VALUES // 6, 6), math.nan),  # all through repr
+    np.random.default_rng(0).standard_normal((BLOCK_VALUES // 6, 6)),
+    truth_table(BLOCK_VALUES // 9),
+    np.full((BLOCK_VALUES // 6, 6), math.nan),  # all through repr
 ], ids=["trajectory", "truth-table", "nan"])
 def test_kernel_temporaries_per_value(rows):
     # one block of the CLI's size: the block size rests on this bound
@@ -128,7 +129,7 @@ def assert_as_reference(rows):
     can take minutes.
     """
     header = [f"c{j}" for j in range(np.shape(rows)[1])]
-    got = "".join(_csv_blocks(header, rows))
+    got = "".join(csv_blocks(header, rows))
     assert got.split("\n") == reference_text(header, rows).split("\n")
 
 

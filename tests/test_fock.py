@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import DenseEvolution
+from dense_reference import DenseEvolution, quadratures
 from scipy.linalg import expm
 
 from qmfslab import fock
@@ -14,11 +14,9 @@ from qmfslab.fock import (
     KronOperator,
     TruncationSpec,
     build_koopman_hamiltonian,
-    build_quadrature_ops,
     chiral_parity,
     commutator_residual,
     core_mask,
-    oscillator_hamiltonian,
     real_gauge,
     top_level_population,
 )
@@ -51,10 +49,25 @@ def dense_embed(op, mode, spec):
 
 def dense_quadrature_ops(spec, hbar=1.0, ref_scale=1.0):
     """(q_k, p_k) per mode, embedded by ``dense_embed``."""
-    one = TruncationSpec(n_levels=spec.n_levels, n_modes=1)
-    q, p = (op.dense() for op in build_quadrature_ops(one, hbar, ref_scale)[0])
+    q, p = quadratures(spec.n_levels, hbar, ref_scale)
     return [(dense_embed(q, k, spec), dense_embed(p, k, spec))
             for k in range(spec.n_modes)]
+
+
+def quadrature_ops(spec, hbar=1.0, ref_scale=1.0):
+    """(q_k, p_k) per mode as ``KronOperator``s: the numpy quadratures on
+    their own mode's factor."""
+    q, p = quadratures(spec.n_levels, hbar, ref_scale)
+    return [(KronOperator.on_mode(q, k, spec), KronOperator.on_mode(p, k, spec))
+            for k in range(spec.n_modes)]
+
+
+def oscillator_hamiltonian(spec, m, omega, hbar=1.0, mode=0):
+    """p^2/2m + m w^2 q^2/2 on one mode's factor (m < 0 inverts the
+    ladder), from the numpy quadratures at reference scale |m| w."""
+    q, p = quadratures(spec.n_levels, hbar, ref_scale=abs(m) * omega)
+    h = p @ p / (2 * m) + 0.5 * m * omega**2 * (q @ q)
+    return KronOperator.on_mode(h, mode, spec)
 
 
 def koopman_ops(spec, hbar=1.0, ref_scale=1.0):
@@ -178,16 +191,20 @@ class TestQuadratures:
         TruncationSpec(n_levels=3, n_modes=4),
     ])
     def test_each_mode_embedded_on_its_own_factor(self, spec):
-        ops = build_quadrature_ops(spec, hbar=0.7, ref_scale=1.3)
+        # the quadratures build_koopman_hamiltonian takes, on each mode's
+        # factor, against the numpy ladder embedded by one kron per mode
+        q1, p1 = fock._quadratures(spec.n_levels, 0.7, 1.3)
         ref = dense_quadrature_ops(spec, hbar=0.7, ref_scale=1.3)
-        for (q, p), (q_ref, p_ref) in zip(ops, ref, strict=True):
-            assert np.array_equal(q.dense(), q_ref)
-            assert np.array_equal(p.dense(), p_ref)
+        for k, (q_ref, p_ref) in enumerate(ref):
+            assert np.array_equal(KronOperator.on_mode(q1, k, spec).dense(),
+                                  q_ref)
+            assert np.array_equal(KronOperator.on_mode(p1, k, spec).dense(),
+                                  p_ref)
 
     def test_canonical_commutator_defect_at_top(self):
         # [q, p] = i hbar everywhere except the top ladder level
         spec = TruncationSpec(n_levels=12, n_modes=1)
-        q, p = (op.dense() for op in build_quadrature_ops(spec)[0])
+        q, p = fock._quadratures(spec.n_levels, 1.0, 1.0)
         C = q @ p - p @ q
         diag = np.diag(C)
         assert np.allclose(diag[:-1], 1j, atol=1e-12)
@@ -195,31 +212,29 @@ class TestQuadratures:
 
     def test_different_modes_commute(self):
         spec = TruncationSpec(n_levels=6, n_modes=2)
-        (q1, p1), (q2, p2) = [(q.dense(), p.dense())
-                              for q, p in build_quadrature_ops(spec)]
+        q, p = fock._quadratures(spec.n_levels, 1.0, 1.0)
+        (q1, p1), (q2, p2) = [
+            (KronOperator.on_mode(q, k, spec).dense(),
+             KronOperator.on_mode(p, k, spec).dense()) for k in range(2)]
         assert np.linalg.norm(q1 @ p2 - p2 @ q1) < 1e-13
         assert np.linalg.norm(q1 @ q2 - q2 @ q1) < 1e-13
 
     def test_hermitian(self):
-        spec = TruncationSpec(n_levels=8, n_modes=1)
-        q, p = (op.dense() for op in build_quadrature_ops(spec)[0])
+        q, p = fock._quadratures(8, 1.0, 1.0)
         assert np.linalg.norm(q - q.conj().T) < 1e-13
         assert np.linalg.norm(p - p.conj().T) < 1e-13
 
     def test_ref_scale_sets_vacuum_variances(self):
-        spec = TruncationSpec(n_levels=10, n_modes=1)
         w = 2.5
-        q, p = (op.dense()
-                for op in build_quadrature_ops(spec, hbar=1.0, ref_scale=w)[0])
+        q, p = fock._quadratures(10, 1.0, w)
         vac = np.zeros(10)
         vac[0] = 1.0
         assert vac @ np.real(q @ q) @ vac == pytest.approx(1 / (2 * w))
         assert vac @ np.real(p @ p) @ vac == pytest.approx(w / 2)
 
     def test_bad_ref_scale(self):
-        spec = TruncationSpec(n_levels=4, n_modes=1)
         with pytest.raises(ValueError):
-            build_quadrature_ops(spec, ref_scale=0.0)
+            fock._quadratures(4, 1.0, 0.0)
 
 
 class TestOscillatorSpectrum:
@@ -342,7 +357,7 @@ class TestHeisenbergPropagation:
     def test_identity_at_zero(self):
         spec = TruncationSpec(n_levels=10, n_modes=1)
         H = oscillator_hamiltonian(spec, 1.0, 1.0)
-        q = build_quadrature_ops(spec, ref_scale=1.0)[0][0]
+        q = quadrature_ops(spec, ref_scale=1.0)[0][0]
         (qt,) = HeisenbergPropagator(H).evolve_rows([q], [0.0],
                                                     every_row(spec))
         assert np.allclose(qt[0], q.dense(), atol=1e-12)
@@ -352,7 +367,7 @@ class TestHeisenbergPropagation:
         spec = TruncationSpec(n_levels=30, n_modes=1, core_levels=10)
         m, w = 1.0, 1.0
         H = oscillator_hamiltonian(spec, m, w)
-        q, p = build_quadrature_ops(spec, ref_scale=m * w)[0]
+        q, p = quadrature_ops(spec, ref_scale=m * w)[0]
         keep = core_mask(spec)
         t_grid = (0.3, 1.0, 2.5)
         (rows,) = HeisenbergPropagator(H).evolve_rows([q], t_grid, keep)
@@ -365,7 +380,7 @@ class TestHeisenbergPropagation:
         # one-shot reference: conjugation by U = expm(-iHt/hbar)
         spec = TruncationSpec(n_levels=8, n_modes=1)
         H = oscillator_hamiltonian(spec, 1.0, 1.0)
-        q = build_quadrature_ops(spec)[0][0]
+        q = quadrature_ops(spec)[0][0]
         U = expm(-1j * H.dense() * 0.7)
         (qt,) = HeisenbergPropagator(H).evolve_rows([q], [0.7],
                                                     every_row(spec))
@@ -397,7 +412,7 @@ class TestHeisenbergPropagation:
         # reference and q(t) from the propagator
         spec = TruncationSpec(n_levels=10, n_modes=1)
         H = oscillator_hamiltonian(spec, 1.0, 1.0)
-        q = build_quadrature_ops(spec)[0][0]
+        q = quadrature_ops(spec)[0][0]
         psi = np.zeros(10, dtype=complex)
         psi[[0, 1]] = [0.6, 0.8]
         psit = DenseEvolution(H.dense()).evolve_state(psi, 1.3)
@@ -445,7 +460,7 @@ class TestCommutatorResidual:
         # {Q, P} of the same mode must show an order-hbar residual
         spec = TruncationSpec(n_levels=16, n_modes=2, core_levels=5)
         H, Q, _ = build_koopman_hamiltonian(*LINEAR_FLOW, spec)
-        P0 = build_quadrature_ops(spec)[0][1]
+        P0 = quadrature_ops(spec)[0][1]
         res = commutator_residual(H, [Q, P0], [0.0, 1.0])
         assert res > 0.5
 
@@ -463,7 +478,7 @@ class TestCommutatorResidual:
         # of the dense H, projected commutators
         spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=3)
         H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
-        P0 = build_quadrature_ops(spec)[0][1]
+        P0 = quadrature_ops(spec)[0][1]
         O_set = [Q, P0, Pi]
         t_grid = [0.0, 0.5, 1.5]
         P = dense_guard_projector(spec)
@@ -494,7 +509,7 @@ class TestCommutatorResidual:
         # when each formed its own first stage)
         spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=2)
         H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
-        O_set = [Q, build_quadrature_ops(spec)[0][1], Pi]
+        O_set = [Q, quadrature_ops(spec)[0][1], Pi]
         ref = commutator_residual(H, O_set, [0.0, 1.0])
         calls = {"rows": 0, "times_adjoint": 0}
         for cls in (fock._DenseBasis, fock._ChiralBasis):
@@ -637,7 +652,7 @@ class TestRealGauge:
         # every row and the kept rows, against the dense reference
         ref = DenseEvolution(H.dense(), 0.8)
         keep = core_mask(spec)
-        P0 = build_quadrature_ops(spec, hbar=0.8)[0][1]
+        P0 = quadrature_ops(spec, hbar=0.8)[0][1]
         O_set = (*pair, P0)
         t_grid = (0.0, 0.6, 2.3)
         for prop in props:
@@ -737,7 +752,7 @@ class TestChiralSplit:
         ref = DenseEvolution(H.dense(), 0.8)
         t_grid = (0.0, 0.6, 2.3)
         O_set = (Q, Pi,
-                 build_quadrature_ops(spec, hbar=0.8)[0][1])
+                 quadrature_ops(spec, hbar=0.8)[0][1])
         for O, rows in zip(O_set, prop.evolve_rows(O_set, t_grid, keep)):
             Od = O.dense()
             for t, rows_t in zip(t_grid, rows):

@@ -3,15 +3,23 @@
 import numpy as np
 import pytest
 
+from qmfslab import koopman
 from qmfslab.koopman import (
     ClassicalFlow,
     FlowDivergenceError,
     StepSizeError,
-    ensemble_moments,
     integrate,
     integrate_with_tangent,
-    transport_density,
 )
+
+
+def transport(flow, samples, T):
+    """Phase-space samples, shape (n, 2) with columns (Q, Pi), pushed
+    along the characteristics: the one RK4 sweep on their arrays, in
+    steps of the flow's dt."""
+    Q, Pi = koopman._rk4_sweep(flow, samples[:, 0], samples[:, 1], T,
+                               koopman._n_steps(T, flow.dt), record=False)
+    return np.column_stack([Q, Pi])
 
 
 def harmonic_flow(m=1.0, omega=1.0, dt=1e-3):
@@ -107,21 +115,19 @@ class TestIntegrate:
         with pytest.raises(FlowDivergenceError, match="at t = 0.001$"):
             integrate(flow, 1e308, 0.0, T=0.01)
         with np.errstate(all="ignore"), pytest.raises(FlowDivergenceError):
-            transport_density(flow, np.array([[1e308, 0.0]]), T=0.01)
+            integrate_with_tangent(flow, 1e308, 0.0, T=0.01)
 
     def test_divergence_guard_on_every_path(self):
-        # the scalar sweep of integrate, the complex length-2 sweep of the
-        # tangent map and the array sweep of transport stop at one step
+        # the scalar sweep of integrate and the complex length-2 array
+        # sweep of the tangent map stop at one step
         flow = ClassicalFlow(f=((2, 0, 1.0),), g=((1, 0, 0.0),), dt=1e-3)
         messages = []
         for run in (lambda: integrate(flow, 5.0, 0.0, T=1.0, check=False),
-                    lambda: integrate_with_tangent(flow, 5.0, 0.0, T=1.0),
-                    lambda: transport_density(flow, np.array([[5.0, 0.0]]),
-                                              T=1.0)):
+                    lambda: integrate_with_tangent(flow, 5.0, 0.0, T=1.0)):
             with pytest.raises(FlowDivergenceError) as err:
                 run()
             messages.append(str(err.value))
-        assert messages == ["trajectory norm exceeded 1e+12 at t = 0.201"] * 3
+        assert messages == ["trajectory norm exceeded 1e+12 at t = 0.201"] * 2
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
@@ -183,25 +189,13 @@ class TestTransport:
         samples = rng.multivariate_normal(mean0, cov0, size=4000)
         flow = harmonic_flow()
         t = 1.3
-        out, mean, cov = transport_density(flow, samples, t)
+        out = transport(flow, samples, t)
         c, s = np.cos(t), np.sin(t)
         R = np.array([[c, s], [-s, c]])
-        m_in, c_in = ensemble_moments(samples)
-        assert np.allclose(mean, R @ m_in, atol=1e-8)
-        assert np.allclose(cov, R @ c_in @ R.T, atol=1e-8)
-
-    def test_weighted_moments(self):
-        samples = np.array([[0.0, 0.0], [2.0, 0.0]])
-        mean, cov = ensemble_moments(samples, weights=np.array([3.0, 1.0]))
-        assert mean[0] == pytest.approx(0.5)
-        assert cov[0, 0] == pytest.approx(0.75)
-
-    def test_shape_validation(self):
-        flow = harmonic_flow()
-        with pytest.raises(ValueError):
-            transport_density(flow, np.zeros((3, 3)), 1.0)
-        with pytest.raises(ValueError):
-            transport_density(flow, np.zeros((0, 2)), 1.0)
+        m_in, c_in = np.average(samples, axis=0), np.cov(samples.T, bias=True)
+        assert np.allclose(np.average(out, axis=0), R @ m_in, atol=1e-8)
+        assert np.allclose(np.cov(out.T, bias=True), R @ c_in @ R.T,
+                           atol=1e-8)
 
 
 def reference_rk4(f, g, Q, Pi, T, n_steps, record):
@@ -259,7 +253,7 @@ class TestSweepMatchesTextbookRk4:
                              ids=["koopman", "quartic"])
     def test_samples_and_complex_step(self, flow):
         samples = np.random.default_rng(2).normal(scale=0.4, size=(16, 2))
-        out, _, _ = transport_density(flow, samples, 0.7)
+        out = transport(flow, samples, 0.7)
         Q, Pi = reference_rk4(flow.f, flow.g, samples[:, 0], samples[:, 1],
                               0.7, 700, False)
         assert np.array_equal(out, np.column_stack([Q, Pi]))

@@ -12,7 +12,6 @@ from qmfslab.models import (
     ROW_Q,
     ModelBundle,
     oscillator_pair,
-    rebased_model,
     sideband_model,
     single_oscillator,
     spin_pair_hp,
@@ -24,6 +23,22 @@ from qmfslab.phase_space import (
     symplectic_form,
     transfer_matrix,
 )
+
+
+def rebased_model(model: LinearModel, T: np.ndarray) -> LinearModel:
+    """Model in new canonical coordinates x' = T x (T symplectic).
+
+    The Hamiltonian is invariant, so G' = T^{-T} G T^{-1}.
+    """
+    T = np.asarray(T, dtype=float)
+    Omega = model.Omega
+    if np.max(np.abs(T @ Omega @ T.T - Omega)) > 1e-12:
+        raise ValueError("T is not symplectic")
+    Tinv = np.linalg.inv(T)
+    Gp = Tinv.T @ model.G @ Tinv
+    Gp = (Gp + Gp.T) / 2
+    couplings = tuple(T @ b for b in model.force_couplings)
+    return LinearModel(model.n_modes, model.hbar, Gp, couplings)
 
 
 class TestPairTransform:
