@@ -58,9 +58,9 @@ _BUILDER_OPTIONS = {"m": "m", "omega": "omega", "omega_mod": "omega",
                     "hbar": "hbar", "gamma_B0": "gamma_b0"}
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, rows, lead=None):
     with open(path, "w") as fh:
-        fh.writelines(csvtext.csv_blocks(header, rows))
+        fh.writelines(csvtext.csv_blocks(header, rows, lead))
 
 
 def _writer_count(parallel: int, n_items: int) -> int:
@@ -280,6 +280,10 @@ def cmd_simulate(args, out_dir: Path) -> dict:
         np.column_stack([batch.cov_times, batch.covs[:, iu[0], iu[1]]]),
     ))
 
+    # every trajectory file starts with the same time column: its text
+    # is made once, before the writers fork, and spliced into each file
+    times = csvtext.leading_column(batch.times)
+
     def files(i):
         return (out_dir / f"trajectory_{i:04d}.csv",
                 out_dir / f"covariance_{i:04d}.csv")
@@ -289,7 +293,7 @@ def cmd_simulate(args, out_dir: Path) -> dict:
         # the record row at time 0 is zero: no increment yet
         records = np.vstack([np.zeros((1, n_ch)), batch.records[i]])
         _write_csv(trajectory, header,
-                   np.column_stack([batch.times, batch.means[i], records]))
+                   np.column_stack([batch.means[i], records]), times)
         with open(covariance, "w") as fh:
             fh.write(cov_text)
 
@@ -353,11 +357,13 @@ def cmd_koopman(args, out_dir: Path) -> dict:
     # Small fixed trusted core: the commutator defect of the truncated
     # nonlinear Hamiltonian contaminates higher excitation levels first,
     # so the residual converges only on a core held fixed while the
-    # ladder grows.
-    spec = fock.TruncationSpec(
-        n_levels=args.n_levels, n_modes=2, core_levels=min(2, args.n_levels - 1)
-    )
-    H, Q, Pi = fock.build_koopman_hamiltonian(f, g, spec)
+    # ladder grows.  --n-levels is at least 3, so the core keeps 2.
+    spec = fock.TruncationSpec(n_levels=args.n_levels, n_modes=2,
+                               core_levels=2)
+    # the ladders at the scale |m| omega of the flow's oscillator: the
+    # vacuum's <Pi^2> / <Q^2> is (m omega)^2, as in the oscillator's
+    H, Q, Pi = fock.build_koopman_hamiltonian(f, g, spec,
+                                              ref_scale=abs(m) * omega)
     t_grid = np.linspace(0.0, min(args.T, 2.0 / omega), 5)
     residual = fock.commutator_residual(H, [Q, Pi], t_grid)
     tol = 1e-5
@@ -441,9 +447,13 @@ _POSITIVE = _checked(float, "a finite number > 0",
 _NONZERO = _checked(float, "a finite nonzero number",
                     lambda v: math.isfinite(v) and v != 0)
 _EFFICIENCY = _checked(float, "a number in (0, 1]", lambda v: 0 < v <= 1)
-# koopman levels per mode: the check fock.TruncationSpec makes for 2 modes
-_N_LEVELS = _checked(int, f"an integer in [2, {math.isqrt(fock.DIM_CAP)}]",
-                     lambda v: fock.TruncationSpec(n_levels=v, n_modes=2))
+# koopman levels per mode: at least 3, so that the trusted core keeps 2
+# levels a mode (at 2 levels it is the vacuum alone, whose residual is
+# 0 whatever the flow), then the check fock.TruncationSpec makes for 2
+# modes
+_N_LEVELS = _checked(int, f"an integer in [3, {math.isqrt(fock.DIM_CAP)}]",
+                     lambda v: v >= 3 and fock.TruncationSpec(n_levels=v,
+                                                              n_modes=2))
 
 
 def _j0_list(text):

@@ -14,7 +14,12 @@ integer arithmetic alone, so it runs here on uint64 arrays:
    go into one small byte row, and an index table keyed by digit count
    and layout (positional for decimal-point positions -3..16, else
    ``e±XX``/``e±XXX``, the switch ``repr`` makes) gathers the output
-   bytes from it; pad bytes are dropped at the end.
+   bytes from it, one padded row of 25 bytes per value, its separator
+   last; the zero pad bytes are dropped at the end.
+
+A first column that several files share (``simulate``'s time) is made
+once as padded rows by ``leading_column`` and spliced in front of each
+block's rows by ``csv_blocks``, before the pad bytes are dropped.
 
 A zero is formatted as ±1.0 with the lead digit 0.  Subnormals, inf
 and nan are formatted by ``repr`` one at a time: on subnormals
@@ -26,7 +31,7 @@ uint64 mixed with int64 into float64, computes the same, and the bytes
 are built as uint8, whatever the host's byte order.  The tables are
 built on first use, not at import.
 
-Memory: ``rows_text`` keeps its temporaries at or below 200 bytes per
+Memory: the kernel keeps its temporaries at or below 200 bytes per
 value (about 130 for random doubles, 140 for a 0/1 table), so
 ``csv_blocks`` sizes its blocks by values.  The three products are made
 one after another, in place, and each array is dropped after its last
@@ -277,9 +282,11 @@ def _shortest(bits):
     return s, k
 
 
-def rows_text(block) -> str:
-    """CSV lines of a 2-D float64 array: the values of a row as
-    ``repr(float(x))``, joined by ``,``, each row ended by ``\\n``."""
+def _padded_rows(block):
+    """The text of a 2-D float64 array as a (values, _ROW) uint8 array:
+    per value, in row-major order, ``repr(float(x))`` and its separator
+    (``,``, or ``\\n`` after a row's last value) in the last byte, with
+    zero bytes where the text is shorter."""
     block = np.ascontiguousarray(block, dtype=np.float64)
     n, n_cols = block.size, block.shape[1]
     bits = block.view(_U).ravel()
@@ -352,23 +359,49 @@ def rows_text(block) -> str:
             special.size, _ROW - 1)
         out[special, -1] = src[special, _SEP]
     del src, flat
-    out = out[out != 0]
-    return str(out.data, "ascii")
+    return out
 
 
-# values per rows_text call of csv_blocks.  Each call costs about 0.17 ms
-# besides its values, and its temporaries stay below 200 bytes per value
-# (130-140 in practice): 4608 values, 768 rows of a 6-column trajectory
-# file or 512 of a 9-column truth table, take at most 0.65 MB at once
-# in a few calls per file; blocks of rows would give a wide file more.
-BLOCK_VALUES = 4608
+# values per kernel call of csv_blocks and leading_column.  Each call
+# costs about 0.27 ms besides its values (some 280 numpy operations,
+# whatever the block's size), and its temporaries stay below 200 bytes
+# per value (130-140 in practice): 9216 values, 1843 rows of the 5
+# columns a trajectory file formats beside its spliced time column or
+# 1024 of a 9-column truth table, take at most 1.8 MB at once in a few
+# calls per file; blocks of rows would give a wide file more.
+BLOCK_VALUES = 9216
 
 
-def csv_blocks(header, rows):
+def leading_column(values):
+    """The text of a first column that more columns follow, for the
+    ``lead`` of csv_blocks: per value ``repr(float(x))`` then ``,``, as
+    padded rows of 25 bytes.  Made once, it is spliced into every file
+    that starts with the same column."""
+    values = np.asarray(values, dtype=float).reshape(-1, 1)
+    padded = np.empty((len(values), _ROW), dtype=np.uint8)
+    for start in range(0, len(values), BLOCK_VALUES):
+        stop = start + BLOCK_VALUES
+        padded[start:stop] = _padded_rows(values[start:stop])
+    padded[:, -1] = ord(",")
+    return padded
+
+
+def csv_blocks(header, rows, lead=None):
     """The CSV text in pieces: the header line, then blocks of about
-    BLOCK_VALUES values, each value written as repr(float(x))."""
+    BLOCK_VALUES values, each value written as repr(float(x)).
+
+    With ``lead``, the ``leading_column`` of the first column, ``rows``
+    holds the columns after it (at least one), and each block's text
+    starts its rows with the lead's.
+    """
     yield ",".join(header) + "\n"
     rows = np.asarray(rows, dtype=float)
     step = max(1, BLOCK_VALUES // max(1, rows.shape[-1]))
     for start in range(0, len(rows), step):
-        yield rows_text(rows[start:start + step])
+        block = rows[start:start + step]
+        padded = _padded_rows(block)
+        if lead is not None:
+            padded = np.concatenate(
+                [lead[start:start + step], padded.reshape(len(block), -1)],
+                axis=1)
+        yield str(padded[padded != 0].data, "ascii")

@@ -520,6 +520,19 @@ class TestKoopman:
         assert summary["oracle_residual"] < summary["tolerances"]["oracle_residual"]
         assert (out / "classical.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--m", "2"],
+        ["--omega", "2"],
+        ["--m", "3", "--epsilon", "0"],
+    ], ids=["m", "omega", "linear"])
+    def test_oracle_at_the_flow_scale(self, tmp_path, argv):
+        # the ladder at reference scale |m| omega: at scale 1 these
+        # exit 1 with residuals 0.011, 0.0037 and 0.28
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "koopman", *argv]) == EXIT_OK
+        summary = read_summary(out)
+        assert summary["oracle_residual"] < 1e-6
+
 
 class TestRunTimeBadInput:
     """Input that only fails once the run starts: exit 2 with the
@@ -1042,6 +1055,7 @@ class TestNonFiniteOrNegativeValues:
         ("koopman", "q0", "inf", "--q0 must be"),
         ("koopman", "pi0", "nan", "--pi0 must be"),
         ("koopman", "n_levels", "1", "--n-levels must be"),
+        ("koopman", "n_levels", "2", "--n-levels must be"),
         ("koopman", "n_levels", "100", "--n-levels must be"),
         ("koopman", "n_levels", "2.5", "--n-levels must be"),
     ]
@@ -1682,6 +1696,8 @@ class TestConfigIsParsedLikeFlags:
         # level counts that fock.TruncationSpec rejects for two modes
         ("koopman", {"n_levels": 1}, "--n-levels"),
         ("koopman", {"n_levels": 100}, "--n-levels"),
+        # a core of one state per mode: a residual that cannot fail
+        ("koopman", {"n_levels": 2}, "--n-levels"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                command, doc, flag):

@@ -11,8 +11,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qmfslab import csvtext  # noqa: E402
-from qmfslab.cli import _write_csv  # noqa: E402
+from qmfslab import conditional, csvtext, models  # noqa: E402
+from qmfslab.cli import _write_csv, main  # noqa: E402
 from qmfslab.csvtext import BLOCK_VALUES, csv_blocks  # noqa: E402
 
 
@@ -111,10 +111,11 @@ def truth_table(n_rows):
 ], ids=["trajectory", "truth-table", "nan"])
 def test_kernel_temporaries_per_value(rows):
     # one block of the CLI's size: the block size rests on this bound
-    csvtext.rows_text(rows[:1])  # the tables are built on first use
+    header = [f"c{j}" for j in range(rows.shape[1])]
+    list(csv_blocks(header, rows[:1]))  # the tables are built on first use
     tracemalloc.start()
     try:
-        csvtext.rows_text(rows)
+        list(csv_blocks(header, rows))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,3 +225,94 @@ def test_zero_one_table_matches_the_reference(tmp_path):
     text = path.read_bytes().decode()
     assert text == reference_text(header, rows)
     assert "-0.0," in text and ",0.0," in text
+
+
+def spliced_blocks(header, rows):
+    """csv_blocks' text of rows with their first column spliced in from
+    leading_column."""
+    lead = csvtext.leading_column(rows[:, 0])
+    return "".join(csv_blocks(header, rows[:, 1:], lead))
+
+
+@pytest.mark.parametrize("n_cols", [2, 6, 9])
+def test_spliced_column_gives_the_same_text(n_cols):
+    # at the edges of the blocks of the n_cols - 1 columns formatted
+    # beside the lead, and of leading_column's own blocks
+    rng = np.random.default_rng(n_cols)
+    header = [f"c{j}" for j in range(n_cols)]
+    for n_rows in [0, 1, *block_edges(n_cols - 1), BLOCK_VALUES + 1]:
+        rows = rng.standard_normal((n_rows, n_cols))
+        rows[: n_rows // 2, 0] = np.arange(n_rows // 2) * 1e-3
+        rows[1::7] = SPECIALS[:n_cols]
+        got = spliced_blocks(header, rows)
+        assert got == "".join(csv_blocks(header, rows))
+        assert got.split("\n") == reference_text(header, rows).split("\n")
+
+
+def pair_trajectories(k, dt, T, batch, seed):
+    """The batch that ``simulate --model pair --force-amp 1`` runs, as
+    the rows of its trajectory files: time, means, and the records after
+    a zero first row."""
+    bundle = models.oscillator_pair(1.0, 1.0)
+    model = bundle.model
+    channels = ((conditional.MeasurementChannel(bundle.monitor, k, 1.0),)
+                if k > 0 else ())
+    force = conditional.ForceDrive.sinusoid(model.force_couplings[0], 1.0,
+                                            1.0)
+    result = conditional.simulate_batch(
+        model, conditional.vacuum_state(model), channels, force, dt=dt, T=T,
+        master_seed=seed, n_traj=batch)
+    zero = np.zeros((1, len(channels)))
+    return [np.column_stack([result.times, result.means[i],
+                             np.vstack([zero, result.records[i]])])
+            for i in range(batch)]
+
+
+# rows a block of a trajectory file formats: the pair's 4 means and one
+# record, beside the spliced time column
+BLOCK_ROWS = BLOCK_VALUES // 5
+
+
+class TestSimulateText:
+    """Every trajectory file of ``simulate``, whose time column is made
+    once per batch and spliced into each file, is the per-row formula of
+    the batch's values."""
+
+    def check(self, out, rows_count, batch=1, parallel=1, k=2.0):
+        dt = 1e-3
+        T = (rows_count - 1) * dt
+        assert main(["--out", str(out), "--seed", "3", "simulate",
+                     "--model", "pair", "--k", repr(k), "--dt", repr(dt),
+                     "--T", repr(T), "--force-amp", "1",
+                     "--batch", str(batch),
+                     "--parallel", str(parallel)]) == 0
+        header = ["time", "mean_0", "mean_1", "mean_2", "mean_3"]
+        header += ["yrecord_0"] if k > 0 else []
+        expected = pair_trajectories(k, dt, T, batch, 3)
+        for i, rows in enumerate(expected):
+            assert len(rows) == rows_count
+            text = (out / f"trajectory_{i:04d}.csv").read_text()
+            assert text.split("\n") == reference_text(header, rows).split(
+                "\n")
+            # the first row is time 0 with no record increment yet
+            first = text.split("\n")[1].split(",")
+            assert first[0] == "0.0"
+            assert first[5:] == (["0.0"] if k > 0 else [])
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("parallel", [1, 2, 3])
+    def test_batch_and_writers(self, tmp_path, batch, parallel):
+        self.check(tmp_path / "run", 201, batch, parallel)
+
+    @pytest.mark.parametrize("rows_count",
+                             [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_block_edges(self, tmp_path, rows_count):
+        self.check(tmp_path / "run", rows_count, batch=2, parallel=2)
+
+    def test_t_equal_to_dt(self, tmp_path):
+        self.check(tmp_path / "run", 2, batch=3)
+
+    @pytest.mark.parametrize("rows_count",
+                             [2, BLOCK_VALUES // 4, BLOCK_VALUES // 4 + 1])
+    def test_without_records(self, tmp_path, rows_count):
+        self.check(tmp_path / "run", rows_count, batch=2, k=0.0)
