@@ -58,8 +58,20 @@ _BUILDER_OPTIONS = {"m": "m", "omega": "omega", "omega_mod": "omega",
                     "hbar": "hbar", "gamma_B0": "gamma_b0"}
 
 
+def _create(path: Path):
+    """``path`` opened for writing as a new file, any old one unlinked.
+
+    Truncating an old file in place, or renaming a temporary file over
+    it, makes ext4 flush the old data (``auto_da_alloc``), so a rerun
+    into the same --out would wait on the last run's writeback.  A link
+    at ``path`` is replaced, not written through.
+    """
+    path.unlink(missing_ok=True)
+    return open(path, "w")
+
+
 def _write_csv(path: Path, header, rows, lead=None):
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.writelines(csvtext.csv_blocks(header, rows, lead))
 
 
@@ -148,7 +160,7 @@ def _write_summary(out_dir: Path, config: dict, payload: dict) -> None:
         "config_hash": _config_hash(config),
     }
     summary.update(payload)
-    with open(out_dir / "summary.json", "w") as fh:
+    with _create(out_dir / "summary.json") as fh:
         json.dump(summary, fh, indent=2, default=str)
         fh.write("\n")
 
@@ -294,7 +306,7 @@ def cmd_simulate(args, out_dir: Path) -> dict:
         records = np.vstack([np.zeros((1, n_ch)), batch.records[i]])
         _write_csv(trajectory, header,
                    np.column_stack([batch.means[i], records]), times)
-        with open(covariance, "w") as fh:
+        with _create(covariance) as fh:
             fh.write(cov_text)
 
     _write_in_workers(_writer_count(args.parallel, args.batch), args.batch,
@@ -664,6 +676,8 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        # a run that fails leaves no summary, also where one ran before
+        (out_dir / "summary.json").unlink(missing_ok=True)
         payload = handlers[args.command](args, out_dir)
         _write_summary(out_dir, vars(args), payload)
         return EXIT_OK if payload["passed"] else EXIT_VIOLATION

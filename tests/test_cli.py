@@ -294,6 +294,25 @@ class TestParallelWriters:
         assert not (out / "summary.json").exists()
         assert_no_child_left()
 
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_rerun_creates_each_file_new(self, tmp_path, parallel):
+        # a hard link to each old output keeps the first run's file: the
+        # rerun unlinks and creates its files, it truncates none in place
+        out, links = tmp_path / "run", tmp_path / "links"
+        assert self.run(out, 2, parallel) == EXIT_OK
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(first) == 5 and "summary.json" in first
+        links.mkdir()
+        for name in first:
+            os.link(out / name, links / name)
+        assert self.run(out, 2, parallel) == EXIT_OK
+        assert_no_child_left()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        for name, data in first.items():
+            assert not (links / name).samefile(out / name)
+            assert (links / name).stat().st_nlink == 1
+            assert (links / name).read_bytes() == data
+
 
 class TestConfigHash:
     def run(self, out, seed="7", parallel="1"):
@@ -554,6 +573,16 @@ class TestRunTimeBadInput:
     def test_step_too_coarse(self, tmp_path, capsys):
         self.check_bad_input(tmp_path / "run", ["koopman", "--dt", "3"],
                              capsys, "step-halving error")
+
+    def test_failed_rerun_leaves_no_summary(self, tmp_path, capsys):
+        # the first run's summary does not outlive a rerun that fails
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "simulate", "--model", "pair",
+                     "--k", "2", "--T", "0.5", "--batch", "2"]) == EXIT_OK
+        assert read_summary(out)["passed"] is True
+        self.check_bad_input(out, ["simulate", "--model", "pair", "--k",
+                                   "1e300", "--T", "0.01", "--batch", "2"],
+                             capsys, "covariance step(s)")
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--model", "pair", "--k", "1e12", "--T", "0.01"],
