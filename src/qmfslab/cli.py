@@ -53,6 +53,11 @@ EXIT_BAD_INPUT = 2
 # config keys that do not change results, left out of config_hash
 _UNHASHED_KEYS = {"out", "parallel", "config"}
 
+# every file a command writes into --out, besides simulate's numbered
+# trajectory_<digits>.csv and covariance_<digits>.csv
+_OUTPUT_FILES = {"summary.json", "check.csv", "force.csv", "classical.csv",
+                 "spin_sweep.csv", "truth_tables.csv"}
+
 # model-builder parameter -> the option that sets it
 _BUILDER_OPTIONS = {"m": "m", "omega": "omega", "omega_mod": "omega",
                     "hbar": "hbar", "gamma_B0": "gamma_b0"}
@@ -68,6 +73,22 @@ def _create(path: Path):
     """
     path.unlink(missing_ok=True)
     return open(path, "w")
+
+
+def _is_output(name: str) -> bool:
+    """Whether a command writes a file of this name into --out."""
+    prefix, _, number = name.removesuffix(".csv").rpartition("_")
+    return name in _OUTPUT_FILES or (
+        name.endswith(".csv") and prefix in ("trajectory", "covariance")
+        and number.isascii() and number.isdigit())
+
+
+def _remove_outputs(out_dir: Path) -> None:
+    """Unlink every file in ``out_dir`` that a command writes; directories
+    and files of other names stay."""
+    for path in out_dir.iterdir():
+        if _is_output(path.name) and not path.is_dir():
+            path.unlink(missing_ok=True)
 
 
 def _write_csv(path: Path, header, rows, lead=None):
@@ -376,6 +397,11 @@ def cmd_koopman(args, out_dir: Path) -> dict:
     # vacuum's <Pi^2> / <Q^2> is (m omega)^2, as in the oscillator's
     H, Q, Pi = fock.build_koopman_hamiltonian(f, g, spec,
                                               ref_scale=abs(m) * omega)
+    # Q sqrt(|m| omega / hbar) and Pi / sqrt(|m| omega / hbar), hbar = 1:
+    # in natural units the fixed tolerance does not depend on m or omega
+    a = math.sqrt(abs(m) * omega)
+    Q, Pi = (fock.KronOperator(O.spec, tuple((c * s, fs) for c, fs in O.terms))
+             for O, s in ((Q, a), (Pi, 1 / a)))
     t_grid = np.linspace(0.0, min(args.T, 2.0 / omega), 5)
     residual = fock.commutator_residual(H, [Q, Pi], t_grid)
     tol = 1e-5
@@ -676,8 +702,9 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # a run that fails leaves no summary, also where one ran before
-        (out_dir / "summary.json").unlink(missing_ok=True)
+        # no output of an earlier run stays, and a run that fails leaves
+        # no summary
+        _remove_outputs(out_dir)
         payload = handlers[args.command](args, out_dir)
         _write_summary(out_dir, vars(args), payload)
         return EXIT_OK if payload["passed"] else EXIT_VIOLATION

@@ -40,6 +40,9 @@ A force F(t) = c.z(t) is the output of a linear generator z' = W z, so
 waveform estimation appends z, scaled by the unknown amplitude, to the
 state and runs the Kalman filter over that time-invariant model; this
 yields the maximum-likelihood amplitude and its posterior spread.
+Since the filter's gains do not depend on the record, the estimator is
+one linear map of the records, its weights from one backward pass over
+the gains.
 
 The batch is the one unit: a sweep returns one BatchResult (a single
 trajectory is a batch of one), and the filter one ForceEstimate per
@@ -515,12 +518,6 @@ class ForceEstimate:
     information: float
 
 
-def _augmented_drift(model: LinearModel, force: ForceDrive) -> np.ndarray:
-    """Drift [[A, b c^T], [0, W]] of the state [x; z] with the generator appended."""
-    zeros = np.zeros((force.z0.size, model.dim))
-    return np.block([[model.A, np.outer(force.b, force.c)], [zeros, force.W]])
-
-
 def _augmented_filter(model: LinearModel, channels, template: ForceDrive):
     """(A, D, M) of the [x; z] covariance flow and its prior covariance.
 
@@ -533,7 +530,9 @@ def _augmented_filter(model: LinearModel, channels, template: ForceDrive):
     D, M = _flow_terms(model, channels)
     Va = np.pad(vacuum_state(model).cov, pad)
     Va[model.dim:, model.dim:] = PRIOR_VAR * np.outer(template.z0, template.z0)
-    return _augmented_drift(model, template), np.pad(D, pad), np.pad(M, pad), Va
+    A = np.block([[model.A, np.outer(template.b, template.c)],
+                  [np.zeros((template.z0.size, model.dim)), template.W]])
+    return A, np.pad(D, pad), np.pad(M, pad), Va
 
 
 def _amplitude_readout(template: ForceDrive, T: float) -> np.ndarray:
@@ -577,9 +576,10 @@ def estimate_force_batch(
     template: ForceDrive,
     dt: float,
 ) -> ForceEstimate:
-    """Amplitude estimates of a batch of records (n_traj, n_steps,
-    n_channels) from runs that start in the vacuum, from one filter
-    covariance sweep: amplitude has shape (n_traj,)."""
+    """Amplitudes (n_traj,) of a batch of records (n_traj, n_steps,
+    n_channels) from runs that start in the vacuum.  The means
+    mu_{n+1} = P mu_n + G_n (y_n - S mu_n dt) start at 0, so each is
+    r.mu_N = w.y, w from r by w_n = r G_n, then r <- r P - dt w_n S."""
     records = np.asarray(records, dtype=float)
     n_traj, n_steps, n_ch = records.shape
     if n_ch != len(channels):
@@ -595,22 +595,21 @@ def estimate_force_batch(
     E[d:, d:] = R
     P = E + A * dt
     P[d:, d:] = R
-    s_aug = [np.pad(ch.s, (0, R.shape[0])) for ch in channels]
-    mu = np.zeros((A.shape[0], n_traj))
+    S = np.array([ch.s for ch in channels]).reshape(n_ch, d)
+    S = np.pad(S, ((0, 0), (0, len(R))))
+    SK = S.T * [4 * ch.k * ch.eta for ch in channels]
+    G = np.empty((n_steps, len(A), n_ch))  # G[n] = E Va_n S^T diag(4 k eta)
     for n0, Vs in blocks(Va):
         # step n's gain uses Va_n: the block's start, then all rows but its last
-        Va_n = np.concatenate([Va[None], Vs[:-1]])
-        gains = [4 * ch.k * ch.eta * (Va_n @ sa) @ E.T
-                 for ch, sa in zip(channels, s_aug)]
-        for j in range(len(Vs)):
-            mu_new = P @ mu
-            for c, (sa, gain) in enumerate(zip(s_aug, gains)):
-                innovation = records[:, n0 + j, c] - (sa @ mu) * dt
-                mu_new += np.outer(gain[j], innovation)
-            mu = mu_new
+        G[n0:n0 + len(Vs)] = E @ np.concatenate([Va[None], Vs[:-1]]) @ SK
         Va = Vs[-1]
     u = _amplitude_readout(template, n_steps * dt)
     V_FF = u @ Va[d:, d:] @ u
     information = _information(V_FF)
-    amplitude = (u @ mu[d:]) * (1.0 / V_FF) / information
+    r = np.concatenate([np.zeros(d), u * (1.0 / V_FF) / information])
+    w = np.empty((n_steps, n_ch))
+    for n in range(n_steps - 1, -1, -1):
+        w[n] = r @ G[n]
+        r = r @ P - dt * (w[n] @ S)
+    amplitude = records.reshape(n_traj, n_steps * n_ch) @ w.ravel()
     return ForceEstimate(amplitude, 1.0 / math.sqrt(information), information)

@@ -314,6 +314,64 @@ class TestParallelWriters:
             assert (links / name).read_bytes() == data
 
 
+class TestStaleOutputs:
+    """A run removes every file a command writes from its --out first,
+    so no output of an earlier run stays; other files stay."""
+
+    def simulate(self, out, seed, batch):
+        return main(["--out", str(out), "--seed", str(seed), "simulate",
+                     "--T", "0.05", "--batch", str(batch)])
+
+    def test_smaller_batch_leaves_no_old_trajectory(self, tmp_path):
+        out = tmp_path / "run"
+        assert self.simulate(out, 3, 4) == EXIT_OK
+        assert self.simulate(out, 4, 2) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "covariance_0000.csv", "covariance_0001.csv", "summary.json",
+            "trajectory_0000.csv", "trajectory_0001.csv"]
+        assert read_summary(out)["n_trajectories"] == 2
+
+    def test_check_after_simulate(self, tmp_path):
+        out = tmp_path / "run"
+        assert self.simulate(out, 3, 2) == EXIT_OK
+        assert main(["--out", str(out), "check"]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "check.csv", "summary.json"]
+
+    def test_other_files_stay(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        kept = ["notes.txt", "trajectory_00a1.csv", "trajectory_0001.txt",
+                "covariance_.csv", "check.csv.bak", "run_0001.csv"]
+        for name in kept:
+            (out / name).write_text("kept")
+        (out / "covariance_0007.csv").mkdir()
+        assert self.simulate(out, 3, 2) == EXIT_OK
+        for name in kept:
+            assert (out / name).read_text() == "kept"
+        assert (out / "covariance_0007.csv").is_dir()
+
+    def test_every_command_removes_the_last_ones_files(self, tmp_path):
+        # each command in turn into one --out, every old file first
+        # marked stale: a file a command writes and the list does not
+        # name would stay marked
+        circuit = tmp_path / "toffoli.txt"
+        circuit.write_text("bits 3\nCCX 0 1 2\n")
+        out = tmp_path / "run"
+        for argv in (["simulate", "--T", "0.05", "--batch", "2"], ["check"],
+                     ["force", "--T", "1"],
+                     ["koopman", "--n-levels", "4", "--epsilon", "0"],
+                     ["spin", "--j0-list", "2"],
+                     ["circuit", "--file", str(circuit)],
+                     ["simulate", "--T", "0.05", "--batch", "1"]):
+            for path in out.glob("*"):
+                path.write_text("stale")
+            assert main(["--out", str(out), *argv]) == EXIT_OK
+            names = sorted(p.name for p in out.iterdir())
+            assert len(names) >= 2 and "summary.json" in names
+            assert [n for n in names if (out / n).read_text() == "stale"] == []
+
+
 class TestConfigHash:
     def run(self, out, seed="7", parallel="1"):
         assert main(["--out", str(out), "--seed", seed, "simulate",
@@ -543,10 +601,13 @@ class TestKoopman:
         ["--m", "2"],
         ["--omega", "2"],
         ["--m", "3", "--epsilon", "0"],
-    ], ids=["m", "omega", "linear"])
+        ["--m", "1e-150", "--epsilon", "0"],
+    ], ids=["m", "omega", "linear", "tiny-mass-linear"])
     def test_oracle_at_the_flow_scale(self, tmp_path, argv):
-        # the ladder at reference scale |m| omega: at scale 1 these
-        # exit 1 with residuals 0.011, 0.0037 and 0.28
+        # the ladder at reference scale |m| omega: at scale 1 the first
+        # three exit 1 with residuals 0.011, 0.0037 and 0.28; the tiny
+        # mass needs the observables in natural units as well (1.1e135
+        # without them)
         out = tmp_path / "run"
         assert main(["--out", str(out), "koopman", *argv]) == EXIT_OK
         summary = read_summary(out)
