@@ -13,12 +13,10 @@ Reproducibility: trajectory i of a batch uses noise streams keyed by
 (master_seed, i, channel), so outputs are bit-identical across reruns
 and across --parallel settings; result files are keyed by seed index.
 All trajectories of a simulate run share one batched sweep.  --parallel
-sets how many processes write the trajectory and covariance files once
-the sweep is done: the writers beyond the first are started by POSIX
-fork, their number is capped at --batch and at the usable CPUs, and
-the files are written serially where fork does not exist.  Python 3.12
-and later warn about fork in a process that runs threads (such as BLAS
-threads); the writers call no BLAS.
+sets how many threads write the trajectory and covariance files once
+the sweep is done, capped at --batch and at the usable CPUs; a writer
+that fails makes the run fail with the error of the lowest trajectory
+that could not be written.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ import json
 import math
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -63,18 +62,6 @@ _BUILDER_OPTIONS = {"m": "m", "omega": "omega", "omega_mod": "omega",
                     "hbar": "hbar", "gamma_B0": "gamma_b0"}
 
 
-def _create(path: Path):
-    """``path`` opened for writing as a new file, any old one unlinked.
-
-    Truncating an old file in place, or renaming a temporary file over
-    it, makes ext4 flush the old data (``auto_da_alloc``), so a rerun
-    into the same --out would wait on the last run's writeback.  A link
-    at ``path`` is replaced, not written through.
-    """
-    path.unlink(missing_ok=True)
-    return open(path, "w")
-
-
 def _is_output(name: str) -> bool:
     """Whether a command writes a file of this name into --out."""
     prefix, _, number = name.removesuffix(".csv").rpartition("_")
@@ -84,25 +71,30 @@ def _is_output(name: str) -> bool:
 
 
 def _remove_outputs(out_dir: Path) -> None:
-    """Unlink every file in ``out_dir`` that a command writes; directories
-    and files of other names stay."""
-    for path in out_dir.iterdir():
-        if _is_output(path.name) and not path.is_dir():
-            path.unlink(missing_ok=True)
+    """Unlink every file in ``out_dir`` that a command writes, so that
+    each output is then created new; directories and files of other
+    names stay.
+
+    Truncating an old file in place, or renaming a temporary file over
+    it, makes ext4 flush the old data (``auto_da_alloc``), so a rerun
+    into the same --out would wait on the last run's writeback.  A link
+    at an output's name is removed whatever it points to, so it is
+    replaced, not written through.
+    """
+    with os.scandir(out_dir) as entries:
+        for entry in entries:
+            if (_is_output(entry.name)
+                    and not entry.is_dir(follow_symlinks=False)):
+                Path(entry).unlink(missing_ok=True)
 
 
 def _write_csv(path: Path, header, rows, lead=None):
-    with _create(path) as fh:
+    with open(path, "w") as fh:
         fh.writelines(csvtext.csv_blocks(header, rows, lead))
 
 
 def _writer_count(parallel: int, n_items: int) -> int:
-    """Writer processes: --parallel, capped at the items and usable CPUs.
-
-    One where the platform has no fork.
-    """
-    if not hasattr(os, "fork"):
-        return 1
+    """Writer threads: --parallel, capped at the items and usable CPUs."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -110,41 +102,35 @@ def _writer_count(parallel: int, n_items: int) -> int:
     return max(1, min(parallel, n_items, cpus))
 
 
-def _write_in_workers(n_workers, n_items, write_item, item_files):
-    """Call ``write_item(i)`` for i < n_items in n_workers processes.
+def _write_in_threads(n_writers, n_items, write_item):
+    """Call ``write_item(i)`` for i < n_items on n_writers threads.
 
-    Worker w writes the items i = w (mod n_workers).  Share 0 is written
-    here; the others by forked children, which only write files and
-    leave through ``os._exit``, so a child never returns into the
-    caller.  Every child is reaped, also when share 0 fails.  A child
-    that fails makes this raise OSError naming the files of its share
-    (``item_files(i)`` for each of its items).
+    Writer w writes the items i = w (mod n_writers) and stops at the
+    first that fails; share 0 is written on this thread.  Every thread
+    is joined, then the error of the lowest failing item is raised
+    again: the one a serial run would raise.
     """
-    children = []
+    errors = {}
+
+    def write_share(w):
+        for i in range(w, n_items, n_writers):
+            try:
+                write_item(i)
+            except Exception as exc:
+                errors[i] = exc
+                return
+
+    threads = [threading.Thread(target=write_share, args=(w,))
+               for w in range(1, n_writers)]
+    for thread in threads:
+        thread.start()
     try:
-        for w in range(1, n_workers):
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    for i in range(w, n_items, n_workers):
-                        write_item(i)
-                    status = 0
-                except Exception as exc:
-                    print(f"error: {exc}", file=sys.stderr, flush=True)
-                finally:
-                    os._exit(status)
-            children.append((w, pid))
-        for i in range(0, n_items, n_workers):
-            write_item(i)
+        write_share(0)
     finally:
-        failed = [w for w, pid in children if os.waitpid(pid, 0)[1]]
-    if failed:
-        files = [str(path) for w in failed
-                 for i in range(w, n_items, n_workers)
-                 for path in item_files(i)]
-        raise OSError(f"{len(failed)} of {n_workers} writer processes "
-                      f"failed; incomplete files: {', '.join(files)}")
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _model_options(name: str) -> dict:
@@ -181,7 +167,7 @@ def _write_summary(out_dir: Path, config: dict, payload: dict) -> None:
         "config_hash": _config_hash(config),
     }
     summary.update(payload)
-    with _create(out_dir / "summary.json") as fh:
+    with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, default=str)
         fh.write("\n")
 
@@ -314,24 +300,19 @@ def cmd_simulate(args, out_dir: Path) -> dict:
     ))
 
     # every trajectory file starts with the same time column: its text
-    # is made once, before the writers fork, and spliced into each file
+    # is made once, before the writers start, and spliced into each file
     times = csvtext.leading_column(batch.times)
 
-    def files(i):
-        return (out_dir / f"trajectory_{i:04d}.csv",
-                out_dir / f"covariance_{i:04d}.csv")
-
     def write(i):
-        trajectory, covariance = files(i)
         # the record row at time 0 is zero: no increment yet
         records = np.vstack([np.zeros((1, n_ch)), batch.records[i]])
-        _write_csv(trajectory, header,
+        _write_csv(out_dir / f"trajectory_{i:04d}.csv", header,
                    np.column_stack([batch.means[i], records]), times)
-        with _create(covariance) as fh:
+        with open(out_dir / f"covariance_{i:04d}.csv", "w") as fh:
             fh.write(cov_text)
 
-    _write_in_workers(_writer_count(args.parallel, args.batch), args.batch,
-                      write, files)
+    _write_in_threads(_writer_count(args.parallel, args.batch), args.batch,
+                      write)
 
     return {
         "seeds": [[args.seed, i] for i in range(args.batch)],
@@ -383,6 +364,12 @@ def cmd_koopman(args, out_dir: Path) -> dict:
     flow = koopman.ClassicalFlow(f, g, dt=args.dt)
     # the Fock oracle's norms of H square the harmonic coefficients
     _check_square(**{"(1/m)": 1.0 / m, "(m*omega**2)": m * omega**2})
+    # and it builds its ladders at the scale |m| omega, which must not
+    # underflow to 0
+    if not abs(m) * omega > 0:
+        raise ValueError(
+            "--m and --omega are too small: the oracle's scale |m|*omega "
+            f"underflows to 0.0, got --m {m!r} and --omega {omega!r}")
     times, Qs, Ps = koopman.integrate(flow, args.q0, args.pi0, args.T)
     _write_csv(out_dir / "classical.csv", ["time", "Q", "Pi"],
                np.column_stack([times, Qs, Ps]))

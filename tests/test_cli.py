@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import threading
 import time
 import types
 import warnings
@@ -221,26 +222,25 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
-def fork_calls(monkeypatch):
-    """Count os.fork calls; each still forks."""
-    calls = []
-    real_fork = os.fork
+def writers(monkeypatch):
+    """The threads started during the test, recorded as each starts;
+    they run as they would unrecorded."""
+    started = []
 
-    def counting_fork():
-        calls.append(1)
-        return real_fork()
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return calls
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    return started
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def assert_no_writer_left(writers):
+    assert not [thread for thread in writers if thread.is_alive()]
+
+
 class TestParallelWriters:
     def run(self, out, batch, parallel):
         return main(["--out", str(out), "--seed", "5", "simulate",
@@ -256,46 +256,55 @@ class TestParallelWriters:
 
     @pytest.mark.parametrize("batch", [1, 2, 5])
     @pytest.mark.parametrize("parallel", [2, 3, 64])
-    def test_split_writes_the_serial_bytes(self, tmp_path, fork_calls,
+    def test_split_writes_the_serial_bytes(self, tmp_path, writers,
                                            parallel, batch):
         assert self.run(tmp_path / "p1", batch, 1) == EXIT_OK
-        assert fork_calls == []
+        assert writers == []
         assert self.run(tmp_path / "pn", batch, parallel) == EXIT_OK
-        assert len(fork_calls) == min(parallel, batch, usable_cpus()) - 1
-        assert_no_child_left()
+        assert len(writers) == min(parallel, batch, usable_cpus()) - 1
+        assert_no_writer_left(writers)
         self.assert_same_files(tmp_path / "p1", tmp_path / "pn", batch)
 
     def test_uneven_split_over_three_writers(self, tmp_path, monkeypatch,
-                                             fork_calls):
+                                             writers):
         # 5 trajectories over 3 writers: shares of 2, 2 and 1
         assert self.run(tmp_path / "p1", 5, 1) == EXIT_OK
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
         assert self.run(tmp_path / "p3", 5, 3) == EXIT_OK
-        assert len(fork_calls) == 2
-        assert_no_child_left()
+        assert len(writers) == 2
+        assert_no_writer_left(writers)
         self.assert_same_files(tmp_path / "p1", tmp_path / "p3", 5)
 
-    def test_serial_without_fork(self, tmp_path, monkeypatch):
+    def test_writes_without_fork(self, tmp_path, monkeypatch, writers):
+        # the writers are threads: a platform without fork splits too
+        def no_fork():
+            raise OSError("fork is not available")
+
         assert self.run(tmp_path / "p1", 3, 1) == EXIT_OK
-        monkeypatch.delattr(os, "fork")
-        assert self.run(tmp_path / "p3", 3, 3) == EXIT_OK
-        self.assert_same_files(tmp_path / "p1", tmp_path / "p3", 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert self.run(tmp_path / "p2", 3, 2) == EXIT_OK
+        assert len(writers) == 1
+        assert_no_writer_left(writers)
+        self.assert_same_files(tmp_path / "p1", tmp_path / "p2", 3)
 
     @pytest.mark.parametrize("parallel", [2, 1])
-    def test_failed_writer_is_bad_input(self, tmp_path, capsys, parallel):
+    def test_failed_writer_is_bad_input(self, tmp_path, capsys, parallel,
+                                        writers):
         out = tmp_path / "run"
         (out / "trajectory_0001.csv").mkdir(parents=True)
         assert self.run(out, 2, parallel) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
         assert "trajectory_0001.csv" in err
         assert "Traceback" not in err
         assert not (out / "summary.json").exists()
-        assert_no_child_left()
+        assert_no_writer_left(writers)
 
     @pytest.mark.parametrize("parallel", [1, 2])
-    def test_rerun_creates_each_file_new(self, tmp_path, parallel):
+    def test_rerun_creates_each_file_new(self, tmp_path, parallel, writers):
         # a hard link to each old output keeps the first run's file: the
         # rerun unlinks and creates its files, it truncates none in place
         out, links = tmp_path / "run", tmp_path / "links"
@@ -306,7 +315,7 @@ class TestParallelWriters:
         for name in first:
             os.link(out / name, links / name)
         assert self.run(out, 2, parallel) == EXIT_OK
-        assert_no_child_left()
+        assert_no_writer_left(writers)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
         for name, data in first.items():
             assert not (links / name).samefile(out / name)
@@ -350,6 +359,19 @@ class TestStaleOutputs:
         for name in kept:
             assert (out / name).read_text() == "kept"
         assert (out / "covariance_0007.csv").is_dir()
+
+    def test_link_to_a_directory_is_replaced(self, tmp_path):
+        # the link is removed, not followed: the run writes a new file
+        # at its name, and the directory it pointed to stays as it was
+        out, target = tmp_path / "run", tmp_path / "target"
+        out.mkdir()
+        target.mkdir()
+        (target / "kept.txt").write_text("kept")
+        (out / "trajectory_0000.csv").symlink_to(target)
+        assert self.simulate(out, 3, 1) == EXIT_OK
+        assert not (out / "trajectory_0000.csv").is_symlink()
+        assert (out / "trajectory_0000.csv").read_text().startswith("time,")
+        assert [p.name for p in target.iterdir()] == ["kept.txt"]
 
     def test_every_command_removes_the_last_ones_files(self, tmp_path):
         # each command in turn into one --out, every old file first
@@ -696,6 +718,12 @@ class TestRunTimeBadInput:
         pytest.param(["koopman", "--m", "1e200", "--epsilon", "0"],
                      "(m*omega**2) is too large: (m*omega**2)**2 overflows a "
                      "float, got 1e+200", id="koopman-large-m"),
+        # the oracle's scale |m| omega underflowed to 0.0: "ref_scale must
+        # be positive", naming no flag, after classical.csv was written
+        pytest.param(["koopman", "--m", "1e-150", "--omega", "1e-300"],
+                     "--m and --omega are too small: the oracle's scale "
+                     "|m|*omega underflows to 0.0, got --m 1e-150 and "
+                     "--omega 1e-300", id="koopman-scale"),
     ])
     def test_derived_value_overflows_a_float(self, tmp_path, capsys, argv,
                                              message):
