@@ -362,17 +362,15 @@ def cmd_koopman(args, out_dir: Path) -> dict:
     # dQ/dt = Pi/m + eps Q^2, dPi/dt = -m w^2 Q, terms (a, b, coef)
     f, g = ((0, 1, 1.0 / m), (2, 0, eps)), ((1, 0, m * omega**2),)
     flow = koopman.ClassicalFlow(f, g, dt=args.dt)
-    # the Fock oracle's norms of H square the harmonic coefficients
+    # input range: the flow's harmonic coefficients have float squares, so
+    # --m 1e200 is named here, not by the flow's divergence guard
     _check_square(**{"(1/m)": 1.0 / m, "(m*omega**2)": m * omega**2})
-    # and it builds its ladders at the scale |m| omega, which must not
-    # underflow to 0
+    # the oracle's unit a = sqrt(|m| omega) must not underflow to 0
     if not abs(m) * omega > 0:
         raise ValueError(
             "--m and --omega are too small: the oracle's scale |m|*omega "
             f"underflows to 0.0, got --m {m!r} and --omega {omega!r}")
     times, Qs, Ps = koopman.integrate(flow, args.q0, args.pi0, args.T)
-    _write_csv(out_dir / "classical.csv", ["time", "Q", "Pi"],
-               np.column_stack([times, Qs, Ps]))
 
     # Small fixed trusted core: the commutator defect of the truncated
     # nonlinear Hamiltonian contaminates higher excitation levels first,
@@ -380,15 +378,21 @@ def cmd_koopman(args, out_dir: Path) -> dict:
     # ladder grows.  --n-levels is at least 3, so the core keeps 2.
     spec = fock.TruncationSpec(n_levels=args.n_levels, n_modes=2,
                                core_levels=2)
-    # the ladders at the scale |m| omega of the flow's oscillator: the
-    # vacuum's <Pi^2> / <Q^2> is (m omega)^2, as in the oscillator's
-    H, Q, Pi = fock.build_koopman_hamiltonian(f, g, spec,
-                                              ref_scale=abs(m) * omega)
-    # Q sqrt(|m| omega / hbar) and Pi / sqrt(|m| omega / hbar), hbar = 1:
-    # in natural units the fixed tolerance does not depend on m or omega
-    a = math.sqrt(abs(m) * omega)
-    Q, Pi = (fock.KronOperator(O.spec, tuple((c * s, fs) for c, fs in O.terms))
-             for O, s in ((Q, a), (Pi, 1 / a)))
+    # the oracle in natural units (hbar = 1) of Q~ = a Q and Pi~ = Pi / a,
+    # the Q and Pi it returns: dQ~/dt = w Pi~ + (eps/a) Q~^2, dPi~/dt = -w Q~
+    a, w = math.sqrt(abs(m) * omega), math.copysign(omega, m)
+    H, Q, Pi = fock.build_koopman_hamiltonian(
+        ((0, 1, w), (2, 0, eps / a)), ((1, 0, w),), spec)
+    # the propagator's Frobenius norms of H must not overflow
+    bound = H.frobenius_bound()
+    if not math.isfinite(bound * bound):
+        raise ValueError(
+            f"--epsilon {eps!r}, --m {m!r} and --omega {omega!r} are out of "
+            "the oracle's range: in natural units its flow has the "
+            f"coefficients {w:.3g} and epsilon/sqrt(|m|*omega) = "
+            f"{eps / a:.3g}, and its Hamiltonian's norm overflows a float")
+    _write_csv(out_dir / "classical.csv", ["time", "Q", "Pi"],
+               np.column_stack([times, Qs, Ps]))
     t_grid = np.linspace(0.0, min(args.T, 2.0 / omega), 5)
     residual = fock.commutator_residual(H, [Q, Pi], t_grid)
     tol = 1e-5

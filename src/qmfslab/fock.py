@@ -27,6 +27,12 @@ commute.  A polynomial is a tuple of terms (a, b, coef), each the
 monomial coef Q^a Pi^b, the same tuples ``koopman.ClassicalFlow``
 integrates; they are built in code and have no file format.
 
+The oracle works in natural units: hbar = 1 and q = (a + a+) / sqrt 2,
+p = i (a+ - a) / sqrt 2 on every mode.  A flow of another scale is
+passed in them: ``koopman`` builds its flow of mass m and frequency
+omega for Q~ = a Q and Pi~ = Pi / a with a = sqrt(|m| omega), so one
+fixed tolerance serves every m and omega.
+
 H is complex in general, but a reversible flow makes it real in a
 diagonal gauge, and the oracle then works in real arithmetic.  In the
 Fock basis q is real and p imaginary, so complex conjugation K maps
@@ -62,7 +68,8 @@ Hermitian part, half the size of H.  The parity of mode 1 flips
 (Phi, Pi) instead, and applies to a flow odd in Pi through f and
 even through g (the linear flow has both parities).  A damping Q term
 in f breaks every parity, and such a flow forms the dense H and keeps
-the ``eigh``.
+the ``eigh``; its eigenvectors V are held by the same basis class, as
+U = V with an empty odd class.
 
 Both decisions read the factors, so a zero is exactly zero, but they
 are term by term: terms that cancel only in their sum are not seen, and
@@ -160,6 +167,14 @@ class KronOperator:
         """The dim x dim matrix."""
         return _kron_sum(self.terms, self.spec.n_levels)
 
+    def frobenius_bound(self) -> float:
+        """sum_t |coef_t| prod_k ||F_tk||_F >= the Frobenius norm, from
+        the factors (sqrt N for the identity), ``inf`` with no warning."""
+        identity = np.sqrt(self.spec.n_levels)
+        return sum(abs(complex(coef)) * float(np.prod(
+            [identity if F is None else np.linalg.norm(F) for F in factors]))
+            for coef, factors in self.terms)
+
 
 def _ladder(N: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, N)), 1)
@@ -203,23 +218,18 @@ def _frobenius(terms, N: int) -> float:
     return float(np.sqrt(max(np.real(total), 0.0)))
 
 
-def _quadratures(N: int, hbar: float, ref_scale: float):
-    """Single-mode (q, p), N x N, at reference scale w~ = ``ref_scale``:
-    q = sqrt(hbar / 2 w~) (a + a+), p = i sqrt(hbar w~ / 2) (a+ - a).
+def _quadratures(N: int):
+    """Single-mode (q, p), N x N, in natural units:
+    q = (a + a+) / sqrt 2, p = i (a+ - a) / sqrt 2.
 
-    The truncation defect of [q, p] = i hbar is confined to the top
-    level of the ladder.
+    The truncation defect of [q, p] = i is confined to the top level of
+    the ladder.
     """
-    if ref_scale <= 0:
-        raise ValueError("ref_scale must be positive")
     a = _ladder(N)
-    q = np.sqrt(hbar / (2 * ref_scale)) * (a + a.T)
-    p = 1j * np.sqrt(hbar * ref_scale / 2) * (a.T - a)
-    return q, p
+    return np.sqrt(0.5) * (a + a.T), 1j * np.sqrt(0.5) * (a.T - a)
 
 
-def build_koopman_hamiltonian(f, g, spec: TruncationSpec,
-                              hbar: float = 1.0, ref_scale: float = 1.0):
+def build_koopman_hamiltonian(f, g, spec: TruncationSpec):
     """H of the flow dQ/dt = f, dPi/dt = -g and the commuting pair it is
     checked on: ``(H, Q, Pi)``, all ``KronOperator``s on the 2 modes of
     ``spec`` (layout in the module docstring).
@@ -241,7 +251,7 @@ def build_koopman_hamiltonian(f, g, spec: TruncationSpec,
             raise ValueError("polynomial degree exceeds cap")
         if not np.isfinite(coef):
             raise ValueError("coefficients must be finite")
-    q, p = _quadratures(spec.n_levels, hbar, ref_scale)
+    q, p = _quadratures(spec.n_levels)
     power = np.linalg.matrix_power
     terms = []
     # P f + f P on mode 0, Phi g + g Phi on mode 1
@@ -267,7 +277,9 @@ def _check_hermitian(defect: float, scale: float) -> None:
 
 
 class HeisenbergPropagator:
-    """H = V diag(E) V+ of a ``KronOperator`` H, kept for ``evolve_rows``.
+    """H = V diag(E) V+ of a ``KronOperator`` H, kept for ``evolve_rows``,
+    with hbar = 1: O(t) = exp(iHt) O exp(-iHt).  A Hamiltonian at another
+    hbar is passed as H / hbar.
 
     The gauge and the parity are decided on H's factors; a dense H is a
     one-mode operator, ``KronOperator.on_mode(H, 0, TruncationSpec(n, 1))``.
@@ -287,27 +299,29 @@ class HeisenbergPropagator:
     at an odd level count) are the E = 0 eigenvectors (u, 0) (Golub &
     Kahan, SIAM J. Numer. Anal. B 2, 205, 1965).  The propagator keeps
     U, s and W, and ``evolve_rows`` applies V and V+ through them
-    (``_ChiralBasis``): two products of half the width each, about half
-    the work of one product with V, and no dim x dim V.
+    (``_Basis``): two products of half the width each, about half the
+    work of one product with V, and no dim x dim V.
 
     Without a parity the dense H (real in the gauge) is checked,
     symmetrized and diagonalized by ``eigh``.  The check and the
     symmetrization run on blocks of columns, in place, so they add no
-    dim x dim temporary to H and its eigenvectors.
+    dim x dim temporary to H and its eigenvectors.  The same ``_Basis``
+    holds its V as U = V with an empty odd class, so ``evolve_rows`` has
+    one form for both.
     """
 
-    def __init__(self, H: KronOperator, hbar: float = 1.0):
-        self.hbar = hbar
+    def __init__(self, H: KronOperator):
         H, self.phases = real_gauge(H)
         mode = chiral_parity(H)
         if mode is None:
             self.energies, V = np.linalg.eigh(_symmetrized(H.dense()))
-            self._basis = _DenseBasis(V)
+            self._basis = _Basis(V, np.empty((0, 0)),
+                                 np.zeros(len(V), dtype=bool))
         else:
             self.energies, self._basis = _chiral_eigh(H, mode)
 
     def evolve_rows(self, observables, t_grid, keep) -> list:
-        """Rows ``keep`` of O(t) = exp(iHt/hbar) O exp(-iHt/hbar) for each
+        """Rows ``keep`` of O(t) = exp(iHt) O exp(-iHt) for each
         O of ``observables`` at every t of ``t_grid``: one array of shape
         (len(t_grid), k, dim) per observable, from thin products only.
 
@@ -326,7 +340,7 @@ class HeisenbergPropagator:
         basis, u = self._basis, self.phases
         Vk = basis.rows(keep)
         k, dim = Vk.shape
-        phase = np.exp(1j * np.outer(t_grid, self.energies) / self.hbar)
+        phase = np.exp(1j * np.outer(t_grid, self.energies))
         AV = basis.times_adjoint((Vk * phase[:, None, :]).reshape(-1, dim))
         out = []
         for O in observables:
@@ -355,33 +369,16 @@ def _symmetrized(Hd: np.ndarray) -> np.ndarray:
     return Hd
 
 
-class _DenseBasis:
-    """Eigenvectors held as the dim x dim matrix V."""
-
-    def __init__(self, V: np.ndarray):
-        self._V = V
-
-    def rows(self, keep) -> np.ndarray:
-        """V[keep, :]."""
-        return self._V[keep, :]
-
-    def times(self, X: np.ndarray) -> np.ndarray:
-        """X @ V for a thin X."""
-        return _times(X, self._V)
-
-    def times_adjoint(self, X: np.ndarray) -> np.ndarray:
-        """X @ V+ for a thin X."""
-        return _times_adjoint(X, self._V)
-
-
-class _ChiralBasis:
-    """Eigenvectors of H = [[0, B], [B+, 0]] held as the factors of the
-    SVD B = U diag(s) W+ (see ``HeisenbergPropagator``).
+class _Basis:
+    """Eigenvectors V of H held as the factors U and W of the SVD
+    B = U diag(s) W+ of H = [[0, B], [B+, 0]] between the even and odd
+    states (see ``HeisenbergPropagator``).
 
     Columns of V, in the order of the energies (s, -s, 0): (U_k, W) / sqrt 2,
     (U_k, -W) / sqrt 2 and (U[:, k:], 0) on the (even, odd) states, with U_k
     the first k = len(s) columns of U.  A product with V or V+ is then
-    one with U on the even states and one with W on the odd states.
+    one with U on the even states and one with W on the odd states.  A
+    dense V is U = V with no odd state: ``odd`` all False, W of width 0.
     """
 
     def __init__(self, U: np.ndarray, W: np.ndarray, odd: np.ndarray):
@@ -453,7 +450,7 @@ def _times_kron(W: np.ndarray, O: KronOperator) -> np.ndarray:
 
 
 def _chiral_eigh(H: KronOperator, mode: int):
-    """Energies and the ``_ChiralBasis`` of H = [[0, B], [C, 0]] between
+    """Energies and the ``_Basis`` of H = [[0, B], [C, 0]] between
     the classes of even and odd n_mode, from one full SVD of (B + C+)/2
     (see ``HeisenbergPropagator``)."""
 
@@ -472,7 +469,7 @@ def _chiral_eigh(H: KronOperator, mode: int):
     U, s, Wh = np.linalg.svd(B)
     del B
     energies = np.concatenate([s, -s, np.zeros(U.shape[1] - s.size)])
-    return energies, _ChiralBasis(U, Wh.conj().T, _parity_mask(H.spec, mode))
+    return energies, _Basis(U, Wh.conj().T, _parity_mask(H.spec, mode))
 
 
 def _parity_mask(spec: TruncationSpec, mode: int) -> np.ndarray:
@@ -589,14 +586,10 @@ def _observable_defect(O: KronOperator):
     return _frobenius(defect, N), _frobenius(O.terms, N)
 
 
-def commutator_residual(
-    H: KronOperator,
-    O_set,
-    t_grid,
-    hbar: float = 1.0,
-) -> float:
+def commutator_residual(H: KronOperator, O_set, t_grid) -> float:
     """Max spectral norm of [O_j(t), O_k(t')] on the trusted core, over
-    all pairs and grid times.
+    all pairs and grid times, with hbar = 1 (H at another hbar is passed
+    as H / hbar).
 
     H and the observables are ``KronOperator``s on one product space;
     each observable is a sum of single-mode operators, checked to be
@@ -612,20 +605,21 @@ def commutator_residual(
     whether a mode parity halves it (real eigenvectors from one SVD of a
     coupling block, applied through its factors, so no dim x dim V is
     formed; see ``HeisenbergPropagator``); otherwise it runs an ``eigh``
-    of the dense H.  The commutators of all pairs of rows are small
-    (kept rows x kept rows), and their spectral norms come from one
-    batched ``norm``.  All agree to rounding, but the residual of
-    a converged oracle is a near-cancellation: it moves by ~1e-7
-    relative with the eigensolver and the BLAS thread count, so the
-    ``koopman`` command's ``summary.json`` reproduces to 1e-6 relative in
-    ``oracle_residual``, not byte for byte.
+    of the dense H; both eigenbases are one ``_Basis``.  The commutators
+    of all pairs of rows are small (kept rows x kept rows), and their
+    spectral norms come from one batched ``norm``.  All agree to
+    rounding, but the residual of a converged oracle is a
+    near-cancellation: it moves by ~1e-7 relative with the eigensolver
+    and the BLAS thread count, so the ``koopman`` command's
+    ``summary.json`` reproduces to 1e-6 relative in ``oracle_residual``,
+    not byte for byte.
     """
     # checked before the eigendecomposition, on the factors
     for O in O_set:
         defect, norm = _observable_defect(O)
         if defect > 1e-10 * max(1.0, norm):
             raise ValueError("observables must be Hermitian")
-    prop = HeisenbergPropagator(H, hbar)
+    prop = HeisenbergPropagator(H)
     keep = core_mask(H.spec)
     rows = [R for R_O in prop.evolve_rows(O_set, t_grid, keep) for R in R_O]
     C = [RA @ RB.conj().T - RB @ RA.conj().T

@@ -619,21 +619,45 @@ class TestKoopman:
         assert summary["oracle_residual"] < summary["tolerances"]["oracle_residual"]
         assert (out / "classical.csv").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["--m", "2"],
-        ["--omega", "2"],
-        ["--m", "3", "--epsilon", "0"],
-        ["--m", "1e-150", "--epsilon", "0"],
-    ], ids=["m", "omega", "linear", "tiny-mass-linear"])
-    def test_oracle_at_the_flow_scale(self, tmp_path, argv):
-        # the ladder at reference scale |m| omega: at scale 1 the first
-        # three exit 1 with residuals 0.011, 0.0037 and 0.28; the tiny
-        # mass needs the observables in natural units as well (1.1e135
-        # without them)
+    @pytest.mark.parametrize("argv, residual", [
+        ([], 3.929914596289335e-06),
+        (["--n-levels", "32"], 3.738247594984206e-08),
+        (["--m", "2"], 1.2322683489584568e-07),
+        (["--omega", "2"], 3.731492877089465e-11),
+        (["--m", "-1"], 3.9299145962893366e-06),
+        (["--m", "3", "--epsilon", "0"], 1.184758021501039e-14),
+        (["--m", "1e-150", "--epsilon", "0"], 1.1904055932380758e-15),
+        (["--m", "1e-10", "--omega", "1e-298", "--epsilon", "0"],
+         1.1415618122171315e-15),
+    ], ids=["default", "levels-32", "m", "omega", "negative-m", "linear",
+            "tiny-mass-linear", "tiny-scale-linear"])
+    def test_oracle_at_the_flow_scale(self, tmp_path, argv, residual):
+        # the oracle in natural units of the flow's scale |m| omega: with
+        # unit ladders "m", "omega" and "linear" exit 1 with residuals
+        # 0.011, 0.0037 and 0.28, the tiny mass with 1.1e135 on the bare Q
+        # and Pi; with ladders at that scale |m| omega = 1e-308 overflowed
+        # a matmul.  A converged residual is a near-cancellation that
+        # moves by ~1e-7 relative with the eigensolver and the BLAS thread
+        # count (the reproducibility the README states); a linear flow's
+        # is rounding, ~1e-14 absolute.
         out = tmp_path / "run"
-        assert main(["--out", str(out), "koopman", *argv]) == EXIT_OK
-        summary = read_summary(out)
-        assert summary["oracle_residual"] < 1e-6
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--out", str(out), "koopman", *argv]) == EXIT_OK
+        assert not caught
+        assert read_summary(out)["oracle_residual"] == pytest.approx(
+            residual, rel=1e-6, abs=1e-13 if residual < 1e-9 else 0)
+
+    def test_tiny_mass_nonlinear_flow_fails(self, tmp_path):
+        # in natural units the nonlinearity is epsilon / sqrt(|m| omega),
+        # 1e74: a real violation, not bad input
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--out", str(out), "koopman",
+                         "--m", "1e-150"]) == EXIT_VIOLATION
+        assert not caught
+        assert read_summary(out)["oracle_residual"] > 1.0
 
 
 class TestRunTimeBadInput:
@@ -724,6 +748,15 @@ class TestRunTimeBadInput:
                      "--m and --omega are too small: the oracle's scale "
                      "|m|*omega underflows to 0.0, got --m 1e-150 and "
                      "--omega 1e-300", id="koopman-scale"),
+        # in natural units the nonlinearity epsilon / sqrt(|m| omega) is
+        # 3.2e152: numpy overflow warnings, then "SVD did not converge",
+        # naming no flag, after classical.csv was written
+        pytest.param(["koopman", "--m", "1e-150", "--omega", "1e-157"],
+                     "--epsilon 0.1, --m 1e-150 and --omega 1e-157 are out "
+                     "of the oracle's range: in natural units its flow has "
+                     "the coefficients 1e-157 and epsilon/sqrt(|m|*omega) = "
+                     "3.16e+152, and its Hamiltonian's norm overflows a "
+                     "float", id="koopman-tiny-scale"),
     ])
     def test_derived_value_overflows_a_float(self, tmp_path, capsys, argv,
                                              message):

@@ -2,6 +2,7 @@
 Hamiltonian, and guarded commutator residuals."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -112,11 +113,28 @@ def every_row(spec):
 
 
 def stored_factors(basis):
-    """The matrices a propagator's eigenbasis is held as: V, or the SVD
-    factors U and W."""
-    if isinstance(basis, fock._ChiralBasis):
-        return basis.U, basis.W
-    return (basis._V,)
+    """The matrices a propagator's eigenbasis is held as: the SVD factors
+    U and W, or V as U with a W of width 0."""
+    return basis.U, basis.W
+
+
+def scaled(O, s):
+    """The ``KronOperator`` s O: every coefficient times s."""
+    return KronOperator(O.spec, tuple((s * c, f) for c, f in O.terms))
+
+
+def natural_flow(pk, hbar, ref_scale):
+    """The flow ``pk`` = (f, g) built at hbar and reference scale w~,
+    rewritten for the builder's natural units and divided by hbar.  With
+    Q = sqrt(hbar / w~) Q~, Pi = sqrt(hbar w~) Pi~, P = sqrt(hbar w~) P~
+    and Phi = sqrt(hbar / w~) Phi~, H / hbar has the monomial Q^a Pi^b of
+    f times hbar^((a + b - 1) / 2) w~^((1 - a + b) / 2), and that of g
+    times hbar^((a + b - 1) / 2) w~^((b - a - 1) / 2)."""
+    f, g = pk
+    return tuple(
+        tuple((a, b, c * hbar ** ((a + b - 1) / 2)
+               * ref_scale ** ((side - a + b) / 2)) for a, b, c in poly)
+        for poly, side in ((f, 1), (g, -1)))
 
 
 def chiral_vectors(basis):
@@ -193,8 +211,8 @@ class TestQuadratures:
     def test_each_mode_embedded_on_its_own_factor(self, spec):
         # the quadratures build_koopman_hamiltonian takes, on each mode's
         # factor, against the numpy ladder embedded by one kron per mode
-        q1, p1 = fock._quadratures(spec.n_levels, 0.7, 1.3)
-        ref = dense_quadrature_ops(spec, hbar=0.7, ref_scale=1.3)
+        q1, p1 = fock._quadratures(spec.n_levels)
+        ref = dense_quadrature_ops(spec)
         for k, (q_ref, p_ref) in enumerate(ref):
             assert np.array_equal(KronOperator.on_mode(q1, k, spec).dense(),
                                   q_ref)
@@ -202,9 +220,9 @@ class TestQuadratures:
                                   p_ref)
 
     def test_canonical_commutator_defect_at_top(self):
-        # [q, p] = i hbar everywhere except the top ladder level
+        # [q, p] = i everywhere except the top ladder level
         spec = TruncationSpec(n_levels=12, n_modes=1)
-        q, p = fock._quadratures(spec.n_levels, 1.0, 1.0)
+        q, p = fock._quadratures(spec.n_levels)
         C = q @ p - p @ q
         diag = np.diag(C)
         assert np.allclose(diag[:-1], 1j, atol=1e-12)
@@ -212,7 +230,7 @@ class TestQuadratures:
 
     def test_different_modes_commute(self):
         spec = TruncationSpec(n_levels=6, n_modes=2)
-        q, p = fock._quadratures(spec.n_levels, 1.0, 1.0)
+        q, p = fock._quadratures(spec.n_levels)
         (q1, p1), (q2, p2) = [
             (KronOperator.on_mode(q, k, spec).dense(),
              KronOperator.on_mode(p, k, spec).dense()) for k in range(2)]
@@ -220,21 +238,17 @@ class TestQuadratures:
         assert np.linalg.norm(q1 @ q2 - q2 @ q1) < 1e-13
 
     def test_hermitian(self):
-        q, p = fock._quadratures(8, 1.0, 1.0)
+        q, p = fock._quadratures(8)
         assert np.linalg.norm(q - q.conj().T) < 1e-13
         assert np.linalg.norm(p - p.conj().T) < 1e-13
 
-    def test_ref_scale_sets_vacuum_variances(self):
-        w = 2.5
-        q, p = fock._quadratures(10, 1.0, w)
+    def test_vacuum_variances_are_one_half(self):
+        # natural units: the vacuum of a unit oscillator
+        q, p = fock._quadratures(10)
         vac = np.zeros(10)
         vac[0] = 1.0
-        assert vac @ np.real(q @ q) @ vac == pytest.approx(1 / (2 * w))
-        assert vac @ np.real(p @ p) @ vac == pytest.approx(w / 2)
-
-    def test_bad_ref_scale(self):
-        with pytest.raises(ValueError):
-            fock._quadratures(4, 1.0, 0.0)
+        assert vac @ np.real(q @ q) @ vac == pytest.approx(0.5)
+        assert vac @ np.real(p @ p) @ vac == pytest.approx(0.5)
 
 
 class TestOscillatorSpectrum:
@@ -310,9 +324,12 @@ class TestKoopmanHamiltonian:
     @pytest.mark.parametrize("pk, spec, hbar, ref_scale", CASES)
     def test_kronecker_build_matches_dense_products(self, pk, spec, hbar,
                                                     ref_scale):
-        H = build_koopman_hamiltonian(*pk, spec, hbar, ref_scale)[0].dense()
+        # the builder works in natural units: hbar times its H of the
+        # rewritten flow is the dense H at hbar and ref_scale
+        H = build_koopman_hamiltonian(*natural_flow(pk, hbar, ref_scale),
+                                      spec)[0].dense()
         ref = dense_koopman_hamiltonian(pk, spec, hbar, ref_scale)
-        assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(hbar * H - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_hermitian(self):
         spec = TruncationSpec(n_levels=10, n_modes=2)
@@ -327,11 +344,26 @@ class TestKoopmanHamiltonian:
 
     @pytest.mark.parametrize("pk, spec, hbar, ref_scale", CASES)
     def test_returns_q_and_pi_by_mode(self, pk, spec, hbar, ref_scale):
-        # only the commuting observables, on the modes of the layout
-        _, Q, Pi = build_koopman_hamiltonian(*pk, spec, hbar, ref_scale)
+        # only the commuting observables, on the modes of the layout, in
+        # natural units: Q~ = Q sqrt(w~ / hbar) and Pi~ = Pi / sqrt(hbar w~)
+        _, Q, Pi = build_koopman_hamiltonian(*natural_flow(pk, hbar,
+                                                           ref_scale), spec)
         ref = koopman_ops(spec, hbar, ref_scale)
-        assert np.array_equal(Q.dense(), ref["Q"])
-        assert np.array_equal(Pi.dense(), ref["Pi"])
+        for O, ref_O, unit in ((Q, ref["Q"], np.sqrt(hbar / ref_scale)),
+                               (Pi, ref["Pi"], np.sqrt(hbar * ref_scale))):
+            assert np.max(np.abs(unit * O.dense() - ref_O)) \
+                <= 1e-15 * np.max(np.abs(ref_O))
+
+    def test_frobenius_bound(self):
+        # at least ||H||_F, from the factors; a bound past a float is inf
+        # with no overflow warning
+        spec = TruncationSpec(n_levels=8, n_modes=2)
+        H = build_koopman_hamiltonian(*koopman_flow(0.1), spec)[0]
+        assert np.linalg.norm(H.dense()) <= H.frobenius_bound()
+        H = build_koopman_hamiltonian(*koopman_flow(1e307), spec)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert H.frobenius_bound() == np.inf
 
     def test_q_and_pi_commute_exactly(self):
         spec = TruncationSpec(n_levels=8, n_modes=2)
@@ -512,12 +544,12 @@ class TestCommutatorResidual:
         O_set = [Q, quadrature_ops(spec)[0][1], Pi]
         ref = commutator_residual(H, O_set, [0.0, 1.0])
         calls = {"rows": 0, "times_adjoint": 0}
-        for cls in (fock._DenseBasis, fock._ChiralBasis):
-            for name in calls:
-                def counted(self, X, _method=getattr(cls, name), _name=name):
-                    calls[_name] += 1
-                    return _method(self, X)
-                monkeypatch.setattr(cls, name, counted)
+        for name in calls:
+            def counted(self, X, _method=getattr(fock._Basis, name),
+                        _name=name):
+                calls[_name] += 1
+                return _method(self, X)
+            monkeypatch.setattr(fock._Basis, name, counted)
         assert commutator_residual(H, O_set, [0.0, 1.0]) == ref
         assert calls == {"rows": 1, "times_adjoint": 1 + len(O_set)}
 
@@ -641,10 +673,11 @@ class TestRealGauge:
             Ht, u = real_gauge(H)
             assert is_real_operator(Ht) and np.iscomplexobj(H.dense())
             assert chiral_parity(Ht) is not None
-            chiral = HeisenbergPropagator(H, 0.8)
+            # evolved at hbar = 0.8 as H / 0.8
+            chiral = HeisenbergPropagator(scaled(H, 1 / 0.8))
             with monkeypatch.context() as m:
                 m.setattr(fock, "chiral_parity", lambda H: None)
-                real = HeisenbergPropagator(H, 0.8)
+                real = HeisenbergPropagator(scaled(H, 1 / 0.8))
             self.check_propagators(H, (Q, Pi), spec, (real, chiral))
 
     @staticmethod
@@ -711,7 +744,7 @@ class TestChiralSplit:
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
         H = build_koopman_hamiltonian(*pk, spec)[0]
         prop = HeisenbergPropagator(H)
-        assert isinstance(prop._basis, fock._ChiralBasis)
+        assert prop._basis.odd.any()
         assert np.isrealobj(prop._basis.U) and np.isrealobj(prop._basis.W)
         V, E = chiral_vectors(prop._basis), prop.energies
         assert np.array_equal(prop._basis.rows(every_row(spec)), V)
@@ -738,9 +771,9 @@ class TestChiralSplit:
         # the rows against the dense reference
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
         H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
-        prop = HeisenbergPropagator(H, 0.8)
+        prop = HeisenbergPropagator(scaled(H, 1 / 0.8))  # at hbar = 0.8
         basis = prop._basis
-        assert isinstance(basis, fock._ChiralBasis)
+        assert basis.odd.any()
         V = chiral_vectors(basis)
         rng = np.random.default_rng(7)
         X = rng.normal(size=(6, spec.dim)) + 1j * rng.normal(size=(6, spec.dim))
