@@ -362,9 +362,6 @@ def cmd_koopman(args, out_dir: Path) -> dict:
     # dQ/dt = Pi/m + eps Q^2, dPi/dt = -m w^2 Q, terms (a, b, coef)
     f, g = ((0, 1, 1.0 / m), (2, 0, eps)), ((1, 0, m * omega**2),)
     flow = koopman.ClassicalFlow(f, g, dt=args.dt)
-    # input range: the flow's harmonic coefficients have float squares, so
-    # --m 1e200 is named here, not by the flow's divergence guard
-    _check_square(**{"(1/m)": 1.0 / m, "(m*omega**2)": m * omega**2})
     # the oracle's unit a = sqrt(|m| omega) must not underflow to 0
     if not abs(m) * omega > 0:
         raise ValueError(

@@ -1,10 +1,7 @@
-"""Dense truncated-Fock brute-force oracle.
-
-Everything here is deliberately unsophisticated: exact
-eigendecomposition, explicit commutators.  The point is to provide an
-independent ground truth for the linear phase-space engine and the
-classical-flow correspondence, with truncation as the only error
-source.
+"""Dense truncated-Fock brute-force oracle: an independent ground truth
+for the linear phase-space engine and the classical-flow correspondence,
+from exact eigendecompositions and explicit commutators, with truncation
+as the only error source.
 
 Every product-space operator is a ``KronOperator``: a sum of terms, each
 a coefficient times a Kronecker product of single-mode
@@ -27,55 +24,40 @@ commute.  A polynomial is a tuple of terms (a, b, coef), each the
 monomial coef Q^a Pi^b, the same tuples ``koopman.ClassicalFlow``
 integrates; they are built in code and have no file format.
 
-The oracle works in natural units: hbar = 1 and q = (a + a+) / sqrt 2,
-p = i (a+ - a) / sqrt 2 on every mode.  A flow of another scale is
-passed in them: ``koopman`` builds its flow of mass m and frequency
-omega for Q~ = a Q and Pi~ = Pi / a with a = sqrt(|m| omega), so one
-fixed tolerance serves every m and omega.
+The oracle works in natural units, hbar = 1, with one representation on
+every mode: q = i (a+ - a) / sqrt 2 and p = -(a + a+) / sqrt 2, the
+usual pair turned a quarter by i^n.  A flow of another scale is passed
+in them: ``koopman`` builds its flow of mass m and frequency omega for
+Q~ = a Q and Pi~ = Pi / a with a = sqrt(|m| omega), so one fixed
+tolerance serves every m and omega.
 
-H is complex in general, but a reversible flow makes it real in a
-diagonal gauge, and the oracle then works in real arithmetic.  In the
-Fock basis q is real and p imaginary, so complex conjugation K maps
-(q, p) -> (q, -p) on every mode; conjugated by u = i^n (n quanta, a
-quarter turn of each mode), it becomes T = u* K u, which maps
-(q, p) -> (-q, p).  u H u* is real exactly when T is a symmetry of H.
-For the Koopman Hamiltonian T sends (Q, Phi) -> (-Q, -Phi) with P, Pi
-and the real coefficients fixed, so it is a symmetry when the flow is
-reversible under Q -> -Q: f even in Q, g odd in Q.  The ``koopman``
-command's flow dQ/dt = Pi/m + eps Q^2, dPi/dt = -m w^2 Q is one.  K
-itself is a symmetry when the flow is reversible under Pi -> -Pi (f odd
-and g even in Pi), as the linear flow is; then H is real as built.  u
-is a product of one phase i^(n_k) per mode, so ``real_gauge`` decides
-it on the factors: in the gauge every factor is exactly real or exactly
-imaginary and every term's coefficient, times i per imaginary factor,
-is exactly real.  A flow with neither symmetry,
-such as one with a damping Q term in f, keeps the complex H.
+In the Fock basis q is imaginary and p real, so a monomial's factors
+carry one i per q: H is real exactly when f is even in Q and g odd in
+Q, the flows reversible under Q -> -Q, t -> -t.  The ``koopman``
+command's flow dQ/dt = Pi/m + eps Q^2, dPi/dt = -m w^2 Q is one, and so
+are the linear and the Duffing flows; the oracle then works in real
+arithmetic.  A flow with a damping Q term in f keeps the complex H.
 
 The same reversibility halves the eigenproblem.  The parity
-S_j = (-1)^(n_j) of mode j maps (q_j, p_j) -> (-q_j, -p_j) and fixes
-every other mode.  For the Koopman Hamiltonian, S_0 flips (Q, P), so
-S_0 H S_0 = -H exactly when f is even in Q and g is odd in Q: the
-Q -> -Q, t -> -t reversibility above.  Then H only couples states of
-opposite n_0 parity, H = [[0, B], [B+, 0]] between the two classes,
-and S_0 maps an eigenvector at E to one at -E, so the spectrum is +-E.
-Truncation keeps this exactly, since q and p change n by one.  ``chiral_parity`` finds
-the first such mode, mode 0 first, on the factors: every term's factor
-on that mode couples only levels of opposite parity.
-``HeisenbergPropagator`` then forms only the two coupling blocks
-B = H[even, odd] and C = H[odd, even], each from the terms with that
-mode's factor sliced, and takes the eigenpairs from one SVD of their
-Hermitian part, half the size of H.  The parity of mode 1 flips
-(Phi, Pi) instead, and applies to a flow odd in Pi through f and
-even through g (the linear flow has both parities).  A damping Q term
-in f breaks every parity, and such a flow forms the dense H and keeps
-the ``eigh``; its eigenvectors V are held by the same basis class, as
-U = V with an empty odd class.
+S = (-1)^(n_0) of mode 0 maps (Q, P) -> (-Q, -P) and fixes mode 1, so
+S H S = -H exactly when every term's factor on mode 0 holds an odd
+number of quadratures: f even in Q and g odd in Q again.  Then H only
+couples states of opposite n_0 parity, H = [[0, B], [B+, 0]] between
+the two classes, and S maps an eigenvector at E to one at -E, so the
+spectrum is +-E.  Truncation keeps this exactly, since q and p change
+n by one.  ``HeisenbergPropagator`` then forms only the two coupling
+blocks B = H[even, odd] and C = H[odd, even], each from the terms with
+the mode-0 factor sliced, and takes the eigenpairs from one SVD of
+their Hermitian part, half the size of H.  Without the parity it forms
+the dense H and keeps the ``eigh``; its eigenvectors V are held by the
+same basis class, as U = V with an empty odd class.
 
-Both decisions read the factors, so a zero is exactly zero, but they
-are term by term: terms that cancel only in their sum are not seen, and
-such an H takes the slower path that does not need the symmetry.
-The propagator's one product, ``evolve_rows``, is what
-``commutator_residual`` reads: kept rows of the evolved observables.
+Both decisions read the factors (``_real_terms``, ``chiral_parity``), so
+a zero is exactly zero, but they are term by term: terms that cancel
+only in their sum are not seen, and such an H takes the slower path
+that does not need the symmetry.  The propagator's one product,
+``evolve_rows``, is what ``commutator_residual`` reads: kept rows of the
+evolved observables.
 
 Truncation is trusted only on the low-excitation core: the product
 states with fewer than ``core_levels`` quanta in every mode.
@@ -96,7 +78,6 @@ __all__ = [
     "build_koopman_hamiltonian",
     "HeisenbergPropagator",
     "commutator_residual",
-    "real_gauge",
     "chiral_parity",
     "core_mask",
     "top_level_population",
@@ -105,8 +86,6 @@ __all__ = [
 # largest product-space dimension n_levels ** n_modes
 DIM_CAP = 4096
 MAX_DEGREE = 4
-# i^d for d = 0..3, exact
-_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -220,13 +199,13 @@ def _frobenius(terms, N: int) -> float:
 
 def _quadratures(N: int):
     """Single-mode (q, p), N x N, in natural units:
-    q = (a + a+) / sqrt 2, p = i (a+ - a) / sqrt 2.
+    q = i (a+ - a) / sqrt 2, p = -(a + a+) / sqrt 2, imaginary and real.
 
     The truncation defect of [q, p] = i is confined to the top level of
     the ladder.
     """
     a = _ladder(N)
-    return np.sqrt(0.5) * (a + a.T), 1j * np.sqrt(0.5) * (a.T - a)
+    return 1j * np.sqrt(0.5) * (a.T - a), -np.sqrt(0.5) * (a + a.T)
 
 
 def build_koopman_hamiltonian(f, g, spec: TruncationSpec):
@@ -281,16 +260,13 @@ class HeisenbergPropagator:
     with hbar = 1: O(t) = exp(iHt) O exp(-iHt).  A Hamiltonian at another
     hbar is passed as H / hbar.
 
-    The gauge and the parity are decided on H's factors; a dense H is a
+    Realness and the parity are decided on H's factors; a dense H is a
     one-mode operator, ``KronOperator.on_mode(H, 0, TruncationSpec(n, 1))``.
-    With a gauge u (``real_gauge``) the eigenvectors are the real V~ of
-    u H u*, ``phases`` is u, and ``evolve_rows`` applies u to each
-    observable's factors and u* to the rows it returns, so
-    V = diag(u*) V~ is never formed.  With a mode parity that
-    anticommutes with H (``chiral_parity``), only the coupling blocks
-    B = H[even, odd] and C = H[odd, even] between the mode's even and odd
-    classes are formed.  The other two blocks are exactly zero, so
-    ||H - H+||_F is sqrt 2 ||C - B+||_F and ||H||_F is
+    An H real as built is diagonalized in real arithmetic.  With the
+    parity of mode 0 anticommuting with H (``chiral_parity``), only the
+    coupling blocks B = H[even, odd] and C = H[odd, even] between the
+    even and odd n_0 classes are formed.  The other two blocks are
+    exactly zero, so ||H - H+||_F is sqrt 2 ||C - B+||_F and ||H||_F is
     (||B||^2 + ||C||^2)^(1/2): the same Hermiticity check, at 1e-12
     relative, as on the dense H.  One SVD (B + C+)/2 = U diag(s) W+ then
     replaces the ``eigh``: each singular triple gives the eigenpairs
@@ -302,23 +278,23 @@ class HeisenbergPropagator:
     (``_Basis``): two products of half the width each, about half the
     work of one product with V, and no dim x dim V.
 
-    Without a parity the dense H (real in the gauge) is checked,
-    symmetrized and diagonalized by ``eigh``.  The check and the
-    symmetrization run on blocks of columns, in place, so they add no
-    dim x dim temporary to H and its eigenvectors.  The same ``_Basis``
-    holds its V as U = V with an empty odd class, so ``evolve_rows`` has
-    one form for both.
+    Without the parity the dense H is checked, symmetrized and
+    diagonalized by ``eigh``.  The check and the symmetrization run on
+    blocks of columns, in place, so they add no dim x dim temporary to H
+    and its eigenvectors.  The same ``_Basis`` holds its V as U = V with
+    an empty odd class, so ``evolve_rows`` has one form for both.
     """
 
     def __init__(self, H: KronOperator):
-        H, self.phases = real_gauge(H)
-        mode = chiral_parity(H)
-        if mode is None:
+        terms = _real_terms(H.terms)
+        if terms is not None:
+            H = KronOperator(H.spec, terms)
+        if chiral_parity(H):
+            self.energies, self._basis = _chiral_eigh(H)
+        else:
             self.energies, V = np.linalg.eigh(_symmetrized(H.dense()))
             self._basis = _Basis(V, np.empty((0, 0)),
                                  np.zeros(len(V), dtype=bool))
-        else:
-            self.energies, self._basis = _chiral_eigh(H, mode)
 
     def evolve_rows(self, observables, t_grid, keep) -> list:
         """Rows ``keep`` of O(t) = exp(iHt) O exp(-iHt) for each
@@ -337,17 +313,17 @@ class HeisenbergPropagator:
         complex V's product X V+ is formed as (V X+)+, so no dim x dim
         copy of V is made.
         """
-        basis, u = self._basis, self.phases
+        basis = self._basis
         Vk = basis.rows(keep)
         k, dim = Vk.shape
         phase = np.exp(1j * np.outer(t_grid, self.energies))
         AV = basis.times_adjoint((Vk * phase[:, None, :]).reshape(-1, dim))
         out = []
         for O in observables:
-            W = _times_kron(AV, O if u is None else _gauged(O))
+            W = _times_kron(AV, O)
             X = basis.times(W).reshape(-1, k, dim) * phase.conj()[:, None, :]
-            rows = basis.times_adjoint(X.reshape(-1, dim)).reshape(-1, k, dim)
-            out.append(rows if u is None else u[keep].conj()[:, None] * rows * u)
+            out.append(basis.times_adjoint(X.reshape(-1, dim))
+                       .reshape(-1, k, dim))
         return out
 
 
@@ -449,15 +425,14 @@ def _times_kron(W: np.ndarray, O: KronOperator) -> np.ndarray:
     return np.reshape(out, W.shape)
 
 
-def _chiral_eigh(H: KronOperator, mode: int):
+def _chiral_eigh(H: KronOperator):
     """Energies and the ``_Basis`` of H = [[0, B], [C, 0]] between
-    the classes of even and odd n_mode, from one full SVD of (B + C+)/2
+    the classes of even and odd n_0, from one full SVD of (B + C+)/2
     (see ``HeisenbergPropagator``)."""
 
     def block(rows, cols):
-        return _kron_sum([(c, f[:mode] + (f[mode][rows::2, cols::2],)
-                           + f[mode + 1:]) for c, f in H.terms],
-                         H.spec.n_levels)
+        return _kron_sum([(c, (f[0][rows::2, cols::2],) + f[1:])
+                          for c, f in H.terms], H.spec.n_levels)
 
     B, C = block(0, 1), block(1, 0)
     Ch = C.conj().T  # a view when C is real
@@ -469,15 +444,13 @@ def _chiral_eigh(H: KronOperator, mode: int):
     U, s, Wh = np.linalg.svd(B)
     del B
     energies = np.concatenate([s, -s, np.zeros(U.shape[1] - s.size)])
-    return energies, _Basis(U, Wh.conj().T, _parity_mask(H.spec, mode))
+    return energies, _Basis(U, Wh.conj().T, _parity_mask(H.spec))
 
 
-def _parity_mask(spec: TruncationSpec, mode: int) -> np.ndarray:
-    """Mask of the product states with n_mode odd."""
-    odd_level = np.arange(spec.n_levels) % 2 == 1
-    every_level = np.ones(spec.n_levels, dtype=bool)
-    return _kron([odd_level if k == mode else every_level
-                  for k in range(spec.n_modes)])
+def _parity_mask(spec: TruncationSpec) -> np.ndarray:
+    """Mask of the product states with n_0 odd."""
+    return np.repeat(np.arange(spec.n_levels) % 2 == 1,
+                     spec.dim // spec.n_levels)
 
 
 def core_mask(spec: TruncationSpec) -> np.ndarray:
@@ -490,16 +463,6 @@ def core_mask(spec: TruncationSpec) -> np.ndarray:
 def top_level_population(state: np.ndarray, spec: TruncationSpec) -> float:
     """Population of ``state`` outside the trusted core."""
     return float(np.sum(np.abs(state[~core_mask(spec)]) ** 2))
-
-
-def _gauged(O: KronOperator) -> KronOperator:
-    """u O u* for u = i^n, factor by factor, exactly: entry (a, b) of a
-    factor turns by u_a u_b* = i^(a - b)."""
-    levels = np.arange(O.spec.n_levels)
-    phase = _QUARTER_TURNS[(levels[:, None] - levels) % 4]
-    return KronOperator(O.spec, tuple(
-        (coef, tuple(None if F is None else phase * F for F in factors))
-        for coef, factors in O.terms))
 
 
 def _real_terms(terms):
@@ -523,43 +486,16 @@ def _real_terms(terms):
     return tuple(out)
 
 
-def real_gauge(H: KronOperator):
-    """``(Ht, u)`` with Ht = u H u* exactly real, for the first diagonal
-    gauge u that makes it so, else ``(H, None)``.
+def chiral_parity(H: KronOperator) -> bool:
+    """Whether the parity S = (-1)^(n_0) of mode 0 anticommutes with H.
 
-    The gauges tried are u = 1 (returned as ``None``) and u = i^n with n
-    the total number of quanta, the one that makes a reversible flow's H
-    real (module docstring).  Both are products of one diagonal phase per
-    mode, so the gauge is applied and read on the N x N factors, by sign
-    flips and swaps of their real and imaginary parts only: a zero means
-    exactly zero.  Ht is a ``KronOperator`` with real coefficients and
-    factors.  u is diagonal in the product basis, so it commutes with
-    ``core_mask``.
+    Decided on the factors: S anticommutes with every term whose factor
+    on mode 0 couples only levels of opposite parity, i.e. has exactly
+    zero entries between two levels of equal parity.  The identity
+    (``None``) never does.
     """
-    terms = _real_terms(H.terms)
-    if terms is not None:
-        return KronOperator(H.spec, terms), None
-    terms = _real_terms(_gauged(H).terms)
-    if terms is None:
-        return H, None
-    single = _QUARTER_TURNS[np.arange(H.spec.n_levels) % 4]
-    return KronOperator(H.spec, terms), _kron([single] * H.spec.n_modes)
-
-
-def chiral_parity(H: KronOperator):
-    """The first mode j, mode 0 first, whose parity S_j = (-1)^(n_j)
-    anticommutes with H, else ``None``.
-
-    Decided on the factors: S_j anticommutes with every term whose
-    factor on mode j couples only levels of opposite parity, i.e. has
-    exactly zero entries between two levels of equal parity.  The
-    identity (``None``) never does.
-    """
-    for j in range(H.spec.n_modes):
-        if all(f[j] is not None and not f[j][0::2, 0::2].any()
-               and not f[j][1::2, 1::2].any() for _, f in H.terms):
-            return j
-    return None
+    return all(f[0] is not None and not f[0][0::2, 0::2].any()
+               and not f[0][1::2, 1::2].any() for _, f in H.terms)
 
 
 def _observable_defect(O: KronOperator):
@@ -601,11 +537,11 @@ def commutator_residual(H: KronOperator, O_set, t_grid) -> float:
     observable-independent first stage once: thin (kept rows x times) x
     dim products with the one eigendecomposition of H, never a dim x dim
     observable.  The
-    propagator decides on H's factors whether a gauge makes H real and
-    whether a mode parity halves it (real eigenvectors from one SVD of a
-    coupling block, applied through its factors, so no dim x dim V is
-    formed; see ``HeisenbergPropagator``); otherwise it runs an ``eigh``
-    of the dense H; both eigenbases are one ``_Basis``.  The commutators
+    propagator decides on H's factors whether H is real and whether the
+    parity of mode 0 halves it (eigenvectors from one SVD of a coupling
+    block, applied through its factors, so no dim x dim V is formed; see
+    ``HeisenbergPropagator``); otherwise it runs an ``eigh`` of the dense
+    H; both eigenbases are one ``_Basis``.  The commutators
     of all pairs of rows are small (kept rows x kept rows), and their
     spectral norms come from one batched ``norm``.  All agree to
     rounding, but the residual of a converged oracle is a

@@ -107,9 +107,10 @@ class TestCriterion2TwoTimeCommutators:
 
     def test_fock_oracle_collective_pair(self):
         spec, H, obs = pair_fock_setup(n_levels=20, core_levels=6)
-        # no mode parity anticommutes with the pair's H: the run takes the
-        # propagator's dense eigh branch, which no command's flow reaches
-        assert fock.chiral_parity(H) is None
+        # the parity of mode 0 does not anticommute with the pair's H: the
+        # run takes the propagator's dense eigh branch, which no command's
+        # flow reaches
+        assert not fock.chiral_parity(H)
         t_grid = np.linspace(0.0, 10.0, 20)
         res = fock.commutator_residual(H, [obs["Q"], obs["Pi"]], t_grid)
         assert res < 1e-8 * HBAR

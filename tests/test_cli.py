@@ -629,8 +629,9 @@ class TestKoopman:
         (["--m", "1e-150", "--epsilon", "0"], 1.1904055932380758e-15),
         (["--m", "1e-10", "--omega", "1e-298", "--epsilon", "0"],
          1.1415618122171315e-15),
+        (["--m", "1e-200", "--epsilon", "0"], 4.12959940380457e-15),
     ], ids=["default", "levels-32", "m", "omega", "negative-m", "linear",
-            "tiny-mass-linear", "tiny-scale-linear"])
+            "tiny-mass-linear", "tiny-scale-linear", "small-mass-linear"])
     def test_oracle_at_the_flow_scale(self, tmp_path, argv, residual):
         # the oracle in natural units of the flow's scale |m| omega: with
         # unit ladders "m", "omega" and "linear" exit 1 with residuals
@@ -639,7 +640,8 @@ class TestKoopman:
         # a matmul.  A converged residual is a near-cancellation that
         # moves by ~1e-7 relative with the eigensolver and the BLAS thread
         # count (the reproducibility the README states); a linear flow's
-        # is rounding, ~1e-14 absolute.
+        # is rounding, ~1e-14 absolute.  At --m 1e-200 (1/m)**2 overflows
+        # a float, but neither the flow nor the oracle squares 1/m.
         out = tmp_path / "run"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -733,15 +735,10 @@ class TestRunTimeBadInput:
         pytest.param(["spin", "--gamma-b0", "1e-320"],
                      "gamma_b0 is too small: the period 2 pi / gamma_b0 "
                      "overflows a float, got 1e-320", id="spin-gamma-b0"),
-        # a harmonic flow whose H has an overflowing norm: an overflow
-        # warning, then exit 1 with oracle_residual 5.13
-        pytest.param(["koopman", "--m", "1e-200", "--epsilon", "0"],
-                     "(1/m) is too large: (1/m)**2 overflows a float, got "
-                     "1e+200", id="koopman-small-m"),
-        # named before the flow runs, where Pi passed the divergence guard
+        # Pi = -m omega^2 Q t leaves the divergence guard in the first step
         pytest.param(["koopman", "--m", "1e200", "--epsilon", "0"],
-                     "(m*omega**2) is too large: (m*omega**2)**2 overflows a "
-                     "float, got 1e+200", id="koopman-large-m"),
+                     "trajectory norm exceeded 1e+12 at t = 0.001",
+                     id="koopman-large-m"),
         # the oracle's scale |m| omega underflowed to 0.0: "ref_scale must
         # be positive", naming no flag, after classical.csv was written
         pytest.param(["koopman", "--m", "1e-150", "--omega", "1e-300"],

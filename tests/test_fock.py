@@ -18,7 +18,6 @@ from qmfslab.fock import (
     chiral_parity,
     commutator_residual,
     core_mask,
-    real_gauge,
     top_level_population,
 )
 
@@ -48,9 +47,18 @@ def dense_embed(op, mode, spec):
     return out
 
 
-def dense_quadrature_ops(spec, hbar=1.0, ref_scale=1.0):
-    """(q_k, p_k) per mode, embedded by ``dense_embed``."""
-    q, p = quadratures(spec.n_levels, hbar, ref_scale)
+def turned_quadratures(N, hbar=1.0, ref_scale=1.0):
+    """The numpy pair turned a quarter by i^n, the oracle's representation:
+    (q, p) -> (p / w~, -w~ q), so q = i sqrt(hbar / 2 w~) (a+ - a) and
+    p = -sqrt(hbar w~ / 2) (a + a+)."""
+    q, p = quadratures(N, hbar, ref_scale)
+    return p / ref_scale, -ref_scale * q
+
+
+def dense_quadrature_ops(spec, hbar=1.0, ref_scale=1.0, pair=quadratures):
+    """(q_k, p_k) per mode, embedded by ``dense_embed``, from the
+    single-mode ``pair``: the numpy one or ``turned_quadratures``."""
+    q, p = pair(spec.n_levels, hbar, ref_scale)
     return [(dense_embed(q, k, spec), dense_embed(p, k, spec))
             for k in range(spec.n_modes)]
 
@@ -71,19 +79,25 @@ def oscillator_hamiltonian(spec, m, omega, hbar=1.0, mode=0):
     return KronOperator.on_mode(h, mode, spec)
 
 
-def koopman_ops(spec, hbar=1.0, ref_scale=1.0):
+def oracle_p(spec):
+    """The oracle's P: its own p on mode 0."""
+    return KronOperator.on_mode(fock._quadratures(spec.n_levels)[1], 0, spec)
+
+
+def koopman_ops(spec, hbar=1.0, ref_scale=1.0, pair=quadratures):
     """{Q, P, Phi, Pi} from the quadratures by mode: mode 0 carries
     (Q, P), mode 1 carries (Phi, Pi)."""
-    (Q, P), (Phi, Pi) = dense_quadrature_ops(spec, hbar, ref_scale)
+    (Q, P), (Phi, Pi) = dense_quadrature_ops(spec, hbar, ref_scale, pair)
     return {"Q": Q, "P": P, "Phi": Phi, "Pi": Pi}
 
 
-def dense_koopman_hamiltonian(pk, spec, hbar=1.0, ref_scale=1.0):
+def dense_koopman_hamiltonian(pk, spec, hbar=1.0, ref_scale=1.0,
+                              pair=quadratures):
     """H of the flow ``pk`` = (f, g) from dense products of the embedded
     operators: the construction the Kronecker-factor build replaced, kept
     as its oracle."""
     f, g = pk
-    ops = koopman_ops(spec, hbar, ref_scale)
+    ops = koopman_ops(spec, hbar, ref_scale, pair)
     F = poly_op(f, ops["Q"], ops["Pi"])
     Gm = poly_op(g, ops["Q"], ops["Pi"])
     P, Phi = ops["P"], ops["Phi"]
@@ -160,28 +174,24 @@ def koopman_flow(eps, m=1.0, omega=1.0):
 
 
 LINEAR_FLOW = (((0, 1, 1.0),), ((1, 0, 1.0),))
-# odd in Pi through f, even in Pi through g, but g is not odd in Q: only
-# the parity of mode 1 (Phi, Pi) anticommutes with H
+# dQ/dt = Pi, dPi/dt = -(Q + 0.1 Q^3): reversible under Q -> -Q
+DUFFING_FLOW = (((0, 1, 1.0),), ((1, 0, 1.0), (3, 0, 0.1)))
+# odd in Pi through f, even in Pi through g, but g is not odd in Q: a
+# complex H, and only the parity of mode 1 (Phi, Pi) anticommutes with it
 MODE1_FLOW = (((0, 1, 1.0),), ((1, 0, 1.0), (0, 2, 0.1)))
 # a damping Q term in f: reversible under neither Q -> -Q nor Pi -> -Pi
 DAMPED_FLOW = (((0, 1, 1.0), (1, 0, -0.5)), ((1, 0, 1.0),))
+# Van der Pol, dPi/dt = -Q + 0.3 (1 - Q^2) Pi: not reversible either
+VAN_DER_POL_FLOW = (((0, 1, 1.0),), ((1, 0, 1.0), (0, 1, -0.3), (2, 1, 0.3)))
 
 
-def mode_parity(spec, mode):
-    """Mask of the product states with an odd number of quanta in
-    ``mode``, one kron per mode."""
+def mode0_parity(spec):
+    """Mask of the product states with an odd number of quanta in mode
+    0, one kron per mode."""
     out = np.array([True])
     for k in range(spec.n_modes):
         odd = np.arange(spec.n_levels) % 2 == 1
-        out = np.kron(out, odd if k == mode else np.ones_like(odd))
-    return out
-
-
-def quanta_phases(spec):
-    """i^(total quanta) per product state, one kron per mode."""
-    out = np.array([1.0 + 0j])
-    for _ in range(spec.n_modes):
-        out = np.kron(out, 1j ** np.arange(spec.n_levels))
+        out = np.kron(out, odd if k == 0 else np.ones_like(odd))
     return out
 
 
@@ -210,9 +220,10 @@ class TestQuadratures:
     ])
     def test_each_mode_embedded_on_its_own_factor(self, spec):
         # the quadratures build_koopman_hamiltonian takes, on each mode's
-        # factor, against the numpy ladder embedded by one kron per mode
+        # factor, against the numpy pair turned a quarter, embedded by one
+        # kron per mode
         q1, p1 = fock._quadratures(spec.n_levels)
-        ref = dense_quadrature_ops(spec)
+        ref = dense_quadrature_ops(spec, pair=turned_quadratures)
         for k, (q_ref, p_ref) in enumerate(ref):
             assert np.array_equal(KronOperator.on_mode(q1, k, spec).dense(),
                                   q_ref)
@@ -328,7 +339,8 @@ class TestKoopmanHamiltonian:
         # rewritten flow is the dense H at hbar and ref_scale
         H = build_koopman_hamiltonian(*natural_flow(pk, hbar, ref_scale),
                                       spec)[0].dense()
-        ref = dense_koopman_hamiltonian(pk, spec, hbar, ref_scale)
+        ref = dense_koopman_hamiltonian(pk, spec, hbar, ref_scale,
+                                        turned_quadratures)
         assert np.max(np.abs(hbar * H - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_hermitian(self):
@@ -348,7 +360,7 @@ class TestKoopmanHamiltonian:
         # natural units: Q~ = Q sqrt(w~ / hbar) and Pi~ = Pi / sqrt(hbar w~)
         _, Q, Pi = build_koopman_hamiltonian(*natural_flow(pk, hbar,
                                                            ref_scale), spec)
-        ref = koopman_ops(spec, hbar, ref_scale)
+        ref = koopman_ops(spec, hbar, ref_scale, turned_quadratures)
         for O, ref_O, unit in ((Q, ref["Q"], np.sqrt(hbar / ref_scale)),
                                (Pi, ref["Pi"], np.sqrt(hbar * ref_scale))):
             assert np.max(np.abs(unit * O.dense() - ref_O)) \
@@ -419,8 +431,7 @@ class TestHeisenbergPropagation:
         assert np.allclose(qt[0], U.conj().T @ q.dense() @ U, atol=1e-12)
 
     def test_kept_rows_match_full_conjugation(self):
-        # a dense complex H with no gauge and no parity, as a one-mode
-        # operator
+        # a dense complex H with no parity, as a one-mode operator
         rng = np.random.default_rng(3)
         X = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
         H = (X + X.conj().T) / 2
@@ -492,8 +503,7 @@ class TestCommutatorResidual:
         # {Q, P} of the same mode must show an order-hbar residual
         spec = TruncationSpec(n_levels=16, n_modes=2, core_levels=5)
         H, Q, _ = build_koopman_hamiltonian(*LINEAR_FLOW, spec)
-        P0 = quadrature_ops(spec)[0][1]
-        res = commutator_residual(H, [Q, P0], [0.0, 1.0])
+        res = commutator_residual(H, [Q, oracle_p(spec)], [0.0, 1.0])
         assert res > 0.5
 
     def test_non_hermitian_rejected(self):
@@ -506,30 +516,35 @@ class TestCommutatorResidual:
 
     @staticmethod
     def check_against_full_dense_reference(pk):
-        # reference: full O(t) per time from the complex eigendecomposition
-        # of the dense H, projected commutators
+        # reference: the flow's H, Q, P and Pi from dense products of the
+        # numpy quadratures (q real, not the oracle's representation), full
+        # O(t) per time from the complex eigendecomposition, projected
+        # commutators; the pair alone, and with P
         spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=3)
         H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
-        P0 = quadrature_ops(spec)[0][1]
-        O_set = [Q, P0, Pi]
+        ops = koopman_ops(spec)
         t_grid = [0.0, 0.5, 1.5]
         P = dense_guard_projector(spec)
-        ref = DenseEvolution(H.dense())
-        evolved = [ref.evolve(O.dense(), t) for O in O_set for t in t_grid]
-        reference = max(
-            np.linalg.norm(P @ (A @ B - B @ A) @ P, 2)
-            for A in evolved for B in evolved
-        )
-        res = commutator_residual(H, O_set, t_grid)
+        ref = DenseEvolution(dense_koopman_hamiltonian(pk, spec))
+        for O_set, names in (([Q, Pi], "Q Pi"),
+                             ([Q, oracle_p(spec), Pi], "Q P Pi")):
+            evolved = [ref.evolve(ops[name], t) for name in names.split()
+                       for t in t_grid]
+            reference = max(
+                np.linalg.norm(P @ (A @ B - B @ A) @ P, 2)
+                for A in evolved for B in evolved
+            )
+            res = commutator_residual(H, O_set, t_grid)
+            assert res == pytest.approx(reference, rel=1e-12)
         assert reference > 0.5
-        assert res == pytest.approx(reference, rel=1e-12)
 
     def test_matches_full_dense_reference(self):
         # the ``koopman`` command's flow at eps = 0.1
         self.check_against_full_dense_reference(koopman_flow(0.1))
 
-    @pytest.mark.parametrize("pk", [koopman_flow(0.3), DAMPED_FLOW],
-                             ids=["koopman-eps0.3", "damped"])
+    @pytest.mark.parametrize("pk", [koopman_flow(0.3), DAMPED_FLOW,
+                                    MODE1_FLOW],
+                             ids=["koopman-eps0.3", "damped", "mode1"])
     def test_matches_full_dense_reference_other_flows(self, pk):
         self.check_against_full_dense_reference(pk)
 
@@ -554,24 +569,16 @@ class TestCommutatorResidual:
         assert calls == {"rows": 1, "times_adjoint": 1 + len(O_set)}
 
 
-def dense_gauge(H, spec):
-    """Reference gauge, read off the dense H: ``None`` when H is real as
-    built, i^(total quanta) when that makes it real, else "complex"."""
-    for u in (None, quanta_phases(spec)):
-        G = H if u is None else u[:, None] * H * u.conj()
-        if np.max(np.abs(G.imag)) <= 1e-14 * np.max(np.abs(G)):
-            return u
-    return "complex"
+def dense_is_real(H):
+    """Whether the dense H is real, read off its entries."""
+    return np.max(np.abs(H.imag)) <= 1e-14 * np.max(np.abs(H))
 
 
 def dense_parity(H, spec):
-    """Reference parity, read off the dense H: the first mode whose
-    parity anticommutes with H exactly, else ``None``."""
-    for mode in range(spec.n_modes):
-        S = np.where(mode_parity(spec, mode), -1.0, 1.0)
-        if not np.any(S[:, None] * H * S + H):
-            return mode
-    return None
+    """Whether the parity of mode 0 anticommutes with the dense H
+    exactly."""
+    S = np.where(mode0_parity(spec), -1.0, 1.0)
+    return not np.any(S[:, None] * H * S + H)
 
 
 def is_real_operator(op):
@@ -581,102 +588,80 @@ def is_real_operator(op):
                for coef, factors in op.terms)
 
 
-# the six flows of the factor-level tests: expected gauge and parity mode
+# the flows of the factor-level tests, and whether each builds a real H
+# whose mode-0 parity anticommutes with it (reversible under Q -> -Q) or
+# stays complex with no parity
 FLOWS = {
-    "eps0": (koopman_flow(0.0), None, 0),
-    "eps0.1": (koopman_flow(0.1), "quanta", 0),
-    "eps0.3": (koopman_flow(0.3), "quanta", 0),
-    "linear": (LINEAR_FLOW, None, 0),
-    "mode1": (MODE1_FLOW, None, 1),
-    "damped": (DAMPED_FLOW, "complex", None),
+    "eps0": (koopman_flow(0.0), True),
+    "eps0.1": (koopman_flow(0.1), True),
+    "eps0.3": (koopman_flow(0.3), True),
+    "eps0.3-m0.7": (koopman_flow(0.3, m=0.7, omega=1.4), True),
+    "linear": (LINEAR_FLOW, True),
+    "duffing": (DUFFING_FLOW, True),
+    "mode1": (MODE1_FLOW, False),
+    "damped": (DAMPED_FLOW, False),
+    "van-der-pol": (VAN_DER_POL_FLOW, False),
 }
 
 
 class TestFactorDecisions:
-    """The gauge and the parity decided on the factors against the same
-    decisions read off the dense Hamiltonian built from products."""
+    """Realness and the parity decided on the factors, against the same
+    decisions read off the dense Hamiltonian built from products in the
+    oracle's representation: the numpy pair turned a quarter, the gauge
+    in which a flow reversible under Q -> -Q has a real H."""
 
     @pytest.mark.parametrize("n_levels", [8, 9])
     @pytest.mark.parametrize("name", list(FLOWS))
     def test_gauge_and_parity_match_dense_references(self, name, n_levels):
-        pk, gauge, mode = FLOWS[name]
+        pk, real = FLOWS[name]
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
         H = build_koopman_hamiltonian(*pk, spec)[0]
-        ref = dense_koopman_hamiltonian(pk, spec)
-        u_ref = dense_gauge(ref, spec)
-        Ht, u = real_gauge(H)
-        if gauge == "complex":
-            assert isinstance(u_ref, str)
-            assert Ht is H and u is None
-        elif gauge is None:
-            assert u_ref is None and u is None
-        else:
-            assert np.array_equal(u, u_ref)
-        if gauge != "complex":
-            assert is_real_operator(Ht)
-        assert chiral_parity(H) == chiral_parity(Ht) == dense_parity(ref, spec)
-        assert chiral_parity(H) == mode
-
+        ref = dense_koopman_hamiltonian(pk, spec, pair=turned_quadratures)
+        terms = fock._real_terms(H.terms)
+        assert (terms is not None) == dense_is_real(ref) == real
+        assert chiral_parity(H) == dense_parity(ref, spec) == real
+        if real:
+            Hr = KronOperator(spec, terms)
+            assert is_real_operator(Hr)
+            Hr = Hr.dense()
+            assert np.isrealobj(Hr)
+            assert np.max(np.abs(Hr - ref.real)) <= 1e-14 * np.max(np.abs(ref))
+        # the eigenbasis is real exactly when H is
+        basis = HeisenbergPropagator(H)._basis
+        assert all(np.isrealobj(M) for M in stored_factors(basis)) == real
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_one_equal_parity_entry_breaks_the_parity(self, level):
         # a diagonal entry on an even or on an odd level of mode 0
         spec = TruncationSpec(n_levels=6, n_modes=2, core_levels=2)
         H = build_koopman_hamiltonian(*koopman_flow(0.1), spec)[0]
-        assert chiral_parity(H) == 0
+        assert chiral_parity(H)
         entry = np.zeros((6, 6))
         entry[level, level] = 1e-3
         broken = KronOperator(spec, H.terms + ((1.0, (entry, None)),))
-        assert chiral_parity(broken) is None
-        assert dense_parity(broken.dense(), spec) is None
+        assert not chiral_parity(broken)
+        assert not dense_parity(broken.dense(), spec)
 
 
 class TestRealGauge:
-    """The real symmetric eigendecomposition against the complex one."""
-
-    @pytest.mark.parametrize("pk, gauged", [
-        (koopman_flow(0.0), False), (koopman_flow(0.1), True),
-        (koopman_flow(0.3), True), (koopman_flow(0.3, m=0.7, omega=1.4), True),
-        (LINEAR_FLOW, False),
-    ])
-    def test_reversible_flow_is_real_in_the_gauge(self, pk, gauged):
-        spec = TruncationSpec(n_levels=9, n_modes=2, core_levels=2)
-        H = build_koopman_hamiltonian(*pk, spec)[0]
-        Ht, u = real_gauge(H)
-        assert is_real_operator(Ht)
-        ref = dense_koopman_hamiltonian(pk, spec)
-        u_ref = quanta_phases(spec) if gauged else np.ones(spec.dim)
-        ref = u_ref[:, None] * ref * u_ref.conj()
-        assert np.max(np.abs(ref.imag)) <= 1e-14 * np.max(np.abs(ref))
-        Ht = Ht.dense()
-        assert np.isrealobj(Ht)
-        assert np.max(np.abs(Ht - ref.real)) <= 1e-14 * np.max(np.abs(ref))
-        if gauged:
-            assert np.array_equal(u, u_ref)
-        else:
-            assert u is None
-
-    def test_damped_flow_stays_complex(self):
-        spec = TruncationSpec(n_levels=8, n_modes=2, core_levels=3)
-        H = build_koopman_hamiltonian(*DAMPED_FLOW, spec)[0]
-        Ht, u = real_gauge(H)
-        assert Ht is H and u is None
+    """The real eigensolvers of an H that is real as built, in the
+    quarter-turned gauge of the oracle's quadratures, against the complex
+    one."""
 
     @pytest.mark.parametrize("pk", [koopman_flow(0.1), LINEAR_FLOW,
-                                    MODE1_FLOW])
+                                    DUFFING_FLOW])
     def test_propagator_matches_complex_eigh(self, pk, monkeypatch):
-        # the real eigh and the chiral SVD, both in the real gauge,
-        # against the complex eigh of H as built, at even and odd N
+        # the real eigh and the chiral SVD against the complex eigh of H
+        # as built, at even and odd N
         for n_levels in (8, 9):
             spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=3)
             H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
-            Ht, u = real_gauge(H)
-            assert is_real_operator(Ht) and np.iscomplexobj(H.dense())
-            assert chiral_parity(Ht) is not None
+            assert fock._real_terms(H.terms) is not None
+            assert np.iscomplexobj(H.dense()) and chiral_parity(H)
             # evolved at hbar = 0.8 as H / 0.8
             chiral = HeisenbergPropagator(scaled(H, 1 / 0.8))
             with monkeypatch.context() as m:
-                m.setattr(fock, "chiral_parity", lambda H: None)
+                m.setattr(fock, "chiral_parity", lambda H: False)
                 real = HeisenbergPropagator(scaled(H, 1 / 0.8))
             self.check_propagators(H, (Q, Pi), spec, (real, chiral))
 
@@ -701,55 +686,58 @@ class TestRealGauge:
                     assert np.linalg.norm(rows_t - full[keep]) < 1e-12 * scale
 
     def test_real_and_complex_residuals_agree_at_24_levels(self, monkeypatch):
-        # the converged residual is a near-cancellation: the two
-        # eigensolvers agree to 1e-6 relative, not to the last digit
+        # the converged residual is a near-cancellation: the real and the
+        # complex SVD agree to 1e-6 relative, not to the last digit
         spec = TruncationSpec(n_levels=24, n_modes=2, core_levels=2)
         H, Q, Pi = build_koopman_hamiltonian(*koopman_flow(0.1), spec)
         O_set = [Q, Pi]
         t_grid = np.linspace(0.0, 2.0, 5)
         res = commutator_residual(H, O_set, t_grid)
-        monkeypatch.setattr(fock, "real_gauge", lambda H: (H, None))
+        monkeypatch.setattr(fock, "_real_terms", lambda terms: None)
         ref = commutator_residual(H, O_set, t_grid)
         assert 0 < res < 1e-5
         assert res == pytest.approx(ref, rel=1e-6)
 
 
 class TestChiralSplit:
-    """A mode parity that anticommutes with H: one SVD of the coupling
+    """The parity of mode 0 anticommutes with H: one SVD of the coupling
     block in place of the eigh."""
 
     @pytest.mark.parametrize("n_levels", [8, 9])
-    @pytest.mark.parametrize("pk, mode", [
-        (koopman_flow(0.0), 0), (koopman_flow(0.1), 0), (koopman_flow(0.3), 0),
-        (LINEAR_FLOW, 0), (MODE1_FLOW, 1), (DAMPED_FLOW, None),
+    @pytest.mark.parametrize("pk, split", [
+        (koopman_flow(0.0), True), (koopman_flow(0.1), True),
+        (koopman_flow(0.3), True), (LINEAR_FLOW, True), (MODE1_FLOW, False),
+        (DAMPED_FLOW, False),
     ], ids=["eps0", "eps0.1", "eps0.3", "linear", "mode1", "damped"])
-    def test_split_on_the_first_anticommuting_parity(self, pk, mode,
+    def test_split_on_the_first_anticommuting_parity(self, pk, split,
                                                      n_levels):
+        # only mode 0's parity is read: the mode-1 flow's H anticommutes
+        # with the parity of mode 1 alone, and takes the eigh
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
         H = build_koopman_hamiltonian(*pk, spec)[0]
-        for op in (H, real_gauge(H)[0]):
-            assert chiral_parity(op) == mode
-        if mode is not None:
-            S = np.where(mode_parity(spec, mode), -1.0, 1.0)
-            Hd = H.dense()
-            assert not np.any(S[:, None] * Hd * S + Hd)
+        assert chiral_parity(H) == split
+        assert dense_parity(H.dense(), spec) == split
+        assert HeisenbergPropagator(H)._basis.odd.any() == split
+
+    # "gauged": real only in the quarter-turned gauge, "real": also with
+    # the numpy pair; the mode-1 flow keeps the complex dense basis
+    SPLITS = pytest.mark.parametrize("pk, split", [
+        (koopman_flow(0.1), True), (koopman_flow(0.0), True),
+        (MODE1_FLOW, False)], ids=["gauged", "real", "mode1"])
 
     @pytest.mark.parametrize("n_levels", [8, 9])
-    @pytest.mark.parametrize("pk", [koopman_flow(0.1), koopman_flow(0.0),
-                                    MODE1_FLOW],
-                             ids=["gauged", "real", "mode1"])
-    def test_eigenpairs(self, pk, n_levels):
+    @SPLITS
+    def test_eigenpairs(self, pk, split, n_levels):
         # at 9 levels the even class is larger: its extra left singular
         # vectors are the E = 0 eigenvectors
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
         H = build_koopman_hamiltonian(*pk, spec)[0]
         prop = HeisenbergPropagator(H)
-        assert prop._basis.odd.any()
-        assert np.isrealobj(prop._basis.U) and np.isrealobj(prop._basis.W)
+        assert prop._basis.odd.any() == split
+        assert all(np.isrealobj(M) for M in stored_factors(prop._basis)) \
+            == split
         V, E = chiral_vectors(prop._basis), prop.energies
         assert np.array_equal(prop._basis.rows(every_row(spec)), V)
-        if prop.phases is not None:
-            V = prop.phases.conj()[:, None] * V
         H = H.dense()
         assert V.shape == H.shape and E.shape == (spec.dim,)
         scale = np.linalg.norm(H)
@@ -758,14 +746,13 @@ class TestChiralSplit:
             * spec.dim
         assert np.allclose(np.sort(E), np.linalg.eigvalsh(H),
                            atol=1e-13 * scale)
-        assert np.count_nonzero(E == 0) == (spec.dim // n_levels
-                                            if n_levels % 2 else 0)
+        if split:
+            assert np.count_nonzero(E == 0) == (spec.dim // n_levels
+                                                if n_levels % 2 else 0)
 
     @pytest.mark.parametrize("n_levels", [8, 9])
-    @pytest.mark.parametrize("pk", [koopman_flow(0.1), koopman_flow(0.0),
-                                    MODE1_FLOW],
-                             ids=["gauged", "real", "mode1"])
-    def test_factors_match_the_assembled_vectors(self, pk, n_levels):
+    @SPLITS
+    def test_factors_match_the_assembled_vectors(self, pk, split, n_levels):
         # V and V+ applied through U and W, as evolve_rows does, against
         # the same products with V assembled from U and W in the test;
         # the rows against the dense reference
@@ -773,7 +760,7 @@ class TestChiralSplit:
         H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
         prop = HeisenbergPropagator(scaled(H, 1 / 0.8))  # at hbar = 0.8
         basis = prop._basis
-        assert basis.odd.any()
+        assert basis.odd.any() == split
         V = chiral_vectors(basis)
         rng = np.random.default_rng(7)
         X = rng.normal(size=(6, spec.dim)) + 1j * rng.normal(size=(6, spec.dim))
@@ -798,7 +785,7 @@ class TestChiralSplit:
         O_set = [Q, Pi]
         t_grid = np.linspace(0.0, 2.0, 5)
         res = commutator_residual(H, O_set, t_grid)
-        monkeypatch.setattr(fock, "chiral_parity", lambda H: None)
+        monkeypatch.setattr(fock, "chiral_parity", lambda H: False)
         ref = commutator_residual(H, O_set, t_grid)
         assert 0 < res < 1e-5
         assert res == pytest.approx(ref, rel=1e-6)
