@@ -356,6 +356,21 @@ def cmd_force(args, out_dir: Path) -> dict:
     return {"force": result, "passed": bool(ok)}
 
 
+def _natural_flow(f, g, a):
+    """The flow dQ/dt = f, dPi/dt = -g, terms (i, j, coef), for
+    Q~ = a Q and Pi~ = Pi / a: coef a^(1 - i + j) in f and
+    coef a^(-1 - i + j) in g.  The powers are repeated products, which
+    overflow to inf and underflow to 0 where float ** would raise."""
+
+    def scaled(coef, k):
+        for _ in range(abs(k)):
+            coef = coef * a if k > 0 else coef / a
+        return coef
+
+    return tuple(tuple((i, j, scaled(c, side - i + j)) for i, j, c in poly)
+                 for poly, side in ((f, 1), (g, -1)))
+
+
 def cmd_koopman(args, out_dir: Path) -> dict:
     m, omega, eps = args.m, args.omega, args.epsilon
     _check_square(omega=omega)
@@ -377,17 +392,18 @@ def cmd_koopman(args, out_dir: Path) -> dict:
                                core_levels=2)
     # the oracle in natural units (hbar = 1) of Q~ = a Q and Pi~ = Pi / a,
     # the Q and Pi it returns: dQ~/dt = w Pi~ + (eps/a) Q~^2, dPi~/dt = -w Q~
-    a, w = math.sqrt(abs(m) * omega), math.copysign(omega, m)
-    H, Q, Pi = fock.build_koopman_hamiltonian(
-        ((0, 1, w), (2, 0, eps / a)), ((1, 0, w),), spec)
+    # with w = sign(m) omega, from the integrated flow's own terms
+    natural = _natural_flow(f, g, math.sqrt(abs(m)) * math.sqrt(omega))
+    H, Q, Pi = fock.build_koopman_hamiltonian(*natural, spec)
     # the propagator's Frobenius norms of H must not overflow
     bound = H.frobenius_bound()
     if not math.isfinite(bound * bound):
+        (_, _, w), (_, _, eps_a) = natural[0]
         raise ValueError(
             f"--epsilon {eps!r}, --m {m!r} and --omega {omega!r} are out of "
             "the oracle's range: in natural units its flow has the "
             f"coefficients {w:.3g} and epsilon/sqrt(|m|*omega) = "
-            f"{eps / a:.3g}, and its Hamiltonian's norm overflows a float")
+            f"{eps_a:.3g}, and its Hamiltonian's norm overflows a float")
     _write_csv(out_dir / "classical.csv", ["time", "Q", "Pi"],
                np.column_stack([times, Qs, Ps]))
     t_grid = np.linspace(0.0, min(args.T, 2.0 / omega), 5)

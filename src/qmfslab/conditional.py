@@ -584,6 +584,7 @@ def estimate_force_batch(
     n_traj, n_steps, n_ch = records.shape
     if n_ch != len(channels):
         raise ValueError("record/channel count mismatch")
+    _validate_step(model, dt, n_steps * dt)
     d = model.dim
     A, D, M, Va = _augmented_filter(model, channels, template)
     _, blocks = _covariance_grid(A, D, M, dt, n_steps)

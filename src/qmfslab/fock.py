@@ -31,12 +31,16 @@ in them: ``koopman`` builds its flow of mass m and frequency omega for
 Q~ = a Q and Pi~ = Pi / a with a = sqrt(|m| omega), so one fixed
 tolerance serves every m and omega.
 
-In the Fock basis q is imaginary and p real, so a monomial's factors
-carry one i per q: H is real exactly when f is even in Q and g odd in
-Q, the flows reversible under Q -> -Q, t -> -t.  The ``koopman``
-command's flow dQ/dt = Pi/m + eps Q^2, dPi/dt = -m w^2 Q is one, and so
-are the linear and the Duffing flows; the oracle then works in real
-arithmetic.  A flow with a damping Q term in f keeps the complex H.
+In the Fock basis q = i X with X real, and p is real.  Every factor
+the oracle builds is real: each q's i goes into its term's coefficient,
+i^a for Q^a in the P f + f P terms and one more for Phi, the q of mode
+1, in the Phi g + g Phi terms.  H is then real exactly when all its
+coefficients are, that is when f is even in Q and g odd in Q, the
+flows reversible under Q -> -Q, t -> -t, and its dense form and
+eigenvectors are real with it.  The ``koopman`` command's flow
+dQ/dt = Pi/m + eps Q^2, dPi/dt = -m w^2 Q is one, and so are the
+linear and the Duffing flows.  A flow with a damping Q term in f keeps
+the complex H.
 
 The same reversibility halves the eigenproblem.  The parity
 S = (-1)^(n_0) of mode 0 maps (Q, P) -> (-Q, -P) and fixes mode 1, so
@@ -52,8 +56,8 @@ their Hermitian part, half the size of H.  Without the parity it forms
 the dense H and keeps the ``eigh``; its eigenvectors V are held by the
 same basis class, as U = V with an empty odd class.
 
-Both decisions read the factors (``_real_terms``, ``chiral_parity``), so
-a zero is exactly zero, but they are term by term: terms that cancel
+The parity is the one decision read on the factors (``chiral_parity``),
+so a zero is exactly zero, but it is term by term: terms that cancel
 only in their sum are not seen, and such an H takes the slower path
 that does not need the symmetry.  The propagator's one product,
 ``evolve_rows``, is what ``commutator_residual`` reads: kept rows of the
@@ -198,14 +202,19 @@ def _frobenius(terms, N: int) -> float:
 
 
 def _quadratures(N: int):
-    """Single-mode (q, p), N x N, in natural units:
-    q = i (a+ - a) / sqrt 2, p = -(a + a+) / sqrt 2, imaginary and real.
+    """The real pair (X, p), N x N, of the single-mode quadratures in
+    natural units: q = i X with X = (a+ - a) / sqrt 2, and
+    p = -(a + a+) / sqrt 2.
 
     The truncation defect of [q, p] = i is confined to the top level of
     the ladder.
     """
     a = _ladder(N)
-    return 1j * np.sqrt(0.5) * (a.T - a), -np.sqrt(0.5) * (a + a.T)
+    return np.sqrt(0.5) * (a.T - a), -np.sqrt(0.5) * (a + a.T)
+
+
+# i^k, exactly, and a real float where it is real
+_I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
 def build_koopman_hamiltonian(f, g, spec: TruncationSpec):
@@ -215,12 +224,14 @@ def build_koopman_hamiltonian(f, g, spec: TruncationSpec):
 
     ``f`` and ``g`` are tuples of terms (a, b, coef); total degree is
     capped at ``MAX_DEGREE``.  P and Phi enter H only through
-    single-mode factors, the quadratures of ``_quadratures``.  A
-    monomial coef Q^a Pi^b has factor q^a on mode 0 and p^b on mode 1,
-    and P (Phi) multiplies the factor of mode 0 (1) from the left or from
-    the right.  The P f, f P, Phi g and g Phi sides stay separate terms,
-    so the propagator's Hermiticity check still catches an ordering
-    defect.  No dim x dim matrix is formed here.
+    single-mode factors, the real pair (X, p) of ``_quadratures``.  A
+    monomial coef Q^a Pi^b has factor X^a on mode 0 and p^b on mode 1,
+    with i^a in its coefficient, and P (Phi = i X) multiplies the factor
+    of mode 0 (1) from the left or from the right.  Every factor is real,
+    and Q is the one term i X on mode 0.  The P f, f P, Phi g and g Phi
+    sides stay separate terms, so the propagator's Hermiticity check
+    still catches an ordering defect.  No dim x dim matrix is formed
+    here.
     """
     if spec.n_modes != 2:
         raise ValueError(f"need 2 modes for one (Q, Pi) pair, spec has "
@@ -230,19 +241,21 @@ def build_koopman_hamiltonian(f, g, spec: TruncationSpec):
             raise ValueError("polynomial degree exceeds cap")
         if not np.isfinite(coef):
             raise ValueError("coefficients must be finite")
-    q, p = _quadratures(spec.n_levels)
+    X, p = _quadratures(spec.n_levels)
     power = np.linalg.matrix_power
     terms = []
-    # P f + f P on mode 0, Phi g + g Phi on mode 1
-    for poly, mode, op in ((f, 0, p), (g, 1, q)):
+    # P f + f P on mode 0, Phi g + g Phi on mode 1 (Phi = i X, one more i)
+    for poly, mode, op, extra in ((f, 0, p, 0), (g, 1, X, 1)):
         for a, b, coef in poly:
-            factors = [power(q, a), power(p, b)]
+            factors = [power(X, a), power(p, b)]
             inner = factors[mode]
             for side in (op @ inner, inner @ op):
                 sided = list(factors)
                 sided[mode] = side
-                terms.append((0.5 * coef, tuple(sided)))
-    return (KronOperator(spec, tuple(terms)), KronOperator.on_mode(q, 0, spec),
+                terms.append((0.5 * coef * _I_POWERS[(a + extra) % 4],
+                              tuple(sided)))
+    return (KronOperator(spec, tuple(terms)),
+            KronOperator(spec, ((1j, (X, None)),)),
             KronOperator.on_mode(p, 1, spec))
 
 
@@ -260,20 +273,22 @@ class HeisenbergPropagator:
     with hbar = 1: O(t) = exp(iHt) O exp(-iHt).  A Hamiltonian at another
     hbar is passed as H / hbar.
 
-    Realness and the parity are decided on H's factors; a dense H is a
-    one-mode operator, ``KronOperator.on_mode(H, 0, TruncationSpec(n, 1))``.
-    An H real as built is diagonalized in real arithmetic.  With the
-    parity of mode 0 anticommuting with H (``chiral_parity``), only the
-    coupling blocks B = H[even, odd] and C = H[odd, even] between the
-    even and odd n_0 classes are formed.  The other two blocks are
-    exactly zero, so ||H - H+||_F is sqrt 2 ||C - B+||_F and ||H||_F is
-    (||B||^2 + ||C||^2)^(1/2): the same Hermiticity check, at 1e-12
-    relative, as on the dense H.  One SVD (B + C+)/2 = U diag(s) W+ then
-    replaces the ``eigh``: each singular triple gives the eigenpairs
-    (u, +w) / sqrt 2 at +s and (u, -w) / sqrt 2 at -s, and the left
-    singular vectors past the odd class's size (the even class is larger
-    at an odd level count) are the E = 0 eigenvectors (u, 0) (Golub &
-    Kahan, SIAM J. Numer. Anal. B 2, 205, 1965).  The propagator keeps
+    The parity is decided on H's factors; a dense H is a one-mode
+    operator, ``KronOperator.on_mode(H, 0, TruncationSpec(n, 1))``.  An
+    H whose coefficients and factors are all real is diagonalized in
+    real arithmetic with no decision made: its blocks or its dense form
+    come out real.  With the parity of mode 0 anticommuting with H
+    (``chiral_parity``), only the coupling blocks B = H[even, odd] and
+    C = H[odd, even] between the even and odd n_0 classes are formed.
+    The other two blocks are exactly zero, so ||H - H+||_F is
+    sqrt 2 ||C - B+||_F and ||H||_F is (||B||^2 + ||C||^2)^(1/2): the
+    same Hermiticity check, at 1e-12 relative, as on the dense H.  One
+    SVD (B + C+)/2 = U diag(s) W+ then replaces the ``eigh``: each
+    singular triple gives the eigenpairs (u, +w) / sqrt 2 at +s and
+    (u, -w) / sqrt 2 at -s, and the left singular vectors past the odd
+    class's size (the even class is larger at an odd level count) are
+    the E = 0 eigenvectors (u, 0) (Golub & Kahan, SIAM J. Numer. Anal.
+    B 2, 205, 1965).  The propagator keeps
     U, s and W, and ``evolve_rows`` applies V and V+ through them
     (``_Basis``): two products of half the width each, about half the
     work of one product with V, and no dim x dim V.
@@ -286,9 +301,6 @@ class HeisenbergPropagator:
     """
 
     def __init__(self, H: KronOperator):
-        terms = _real_terms(H.terms)
-        if terms is not None:
-            H = KronOperator(H.spec, terms)
         if chiral_parity(H):
             self.energies, self._basis = _chiral_eigh(H)
         else:
@@ -465,27 +477,6 @@ def top_level_population(state: np.ndarray, spec: TruncationSpec) -> float:
     return float(np.sum(np.abs(state[~core_mask(spec)]) ** 2))
 
 
-def _real_terms(terms):
-    """The terms with every factor exactly real and every coefficient
-    exactly real, an imaginary factor's i moved into its coefficient;
-    ``None`` if some term has no such form."""
-    out = []
-    for coef, factors in terms:
-        real = []
-        for F in factors:
-            if F is None or not np.iscomplexobj(F) or not F.imag.any():
-                real.append(None if F is None else np.real(F))
-            elif not F.real.any():
-                real.append(F.imag)
-                coef = coef * 1j
-            else:
-                return None
-        if np.imag(coef) != 0:
-            return None
-        out.append((np.real(coef), tuple(real)))
-    return tuple(out)
-
-
 def chiral_parity(H: KronOperator) -> bool:
     """Whether the parity S = (-1)^(n_0) of mode 0 anticommutes with H.
 
@@ -536,14 +527,14 @@ def commutator_residual(H: KronOperator, O_set, t_grid) -> float:
     observables and the whole time grid, which forms the
     observable-independent first stage once: thin (kept rows x times) x
     dim products with the one eigendecomposition of H, never a dim x dim
-    observable.  The
-    propagator decides on H's factors whether H is real and whether the
-    parity of mode 0 halves it (eigenvectors from one SVD of a coupling
-    block, applied through its factors, so no dim x dim V is formed; see
-    ``HeisenbergPropagator``); otherwise it runs an ``eigh`` of the dense
-    H; both eigenbases are one ``_Basis``.  The commutators
-    of all pairs of rows are small (kept rows x kept rows), and their
-    spectral norms come from one batched ``norm``.  All agree to
+    observable.  H is real when its coefficients and factors are, and
+    the propagator decides on H's factors whether the parity of mode 0
+    halves it (eigenvectors from one SVD of a coupling block, applied
+    through its factors, so no dim x dim V is formed; see
+    ``HeisenbergPropagator``); otherwise it runs an ``eigh`` of the
+    dense H; both eigenbases are one ``_Basis``.  The commutators of all
+    pairs of rows are small (kept rows x kept rows), and their spectral
+    norms come from one batched ``norm``.  All agree to
     rounding, but the residual of a converged oracle is a
     near-cancellation: it moves by ~1e-7 relative with the eigensolver
     and the BLAS thread count, so the ``koopman`` command's

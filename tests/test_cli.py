@@ -662,6 +662,45 @@ class TestKoopman:
         assert read_summary(out)["oracle_residual"] > 1.0
 
 
+class TestNaturalFlow:
+    """``cli._natural_flow``: the flow ``koopman`` integrates, mapped to
+    the oracle's natural units Q~ = a Q, Pi~ = Pi / a."""
+
+    @pytest.mark.parametrize("m, omega", [
+        (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (-1.0, 1.0), (0.7, 1.4)])
+    def test_koopman_flow(self, m, omega):
+        # dQ~/dt = w Pi~ + (eps/a) Q~^2, dPi~/dt = -w Q~ with
+        # a = sqrt(|m| omega) and w = sign(m) omega, to rounding
+        eps, a, w = 0.1, math.sqrt(abs(m) * omega), math.copysign(omega, m)
+        f, g = cli._natural_flow(((0, 1, 1.0 / m), (2, 0, eps)),
+                                 ((1, 0, m * omega**2),), a)
+        assert [t[:2] for t in (*f, *g)] == [(0, 1), (2, 0), (1, 0)]
+        assert [t[2] for t in (*f, *g)] == pytest.approx([w, eps / a, w],
+                                                         rel=1e-15)
+
+    def test_every_exponent(self):
+        # coef Q^i Pi^j: a^(1 - i + j) in f and a^(-1 - i + j) in g
+        a = 1.5
+        poly = tuple((i, j, 1.0) for i in range(5) for j in range(5 - i))
+        f, g = cli._natural_flow(poly, poly, a)
+        for (i, j, _), (_, _, cf), (_, _, cg) in zip(poly, f, g):
+            assert cf == pytest.approx(a ** (1 - i + j), rel=1e-15)
+            assert cg == pytest.approx(a ** (-1 - i + j), rel=1e-15)
+
+    def test_subnormal_scale(self):
+        # |m| omega = 1e-323 is subnormal, so koopman takes a as
+        # sqrt(|m|) sqrt(omega), not as the root of the product, which
+        # gives w 1.2 % off.  a**-2 raises, and the products give the
+        # integrated flow's own values, m omega^2 = 0 after its underflow
+        m, omega = 1e-308, 1e-15
+        a = math.sqrt(abs(m)) * math.sqrt(omega)
+        with pytest.raises(OverflowError):
+            a ** -2
+        f, g = cli._natural_flow(((0, 1, 1.0 / m), (2, 0, 0.0)),
+                                 ((1, 0, m * omega**2),), a)
+        assert f[0][2] == pytest.approx(omega, rel=1e-15)
+        assert f[1][2] == 0.0 and g[0][2] == 0.0
+
 class TestRunTimeBadInput:
     """Input that only fails once the run starts: exit 2 with the
     message, no traceback and no summary."""
@@ -754,6 +793,14 @@ class TestRunTimeBadInput:
                      "the coefficients 1e-157 and epsilon/sqrt(|m|*omega) = "
                      "3.16e+152, and its Hamiltonian's norm overflows a "
                      "float", id="koopman-tiny-scale"),
+        # |m| omega = 1e-323 is subnormal: a = sqrt(|m|) sqrt(omega) keeps
+        # the digits, where the root of the product gave 3.18e+160
+        pytest.param(["koopman", "--m", "1e-308", "--omega", "1e-15"],
+                     "--epsilon 0.1, --m 1e-308 and --omega 1e-15 are out "
+                     "of the oracle's range: in natural units its flow has "
+                     "the coefficients 1e-15 and epsilon/sqrt(|m|*omega) = "
+                     "3.16e+160, and its Hamiltonian's norm overflows a "
+                     "float", id="koopman-subnormal-scale"),
     ])
     def test_derived_value_overflows_a_float(self, tmp_path, capsys, argv,
                                              message):

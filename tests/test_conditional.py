@@ -2,6 +2,7 @@
 conditional trajectories, and waveform estimation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -878,6 +879,21 @@ class TestForceEstimation:
         template = ForceDrive.sinusoid(model.force_couplings[0], 1.0, 1.0)
         est = estimate_force_batch(traj.records, model, ch, template, traj.dt)
         assert abs(est.amplitude[0] - 1.3) < 4 * est.posterior_std
+
+    @pytest.mark.parametrize("dt", [1.0, math.inf, math.nan, 0.0, -1e-3])
+    def test_bad_step_rejected(self, dt):
+        # the step is checked as force_posterior_std checks it: dt = 1
+        # gave amplitudes of 1e68, or NaN with overflow warnings, inf and
+        # nan failed to convert to an integer, and 0 and a negative dt
+        # claimed there was no likelihood information
+        model, ch = pair_force_case()
+        drive = ForceDrive.sinusoid(model.force_couplings[0], 1.0, 1.0)
+        batch = simulate_batch(model, vacuum_state(model), ch, drive, 2e-3,
+                               0.5, 1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="dt"):
+                estimate_force_batch(batch.records, model, ch, drive, dt)
 
     def test_zero_coupling_rejected(self):
         model = models.oscillator_pair(1.0, 1.0).model

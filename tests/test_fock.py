@@ -219,21 +219,23 @@ class TestQuadratures:
         TruncationSpec(n_levels=3, n_modes=4),
     ])
     def test_each_mode_embedded_on_its_own_factor(self, spec):
-        # the quadratures build_koopman_hamiltonian takes, on each mode's
-        # factor, against the numpy pair turned a quarter, embedded by one
-        # kron per mode
-        q1, p1 = fock._quadratures(spec.n_levels)
+        # the real pair (X, p) build_koopman_hamiltonian takes, q = i X,
+        # on each mode's factor, against the numpy pair turned a quarter,
+        # embedded by one kron per mode
+        X, p1 = fock._quadratures(spec.n_levels)
+        assert np.isrealobj(X) and np.isrealobj(p1)
         ref = dense_quadrature_ops(spec, pair=turned_quadratures)
         for k, (q_ref, p_ref) in enumerate(ref):
-            assert np.array_equal(KronOperator.on_mode(q1, k, spec).dense(),
-                                  q_ref)
+            assert np.array_equal(
+                scaled(KronOperator.on_mode(X, k, spec), 1j).dense(), q_ref)
             assert np.array_equal(KronOperator.on_mode(p1, k, spec).dense(),
                                   p_ref)
 
     def test_canonical_commutator_defect_at_top(self):
         # [q, p] = i everywhere except the top ladder level
         spec = TruncationSpec(n_levels=12, n_modes=1)
-        q, p = fock._quadratures(spec.n_levels)
+        X, p = fock._quadratures(spec.n_levels)
+        q = 1j * X
         C = q @ p - p @ q
         diag = np.diag(C)
         assert np.allclose(diag[:-1], 1j, atol=1e-12)
@@ -249,17 +251,19 @@ class TestQuadratures:
         assert np.linalg.norm(q1 @ q2 - q2 @ q1) < 1e-13
 
     def test_hermitian(self):
-        q, p = fock._quadratures(8)
-        assert np.linalg.norm(q - q.conj().T) < 1e-13
-        assert np.linalg.norm(p - p.conj().T) < 1e-13
+        # q = i X is Hermitian exactly when the real X is antisymmetric
+        X, p = fock._quadratures(8)
+        assert np.isrealobj(X) and np.isrealobj(p)
+        assert np.array_equal(X, -X.T) and np.array_equal(p, p.T)
 
     def test_vacuum_variances_are_one_half(self):
         # natural units: the vacuum of a unit oscillator
-        q, p = fock._quadratures(10)
+        X, p = fock._quadratures(10)
         vac = np.zeros(10)
         vac[0] = 1.0
-        assert vac @ np.real(q @ q) @ vac == pytest.approx(0.5)
-        assert vac @ np.real(p @ p) @ vac == pytest.approx(0.5)
+        # q^2 = -X^2
+        assert -vac @ (X @ X) @ vac == pytest.approx(0.5)
+        assert vac @ (p @ p) @ vac == pytest.approx(0.5)
 
 
 class TestOscillatorSpectrum:
@@ -581,11 +585,15 @@ def dense_parity(H, spec):
     return not np.any(S[:, None] * H * S + H)
 
 
-def is_real_operator(op):
-    """Every coefficient and every factor of a KronOperator is real."""
-    return all(np.isrealobj(coef) and all(F is None or np.isrealobj(F)
-                                          for F in factors)
-               for coef, factors in op.terms)
+def real_factors(op):
+    """Every factor of a KronOperator is a real array (or the identity)."""
+    return all(F is None or np.isrealobj(F)
+               for _, factors in op.terms for F in factors)
+
+
+def real_coefficients(op):
+    """Every coefficient of a KronOperator is real-typed."""
+    return all(np.isrealobj(coef) for coef, _ in op.terms)
 
 
 # the flows of the factor-level tests, and whether each builds a real H
@@ -605,27 +613,26 @@ FLOWS = {
 
 
 class TestFactorDecisions:
-    """Realness and the parity decided on the factors, against the same
-    decisions read off the dense Hamiltonian built from products in the
-    oracle's representation: the numpy pair turned a quarter, the gauge
-    in which a flow reversible under Q -> -Q has a real H."""
+    """Realness and the parity of the built H, against the same decisions
+    read off the dense Hamiltonian built from products in the oracle's
+    representation: the numpy pair turned a quarter, in which a flow
+    reversible under Q -> -Q has a real H.  Every factor is real, each
+    q's i sits in its term's coefficient, so H is real exactly when its
+    coefficients are."""
 
     @pytest.mark.parametrize("n_levels", [8, 9])
     @pytest.mark.parametrize("name", list(FLOWS))
     def test_gauge_and_parity_match_dense_references(self, name, n_levels):
         pk, real = FLOWS[name]
         spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=2)
-        H = build_koopman_hamiltonian(*pk, spec)[0]
+        H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
         ref = dense_koopman_hamiltonian(pk, spec, pair=turned_quadratures)
-        terms = fock._real_terms(H.terms)
-        assert (terms is not None) == dense_is_real(ref) == real
+        assert real_factors(H) and real_factors(Q) and real_factors(Pi)
+        assert real_coefficients(H) == dense_is_real(ref) == real
         assert chiral_parity(H) == dense_parity(ref, spec) == real
-        if real:
-            Hr = KronOperator(spec, terms)
-            assert is_real_operator(Hr)
-            Hr = Hr.dense()
-            assert np.isrealobj(Hr)
-            assert np.max(np.abs(Hr - ref.real)) <= 1e-14 * np.max(np.abs(ref))
+        Hd = H.dense()
+        assert np.isrealobj(Hd) == real
+        assert np.max(np.abs(Hd - ref)) <= 1e-14 * np.max(np.abs(ref))
         # the eigenbasis is real exactly when H is
         basis = HeisenbergPropagator(H)._basis
         assert all(np.isrealobj(M) for M in stored_factors(basis)) == real
@@ -645,19 +652,19 @@ class TestFactorDecisions:
 
 class TestRealGauge:
     """The real eigensolvers of an H that is real as built, in the
-    quarter-turned gauge of the oracle's quadratures, against the complex
-    one."""
+    quarter-turned representation of the oracle's quadratures, against
+    the complex one."""
 
     @pytest.mark.parametrize("pk", [koopman_flow(0.1), LINEAR_FLOW,
                                     DUFFING_FLOW])
     def test_propagator_matches_complex_eigh(self, pk, monkeypatch):
-        # the real eigh and the chiral SVD against the complex eigh of H
-        # as built, at even and odd N
+        # the real eigh and the chiral SVD against the complex eigh of the
+        # dense H, at even and odd N
         for n_levels in (8, 9):
             spec = TruncationSpec(n_levels=n_levels, n_modes=2, core_levels=3)
             H, Q, Pi = build_koopman_hamiltonian(*pk, spec)
-            assert fock._real_terms(H.terms) is not None
-            assert np.iscomplexobj(H.dense()) and chiral_parity(H)
+            assert real_factors(H) and real_coefficients(H)
+            assert np.isrealobj(H.dense()) and chiral_parity(H)
             # evolved at hbar = 0.8 as H / 0.8
             chiral = HeisenbergPropagator(scaled(H, 1 / 0.8))
             with monkeypatch.context() as m:
@@ -667,8 +674,9 @@ class TestRealGauge:
 
     @staticmethod
     def check_propagators(H, pair, spec, props):
-        # every row and the kept rows, against the dense reference
-        ref = DenseEvolution(H.dense(), 0.8)
+        # every row and the kept rows, against the dense reference's
+        # complex eigh
+        ref = DenseEvolution(H.dense().astype(complex), 0.8)
         keep = core_mask(spec)
         P0 = quadrature_ops(spec, hbar=0.8)[0][1]
         O_set = (*pair, P0)
@@ -685,16 +693,19 @@ class TestRealGauge:
                     assert np.linalg.norm(full_t - full) < 1e-12 * scale
                     assert np.linalg.norm(rows_t - full[keep]) < 1e-12 * scale
 
-    def test_real_and_complex_residuals_agree_at_24_levels(self, monkeypatch):
+    def test_real_and_complex_residuals_agree_at_24_levels(self):
         # the converged residual is a near-cancellation: the real and the
-        # complex SVD agree to 1e-6 relative, not to the last digit
+        # complex SVD agree to 1e-6 relative, not to the last digit; the
+        # same H with complex-typed coefficients takes the complex one
         spec = TruncationSpec(n_levels=24, n_modes=2, core_levels=2)
         H, Q, Pi = build_koopman_hamiltonian(*koopman_flow(0.1), spec)
         O_set = [Q, Pi]
         t_grid = np.linspace(0.0, 2.0, 5)
         res = commutator_residual(H, O_set, t_grid)
-        monkeypatch.setattr(fock, "_real_terms", lambda terms: None)
-        ref = commutator_residual(H, O_set, t_grid)
+        H_complex = scaled(H, 1 + 0j)
+        assert chiral_parity(H_complex) and np.iscomplexobj(
+            HeisenbergPropagator(H_complex)._basis.U)
+        ref = commutator_residual(H_complex, O_set, t_grid)
         assert 0 < res < 1e-5
         assert res == pytest.approx(ref, rel=1e-6)
 
